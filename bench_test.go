@@ -1,5 +1,5 @@
 // Benchmarks: one per Table-1 row of the paper (E1..E13, matching the
-// experiment index in DESIGN.md). Each benchmark executes complete
+// experiments of internal/experiments). Each benchmark executes complete
 // elections (or complete adversary games) per iteration through the public
 // elect API and reports the paper's complexity measures as custom metrics:
 // msgs/op, rounds/op for synchronous rows, timeunits/op for asynchronous
@@ -288,9 +288,10 @@ func BenchmarkCachedRun(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationArrivalWiring quantifies the DESIGN.md ablation: the
-// component game with and without adversarial arrival-port wiring (Lemma
-// 3.3's both-endpoints control). Compare stalledrounds/op.
+// BenchmarkAblationArrivalWiring quantifies the arrival-wiring ablation
+// (ARCHITECTURE.md, Substitutions): the component game with and without
+// adversarial arrival-port wiring (Lemma 3.3's both-endpoints control).
+// Compare stalledrounds/op.
 func BenchmarkAblationArrivalWiring(b *testing.B) {
 	run := func(b *testing.B, opts ...lowerbound.GameOption) {
 		var stalled float64

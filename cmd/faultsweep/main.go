@@ -95,8 +95,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	delays, err := elect.ParseDelays(*policy)
-	if err != nil {
+	if _, err := elect.ParseDelays(*policy); err != nil {
 		return err
 	}
 	basePlan, err := elect.ParseFaults(*base)
@@ -136,7 +135,7 @@ func run(args []string, w io.Writer) error {
 		cache = resultcache.New(resultcache.WithDir(*cacheDir))
 	}
 
-	topos := splitTopos(*topoFlag)
+	topos := cliutil.SplitTopos(*topoFlag)
 	var table *stats.Table
 	if len(topos) > 0 {
 		table = stats.NewTable("algo", "topo", "n", "crash", "drop", "success", "mean msgs",
@@ -150,40 +149,35 @@ func run(args []string, w io.Writer) error {
 	for _, spec := range specs {
 		for _, cr := range crashes {
 			for _, dr := range drops {
-				plan := basePlan
-				plan.CrashRate = cr
-				plan.DropRate = dr
-				opts := []elect.Option{
-					elect.WithParams(elect.Params{K: *k, D: *d, G: *g, Eps: *eps}),
-					elect.WithWake(*wake),
-					elect.WithFaults(plan),
-				}
-				if spec.Model == elect.Async {
-					opts = append(opts, elect.WithDelays(delays))
-				}
-				b := elect.Batch{
+				// One request drives both paths: its resolved batch runs
+				// locally, and its options reach fleet workers verbatim, so a
+				// remote cell is byte-identical to a local one. Crash/drop
+				// rates ride the -faults syntax and round-trip exactly ('g'
+				// formatting).
+				req := client.BatchRequest{
+					Spec:    spec.Name,
 					Ns:      ns,
 					Seeds:   elect.Seeds(*seed, *seeds),
 					Topos:   topos,
-					Options: opts,
 					Workers: localWorkers,
+					Options: client.Options{
+						Params: &client.ParamSpec{K: k, D: d, G: g, Eps: eps},
+						Wake:   *wake,
+						Faults: wireFaults(*base, cr, dr),
+					},
+				}
+				if spec.Model == elect.Async {
+					req.Delays = *policy
+				}
+				_, b, err := req.Resolve()
+				if err != nil {
+					return err
 				}
 				if cache != nil {
 					b.Cache = cache
 				}
 				if fleet != nil {
-					// Mirror opts above in wire form; crash/drop rates ride the
-					// -faults syntax and round-trip exactly ('g' formatting).
-					kk, dd, gg, ee := *k, *d, *g, *eps
-					wire := client.Options{
-						Params: &client.ParamSpec{K: &kk, D: &dd, G: &gg, Eps: &ee},
-						Wake:   *wake,
-						Faults: wireFaults(*base, cr, dr),
-					}
-					if spec.Model == elect.Async {
-						wire.Delays = *policy
-					}
-					b.Remote = fleet.Runner(wire)
+					b.Remote = fleet.Runner(req.Options)
 				}
 				batch, err := elect.RunMany(spec, b)
 				if err != nil {
@@ -226,30 +220,10 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// splitTopos parses the -topo flag as in cmd/sweep: a comma-separated list
-// of topology specs, except an explicit edge list ("edges:0-1,1-2,...") uses
-// commas itself and is taken as one spec.
-func splitTopos(s string) []string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
-	}
-	if strings.HasPrefix(s, "edges:") {
-		return []string{s}
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// wireFaults renders the cell's fault plan in elect.ParseFaults syntax for
-// the wire: the -faults base plan plus the sweep axes' crash/drop rates.
-// FormatFloat 'g' with precision -1 round-trips float64 exactly, so the
-// worker parses the very rates the local path would use.
+// wireFaults renders the cell's fault plan in elect.ParseFaults syntax: the
+// -faults base plan plus the sweep axes' crash/drop rates. FormatFloat 'g'
+// with precision -1 round-trips float64 exactly, so the plan parsed back
+// carries the very rates of the sweep axes.
 func wireFaults(base string, crash, drop float64) string {
 	var parts []string
 	if s := strings.TrimSpace(base); s != "" {

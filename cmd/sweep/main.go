@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"cliquelect/elect"
@@ -88,8 +87,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	delays, err := elect.ParseDelays(*policy)
-	if err != nil {
+	if _, err := elect.ParseDelays(*policy); err != nil {
 		return err
 	}
 	ns, err := cliutil.ParseInts(*nsFlag)
@@ -126,7 +124,7 @@ func run(args []string) error {
 	if *cacheDir != "" {
 		cache = resultcache.New(resultcache.WithDir(*cacheDir))
 	}
-	topos := splitTopos(*topoFlag)
+	topos := cliutil.SplitTopos(*topoFlag)
 
 	var table *stats.Table
 	if len(topos) > 0 {
@@ -140,35 +138,32 @@ func run(args []string) error {
 	cells := 0
 	start := time.Now()
 	for _, k := range ks {
-		opts := []elect.Option{
-			elect.WithParams(elect.Params{K: k, D: *d, G: *g, Eps: *eps}),
-			elect.WithWake(*wake),
-		}
-		if spec.Model == elect.Async {
-			opts = append(opts, elect.WithDelays(delays))
-		}
-		b := elect.Batch{
+		// One request drives both paths: its resolved batch runs locally,
+		// and its options reach fleet workers verbatim, so a remote cell is
+		// byte-identical to a local one.
+		req := client.BatchRequest{
+			Spec:    *algo,
 			Ns:      ns,
 			Seeds:   elect.Seeds(*seed+uint64(k)*104729, *seeds),
 			Topos:   topos,
-			Options: opts,
 			Workers: localWorkers,
+			Options: client.Options{
+				Params: &client.ParamSpec{K: &k, D: d, G: g, Eps: eps},
+				Wake:   *wake,
+			},
+		}
+		if spec.Model == elect.Async {
+			req.Delays = *policy
+		}
+		_, b, err := req.Resolve()
+		if err != nil {
+			return err
 		}
 		if cache != nil {
 			b.Cache = cache
 		}
 		if fleet != nil {
-			// The wire options must describe exactly what opts above does, so
-			// a remote cell is byte-identical to a local one.
-			kk, dd, gg, ee := k, *d, *g, *eps
-			wire := client.Options{
-				Params: &client.ParamSpec{K: &kk, D: &dd, G: &gg, Eps: &ee},
-				Wake:   *wake,
-			}
-			if spec.Model == elect.Async {
-				wire.Delays = *policy
-			}
-			b.Remote = fleet.Runner(wire)
+			b.Remote = fleet.Runner(req.Options)
 		}
 		kStart := time.Now()
 		batch, err := elect.RunMany(spec, b)
@@ -399,26 +394,6 @@ type benchFit struct {
 	K    int    `json:"k"`
 	Topo string `json:"topo,omitempty"`
 	Fit  string `json:"fit"`
-}
-
-// splitTopos parses the -topo flag: a comma-separated list of topology
-// specs, except that an explicit edge list ("edges:0-1,1-2,...") uses commas
-// itself and is taken as one spec.
-func splitTopos(s string) []string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
-	}
-	if strings.HasPrefix(s, "edges:") {
-		return []string{s}
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 func writeBenchJSON(path string, bench benchFile) error {

@@ -190,16 +190,12 @@ func defaultAxes(ns []int, seeds []uint64) ([]int, []uint64) {
 }
 
 // GridSize returns the number of cells in the canonical batch grid over the
-// given (already defaulted) axes: len(topos)·len(ns)·len(seeds), with an
-// empty topos axis counting as the single implicit clique. Distributed
-// dispatch (internal/distrib, electd's range validation) sizes its
-// partitions with this.
+// given axes: len(topos)·len(ns)·len(seeds), with each empty axis counting
+// as one value — the implicit clique, and RunMany's {64} sizes and {1}
+// seeds. Distributed dispatch (internal/distrib), the jobs layer's batch
+// progress and electd's range validation all size grids with this.
 func GridSize(ns []int, seeds []uint64, topos []string) int {
-	t := len(topos)
-	if t == 0 {
-		t = 1
-	}
-	return t * len(ns) * len(seeds)
+	return max(len(topos), 1) * max(len(ns), 1) * max(len(seeds), 1)
 }
 
 // CellOptions returns the Run options for cell idx of the batch's canonical

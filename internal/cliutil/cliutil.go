@@ -73,3 +73,23 @@ func ParseFloats(s string) ([]float64, error) {
 	}
 	return out, nil
 }
+
+// SplitTopos parses the sweep CLIs' -topo flag: a comma-separated list of
+// topology specs, except that an explicit edge list ("edges:0-1,1-2,...")
+// uses commas itself and is taken as one spec.
+func SplitTopos(s string) []string {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return nil
+	}
+	if strings.HasPrefix(s, "edges:") {
+		return []string{s}
+	}
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
+}

@@ -1,6 +1,9 @@
 package cliutil
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestParseInts(t *testing.T) {
 	got, err := ParseInts(" 1, 2,3 ")
@@ -66,6 +69,21 @@ func TestParseWorkers(t *testing.T) {
 			if fleet[i] != tc.fleet[i] {
 				t.Errorf("ParseWorkers(%q)[%d] = %q, want %q", tc.in, i, fleet[i], tc.fleet[i])
 			}
+		}
+	}
+}
+
+func TestSplitTopos(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"", nil},
+		{" ring, torus ,,rreg:d=8", []string{"ring", "torus", "rreg:d=8"}},
+		{"edges:0-1,1-2,2-0", []string{"edges:0-1,1-2,2-0"}},
+	} {
+		if got := SplitTopos(tc.in); !slices.Equal(got, tc.want) {
+			t.Errorf("SplitTopos(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func NewAsyncTradeoff(k int) simasync.Factory {
 // NewAsyncLinear returns the substituted [14]-style near-linear baseline:
 // Algorithm 2 run at its k = Theta(log n / log log n) extreme, where it
 // sends O(n log n) messages and finishes in O(log n / log log n) + 8 time.
-// See DESIGN.md, "Substitutions".
+// See ARCHITECTURE.md, "Substitutions".
 func NewAsyncLinear(n int) simasync.Factory {
 	return NewAsyncTradeoff(AsyncLinearK(n))
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cliquelect/internal/proto"
 	"cliquelect/internal/simsync"
 )
@@ -115,32 +113,3 @@ func (e *Explicit) Halted() bool { return e.halted }
 func (e *Explicit) Output() int64 { return e.output }
 
 var _ simsync.Protocol = (*Explicit)(nil)
-
-// RunExplicit executes an explicit election and checks agreement: every
-// node must output the same leader ID, which must be the unique leader's.
-// It returns the agreed leader ID.
-func RunExplicit(cfg simsync.Config, inner simsync.Factory) (int64, *simsync.Result, error) {
-	wrappers := make([]*Explicit, cfg.N)
-	res, err := simsync.Run(cfg, func(node int) simsync.Protocol {
-		w := NewExplicit(inner)(node).(*Explicit)
-		wrappers[node] = w
-		return w
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := res.Validate(); err != nil {
-		return 0, res, err
-	}
-	leader := res.UniqueLeader()
-	want := int64(cfg.IDs[leader])
-	for u, w := range wrappers {
-		if res.WakeRound[u] == 0 {
-			continue // never woke: exempt (cannot output anything)
-		}
-		if w.Output() != want {
-			return 0, res, fmt.Errorf("core: node %d output %d, want leader ID %d", u, w.Output(), want)
-		}
-	}
-	return want, res, nil
-}

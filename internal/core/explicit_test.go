@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestExplicitWrapsDeterministicAlgorithms(t *testing.T) {
 		for _, n := range []int{2, 5, 16, 64} {
 			rng := xrand.New(uint64(n))
 			assign := c.mkIDs(n, rng)
-			leaderID, res, err := RunExplicit(simsync.Config{
+			leaderID, res, err := runExplicit(simsync.Config{
 				N: n, IDs: assign, Seed: 9, Strict: true,
 			}, c.factory)
 			if err != nil {
@@ -50,7 +51,7 @@ func TestExplicitCostsOneRoundAndNMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wrapped, err := RunExplicit(simsync.Config{N: n, IDs: assign, Seed: 4}, NewTradeoff(3))
+	_, wrapped, err := runExplicit(simsync.Config{N: n, IDs: assign, Seed: 4}, NewTradeoff(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestExplicitRandomizedLasVegas(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		const n = 64
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+60))
-		if _, _, err := RunExplicit(simsync.Config{
+		if _, _, err := runExplicit(simsync.Config{
 			N: n, IDs: assign, Seed: seed, Strict: true,
 		}, NewLasVegas()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -80,7 +81,7 @@ func TestExplicitAdversarialWake(t *testing.T) {
 	// everyone, so all nodes output the leader ID.
 	const n = 32
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(8))
-	leaderID, res, err := RunExplicit(simsync.Config{
+	leaderID, res, err := runExplicit(simsync.Config{
 		N: n, IDs: assign, Seed: 2, Strict: true,
 		Wake: simsync.AdversarialSet{Nodes: []int{4, 9}},
 	}, NewAfekGafni(2))
@@ -134,10 +135,38 @@ func TestExplicitPropertyUniqueAgreement(t *testing.T) {
 	prop := func(seed uint64, sz uint8) bool {
 		n := int(sz%30) + 2
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
-		_, _, err := RunExplicit(simsync.Config{N: n, IDs: assign, Seed: seed}, NewTradeoff(3))
+		_, _, err := runExplicit(simsync.Config{N: n, IDs: assign, Seed: seed}, NewTradeoff(3))
 		return err == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runExplicit executes an explicit election and checks agreement: every
+// woken node must output the same leader ID, which must be the unique
+// leader's. It returns the agreed leader ID.
+func runExplicit(cfg simsync.Config, inner simsync.Factory) (int64, *simsync.Result, error) {
+	wrappers := make([]*Explicit, cfg.N)
+	res, err := simsync.Run(cfg, func(node int) simsync.Protocol {
+		w := NewExplicit(inner)(node).(*Explicit)
+		wrappers[node] = w
+		return w
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	if err := res.Validate(); err != nil {
+		return 0, res, err
+	}
+	want := int64(cfg.IDs[res.UniqueLeader()])
+	for u, w := range wrappers {
+		if res.WakeRound[u] == 0 {
+			continue // never woke: exempt (cannot output anything)
+		}
+		if w.Output() != want {
+			return 0, res, fmt.Errorf("node %d output %d, want leader ID %d", u, w.Output(), want)
+		}
+	}
+	return want, res, nil
 }

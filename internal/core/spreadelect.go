@@ -13,7 +13,7 @@ import (
 // rounds, O(n) messages, w.h.p."). The original construction is not
 // described in the reproduced paper; this baseline occupies the same corner
 // of the tradeoff space — near-linear messages at small round counts —
-// which is the only property the comparison rows use. See DESIGN.md,
+// which is the only property the comparison rows use. See ARCHITECTURE.md,
 // "Substitutions".
 //
 // Structure (parameter k >= 2, default 9 to mirror the cited row):

@@ -47,9 +47,6 @@ type Config struct {
 	// DefaultChunkSize(total). Must not depend on fleet size (the
 	// partitioner contract).
 	ChunkSize int
-	// MaxInflight bounds the chunks concurrently in flight per worker, so a
-	// fast worker pipelines while a saturated one is left alone; 0 means 2.
-	MaxInflight int
 	// ProbeTimeout bounds each health probe; 0 means 2s.
 	ProbeTimeout time.Duration
 	// StragglerAfter is how long a chunk may be in flight before an idle
@@ -147,9 +144,6 @@ func (w *worker) noteDispatch(dup bool) {
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("distrib: no workers configured")
-	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 2
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second
@@ -628,8 +622,12 @@ func fencedStatus(err error) bool {
 	return errors.As(err, &apiErr) && apiErr.StatusCode == 409
 }
 
+// maxInflight bounds the chunks concurrently in flight per worker, so a
+// fast worker pipelines while a saturated one is left alone.
+const maxInflight = 2
+
 // pickWorker chooses the dispatch target: the alive worker with the fewest
-// chunks in flight (below the per-worker bound), ties broken by the lighter
+// chunks in flight (below maxInflight), ties broken by the lighter
 // probe-time queue, skipping workers in exclude (a straggler's duplicate
 // must go somewhere new). Returns nil when nobody qualifies.
 func (f *Fleet) pickWorker(exclude map[*worker]struct{}) *worker {
@@ -642,7 +640,7 @@ func (f *Fleet) pickWorker(exclude map[*worker]struct{}) *worker {
 		w.mu.Lock()
 		alive, inflight, queue := w.alive, w.inflight, w.queueDepth
 		w.mu.Unlock()
-		if !alive || inflight >= f.cfg.MaxInflight {
+		if !alive || inflight >= maxInflight {
 			continue
 		}
 		if best == nil || inflight < bestInflight ||

@@ -150,7 +150,7 @@ func E11AsyncLinear(cfg Config) (*Report, error) {
 		"k=2 spends %.0f vs k=%d spending %.0f: the curve meets the near-linear corner", k2Msgs, kMax, kMaxMsgs)
 	rep.Notes = append(rep.Notes,
 		"The genuine [14] construction reaches O(n) messages with O(log² n) time; the substituted baseline "+
-			"reaches the same corner of the tradeoff space up to a log factor. See DESIGN.md, Substitutions.")
+			"reaches the same corner of the tradeoff space up to a log factor. See ARCHITECTURE.md, Substitutions.")
 	return rep, nil
 }
 

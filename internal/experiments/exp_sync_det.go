@@ -282,7 +282,7 @@ func E2PortOpenCensus(cfg Config) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"Theorem 3.11's full hypothesis needs an ID universe of size n·log²n·T^{log n-1}, beyond honest "+
 			"instantiation; the census instantiates the mechanism on the Theta(n log n) universe that "+
-			"Theorem 3.8 covers. See DESIGN.md, Substitutions.")
+			"Theorem 3.8 covers. See ARCHITECTURE.md, Substitutions.")
 	return rep, nil
 }
 

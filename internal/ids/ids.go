@@ -53,16 +53,6 @@ func LinearUniverse(n, g int) Universe {
 	return Universe{Lo: 1, Hi: ID(n) * ID(g)}
 }
 
-// PolyUniverse returns a universe of size n^k, the "polynomial size" regime
-// discussed for the CONGEST model.
-func PolyUniverse(n, k int) Universe {
-	hi := int64(1)
-	for i := 0; i < k; i++ {
-		hi *= int64(n)
-	}
-	return Universe{Lo: 1, Hi: hi}
-}
-
 // Assignment is an ordered list of distinct IDs; position i is the ID of
 // node i. (The mapping of positions to ports is the port mapping's business,
 // not the assignment's.)

@@ -43,12 +43,6 @@ func TestLinearUniverse(t *testing.T) {
 	}
 }
 
-func TestPolyUniverse(t *testing.T) {
-	if got := PolyUniverse(10, 3).Size(); got != 1000 {
-		t.Fatalf("PolyUniverse(10,3).Size() = %d", got)
-	}
-}
-
 func TestRandomAssignmentValid(t *testing.T) {
 	prop := func(seed uint64, sz uint8) bool {
 		n := int(sz%64) + 2

@@ -43,7 +43,11 @@ func TestChunkFenceRejectedAtExecution(t *testing.T) {
 	m := NewManager(Config{
 		Workers:    1,
 		CheckFence: gate.check,
-		OnJobStart: func(Snapshot) { <-block },
+		Observe: func(s Snapshot) {
+			if s.State == Running {
+				<-block
+			}
+		},
 	})
 	defer m.Close()
 
@@ -118,7 +122,11 @@ func TestJobsFenceHammer(t *testing.T) {
 		Workers:    4,
 		QueueDepth: totalSubmits,
 		CheckFence: gate.check,
-		OnJobDone:  func(Snapshot) { doneHooks.Add(1) },
+		Observe: func(s Snapshot) {
+			if s.State.Terminal() {
+				doneHooks.Add(1)
+			}
+		},
 	})
 	defer m.Close()
 
@@ -203,7 +211,7 @@ func TestJobsFenceHammer(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := doneHooks.Load(); got != int64(totalSubmits) {
-		t.Fatalf("OnJobDone fired %d times for %d jobs", got, totalSubmits)
+		t.Fatalf("Observe saw %d terminal states for %d jobs", got, totalSubmits)
 	}
 	// The bumper moved ~40 epochs while fences were stamped at submit time,
 	// so SOME chunks must have been fenced — a hammer that never exercises

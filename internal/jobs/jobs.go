@@ -81,12 +81,17 @@ type Config struct {
 	// Result it ever served. Queued and running jobs are never evicted.
 	// 0 means 1024.
 	MaxJobs int
-	// OnJobStart, when non-nil, observes every job beginning execution (the
-	// queued → running transition; jobs canceled in the queue never fire
-	// it). Called synchronously with the job lock held — implementations
-	// must be fast, non-blocking, and must not call back into the job or
-	// manager. The service layer emits its queue-wait trace span here.
-	OnJobStart func(s Snapshot)
+	// Observe, when non-nil, sees every state change of every accepted job,
+	// exactly once each and in order: Queued when Submit* accepts the job,
+	// Running when a worker starts it, then its terminal state. A job
+	// canceled while queued goes straight from Queued to Canceled, with
+	// Started left zero. Queue wait is Started-Created (Finished-Created for
+	// such a job) and execution time Finished-Started. Observe is called
+	// synchronously with the job lock held (and, for Queued, the manager
+	// lock): it must be fast, non-blocking, and must not call back into the
+	// job or manager. The service layer feeds its journal, metrics and trace
+	// spans from it, keeping jobs free of any obs dependency.
+	Observe func(s Snapshot)
 	// CheckFence, when non-nil, re-validates a chunk job's fencing token
 	// (WithFence) at the moment it begins executing: a non-nil error fails
 	// the job with that error instead of running it. The service layer
@@ -95,22 +100,9 @@ type Config struct {
 	// coordinator was deposed is rejected rather than computed — the
 	// execution-time half of the split-brain fence (the HTTP handler
 	// pre-checks at submission for a fast 409). The same calling
-	// discipline as the hooks applies: fast, non-blocking, no calls back
+	// discipline as Observe applies: fast, non-blocking, no calls back
 	// into the manager.
 	CheckFence func(fence uint64) error
-	// OnJobDone, when non-nil, observes every job reaching a terminal state
-	// with its final snapshot: queue wait is Started-Created (or
-	// Finished-Created for jobs canceled in the queue, whose Started stays
-	// zero) and execution time Finished-Started. The same calling
-	// discipline as OnJobStart applies. The service layer feeds its metrics
-	// registry and span collector through these hooks, keeping jobs free of
-	// any obs dependency.
-	OnJobDone func(s Snapshot)
-	// OnJobEnqueue, when non-nil, observes every job accepted into the
-	// queue (jobs rejected by ErrQueueFull or ErrClosed never fire it).
-	// The same calling discipline as OnJobStart applies. The service layer
-	// journals its job.enqueue event here.
-	OnJobEnqueue func(s Snapshot)
 }
 
 // Manager owns the queue, the workers and the job table.
@@ -119,9 +111,7 @@ type Manager struct {
 	maxJobs      int
 	batchWorkers int
 	checkFence   func(uint64) error
-	onJobStart   func(Snapshot)
-	onJobDone    func(Snapshot)
-	onJobEnqueue func(Snapshot)
+	observe      func(Snapshot)
 	queue        chan *Job
 	wg           sync.WaitGroup
 
@@ -150,9 +140,7 @@ func NewManager(cfg Config) *Manager {
 		maxJobs:      maxJobs,
 		batchWorkers: cfg.BatchWorkers,
 		checkFence:   cfg.CheckFence,
-		onJobStart:   cfg.OnJobStart,
-		onJobDone:    cfg.OnJobDone,
-		onJobEnqueue: cfg.OnJobEnqueue,
+		observe:      cfg.Observe,
 		queue:        make(chan *Job, depth),
 		jobs:         make(map[string]*Job),
 	}
@@ -190,8 +178,8 @@ func NoCache() SubmitOption { return func(j *Job) { j.noCache = true } }
 // WithTraceparent attaches the submitting request's W3C traceparent header
 // value to the job. Jobs treat it as an opaque string surfaced back through
 // Snapshot.Trace — the service layer parses it to parent the queue-wait and
-// exec spans it emits from the OnJobStart/OnJobDone hooks, so this package
-// carries trace context without importing the tracing layer.
+// exec spans it emits from the Observe hook, so this package carries trace
+// context without importing the tracing layer.
 func WithTraceparent(tp string) SubmitOption { return func(j *Job) { j.trace = tp } }
 
 // WithFence attaches a dispatching coordinator's fencing token (its
@@ -210,14 +198,7 @@ func (m *Manager) SubmitRun(spec elect.Spec, opts []elect.Option, sopts ...Submi
 // SubmitBatch enqueues a RunMany grid. The batch's Cache, OnResult and
 // Cancel fields are owned by the job machinery and overwritten.
 func (m *Manager) SubmitBatch(spec elect.Spec, batch elect.Batch, sopts ...SubmitOption) (*Job, error) {
-	ns, seeds := len(batch.Ns), len(batch.Seeds)
-	if ns == 0 {
-		ns = 1 // RunMany defaults empty Ns to {64}
-	}
-	if seeds == 0 {
-		seeds = 1 // ... and empty Seeds to {1}
-	}
-	j := newJob(KindBatch, spec, ns*seeds)
+	j := newJob(KindBatch, spec, elect.GridSize(batch.Ns, batch.Seeds, batch.Topos))
 	j.batch = batch
 	return m.submit(j, sopts)
 }
@@ -243,27 +224,26 @@ func (m *Manager) submit(j *Job, sopts []SubmitOption) (*Job, error) {
 	for _, o := range sopts {
 		o(j)
 	}
-	j.onStart = m.onJobStart
-	j.onDone = m.onJobDone
+	j.m = m
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	select {
-	case m.queue <- j:
-		m.jobs[j.ID] = j
-		m.order = append(m.order, j.ID)
-		m.pruneLocked()
-		m.mu.Unlock()
-		if m.onJobEnqueue != nil {
-			m.onJobEnqueue(j.Snapshot())
-		}
-		return j, nil
-	default:
-		m.mu.Unlock()
+	// Only submit sends on the queue, and always under m.mu, so a free slot
+	// seen here stays free: the job is observed Queued before the send
+	// hands it to the workers, and the send cannot block.
+	if len(m.queue) == cap(m.queue) {
 		return nil, ErrQueueFull
 	}
+	j.mu.Lock()
+	j.observeLocked()
+	j.mu.Unlock()
+	m.queue <- j
+	m.jobs[j.ID] = j
+	m.order = append(m.order, j.ID)
+	m.pruneLocked()
+	return j, nil
 }
 
 // pruneLocked forgets the oldest terminal jobs once the table exceeds the
@@ -317,11 +297,7 @@ func (m *Manager) Counts() map[State]int {
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for j := range m.queue {
-		cache := m.cache
-		if j.noCache {
-			cache = nil
-		}
-		j.execute(cache, m.batchWorkers, m.checkFence)
+		j.execute()
 	}
 }
 
@@ -339,8 +315,7 @@ type Job struct {
 	fence        uint64 // KindChunk fencing token (WithFence)
 	trace        string // opaque traceparent (WithTraceparent)
 
-	onStart func(Snapshot)
-	onDone  func(Snapshot)
+	m *Manager // the owning manager, set on submission
 
 	cancel     chan struct{}
 	cancelOnce sync.Once
@@ -528,15 +503,21 @@ func (j *Job) notifyLocked() {
 	}
 }
 
+// observeLocked reports the job's current state to the manager's Observe
+// hook. Caller holds j.mu.
+func (j *Job) observeLocked() {
+	if j.m.observe != nil {
+		j.m.observe(j.snapshotLocked())
+	}
+}
+
 // finishLocked moves the job to a terminal state, closes Done and releases
 // subscribers. Caller holds j.mu.
 func (j *Job) finishLocked(state State, err error) {
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
-	if j.onDone != nil {
-		j.onDone(j.snapshotLocked())
-	}
+	j.observeLocked()
 	j.notifyLocked()
 	for id, ch := range j.subs {
 		delete(j.subs, id)
@@ -545,12 +526,10 @@ func (j *Job) finishLocked(state State, err error) {
 	close(j.doneCh)
 }
 
-// execute runs the job on a worker goroutine. batchWorkers, when positive,
-// caps the parallelism of a batch job's RunMany executor. checkFence, when
-// non-nil, re-validates a chunk's fencing token at execution start — the
-// queued→running edge is where a token stamped by a since-deposed
-// coordinator must be caught.
-func (j *Job) execute(cache elect.Cache, batchWorkers int, checkFence func(uint64) error) {
+// execute runs the job on a worker goroutine. A chunk's fencing token is
+// re-validated at execution start — the queued→running edge is where a
+// token stamped by a since-deposed coordinator must be caught.
+func (j *Job) execute() {
 	j.mu.Lock()
 	if j.state != Queued { // canceled while waiting
 		j.mu.Unlock()
@@ -558,14 +537,13 @@ func (j *Job) execute(cache elect.Cache, batchWorkers int, checkFence func(uint6
 	}
 	j.state = Running
 	j.started = time.Now()
-	if j.onStart != nil {
-		j.onStart(j.snapshotLocked())
-	}
+	j.observeLocked()
 	j.notifyLocked()
 	j.mu.Unlock()
 
-	if j.Kind == KindChunk && checkFence != nil {
-		if err := checkFence(j.fence); err != nil {
+	m := j.m
+	if j.Kind == KindChunk && m.checkFence != nil {
+		if err := m.checkFence(j.fence); err != nil {
 			j.mu.Lock()
 			j.finishLocked(Failed, err)
 			j.mu.Unlock()
@@ -573,6 +551,10 @@ func (j *Job) execute(cache elect.Cache, batchWorkers int, checkFence func(uint6
 		}
 	}
 
+	cache := m.cache
+	if j.noCache {
+		cache = nil
+	}
 	switch j.Kind {
 	case KindRun:
 		res, hit, err := elect.RunCached(cache, j.spec, j.opts...)
@@ -591,8 +573,8 @@ func (j *Job) execute(cache elect.Cache, batchWorkers int, checkFence func(uint6
 		b := j.batch
 		b.Cache = cache
 		b.Cancel = j.cancel
-		if batchWorkers > 0 && (b.Workers <= 0 || b.Workers > batchWorkers) {
-			b.Workers = batchWorkers
+		if m.batchWorkers > 0 && (b.Workers <= 0 || b.Workers > m.batchWorkers) {
+			b.Workers = m.batchWorkers
 		}
 		b.OnResult = func(done, total int) {
 			j.mu.Lock()

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -51,17 +52,29 @@ func TestRunJobLifecycle(t *testing.T) {
 	}
 }
 
+// observeStartsAndDones returns an Observe hook that sends each Running
+// snapshot to starts and each terminal one to dones.
+func observeStartsAndDones(starts, dones chan<- Snapshot) func(Snapshot) {
+	return func(s Snapshot) {
+		switch {
+		case s.State == Running:
+			starts <- s
+		case s.State.Terminal():
+			dones <- s
+		}
+	}
+}
+
 // TestJobHooksAndTraceparent covers the observation plumbing the service
-// layer's tracing rides on: OnJobStart fires at the queued→running
-// transition, OnJobDone with the terminal snapshot, and the traceparent
-// attached at submission surfaces in both.
+// layer's tracing rides on: Observe sees the queued→running transition and
+// the terminal snapshot, and the traceparent attached at submission
+// surfaces in both.
 func TestJobHooksAndTraceparent(t *testing.T) {
 	starts := make(chan Snapshot, 1)
 	dones := make(chan Snapshot, 1)
 	m := NewManager(Config{
-		Workers:    1,
-		OnJobStart: func(s Snapshot) { starts <- s },
-		OnJobDone:  func(s Snapshot) { dones <- s },
+		Workers: 1,
+		Observe: observeStartsAndDones(starts, dones),
 	})
 	defer m.Close()
 
@@ -75,11 +88,11 @@ func TestJobHooksAndTraceparent(t *testing.T) {
 
 	started := <-starts
 	if started.State != Running || started.Trace != tp || started.Started.IsZero() {
-		t.Fatalf("OnJobStart snapshot %+v", started)
+		t.Fatalf("running snapshot %+v", started)
 	}
 	done := <-dones
 	if done.State != Done || done.Trace != tp || done.Kind != KindRun {
-		t.Fatalf("OnJobDone snapshot %+v", done)
+		t.Fatalf("terminal snapshot %+v", done)
 	}
 	if done.Finished.Before(done.Started) || done.Started.Before(done.Created) {
 		t.Fatalf("hook timestamps out of order: %+v", done)
@@ -90,14 +103,14 @@ func TestJobHooksAndTraceparent(t *testing.T) {
 }
 
 // TestQueueCanceledJobSkipsStartHook pins that a job canceled while queued
-// reaches OnJobDone (with zero Started) without ever firing OnJobStart.
+// is observed terminal (with zero Started) without ever being observed
+// running.
 func TestQueueCanceledJobSkipsStartHook(t *testing.T) {
 	starts := make(chan Snapshot, 4)
 	dones := make(chan Snapshot, 4)
 	m := NewManager(Config{
-		Workers:    1,
-		OnJobStart: func(s Snapshot) { starts <- s },
-		OnJobDone:  func(s Snapshot) { dones <- s },
+		Workers: 1,
+		Observe: observeStartsAndDones(starts, dones),
 	})
 	defer m.Close()
 
@@ -126,11 +139,66 @@ func TestQueueCanceledJobSkipsStartHook(t *testing.T) {
 		}
 	}
 	if !sawCanceled {
-		t.Fatal("OnJobDone never saw the canceled job")
+		t.Fatal("Observe never saw the canceled job terminal")
 	}
 	for len(starts) > 0 {
 		if s := <-starts; s.ID == queued.ID {
-			t.Fatal("OnJobStart fired for a job canceled in the queue")
+			t.Fatal("Observe saw a job canceled in the queue running")
+		}
+	}
+}
+
+// TestObserveOrder submits many fast jobs to two workers and checks that
+// Observe sees every job's states exactly once each and in lifecycle
+// order: queued, running, terminal — or queued, canceled for a job
+// canceled before a worker took it. Cache hits keep the jobs short and a
+// one-slot queue keeps the workers waiting on it, so a worker routinely
+// takes a job while its submission is still returning.
+func TestObserveOrder(t *testing.T) {
+	const total = 2000
+	var (
+		mu   sync.Mutex
+		seen = make(map[string][]State, total)
+	)
+	m := NewManager(Config{
+		Workers:    2,
+		QueueDepth: 1,
+		Cache:      resultcache.New(),
+		Observe: func(s Snapshot) {
+			mu.Lock()
+			seen[s.ID] = append(seen[s.ID], s.State)
+			mu.Unlock()
+		},
+	})
+	defer m.Close()
+
+	spec := mustSpec(t, "tradeoff")
+	all := make([]*Job, 0, total)
+	for i := 0; i < total; i++ {
+		opts := []elect.Option{elect.WithN(16), elect.WithSeed(uint64(i % 8))}
+		j, err := m.SubmitRun(spec, opts)
+		for err == ErrQueueFull {
+			j, err = m.SubmitRun(spec, opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			j.Cancel()
+		}
+		all = append(all, j)
+	}
+	for _, j := range all {
+		wait(t, j)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, j := range all {
+		got := seen[j.ID]
+		lifecycle := len(got) == 3 && got[0] == Queued && got[1] == Running && got[2].Terminal()
+		canceledInQueue := len(got) == 2 && got[0] == Queued && got[1] == Canceled
+		if !lifecycle && !canceledInQueue {
+			t.Fatalf("job %s observed as %v", j.ID, got)
 		}
 	}
 }
@@ -456,6 +524,17 @@ func TestQueueDepthGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A queued topology batch counts every cell of its grid, topology axis
+	// included, before its first cell lands.
+	topoBatch, err := m.SubmitBatch(mustSpec(t, "kuttenmoses"), elect.Batch{
+		Topos: []string{"ring", "torus", "rreg"}, Ns: []int{16}, Seeds: elect.Seeds(1, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := topoBatch.Snapshot(); s.Total != 6 {
+		t.Fatalf("queued 3-topology x 2-seed batch reports Total %d, want 6", s.Total)
+	}
 	if d := m.QueueDepth(); d < 1 {
 		// The blocker may have drained before the gauge was read; only then
 		// is an empty queue legitimate.
@@ -465,4 +544,7 @@ func TestQueueDepthGauge(t *testing.T) {
 	}
 	blocker.Cancel()
 	wait(t, queued)
+	if s := wait(t, topoBatch); s.State != Done || s.Done != 6 {
+		t.Fatalf("topology batch finished %+v", s)
+	}
 }

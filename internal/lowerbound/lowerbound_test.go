@@ -318,10 +318,10 @@ func TestWakeupGameArgs(t *testing.T) {
 func log2(x float64) float64 { return math.Log2(x) }
 
 // TestComponentGameArrivalAblation verifies the design choice documented in
-// DESIGN.md: the adversary must control arrival ports (Lemma 3.3 gives it
-// both endpoints). With uniform arrivals, a fan-out equal to blockSize-1
-// cannot be contained and the caps break in round 1; with low-port arrivals
-// the same configuration is contained.
+// ARCHITECTURE.md, Substitutions: the adversary must control arrival ports
+// (Lemma 3.3 gives it both endpoints). With uniform arrivals, a fan-out
+// equal to blockSize-1 cannot be contained and the caps break in round 1;
+// with low-port arrivals the same configuration is contained.
 func TestComponentGameArrivalAblation(t *testing.T) {
 	// f=3 -> sigmaBase=3 -> round-2 blocks of 8; Tradeoff(4) at n=256 sends
 	// ceil(256^{1/3}) = 7 = blockSize-1 messages per node in round 1.

@@ -43,6 +43,25 @@ func TestEventsEndpoint(t *testing.T) {
 			t.Fatalf("journal %v missing %q", kinds, want)
 		}
 	}
+	// Each job's lifecycle is journaled in order: enqueue, start, done.
+	jobSeqs := map[string][]string{}
+	lastSeq := map[string]uint64{}
+	for _, e := range resp.Events {
+		id := e.Fields["job"]
+		if id == "" {
+			continue
+		}
+		if prev, ok := lastSeq[id]; ok && e.Seq <= prev {
+			t.Fatalf("job %s: %s seq %d not after %d", id, e.Kind, e.Seq, prev)
+		}
+		lastSeq[id] = e.Seq
+		jobSeqs[id] = append(jobSeqs[id], e.Kind)
+	}
+	for id, seq := range jobSeqs {
+		if strings.Join(seq, ",") != "job.enqueue,job.start,job.done" {
+			t.Fatalf("job %s journaled as %v", id, seq)
+		}
+	}
 
 	// Paging: since the last seq → empty; limit=1 → exactly the newest.
 	last := resp.Events[len(resp.Events)-1].Seq

@@ -15,7 +15,7 @@ import (
 const Version = "0.9.0"
 
 // metrics is the daemon's instrumentation: one obs.Registry populated by the
-// request middleware, the jobs.Config.OnJobDone hook and a handful of
+// request middleware, the jobs.Config.Observe hook and a handful of
 // GaugeFuncs sampled at scrape time. GET /metrics serves it in Prometheus
 // text format.
 type metrics struct {
@@ -175,23 +175,6 @@ func newMetrics(s *Server) *metrics {
 			func() float64 { return float64(node.Status().FenceRejects) })
 	}
 	return m
-}
-
-// onJobDone feeds the job-outcome metrics from the terminal snapshot. Queue
-// wait is Started−Created — or Finished−Created for jobs canceled while
-// still queued, whose Started stays zero — and execution is
-// Finished−Started. It runs under the job lock, so it only touches
-// lock-free atomics (vector lookups allocate at most once per label set).
-func (m *metrics) onJobDone(snap jobs.Snapshot) {
-	m.jobsDone.With(string(snap.Kind), string(snap.State)).Inc()
-	wait := snap.Started.Sub(snap.Created)
-	if snap.Started.IsZero() {
-		wait = snap.Finished.Sub(snap.Created)
-	}
-	m.jobWait.With(string(snap.Kind)).Observe(wait.Seconds())
-	if !snap.Started.IsZero() {
-		m.jobExec.With(string(snap.Kind)).Observe(snap.Finished.Sub(snap.Started).Seconds())
-	}
 }
 
 // statusWriter captures the response status for the request log and metrics.

@@ -142,9 +142,7 @@ func New(cfg Config) *Server {
 		QueueDepth:   cfg.QueueDepth,
 		BatchWorkers: cfg.BatchWorkers,
 		Cache:        cache,
-		OnJobStart:   s.onJobStart,
-		OnJobDone:    s.onJobDone,
-		OnJobEnqueue: s.onJobEnqueue,
+		Observe:      s.observeJob,
 		CheckFence:   checkFence,
 	})
 	mux := http.NewServeMux()
@@ -441,17 +439,7 @@ func (s *Server) chunkSpans(r *http.Request, sc obs.SpanContext, snap jobs.Snaps
 // validRange rejects malformed cell ranges before they consume a queue
 // slot. elect.RunRange re-validates at execution.
 func validRange(b elect.Batch, start, count int) error {
-	ns, seeds := len(b.Ns), len(b.Seeds)
-	if ns == 0 {
-		ns = 1
-	}
-	if seeds == 0 {
-		seeds = 1
-	}
-	total := ns * seeds
-	if len(b.Topos) > 0 {
-		total *= len(b.Topos)
-	}
+	total := elect.GridSize(b.Ns, b.Seeds, b.Topos)
 	if start < 0 || count < 1 || start+count > total {
 		return fmt.Errorf("cell range [%d, %d) outside the %d-cell grid", start, start+count, total)
 	}
@@ -460,7 +448,7 @@ func validRange(b elect.Batch, start, count int) error {
 
 // submitOpts assembles the submit options a handler forwards to the jobs
 // manager: the cache bypass, and the request's span context as an opaque
-// traceparent so the job hooks can parent queue/exec spans correctly.
+// traceparent so observeJob can parent queue/exec spans correctly.
 func submitOpts(r *http.Request, noCache bool) []jobs.SubmitOption {
 	var sopts []jobs.SubmitOption
 	if noCache {
@@ -472,36 +460,35 @@ func submitOpts(r *http.Request, noCache bool) []jobs.SubmitOption {
 	return sopts
 }
 
-// onJobStart is the jobs.Config.OnJobStart hook. The queued→running edge is
-// when the queue wait becomes known, so the queue.wait span is emitted here.
-// Chunk jobs are skipped: handleChunk rebuilds their spans after completion
-// so the identical set can also ride back in the chunk response.
-func (s *Server) onJobStart(snap jobs.Snapshot) {
-	s.events.Emit("job.start", "job", snap.ID, "kind", string(snap.Kind))
-	if snap.Kind == jobs.KindChunk {
+// observeJob is the jobs.Config.Observe hook, called once per job state
+// change. Every change is journaled; a terminal one also feeds the job
+// metrics. Traced run and batch jobs get a queue.wait span when they start
+// and a job.exec span when they end — or, canceled while still queued, a
+// queue.wait span covering their whole lifetime. Chunk jobs get no spans
+// here: handleChunk rebuilds theirs after completion so the identical set
+// can also ride back in the chunk response. It runs under the job lock, so
+// it only touches the journal, the span collector and lock-free metric
+// atomics (vector lookups allocate at most once per label set).
+func (s *Server) observeJob(snap jobs.Snapshot) {
+	kind := string(snap.Kind)
+	switch snap.State {
+	case jobs.Queued:
+		s.events.Emit("job.enqueue", "job", snap.ID, "kind", kind)
 		return
+	case jobs.Running:
+		s.events.Emit("job.start", "job", snap.ID, "kind", kind)
+	default:
+		s.met.jobsDone.With(kind, string(snap.State)).Inc()
+		wait := snap.Started.Sub(snap.Created)
+		if snap.Started.IsZero() {
+			wait = snap.Finished.Sub(snap.Created)
+		}
+		s.met.jobWait.With(kind).Observe(wait.Seconds())
+		if !snap.Started.IsZero() {
+			s.met.jobExec.With(kind).Observe(snap.Finished.Sub(snap.Started).Seconds())
+		}
+		s.events.Emit("job.done", "job", snap.ID, "kind", kind, "state", string(snap.State))
 	}
-	if parent, ok := obs.ParseTraceparent(snap.Trace); ok {
-		s.spans.Add(queueWaitSpan(parent, s.svc, snap))
-	}
-}
-
-// onJobEnqueue is the jobs.Config.OnJobEnqueue hook: one journal entry per
-// accepted job.
-func (s *Server) onJobEnqueue(snap jobs.Snapshot) {
-	s.events.Emit("job.enqueue", "job", snap.ID, "kind", string(snap.Kind))
-}
-
-// onJobDone is the jobs.Config.OnJobDone hook: metrics for every job, plus
-// the execution span for traced run/batch jobs. A job canceled while still
-// queued never fired OnJobStart, so its whole lifetime is reported as queue
-// wait instead.
-func (s *Server) onJobDone(snap jobs.Snapshot) {
-	s.met.onJobDone(snap)
-	// One journal entry per terminal state; canceled covers queue-canceled
-	// jobs too, so enqueue/done pairs always balance.
-	s.events.Emit("job.done",
-		"job", snap.ID, "kind", string(snap.Kind), "state", string(snap.State))
 	if snap.Kind == jobs.KindChunk {
 		return
 	}
@@ -509,7 +496,7 @@ func (s *Server) onJobDone(snap jobs.Snapshot) {
 	if !ok {
 		return
 	}
-	if snap.Started.IsZero() {
+	if snap.State == jobs.Running || snap.Started.IsZero() {
 		s.spans.Add(queueWaitSpan(parent, s.svc, snap))
 		return
 	}

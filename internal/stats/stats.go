@@ -89,9 +89,6 @@ type PowerFit struct {
 // C returns the fitted multiplicative constant.
 func (f PowerFit) C() float64 { return math.Exp(f.LogC) }
 
-// Eval returns the fitted value at x.
-func (f PowerFit) Eval(x float64) float64 { return f.C() * math.Pow(x, f.Alpha) }
-
 func (f PowerFit) String() string {
 	return fmt.Sprintf("y ≈ %.3g·x^%.3f (R²=%.4f)", f.C(), f.Alpha, f.R2)
 }

@@ -24,12 +24,6 @@ import (
 // normalized and sorted — so equal topologies always hash to equal
 // fingerprints.
 
-// Families lists the non-clique generator family names, in listing order.
-// Spec capability metadata (elect.Spec.Topologies) names these.
-func Families() []string {
-	return []string{"ring", "torus", "rreg", "power", "edges"}
-}
-
 // defaults for the parameterized generators.
 const (
 	defaultRegularDegree = 4

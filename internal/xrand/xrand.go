@@ -138,20 +138,6 @@ func (r *RNG) Sample(n, k int) []int {
 	return out
 }
 
-// Binomial returns a sample from Binomial(n, p) by direct simulation for
-// small n and a normal approximation is deliberately avoided: experiments
-// need exact distributions at small scales and n here is never astronomically
-// large on the hot path.
-func (r *RNG) Binomial(n int, p float64) int {
-	c := 0
-	for i := 0; i < n; i++ {
-		if r.Bernoulli(p) {
-			c++
-		}
-	}
-	return c
-}
-
 // mul64 returns the 128-bit product of x and y as (hi, lo).
 func mul64(x, y uint64) (hi, lo uint64) {
 	const mask32 = 1<<32 - 1

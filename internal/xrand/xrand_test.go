@@ -189,19 +189,6 @@ func TestSamplePanics(t *testing.T) {
 	New(0).Sample(1, 2)
 }
 
-func TestBinomialMean(t *testing.T) {
-	r := New(29)
-	const n, p, draws = 50, 0.4, 20000
-	sum := 0
-	for i := 0; i < draws; i++ {
-		sum += r.Binomial(n, p)
-	}
-	mean := float64(sum) / draws
-	if math.Abs(mean-n*p) > 0.3 {
-		t.Fatalf("Binomial(%d,%v) mean %v, want ~%v", n, p, mean, n*p)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		x, y, hi, lo uint64
