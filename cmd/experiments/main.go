@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -21,13 +22,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		quick    = fs.Bool("quick", false, "smaller sweeps (CI scale)")
@@ -54,7 +55,7 @@ func run(args []string) error {
 	}
 
 	if *markdown {
-		fmt.Println(markdownHeader(cfg))
+		fmt.Fprintln(w, markdownHeader(cfg))
 	}
 	failures := 0
 	for _, id := range ids {
@@ -64,10 +65,10 @@ func run(args []string) error {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		if *markdown {
-			fmt.Print(rep.Markdown())
+			fmt.Fprint(w, rep.Markdown())
 		} else {
-			fmt.Println(rep)
-			fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+			fmt.Fprintln(w, rep)
+			fmt.Fprintf(w, "(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
 		}
 		if !rep.Passed() {
 			failures++

@@ -14,11 +14,6 @@ import (
 // before every run was dispatched.
 var ErrCanceled = errors.New("elect: batch canceled")
 
-// ErrNoWorkers is returned by a RemoteRunner when no remote worker is
-// available to take the grid; RunMany treats it as "execute locally
-// instead". Implementations may wrap it.
-var ErrNoWorkers = errors.New("elect: no remote workers available")
-
 // RemoteRunner executes a whole batch grid somewhere other than this
 // process; internal/distrib implements it over a fleet of electd workers.
 // RunGrid receives the defaulted grid axes plus the batch (for Options,
@@ -26,8 +21,8 @@ var ErrNoWorkers = errors.New("elect: no remote workers available")
 // the canonical topo-major, size-major, seed-minor order — each
 // byte-identical on the wire codec to what a local Run of that
 // (topo, n, seed) cell would produce, which the determinism contract
-// guarantees whatever machine computed it. Returning ErrNoWorkers makes
-// RunMany fall back to local execution; a closed Batch.Cancel must surface
+// guarantees whatever machine computed it. A runner with no reachable
+// worker runs the cells locally itself. A closed Batch.Cancel must surface
 // as ErrCanceled; any other error aborts the batch.
 type RemoteRunner interface {
 	RunGrid(spec Spec, ns []int, seeds []uint64, b *Batch) ([]Result, error)
@@ -78,9 +73,9 @@ type Batch struct {
 	Cancel <-chan struct{}
 	// Remote, when non-nil, dispatches the grid through a remote runner (a
 	// distrib fleet of electd workers) instead of the local executor; results
-	// are byte-identical either way. When the runner reports ErrNoWorkers the
-	// batch falls back to local execution, so a configured-but-unreachable
-	// fleet degrades to a plain RunMany.
+	// are byte-identical either way. The runner executes whatever no worker
+	// can take in-process, so a configured-but-unreachable fleet degrades to
+	// local execution.
 	Remote RemoteRunner
 }
 
@@ -159,17 +154,14 @@ func RunMany(spec Spec, b Batch) (*BatchResult, error) {
 	total := GridSize(ns, seeds, b.Topos)
 	if b.Remote != nil {
 		runs, err := b.Remote.RunGrid(spec, ns, seeds, &b)
-		switch {
-		case err == nil:
-			if len(runs) != total {
-				return nil, fmt.Errorf("elect: remote runner returned %d results for a %d-cell grid",
-					len(runs), total)
-			}
-			return assembleBatch(ns, seeds, b.Topos, runs), nil
-		case !errors.Is(err, ErrNoWorkers):
+		if err != nil {
 			return nil, err
 		}
-		// No fleet reachable: degrade to local execution.
+		if len(runs) != total {
+			return nil, fmt.Errorf("elect: remote runner returned %d results for a %d-cell grid",
+				len(runs), total)
+		}
+		return assembleBatch(ns, seeds, b.Topos, runs), nil
 	}
 	runs, err := runCells(spec, b, ns, seeds, 0, total)
 	if err != nil {

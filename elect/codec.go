@@ -55,30 +55,6 @@ func (e *Engine) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// MarshalText encodes the decision as its name ("undecided", "leader",
-// "non-leader").
-func (d Decision) MarshalText() ([]byte, error) {
-	if d > NonLeader {
-		return nil, fmt.Errorf("elect: cannot encode invalid decision %d", int(d))
-	}
-	return []byte(d.String()), nil
-}
-
-// UnmarshalText decodes a decision name written by MarshalText.
-func (d *Decision) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "undecided":
-		*d = Undecided
-	case "leader":
-		*d = Leader
-	case "non-leader":
-		*d = NonLeader
-	default:
-		return fmt.Errorf("elect: unknown decision %q (undecided, leader, non-leader)", text)
-	}
-	return nil
-}
-
 // EncodeResult renders r in the stable v1 wire form. The encoding is
 // canonical: equal Results produce identical bytes.
 func EncodeResult(r Result) ([]byte, error) {

@@ -3,7 +3,6 @@ package elect
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 )
 
@@ -76,8 +75,8 @@ func TestRunRangeValidation(t *testing.T) {
 }
 
 // TestRunManyRemotePath: a working RemoteRunner supplies the runs (and the
-// BatchResult is byte-identical to local execution); ErrNoWorkers falls
-// back to local; any other error aborts; a short result slice is rejected.
+// BatchResult is byte-identical to local execution); a runner error aborts;
+// a short result slice is rejected.
 func TestRunManyRemotePath(t *testing.T) {
 	spec, err := Lookup("tradeoff")
 	if err != nil {
@@ -100,17 +99,6 @@ func TestRunManyRemotePath(t *testing.T) {
 	gotBytes, _ := EncodeBatchResult(got)
 	if !bytes.Equal(localBytes, gotBytes) {
 		t.Fatal("remote grid not byte-identical to local RunMany")
-	}
-
-	down := base
-	down.Remote = &gridRunner{err: fmt.Errorf("probe: %w", ErrNoWorkers)}
-	got, err = RunMany(spec, down)
-	if err != nil {
-		t.Fatalf("no-workers fallback: %v", err)
-	}
-	gotBytes, _ = EncodeBatchResult(got)
-	if !bytes.Equal(localBytes, gotBytes) {
-		t.Fatal("fallback grid not byte-identical to local RunMany")
 	}
 
 	broken := base

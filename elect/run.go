@@ -16,25 +16,16 @@ import (
 	"cliquelect/internal/xrand"
 )
 
-// Decision is a node's irrevocable leader-election output.
-type Decision uint8
+// Decision is a node's irrevocable leader-election output. It encodes as
+// its name ("undecided", "leader", "non-leader") on the wire.
+type Decision = proto.Decision
 
 // Decisions.
 const (
-	Undecided Decision = iota
-	Leader
-	NonLeader
+	Undecided = proto.Undecided
+	Leader    = proto.Leader
+	NonLeader = proto.NonLeader
 )
-
-func (d Decision) String() string {
-	switch d {
-	case Leader:
-		return "leader"
-	case NonLeader:
-		return "non-leader"
-	}
-	return "undecided"
-}
 
 // TraceSummary condenses the communication graph (Definition 3.1) of a
 // traced run: the quantities the paper's lower-bound machinery reasons
@@ -57,24 +48,7 @@ type TraceSummary struct {
 // the Result conventions: Messages/Words count protocol sends (drops
 // included, duplicates not), Deliveries counts delivered copies
 // (duplicates included, drops not).
-type RoundStat struct {
-	// Round is the round number (sync; from 1) or window index (async;
-	// from 0).
-	Round int `json:"round"`
-	// Messages and Words are this round's share of Result.Messages/Words.
-	Messages int64 `json:"messages"`
-	Words    int64 `json:"words"`
-	// Deliveries counts message copies delivered this round.
-	Deliveries int64 `json:"deliveries"`
-	// Active is the number of distinct nodes that sent this round; Woke and
-	// Decided count wake-ups and decision finalizations.
-	Active  int `json:"active"`
-	Woke    int `json:"woke"`
-	Decided int `json:"decided"`
-	// Kinds counts this round's sends by payload kind (keyed by the kind
-	// byte rendered in decimal).
-	Kinds map[uint8]int64 `json:"kinds,omitempty"`
-}
+type RoundStat = obs.RoundStat
 
 // Result is the unified outcome of one Run, regardless of engine. Fields
 // that a given engine does not measure stay zero: Rounds and PerRound are
@@ -358,19 +332,9 @@ func runSync(spec Spec, cfg runConfig, assign ids.Assignment, rng *xrand.RNG, re
 	if err != nil {
 		return err
 	}
-	res.Messages = out.Messages
-	res.Words = out.Words
+	res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
 	res.Rounds = out.Rounds
 	res.PerRound = out.PerRound
-	res.Decisions = decisions(out.Decisions)
-	res.AllAwake = out.AllAwake()
-	res.Truncated = out.Truncated
-	res.TimedOut = out.TimedOut
-	res.Crashed = out.Crashed
-	res.Dropped = out.Dropped
-	res.Duplicated = out.Duplicated
-	res.Leader = out.UniqueLeader()
-	res.OK = out.Validate() == nil
 	if rec != nil {
 		res.Trace = &TraceSummary{
 			Edges:        rec.TotalEdges(),
@@ -379,7 +343,7 @@ func runSync(spec Spec, cfg runConfig, assign ids.Assignment, rng *xrand.RNG, re
 			PortOpens:    rec.TotalPortOpens(),
 		}
 	}
-	res.RoundTrace = roundStats(rt)
+	res.RoundTrace = rt.Stats()
 	return nil
 }
 
@@ -419,37 +383,10 @@ func runAsync(spec Spec, cfg runConfig, assign ids.Assignment, rng *xrand.RNG, r
 	if err != nil {
 		return err
 	}
-	res.Messages = out.Messages
-	res.Words = out.Words
+	res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
 	res.TimeUnits = out.TimeUnits
-	res.Decisions = decisions(out.Decisions)
-	res.AllAwake = out.AllAwake()
-	res.Truncated = out.Truncated
-	res.TimedOut = out.TimedOut
-	res.Crashed = out.Crashed
-	res.Dropped = out.Dropped
-	res.Duplicated = out.Duplicated
-	res.Leader = out.UniqueLeader()
-	res.OK = out.Validate() == nil
-	res.RoundTrace = roundStats(rt)
+	res.RoundTrace = rt.Stats()
 	return nil
-}
-
-// roundStats converts a probe's timeline to the wire-tagged Result form.
-func roundStats(rt *obs.RoundTrace) []RoundStat {
-	if rt == nil {
-		return nil
-	}
-	stats := rt.Stats()
-	out := make([]RoundStat, len(stats))
-	for i, s := range stats {
-		out[i] = RoundStat{
-			Round: s.Round, Messages: s.Messages, Words: s.Words,
-			Deliveries: s.Deliveries, Active: s.Active, Woke: s.Woke,
-			Decided: s.Decided, Kinds: s.Kinds,
-		}
-	}
-	return out
 }
 
 func runLive(spec Spec, cfg runConfig, assign ids.Assignment, rng *xrand.RNG, res *Result) error {
@@ -474,41 +411,20 @@ func runLive(spec Spec, cfg runConfig, assign ids.Assignment, rng *xrand.RNG, re
 	if err != nil {
 		return err
 	}
-	res.Messages = out.Messages
-	res.Decisions = decisions(out.Decisions)
-	res.AllAwake = allTrue(out.Awake)
-	res.Truncated = out.Truncated
-	res.Leader = uniqueLeader(out.Decisions)
-	res.OK = out.Validate() == nil
+	res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
 	return nil
 }
 
-func decisions(in []proto.Decision) []Decision {
-	out := make([]Decision, len(in))
-	for i, d := range in {
-		out[i] = Decision(d)
-	}
-	return out
-}
-
-func uniqueLeader(in []proto.Decision) int {
-	leader := -1
-	for u, d := range in {
-		if d == proto.Leader {
-			if leader >= 0 {
-				return -1
-			}
-			leader = u
-		}
-	}
-	return leader
-}
-
-func allTrue(bs []bool) bool {
-	for _, b := range bs {
-		if !b {
-			return false
-		}
-	}
-	return true
+// setOutcome copies the engine-independent part of a run's result: the
+// counters, decisions and flags of out, the elected leader, and the wake
+// and validity verdicts the engine computed from its own wake record.
+func (r *Result) setOutcome(out *proto.Outcome, allAwake bool, valid error) {
+	r.Messages, r.Words = out.Messages, out.Words
+	r.Decisions = out.Decisions
+	r.AllAwake = allAwake
+	r.Truncated, r.TimedOut = out.Truncated, out.TimedOut
+	r.Crashed = out.Crashed
+	r.Dropped, r.Duplicated = out.Dropped, out.Duplicated
+	r.Leader = out.UniqueLeader()
+	r.OK = valid == nil
 }

@@ -766,12 +766,13 @@ func (n *Node) adopt(now time.Time, resp *client.LeaseResponse) {
 
 // electWinner dogfoods the public elect API to pick the campaign winner
 // among the live peers: the sorted live URLs become nodes 1..k of a real
-// EngineLive election whose protocol outcome is deterministic in (k, seed),
-// with the seed and ID permutation derived from the live membership view
-// itself — so every candidate sharing a live view computes the same winner
-// without any extra coordination, even when their epoch counters have
-// drifted apart (seeding by the candidate's own target epoch would let two
-// drifted candidates each compute the OTHER as winner and livelock).
+// election on the deterministic asynchronous simulator (EngineAsync), whose
+// outcome is a pure function of (k, seed), with the seed and ID permutation
+// derived from the live membership view itself — so every candidate sharing
+// a live view computes the same winner without any extra coordination, even
+// when their epoch counters have drifted apart (seeding by the candidate's
+// own target epoch would let two drifted candidates each compute the OTHER
+// as winner and livelock).
 // Divergent views are arbitrated by the lease quorum, not here. If the run
 // misbehaves (it should not: the spec is registered as deterministic), the
 // lexicographically largest live URL wins, keeping the control plane alive.

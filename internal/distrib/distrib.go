@@ -109,7 +109,6 @@ type worker struct {
 	mu         sync.Mutex
 	alive      bool
 	queueDepth int    // from the last probe: jobs waiting on the daemon
-	capacity   int    // from the last probe: the daemon's batch_workers
 	role       string // from the last probe: control-plane role ("" standalone)
 	epoch      uint64 // from the last probe: highest election epoch seen
 	inflight   int    // chunks currently dispatched to this worker
@@ -211,7 +210,6 @@ func (f *Fleet) Probe(ctx context.Context) int {
 			w.alive = err == nil && h.OK
 			if w.alive {
 				w.queueDepth = h.QueueDepth
-				w.capacity = h.BatchWorkers
 				w.role = h.Role
 				w.epoch = h.Epoch
 			}
@@ -314,9 +312,10 @@ func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batc
 			}
 		}()
 	}
-	if f.Probe(ctx) == 0 {
-		return nil, fmt.Errorf("distrib: none of %d workers alive: %w", len(f.workers), elect.ErrNoWorkers)
-	}
+	// A fleet that is down at grid start takes the same path as one that
+	// dies mid-grid: the scheduler finds no live worker and runs each chunk
+	// locally.
+	f.Probe(ctx)
 	// The fencing token is captured once per grid: every chunk of this grid
 	// carries the same token, and the scheduler aborts if the local token
 	// moves on mid-grid (this dispatcher was deposed).

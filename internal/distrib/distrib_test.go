@@ -341,7 +341,8 @@ func TestFleetAllDeadFallsBackLocally(t *testing.T) {
 }
 
 // TestFleetUnreachableFallsBackToRunMany: a configured but entirely dead
-// fleet makes RunMany degrade to plain local execution via ErrNoWorkers.
+// fleet takes the scheduler's chunk-level local fallback, so RunMany through
+// it is byte-identical to a local RunMany and every cell counts as local.
 func TestFleetUnreachableFallsBackToRunMany(t *testing.T) {
 	dead := newHarness(t)
 	deadURL := dead.ts.URL
@@ -361,11 +362,6 @@ func TestFleetUnreachableFallsBackToRunMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Direct RunGrid reports ErrNoWorkers...
-	if _, err := fleet.Runner(wire).RunGrid(spec, b.Ns, b.Seeds, &b); !errorsIsNoWorkers(err) {
-		t.Fatalf("dead fleet: %v, want ErrNoWorkers", err)
-	}
-	// ...which RunMany turns into a silent local fallback.
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	got, err := elect.RunMany(spec, remote)
@@ -375,20 +371,10 @@ func TestFleetUnreachableFallsBackToRunMany(t *testing.T) {
 	if !bytes.Equal(encodeBatch(t, local), encodeBatch(t, got)) {
 		t.Fatal("fallback grid differs from local RunMany")
 	}
-}
-
-func errorsIsNoWorkers(err error) bool {
-	for e := err; e != nil; {
-		if e == elect.ErrNoWorkers {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
+	grid := elect.GridSize(b.Ns, b.Seeds, b.Topos)
+	if stats := fleet.Stats(); stats.LocalCells != int64(grid) {
+		t.Fatalf("LocalCells = %d, want the whole %d-cell grid", stats.LocalCells, grid)
 	}
-	return false
 }
 
 // TestFleetCacheReuse: the merger reads and writes the fingerprint cache —

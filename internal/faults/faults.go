@@ -21,7 +21,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"cliquelect/internal/proto"
 	"cliquelect/internal/xrand"
@@ -234,37 +233,20 @@ func (in *Injector) OnSend(src, dst int, m proto.Message, at float64) Verdict {
 	return Deliver
 }
 
-// Crashed returns the sorted indices of nodes whose crash was observed
-// during the run (victims scheduled past the run's end are not listed).
-func (in *Injector) Crashed() []int {
+// Record writes the run's fault record into o: the sorted indices of nodes
+// whose crash was observed during the run (victims scheduled past the run's
+// end are not listed), the number of messages lost, and the number of extra
+// copies delivered. A nil injector records nothing.
+func (in *Injector) Record(o *proto.Outcome) {
 	if in == nil {
-		return nil
+		return
 	}
-	var out []int
 	for u, c := range in.crashed {
 		if c {
-			out = append(out, u)
+			o.Crashed = append(o.Crashed, u)
 		}
 	}
-	sort.Ints(out)
-	return out
-}
-
-// Dropped returns the number of messages the injector lost.
-func (in *Injector) Dropped() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.dropped
-}
-
-// Duplicated returns the number of extra message copies the injector
-// delivered.
-func (in *Injector) Duplicated() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.duped
+	o.Dropped, o.Duplicated = in.dropped, in.duped
 }
 
 // CrashLowestSender is the canonical adaptive Adversary: it watches the

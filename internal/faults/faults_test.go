@@ -71,7 +71,7 @@ func TestNilInjector(t *testing.T) {
 	if v := in.OnSend(0, 1, proto.Message{}, 1); v != Deliver {
 		t.Fatalf("nil injector verdict %v", v)
 	}
-	if in.Crashed() != nil || in.Dropped() != 0 || in.Duplicated() != 0 {
+	if o := record(in); o.Crashed != nil || o.Dropped != 0 || o.Duplicated != 0 {
 		t.Fatal("nil injector has non-zero counters")
 	}
 }
@@ -89,7 +89,7 @@ func TestDeterminism(t *testing.T) {
 		for u := 0; u < 32; u++ {
 			in.CrashedAt(u, DefaultCrashWindow)
 		}
-		return vs, in.Crashed()
+		return vs, record(in).Crashed
 	}
 	v1, c1 := run()
 	v2, c2 := run()
@@ -113,8 +113,8 @@ func TestDropFirstExact(t *testing.T) {
 			t.Fatalf("message %d: verdict %v, want %v", i, v, want)
 		}
 	}
-	if in.Dropped() != 3 {
-		t.Fatalf("Dropped = %d, want 3", in.Dropped())
+	if got := record(in).Dropped; got != 3 {
+		t.Fatalf("Dropped = %d, want 3", got)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestCrashWindow(t *testing.T) {
 			t.Fatalf("node %d alive after the crash window", u)
 		}
 	}
-	if got := len(in.Crashed()); got != n {
+	if got := len(record(in).Crashed); got != n {
 		t.Fatalf("Crashed lists %d nodes, want %d", got, n)
 	}
 }
@@ -180,7 +180,7 @@ func TestAdversaryDrivesInjector(t *testing.T) {
 	if in.CrashedAt(3, 2) {
 		t.Fatal("wrong node crashed")
 	}
-	if got := in.Crashed(); !reflect.DeepEqual(got, []int{5}) {
+	if got := record(in).Crashed; !reflect.DeepEqual(got, []int{5}) {
 		t.Fatalf("Crashed = %v, want [5]", got)
 	}
 }
@@ -204,4 +204,11 @@ func TestVerdictString(t *testing.T) {
 			t.Fatalf("Verdict(%d).String() = %q", v, v.String())
 		}
 	}
+}
+
+// record returns the injector's fault record as the engines see it.
+func record(in *Injector) proto.Outcome {
+	var o proto.Outcome
+	in.Record(&o)
+	return o
 }

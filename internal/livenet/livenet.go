@@ -47,44 +47,21 @@ type Config struct {
 	MaxMessages int64
 }
 
-// Result summarizes one live execution.
+// Result summarizes one live execution: Messages, Decisions and Truncated
+// (MaxMessages was reached) of the shared outcome, plus the wake record.
 type Result struct {
-	// Messages is the number of messages sent.
-	Messages int64
-	// Decisions holds each node's final output.
-	Decisions []proto.Decision
+	proto.Outcome
 	// Awake[u] reports whether node u was ever activated.
 	Awake []bool
-	// Truncated reports that MaxMessages was reached and sends were dropped.
-	Truncated bool
 }
 
-// Leaders returns the indices of nodes that decided Leader.
-func (r *Result) Leaders() []int {
-	var out []int
-	for u, d := range r.Decisions {
-		if d == proto.Leader {
-			out = append(out, u)
-		}
-	}
-	return out
-}
+func (r *Result) woke(u int) bool { return r.Awake[u] }
 
-// Validate checks implicit leader election over the live run.
-func (r *Result) Validate() error {
-	if r.Truncated {
-		return fmt.Errorf("livenet: run truncated at %d messages", r.Messages)
-	}
-	if got := len(r.Leaders()); got != 1 {
-		return fmt.Errorf("livenet: %d leaders elected, want 1", got)
-	}
-	for u, d := range r.Decisions {
-		if r.Awake[u] && d == proto.Undecided {
-			return fmt.Errorf("livenet: awake node %d undecided", u)
-		}
-	}
-	return nil
-}
+// AllAwake reports whether every node was activated.
+func (r *Result) AllAwake() bool { return r.AllWoke(r.woke) }
+
+// Validate checks implicit leader election (proto.Outcome.CheckElection).
+func (r *Result) Validate() error { return r.CheckElection(r.woke) }
 
 type itemKind uint8
 
@@ -243,10 +220,12 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 	workers.Wait()
 
 	res := &Result{
-		Messages:  msgCount.Load(),
-		Decisions: make([]proto.Decision, n),
-		Awake:     awake,
-		Truncated: truncated.Load(),
+		Outcome: proto.Outcome{
+			Messages:  msgCount.Load(),
+			Decisions: make([]proto.Decision, n),
+			Truncated: truncated.Load(),
+		},
+		Awake: awake,
 	}
 	for u := 0; u < n; u++ {
 		res.Decisions[u] = nodes[u].Decision()

@@ -1,8 +1,8 @@
 package obs
 
-// EventLog: a lock-sharded, bounded in-memory journal of typed fleet
-// events — the third pillar of the observability layer next to the metrics
-// registry and the span collector. Where metrics answer "how much" and
+// EventLog: a bounded in-memory journal of typed fleet events — the third
+// pillar of the observability layer next to the metrics registry and the
+// span collector. Where metrics answer "how much" and
 // traces answer "how long", the journal answers "what happened when": a
 // campaign won, a lease granted, a fence rejected, a worker died, a chunk
 // failed over, a cache entry evicted. One log sits in every electd daemon
@@ -17,9 +17,7 @@ package obs
 // TestNilEventLogEmitAllocs).
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -35,47 +33,35 @@ type Event struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// eventShards is the journal's lock-shard count. Events shard by sequence
-// number, so concurrent emitters from different subsystems rarely contend.
-const eventShards = 16
-
-type eventShard struct {
-	mu   sync.Mutex
-	buf  []Event // ring: slot = writes % cap
-	next int
-}
-
 // DefaultEventCapacity bounds a log built with capacity 0: a few minutes of
 // control-plane and job churn without holding a long daemon's full history.
 const DefaultEventCapacity = 1024
 
-// EventLog stores events in a bounded ring per shard and fans new events
-// out to subscribers (the SSE stream). All methods are safe for concurrent
-// use and nil-receiver-safe.
+// EventLog stores events in one bounded ring kept in Seq order and fans
+// new events out to subscribers (the SSE stream). One mutex orders
+// everything: an event's Seq is assigned, stored and sent to subscribers
+// under it, so every subscriber sees strictly increasing Seq — the SSE
+// stream discards any event at or below the last Seq it sent. All methods
+// are safe for concurrent use and nil-receiver-safe.
 type EventLog struct {
-	node   string
-	seq    atomic.Uint64
-	shards [eventShards]eventShard
+	node string
 
-	subMu   sync.Mutex
+	mu      sync.Mutex
+	seq     uint64
+	buf     []Event // ring: buf[head] is the oldest held event once full
+	head    int
 	subs    map[int]chan Event
 	nextSub int
 }
 
-// NewEventLog builds a journal holding at most capacity events (rounded up
-// to a multiple of the shard count; <= 0 means DefaultEventCapacity). node
-// is stamped on every event this log emits — the daemon's instance name,
-// so merged fleet timelines tell nodes apart.
+// NewEventLog builds a journal holding at most capacity events (<= 0 means
+// DefaultEventCapacity). node is stamped on every event this log emits —
+// the daemon's instance name, so merged fleet timelines tell nodes apart.
 func NewEventLog(capacity int, node string) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	per := (capacity + eventShards - 1) / eventShards
-	l := &EventLog{node: node, subs: make(map[int]chan Event)}
-	for i := range l.shards {
-		l.shards[i].buf = make([]Event, 0, per)
-	}
-	return l
+	return &EventLog{node: node, buf: make([]Event, 0, capacity), subs: make(map[int]chan Event)}
 }
 
 // Node is the name stamped on this log's events ("" on a nil log).
@@ -107,30 +93,24 @@ func (l *EventLog) Emit(kind string, kv ...string) {
 		Kind:   kind,
 		Fields: fields,
 	}
-	e.Seq = l.seq.Add(1)
-	sh := &l.shards[e.Seq%eventShards]
-	sh.mu.Lock()
-	if len(sh.buf) < cap(sh.buf) {
-		sh.buf = append(sh.buf, e)
+	l.mu.Lock()
+	l.seq++
+	e.Seq = l.seq
+	if len(l.buf) < cap(l.buf) {
+		l.buf = append(l.buf, e)
 	} else {
-		sh.buf[sh.next] = e
+		l.buf[l.head] = e
+		l.head = (l.head + 1) % len(l.buf)
 	}
-	sh.next = (sh.next + 1) % cap(sh.buf)
-	sh.mu.Unlock()
-	l.notify(e)
-}
-
-// notify fans one event out to subscribers, dropping it on full channels —
-// a slow SSE consumer loses events, never blocks an emitter.
-func (l *EventLog) notify(e Event) {
-	l.subMu.Lock()
+	// Fan out under the same lock, dropping on full channels — a slow SSE
+	// consumer loses events, never blocks an emitter.
 	for _, ch := range l.subs {
 		select {
 		case ch <- e:
 		default:
 		}
 	}
-	l.subMu.Unlock()
+	l.mu.Unlock()
 }
 
 // Len reports how many events are currently held.
@@ -138,14 +118,9 @@ func (l *EventLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		n += len(sh.buf)
-		sh.mu.Unlock()
-	}
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.buf)
 }
 
 // Events returns held events with Seq > since, oldest first, keeping only
@@ -155,18 +130,14 @@ func (l *EventLog) Events(since uint64, limit int) []Event {
 	if l == nil {
 		return nil
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var out []Event
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.buf {
-			if e.Seq > since {
-				out = append(out, e)
-			}
+	for i := range l.buf {
+		if e := l.buf[(l.head+i)%len(l.buf)]; e.Seq > since {
+			out = append(out, e)
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
 	}
@@ -183,17 +154,17 @@ func (l *EventLog) Subscribe() (<-chan Event, func()) {
 		return nil, func() {}
 	}
 	ch := make(chan Event, 64)
-	l.subMu.Lock()
+	l.mu.Lock()
 	id := l.nextSub
 	l.nextSub++
 	l.subs[id] = ch
-	l.subMu.Unlock()
+	l.mu.Unlock()
 	var once sync.Once
 	return ch, func() {
 		once.Do(func() {
-			l.subMu.Lock()
+			l.mu.Lock()
 			delete(l.subs, id)
-			l.subMu.Unlock()
+			l.mu.Unlock()
 			close(ch)
 		})
 	}

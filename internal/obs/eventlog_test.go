@@ -165,3 +165,41 @@ func TestEventLogConcurrent(t *testing.T) {
 		t.Fatal("no events survived the hammer")
 	}
 }
+
+// TestEventLogSubscriberOrder pins the journal's fan-out order: events from
+// concurrent emitters must reach a subscriber in strictly increasing Seq,
+// because the SSE stream drops any event whose Seq is not above the last
+// one it sent. A subscriber that keeps up may lose nothing to reordering.
+func TestEventLogSubscriberOrder(t *testing.T) {
+	const trials, emitters, perEmitter = 40, 4, 200
+	for trial := 0; trial < trials; trial++ {
+		l := NewEventLog(0, "n1")
+		ch, stop := l.Subscribe()
+		var got []uint64
+		drained := make(chan struct{})
+		go func() {
+			for e := range ch {
+				got = append(got, e.Seq)
+			}
+			close(drained)
+		}()
+		var wg sync.WaitGroup
+		for g := 0; g < emitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perEmitter; i++ {
+					l.Emit("tick")
+				}
+			}()
+		}
+		wg.Wait()
+		stop()
+		<-drained
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("trial %d: subscriber saw seq %d after %d", trial, got[i], got[i-1])
+			}
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package obs is the dependency-free observability core of the serving
-// stack: atomic counters and gauges, fixed-bucket latency histograms with
-// quantile extraction, a labeled registry that renders the Prometheus
+// stack: atomic counters, scrape-time gauges, fixed-bucket latency
+// histograms with quantile extraction, a labeled registry that renders the Prometheus
 // text exposition format (version 0.0.4), and the distributed
 // request-tracing layer (SpanContext, W3C traceparent propagation,
 // SpanCollector, Chrome trace-event export — see span.go and
@@ -47,19 +47,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down. The zero value is ready to
-// use; all methods are safe for concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefBuckets are the default latency histogram bounds in seconds, spanning
 // a cached-run replay (~100µs) to a million-node sweep chunk (~10s).
@@ -199,7 +186,6 @@ func (k metricKind) String() string {
 type series struct {
 	labels []string
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -233,8 +219,6 @@ func (f *family) with(values []string) *series {
 		switch f.kind {
 		case kindCounter:
 			s.c = &Counter{}
-		case kindGauge:
-			s.g = &Gauge{}
 		case kindHistogram:
 			s.h = NewHistogram(f.buckets)
 		}
@@ -283,22 +267,6 @@ func (r *Registry) family(name, help string, kind metricKind, keys []string, buc
 	return f
 }
 
-// Counter registers (or finds) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.family(name, help, kindCounter, nil, nil, nil).with(nil).c
-}
-
-// Gauge registers (or finds) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, kindGauge, nil, nil, nil).with(nil).g
-}
-
-// Histogram registers (or finds) an unlabeled histogram; nil buckets means
-// DefBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.family(name, help, kindHistogram, nil, buckets, nil).with(nil).h
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — for mirroring counters owned elsewhere (e.g. the result cache's
 // hit/miss totals) without double accounting.
@@ -332,17 +300,6 @@ func (v *CounterVec) Each(fn func(labels []string, c *Counter)) {
 		fn(s.labels, s.c)
 	}
 }
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, keys ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, kindGauge, keys, nil, nil)}
-}
-
-// With returns the gauge for one label-value combination.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.with(values).g }
 
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
@@ -412,23 +369,10 @@ func (f *family) write(b *strings.Builder) {
 		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.fn()))
 		return
 	}
-	f.mu.Lock()
-	sigs := make([]string, 0, len(f.series))
-	for sig := range f.series {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	snap := make([]*series, len(sigs))
-	for i, sig := range sigs {
-		snap[i] = f.series[sig]
-	}
-	f.mu.Unlock()
-	for _, s := range snap {
+	for _, s := range f.snapshot() {
 		switch f.kind {
 		case kindCounter:
 			fmt.Fprintf(b, "%s%s %d\n", f.name, renderLabels(f.keys, s.labels, "", ""), s.c.Value())
-		case kindGauge:
-			fmt.Fprintf(b, "%s%s %d\n", f.name, renderLabels(f.keys, s.labels, "", ""), s.g.Value())
 		case kindHistogram:
 			h := s.h
 			var cum int64

@@ -15,11 +15,17 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	// Gauges are read from their callback at scrape time.
+	r := NewRegistry()
+	depth := 10
+	r.GaugeFunc("g", "h.", func() float64 { return float64(depth) })
+	depth -= 3
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ng 7\n") {
+		t.Fatalf("gauge exposition = %q, want g 7", b.String())
 	}
 }
 
@@ -207,8 +213,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	reqs := r.CounterVec("requests_total", "Requests by route.", "route", "code")
 	reqs.With("/v1/run", "200").Add(3)
 	reqs.With("/healthz", "200").Inc()
-	r.Gauge("queue_depth", "Jobs waiting.").Set(2)
-	h := r.Histogram("latency_seconds", "Request latency.", []float64{0.1, 1})
+	r.GaugeFunc("queue_depth", "Jobs waiting.", func() float64 { return 2 })
+	h := r.HistogramVec("latency_seconds", "Request latency.", []float64{0.1, 1}).With()
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -255,8 +261,8 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("c", "h.")
-	b := r.Counter("c", "h.")
+	a := r.CounterVec("c", "h.").With()
+	b := r.CounterVec("c", "h.").With()
 	if a != b {
 		t.Fatal("same name returned distinct counters")
 	}
@@ -265,12 +271,12 @@ func TestRegistryGetOrCreate(t *testing.T) {
 			t.Fatal("re-registering at a different kind did not panic")
 		}
 	}()
-	r.Gauge("c", "h.")
+	r.GaugeFunc("c", "h.", func() float64 { return 0 })
 }
 
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "X.").Inc()
+	r.CounterVec("x_total", "X.").With().Inc()
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {

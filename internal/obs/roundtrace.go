@@ -4,27 +4,29 @@ package obs
 // unit-time window's on the asynchronous engine (window w covers event
 // times [w, w+1) measured from the first wake-up). All quantities are
 // derived from the execution itself, never from ambient state, so a traced
-// run's timeline is as deterministic as its Result.
+// run's timeline is as deterministic as its Result. The json tags are part
+// of the elect package's v1 wire form (elect.RoundStat is this type).
 type RoundStat struct {
 	// Round is the round number (sync; rounds start at 1) or window index
 	// (async; windows start at 0).
-	Round int
+	Round int `json:"round"`
 	// Messages and Words count protocol sends attributed to this round, as
 	// in Result.Messages/Words (dropped messages count, duplicates do not).
-	Messages int64
-	Words    int64
+	Messages int64 `json:"messages"`
+	Words    int64 `json:"words"`
 	// Deliveries counts message copies actually delivered (duplicates
 	// included, drops excluded).
-	Deliveries int64
+	Deliveries int64 `json:"deliveries"`
 	// Active is the number of distinct nodes that sent at least one message
 	// this round.
-	Active int
+	Active int `json:"active"`
 	// Woke is the number of nodes that woke this round; Decided is the
 	// number whose decision became final this round.
-	Woke    int
-	Decided int
-	// Kinds counts this round's sends by payload kind.
-	Kinds map[uint8]int64
+	Woke    int `json:"woke"`
+	Decided int `json:"decided"`
+	// Kinds counts this round's sends by payload kind (keyed by the kind
+	// byte rendered in decimal on the wire).
+	Kinds map[uint8]int64 `json:"kinds,omitempty"`
 }
 
 // RoundTrace collects a per-round timeline. The engines call its methods
@@ -84,6 +86,12 @@ func (t *RoundTrace) Woke(round int) { t.at(round).Woke++ }
 // Decided records one node's decision becoming final in the given round.
 func (t *RoundTrace) Decided(round int) { t.at(round).Decided++ }
 
-// Stats returns the collected timeline in round order. The slice is owned
-// by the collector; callers that outlive it must copy.
-func (t *RoundTrace) Stats() []RoundStat { return t.stats }
+// Stats returns the collected timeline in round order, or nil for a nil
+// collector. The slice is owned by the collector; callers that outlive it
+// must copy.
+func (t *RoundTrace) Stats() []RoundStat {
+	if t == nil {
+		return nil
+	}
+	return t.stats
+}

@@ -49,7 +49,6 @@ type spanShard struct {
 	mu   sync.Mutex
 	buf  []entry // ring: slot = writes % cap
 	next int     // write cursor
-	full bool
 }
 
 // SpanCollector stores completed spans in a bounded ring per shard: memory
@@ -95,7 +94,6 @@ func (c *SpanCollector) Add(s Span) {
 		sh.buf = append(sh.buf, entry{seq, s})
 	} else {
 		sh.buf[sh.next] = entry{seq, s}
-		sh.full = true
 	}
 	sh.next = (sh.next + 1) % cap(sh.buf)
 	sh.mu.Unlock()

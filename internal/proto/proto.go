@@ -44,6 +44,30 @@ func (d Decision) String() string {
 	return fmt.Sprintf("Decision(%d)", uint8(d))
 }
 
+// MarshalText encodes the decision as its name ("undecided", "leader",
+// "non-leader"): the spelling of the elect package's v1 wire form.
+func (d Decision) MarshalText() ([]byte, error) {
+	if d > NonLeader {
+		return nil, fmt.Errorf("proto: cannot encode invalid decision %d", int(d))
+	}
+	return []byte(d.String()), nil
+}
+
+// UnmarshalText decodes a decision name written by MarshalText.
+func (d *Decision) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "undecided":
+		*d = Undecided
+	case "leader":
+		*d = Leader
+	case "non-leader":
+		*d = NonLeader
+	default:
+		return fmt.Errorf("proto: unknown decision %q (undecided, leader, non-leader)", text)
+	}
+	return nil
+}
+
 // Message is a fixed-size CONGEST message: a protocol-defined kind tag and
 // two integer words (typically an ID or rank, and an auxiliary value such as
 // a level or iteration number).

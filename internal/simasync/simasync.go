@@ -217,109 +217,25 @@ type Config struct {
 	Rounds *obs.RoundTrace
 }
 
-// Result summarizes one asynchronous execution.
+// Result summarizes one asynchronous execution: the outcome every engine
+// reports, plus the time record. TimedOut means MaxEvents was exhausted;
+// Truncated means MaxMessages was reached and sends were dropped.
 type Result struct {
+	proto.Outcome
 	// TimeUnits is the asynchronous time complexity: latest event time minus
 	// earliest wake time, in units of the maximum transmission delay.
 	TimeUnits float64
-	// Messages is the total number of messages sent.
-	Messages int64
-	// Words is the CONGEST payload volume.
-	Words int64
-	// PerKind counts messages by kind.
-	PerKind map[uint8]int64
-	// Decisions holds each node's final output.
-	Decisions []proto.Decision
 	// WakeTime[u] is when node u woke; -1 if it never woke.
 	WakeTime []float64
-	// TimedOut reports that MaxEvents was exhausted.
-	TimedOut bool
-	// Truncated reports that MaxMessages was reached and sends were dropped.
-	Truncated bool
-	// Crashed lists (sorted) the nodes that crash-stopped during the run
-	// (fault injection only).
-	Crashed []int
-	// Dropped counts messages the fault injector lost; Duplicated counts the
-	// extra copies it delivered. Both are included in/excluded from Messages
-	// respectively: a dropped message was still sent, a duplicate was not.
-	Dropped    int64
-	Duplicated int64
 }
 
-// Leaders returns the indices of nodes that decided Leader, including nodes
-// that crashed after deciding.
-func (r *Result) Leaders() []int {
-	var out []int
-	for u, d := range r.Decisions {
-		if d == proto.Leader {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// CrashedNode reports whether node u crash-stopped during the run.
-func (r *Result) CrashedNode(u int) bool {
-	for _, c := range r.Crashed {
-		if c == u {
-			return true
-		}
-	}
-	return false
-}
-
-// survivingLeaders is Leaders restricted to nodes that did not crash.
-func (r *Result) survivingLeaders() []int {
-	var out []int
-	for _, u := range r.Leaders() {
-		if !r.CrashedNode(u) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// UniqueLeader returns the elected node if exactly one surviving node
-// decided Leader (a crashed node's output is void, per the usual crash-stop
-// semantics), or -1 otherwise.
-func (r *Result) UniqueLeader() int {
-	ls := r.survivingLeaders()
-	if len(ls) != 1 {
-		return -1
-	}
-	return ls[0]
-}
+func (r *Result) woke(u int) bool { return r.WakeTime[u] >= 0 }
 
 // AllAwake reports whether every node was activated.
-func (r *Result) AllAwake() bool {
-	for _, w := range r.WakeTime {
-		if w < 0 {
-			return false
-		}
-	}
-	return true
-}
+func (r *Result) AllAwake() bool { return r.AllWoke(r.woke) }
 
-// Validate checks implicit leader election restricted to surviving nodes:
-// exactly one surviving leader and every awake surviving node decided
-// (crashed nodes owe nothing, as usual under crash-stop faults).
-func (r *Result) Validate() error {
-	if r.TimedOut {
-		return errors.New("simasync: execution exhausted its event budget")
-	}
-	if r.Truncated {
-		return fmt.Errorf("simasync: run truncated at %d messages", r.Messages)
-	}
-	if got := len(r.survivingLeaders()); got != 1 {
-		return fmt.Errorf("simasync: %d surviving leaders elected, want 1", got)
-	}
-	for u, d := range r.Decisions {
-		if r.WakeTime[u] >= 0 && d == proto.Undecided && !r.CrashedNode(u) {
-			return fmt.Errorf("simasync: awake node %d did not decide", u)
-		}
-	}
-	return nil
-}
+// Validate checks implicit leader election (proto.Outcome.CheckElection).
+func (r *Result) Validate() error { return r.CheckElection(r.woke) }
 
 type eventKind uint8
 
@@ -467,8 +383,8 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	}
 
 	res := &Result{
-		Decisions: make([]proto.Decision, n),
-		WakeTime:  make([]float64, n),
+		Outcome:  proto.Outcome{Decisions: make([]proto.Decision, n)},
+		WakeTime: make([]float64, n),
 	}
 	for u := range res.WakeTime {
 		res.WakeTime[u] = -1
@@ -657,9 +573,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 			inj.CrashedAt(u, lastEvent)
 		}
 	}
-	res.Crashed = inj.Crashed()
-	res.Dropped = inj.Dropped()
-	res.Duplicated = inj.Duplicated()
+	inj.Record(&res.Outcome)
 	return res, nil
 }
 

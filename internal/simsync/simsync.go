@@ -140,115 +140,29 @@ type Config struct {
 	Strict bool
 }
 
-// Result summarizes one synchronous execution.
+// Result summarizes one synchronous execution: the outcome every engine
+// reports, plus the round record. TimedOut means MaxRounds elapsed before
+// quiescence; Truncated means MaxMessages was exhausted.
 type Result struct {
+	proto.Outcome
 	// Rounds is the paper's time complexity: the last round in which any
 	// message was sent or any node woke or decided.
 	Rounds int
-	// Messages is the total number of messages sent (the paper's message
-	// complexity).
-	Messages int64
-	// Words is the total CONGEST payload volume in O(log n)-bit words.
-	Words int64
 	// PerRound[r] is the number of messages sent in round r (index 0 unused).
 	PerRound []int64
-	// PerKind counts messages by payload kind.
-	PerKind map[uint8]int64
-	// Decisions holds each node's final output.
-	Decisions []proto.Decision
 	// WakeRound[u] is the round node u woke (1 for initially-awake nodes, 0
 	// if it never woke).
 	WakeRound []int
-	// TimedOut reports that MaxRounds elapsed before quiescence.
-	TimedOut bool
-	// Truncated reports that MaxMessages was exhausted before quiescence.
-	Truncated bool
-	// Crashed lists (sorted) the nodes that crash-stopped during the run
-	// (fault injection only).
-	Crashed []int
-	// Dropped counts messages the fault injector lost; Duplicated counts the
-	// extra copies it delivered. Both are included in/excluded from Messages
-	// respectively: a dropped message was still sent, a duplicate was not.
-	Dropped    int64
-	Duplicated int64
 }
 
-// Leaders returns the indices of nodes that decided Leader, including nodes
-// that crashed after deciding.
-func (r *Result) Leaders() []int {
-	var out []int
-	for u, d := range r.Decisions {
-		if d == proto.Leader {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// CrashedNode reports whether node u crash-stopped during the run.
-func (r *Result) CrashedNode(u int) bool {
-	for _, c := range r.Crashed {
-		if c == u {
-			return true
-		}
-	}
-	return false
-}
-
-// survivingLeaders is Leaders restricted to nodes that did not crash.
-func (r *Result) survivingLeaders() []int {
-	var out []int
-	for _, u := range r.Leaders() {
-		if !r.CrashedNode(u) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// UniqueLeader returns the elected node index if exactly one surviving node
-// decided Leader (a crashed node's output is void, per the usual crash-stop
-// semantics), and -1 otherwise.
-func (r *Result) UniqueLeader() int {
-	ls := r.survivingLeaders()
-	if len(ls) != 1 {
-		return -1
-	}
-	return ls[0]
-}
+func (r *Result) woke(u int) bool { return r.WakeRound[u] != 0 }
 
 // AllAwake reports whether every node woke up during the run (the wake-up
 // problem of Theorem 4.2).
-func (r *Result) AllAwake() bool {
-	for _, w := range r.WakeRound {
-		if w == 0 {
-			return false
-		}
-	}
-	return true
-}
+func (r *Result) AllAwake() bool { return r.AllWoke(r.woke) }
 
-// Validate checks implicit leader election restricted to surviving nodes:
-// exactly one surviving leader, and every awake surviving node decided
-// (crashed nodes owe nothing, as usual under crash-stop faults). It returns
-// nil on success.
-func (r *Result) Validate() error {
-	if r.TimedOut {
-		return errors.New("simsync: execution timed out")
-	}
-	if r.Truncated {
-		return fmt.Errorf("simsync: run truncated at %d messages", r.Messages)
-	}
-	if got := len(r.survivingLeaders()); got != 1 {
-		return fmt.Errorf("simsync: %d surviving leaders elected, want 1", got)
-	}
-	for u, d := range r.Decisions {
-		if r.WakeRound[u] != 0 && d == proto.Undecided && !r.CrashedNode(u) {
-			return fmt.Errorf("simsync: awake node %d did not decide", u)
-		}
-	}
-	return nil
-}
+// Validate checks implicit leader election (proto.Outcome.CheckElection).
+func (r *Result) Validate() error { return r.CheckElection(r.woke) }
 
 // Run executes the configured synchronous algorithm to quiescence and
 // returns its measurements. It returns an error for malformed configurations
@@ -286,8 +200,8 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		nodes[u] = factory(u)
 	}
 	res := &Result{
+		Outcome:   proto.Outcome{Decisions: make([]proto.Decision, n)},
 		PerRound:  make([]int64, 1, 64),
-		Decisions: make([]proto.Decision, n),
 		WakeRound: make([]int, n),
 	}
 	var kinds proto.KindCounts
@@ -484,9 +398,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	}
 	res.Rounds = lastActivity
 	res.PerKind = kinds.Map()
-	res.Crashed = inj.Crashed()
-	res.Dropped = inj.Dropped()
-	res.Duplicated = inj.Duplicated()
+	inj.Record(&res.Outcome)
 	return res, nil
 }
 
