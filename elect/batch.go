@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"cliquelect/internal/stats"
+	"cliquelect/internal/topo"
 )
 
 // ErrCanceled is returned by RunMany when its Batch.Cancel channel closes
@@ -205,6 +206,31 @@ func CellOptions(b *Batch, ns []int, seeds []uint64, idx int) []Option {
 		opts = append(opts, WithTopology(b.Topos[idx/inner]))
 	}
 	return opts
+}
+
+// CheckRange reports whether results answer the cell range starting at
+// start, the counterpart of RunRange: each result must carry the spec, n,
+// seed and canonical topology that its cell's CellOptions resolve to,
+// whether the topology comes from the Topos axis or from the batch's shared
+// Options. Remote executors (internal/distrib) check every worker answer
+// with it before merging or caching it.
+func CheckRange(spec Spec, b *Batch, ns []int, seeds []uint64, start int, results []Result) error {
+	for i, res := range results {
+		idx := start + i
+		cfg := defaultRunConfig()
+		for _, o := range CellOptions(b, ns, seeds, idx) {
+			o(&cfg)
+		}
+		tp, err := topo.Canonical(cfg.topo)
+		if err != nil {
+			return err
+		}
+		if res.Algorithm != spec.Name || res.N != cfg.n || res.Seed != cfg.seed || res.Topo != tp {
+			return fmt.Errorf("elect: cell %d answered with %s n=%d seed=%d topo=%q, want %s n=%d seed=%d topo=%q",
+				idx, res.Algorithm, res.N, res.Seed, res.Topo, spec.Name, cfg.n, cfg.seed, tp)
+		}
+	}
+	return nil
 }
 
 // RunRange executes the contiguous cell range [start, start+count) of the

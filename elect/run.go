@@ -58,7 +58,9 @@ type RoundStat = obs.RoundStat
 // The json tags define the stable v1 wire form used by EncodeResult, the
 // result cache and the electd daemon; enums (Model, Engine, Decision)
 // serialize as their string names. Renaming or retyping a tagged field is a
-// wire-format break — add new fields instead.
+// wire-format break — add new fields instead, and teach the hand codec in
+// codec.go to write and read them (TestCodecCoversEveryField fails until
+// it does).
 type Result struct {
 	Algorithm string `json:"algorithm"`
 	Model     Model  `json:"model"`

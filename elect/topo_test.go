@@ -127,6 +127,38 @@ func TestTopologyFingerprintsDistinct(t *testing.T) {
 	}
 }
 
+// TestCheckRange: every cell RunMany runs passes CheckRange at its own index
+// — whether the grid sweeps a Topos axis, names one topology in the shared
+// Options, or runs on the clique — and fails at any other index.
+func TestCheckRange(t *testing.T) {
+	spec, err := Lookup("kuttenmoses")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]Batch{
+		"axis":   {Topos: []string{"ring", "torus"}},
+		"option": {Options: []Option{WithTopology("rreg:d=4")}},
+		"clique": {},
+	} {
+		b.Ns, b.Seeds = []int{16, 32}, []uint64{1, 2}
+		batch, err := RunMany(spec, b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := CheckRange(spec, &b, b.Ns, b.Seeds, 0, batch.Runs); err != nil {
+			t.Fatalf("%s: whole grid: %v", name, err)
+		}
+		for idx, res := range batch.Runs {
+			for other := range batch.Runs {
+				err := CheckRange(spec, &b, b.Ns, b.Seeds, other, []Result{res})
+				if (err == nil) != (other == idx) {
+					t.Fatalf("%s: CheckRange(cell %d, run of cell %d) = %v", name, other, idx, err)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchToposGrid pins the canonical topo-major, size-major, seed-minor
 // grid: RunMany's Runs order, the per-(topo, n) aggregates, and RunRange
 // slices of the same grid.

@@ -401,6 +401,8 @@ func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batc
 				if len(resp.Results) != ch.Count {
 					comp.err = fmt.Errorf("distrib: worker %s returned %d results for a %d-cell chunk",
 						w.url, len(resp.Results), ch.Count)
+				} else if err := elect.CheckRange(spec, b, ns, seeds, ch.Start, resp.Results); err != nil {
+					comp.err = fmt.Errorf("distrib: worker %s: %w", w.url, err)
 				} else {
 					comp.results = resp.Results
 				}

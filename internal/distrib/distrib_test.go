@@ -411,6 +411,131 @@ func TestFleetCacheReuse(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsWrongCells: a worker that answers every chunk with the
+// right number of valid results, but for other seeds, must not get them
+// merged into the grid or stored under the cells' fingerprints. The chunk
+// fails like a short answer does, and the grid completes byte-identical to
+// a local RunMany.
+func TestFleetRejectsWrongCells(t *testing.T) {
+	b, wire := testGrid()
+	spec := mustSpec(t, "tradeoff")
+	local, err := elect.RunMany(spec, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var lies atomic.Int64
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			json.NewEncoder(w).Encode(client.Health{OK: true})
+		case "/v1/chunk":
+			var req client.ChunkRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			shifted := b
+			shifted.Seeds = nil
+			for _, s := range req.Seeds {
+				shifted.Seeds = append(shifted.Seeds, s+1000)
+			}
+			results, err := elect.RunRange(spec, shifted, req.Start, req.Count)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			lies.Add(1)
+			json.NewEncoder(w).Encode(client.ChunkResponse{Results: results})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(liar.Close)
+
+	cache := resultcache.New()
+	fleet, err := New(Config{
+		Workers:        []string{liar.URL},
+		ChunkSize:      4,
+		StragglerAfter: time.Hour,
+		ClientOptions:  []client.ClientOption{client.WithRetry(1, time.Millisecond)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := b
+	remote.Cache = cache
+	remote.Remote = fleet.Runner(wire)
+	got, err := elect.RunMany(spec, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lies.Load() == 0 {
+		t.Fatal("the lying worker was never asked")
+	}
+	if !bytes.Equal(encodeBatch(t, local), encodeBatch(t, got)) {
+		t.Fatal("grid merged a worker's answers for the wrong cells")
+	}
+	ns, seeds := b.Ns, b.Seeds
+	for idx, want := range local.Runs {
+		key, err := elect.Fingerprint(spec, elect.CellOptions(&b, ns, seeds, idx)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, ok := cache.Get(key)
+		if !ok {
+			continue
+		}
+		wantBytes, err := elect.EncodeResult(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, wantBytes) {
+			t.Fatalf("cell %d: cache holds another cell's result", idx)
+		}
+	}
+}
+
+// TestFleetTopoOption: a batch that names its single topology through the
+// shared options (client.Options.Topo) rather than the Topos axis is
+// answered by honest workers with that topology on every cell. Those
+// answers are merged as they are: no cell runs locally and no worker is
+// marked down.
+func TestFleetTopoOption(t *testing.T) {
+	spec := mustSpec(t, "kuttenmoses")
+	b := elect.Batch{
+		Ns:      []int{16, 32},
+		Seeds:   elect.Seeds(1, 4),
+		Options: []elect.Option{elect.WithTopology("ring")},
+	}
+	wire := client.Options{Topo: "ring"}
+	local, err := elect.RunMany(spec, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w1, w2 := newHarness(t), newHarness(t)
+	fleet := newFleet(t, Config{ChunkSize: 3}, w1, w2)
+	remote := b
+	remote.Remote = fleet.Runner(wire)
+	got, err := elect.RunMany(spec, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBatch(t, local), encodeBatch(t, got)) {
+		t.Fatal("fleet-dispatched topology grid differs from local RunMany")
+	}
+	stats := fleet.Stats()
+	if stats.LocalCells != 0 {
+		t.Fatalf("honest workers' answers were rejected: %d cells ran locally", stats.LocalCells)
+	}
+	for _, ws := range stats.Workers {
+		if !ws.Alive || ws.Failures != 0 {
+			t.Fatalf("honest worker %s marked down or failed: %+v", ws.URL, ws)
+		}
+	}
+}
+
 // TestStragglerRedispatch: a chunk stuck on a slow worker is duplicated
 // onto an idle one; the first answer wins and the result is unchanged.
 func TestStragglerRedispatch(t *testing.T) {
