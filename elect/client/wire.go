@@ -6,6 +6,7 @@ import (
 
 	"cliquelect/elect"
 	"cliquelect/internal/obs"
+	"cliquelect/internal/resultcache"
 )
 
 // This file defines the electd wire schema: the JSON request and response
@@ -356,16 +357,9 @@ type SpecsResponse struct {
 	Specs []SpecInfo `json:"specs"`
 }
 
-// CacheStats mirrors the daemon cache counters in /healthz.
-type CacheStats struct {
-	Hits       int64 `json:"hits"`
-	DiskHits   int64 `json:"disk_hits"`
-	Misses     int64 `json:"misses"`
-	Puts       int64 `json:"puts"`
-	DiskErrors int64 `json:"disk_errors"`
-	Evictions  int64 `json:"evictions"`
-	Entries    int   `json:"entries"`
-}
+// CacheStats is the daemon's result-cache counters as /healthz reports
+// them: the cache's own Stats snapshot, tags and all.
+type CacheStats = resultcache.Stats
 
 // Health is the body of GET /healthz. Beyond liveness it carries the load
 // gauges a fleet scheduler (internal/distrib) balances on: how much work is

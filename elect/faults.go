@@ -11,91 +11,34 @@ import (
 
 // Crash schedules one explicit crash-stop: node Node fails permanently at
 // instant At — a round number on the sync engine, a time in delay units on
-// the async simulator. At 0 the node fails before doing anything.
-type Crash struct {
-	Node int     `json:"node"`
-	At   float64 `json:"at"`
-}
+// the async simulator.
+type Crash = faults.Crash
 
-// Adversary is an adaptive fault controller: the injector shows it every
-// sent message (Observe) and asks it at every hook point — round boundaries
-// on the sync engine, events on the async simulator — which nodes to
-// crash-stop right now (Tick). The paper's Section 5 adversary is adaptive
-// (it schedules after seeing the nodes' coins), so adaptive crashing is
-// admissible in the same sense.
-type Adversary interface {
-	// Observe is called once per protocol send with the message's endpoints,
-	// kind, payload words and the current instant.
-	Observe(src, dst int, kind uint8, a, b int64, at float64)
-	// Tick returns the nodes to crash-stop at instant at (may be nil or
-	// name already-crashed nodes; the injector deduplicates).
-	Tick(at float64) []int
-}
+// Adversary is an adaptive fault controller (see FaultPlan.NewAdversary):
+// it observes every sent message and names the nodes to crash-stop at each
+// hook point.
+type Adversary = faults.Adversary
 
-// FaultPlan declares the faults injected into one run (see WithFaults). The
-// zero plan injects nothing and leaves runs byte-identical to plain ones:
-// all fault sampling draws from a private RNG stream salted off the run
-// seed, never from the engine or protocol streams. Same seed + same plan
+// FaultPlan declares the faults injected into one run (see WithFaults); the
+// knobs are documented on faults.Plan. The zero plan injects nothing and
+// leaves runs byte-identical to plain ones, and a non-zero plan draws from
+// a private stream salted off the run seed, so same seed + same plan
 // reproduces the same faulted execution exactly.
-type FaultPlan struct {
-	// CrashRate makes each node independently crash-stop with this
-	// probability, at an instant sampled uniformly from [0, CrashWindow).
-	CrashRate float64
-	// CrashWindow is the sampling horizon for CrashRate victims, in rounds
-	// (sync) or time units (async); <= 0 means 8, which covers the makespan
-	// of every registered protocol at its usual parameters.
-	CrashWindow float64
-	// Crashes schedules explicit crash-stops, in addition to sampled ones.
-	Crashes []Crash
-	// DropRate loses each message independently with this probability.
-	DropRate float64
-	// DropFirst loses the first DropFirst messages of the run outright — the
-	// targeted variant that kills exactly the protocol's opening moves.
-	DropFirst int
-	// DupRate delivers each message twice with this probability.
-	DupRate float64
-	// NewAdversary, when non-nil, constructs the run's adaptive controller.
-	// It is a factory, not an instance: every run builds a fresh controller,
-	// so one plan can drive many concurrent RunMany runs safely.
-	NewAdversary func() Adversary
-}
-
-// IsZero reports whether the plan injects no faults at all.
-func (p FaultPlan) IsZero() bool {
-	return p.CrashRate == 0 && len(p.Crashes) == 0 && p.DropRate == 0 &&
-		p.DropFirst == 0 && p.DupRate == 0 && p.NewAdversary == nil
-}
-
-// internal converts the public plan to the engine-level one.
-func (p FaultPlan) internal() faults.Plan {
-	fp := faults.Plan{
-		CrashRate:   p.CrashRate,
-		CrashWindow: p.CrashWindow,
-		DropRate:    p.DropRate,
-		DropFirst:   p.DropFirst,
-		DupRate:     p.DupRate,
-	}
-	for _, c := range p.Crashes {
-		fp.Crashes = append(fp.Crashes, faults.Crash{Node: c.Node, At: c.At})
-	}
-	if p.NewAdversary != nil {
-		mk := p.NewAdversary
-		fp.NewAdversary = func() faults.Adversary { return mk() }
-	}
-	return fp
-}
+type FaultPlan = faults.Plan
 
 // faultSeedSalt decorrelates the injector's RNG stream from the run's master
 // stream without consuming from it, so adding a zero plan (or removing a
 // plan) never perturbs the underlying execution.
 const faultSeedSalt = 0x5EEDFA17C0DED00D
 
-// injector builds the run's fault injector, or nil for a zero plan.
+// injector builds the run's fault injector, or nil for a zero plan. A zero
+// plan is still validated: it may carry a non-finite CrashWindow, which
+// would leave the run without a fingerprint.
 func (c *runConfig) injector() (*faults.Injector, error) {
 	if c.faults.IsZero() {
-		return nil, nil
+		return nil, c.faults.Validate(c.n)
 	}
-	return faults.NewInjector(c.faults.internal(), c.n, xrand.New(c.seed^faultSeedSalt).Uint64())
+	return faults.NewInjector(c.faults, c.n, xrand.New(c.seed^faultSeedSalt).Uint64())
 }
 
 // WithFaults injects the plan's crash-stop/drop/duplicate faults into the

@@ -1,6 +1,7 @@
 package elect
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,6 +96,20 @@ func TestFaultsBadPlanRejected(t *testing.T) {
 	if _, err := Run(spec, WithN(16),
 		WithFaults(FaultPlan{Crashes: []Crash{{Node: 99, At: 1}}})); err == nil {
 		t.Fatal("out-of-range crash victim accepted")
+	}
+	// A non-finite horizon or instant must fail loudly: it would otherwise
+	// switch the faults off and leave the run without a fingerprint.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []FaultPlan{
+		{CrashRate: 1, CrashWindow: nan},
+		{CrashRate: 1, CrashWindow: inf},
+		{CrashRate: 1, CrashWindow: -inf},
+		{CrashWindow: nan},
+		{Crashes: []Crash{{Node: 3, At: inf}}},
+	} {
+		if _, err := Run(spec, WithN(16), WithFaults(p)); err == nil {
+			t.Errorf("plan %+v accepted", p)
+		}
 	}
 }
 
@@ -252,4 +267,28 @@ func TestFaultToleranceFlags(t *testing.T) {
 	if lv.FaultTolerant {
 		t.Error("lasvegas marked FaultTolerant despite wedging under faults")
 	}
+}
+
+// FuzzParseFaults is the fault-plan parser's trust boundary (client.Options
+// carries the plan syntax over HTTP): ParseFaults never panics, and every
+// plan it accepts either fails Run or has a fingerprint, so no accepted
+// plan runs uncacheably without saying so.
+func FuzzParseFaults(f *testing.F) {
+	spec, err := Lookup("tradeoff")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseFaults(s)
+		if err != nil || p.NewAdversary != nil {
+			return
+		}
+		opts := []Option{WithN(8), WithSeed(1), WithFaults(p)}
+		if _, err := Run(spec, opts...); err != nil {
+			return
+		}
+		if _, err := Fingerprint(spec, opts...); err != nil {
+			t.Fatalf("ParseFaults(%q) = %+v runs but has no fingerprint: %v", s, p, err)
+		}
+	})
 }

@@ -61,6 +61,17 @@ var goldenFingerprints = []struct {
 		},
 		want: "6a1237f9e09f891826a291aee9fbf5b2857f8fa6a56b9ebc1c31042b971cb360",
 	},
+	{
+		// Pins the "crashes":[{"node":…,"at":…}] and drop_first parts of
+		// the preimage.
+		name: "tradeoff-explicit-crash-dropfirst",
+		spec: "tradeoff",
+		opts: []Option{
+			WithN(64), WithSeed(9),
+			WithFaults(FaultPlan{Crashes: []Crash{{Node: 3, At: 1.5}}, DropFirst: 4}),
+		},
+		want: "f8bf607236b9a11a19cc918b7f74be4ae04f8980cd1332993d99c539c54baa64",
+	},
 }
 
 func TestFingerprintGolden(t *testing.T) {

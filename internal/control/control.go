@@ -121,20 +121,9 @@ type Config struct {
 	// campaign for one full LeaseTTL after startup (the amnesia grace
 	// period), trading bootstrap latency for restart safety.
 	Store Store
-	// Spec names the election protocol deciding campaign winners; empty
-	// means DefaultSpec. It must be registered, deterministic, and support
-	// the simulator engine the winner computation runs on.
-	Spec string
 	// Logf, when non-nil, receives one line per control-plane event
 	// (elections, grants, depositions, fence rejections).
 	Logf func(format string, args ...any)
-	// Spans, when non-nil, collects control.* spans (campaigns and the
-	// dogfooded elect runs). Settable later via SetSpans, before Run.
-	Spans *obs.SpanCollector
-	// Events, when non-nil, journals control-plane transitions (campaigns,
-	// grants, renewals, step-downs, fence rejections) into the daemon's
-	// event log. Settable later via SetEvents, before Run.
-	Events *obs.EventLog
 }
 
 // Stats is a point-in-time view of a node's control-plane state and
@@ -189,6 +178,9 @@ type Node struct {
 	graceUntil time.Time // storeless amnesia guard: no votes or campaigns before this
 	graceHeld  bool      // grace.hold journaled once per process life
 
+	spans  *obs.SpanCollector // control.* spans; nil until SetSpans
+	events *obs.EventLog      // control-plane journal; nil until SetEvents
+
 	suspect      int       // consecutive failed probes of the holder
 	lastProbe    time.Time // follower: last holder probe
 	lastRenew    time.Time // coordinator: last renewal round
@@ -212,19 +204,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	specName := cfg.Spec
-	if specName == "" {
-		specName = DefaultSpec
-	}
-	spec, err := elect.Lookup(specName)
+	spec, err := elect.Lookup(DefaultSpec)
 	if err != nil {
 		return nil, fmt.Errorf("control: election spec: %w", err)
-	}
-	if !spec.Supports(elect.EngineAsync) {
-		return nil, fmt.Errorf("control: spec %q does not run on the async simulator engine", specName)
-	}
-	if !spec.Deterministic {
-		return nil, fmt.Errorf("control: spec %q is not deterministic; candidates could not agree on a winner", specName)
 	}
 	seen := map[string]bool{cfg.Self: true}
 	peers := []string{cfg.Self}
@@ -293,7 +275,7 @@ func (n *Node) LeaseTTL() time.Duration { return n.ttl }
 func (n *Node) SetSpans(col *obs.SpanCollector) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cfg.Spans = col
+	n.spans = col
 }
 
 // SetEvents directs control-plane events into log. Call before Run
@@ -301,7 +283,7 @@ func (n *Node) SetSpans(col *obs.SpanCollector) {
 func (n *Node) SetEvents(log *obs.EventLog) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cfg.Events = log
+	n.events = log
 }
 
 // quorum is the majority of the configured peer set.
@@ -389,6 +371,7 @@ func (n *Node) HandleLease(req client.LeaseRequest, now time.Time) client.LeaseR
 			// An unpersisted vote is an uncast vote: reject rather than
 			// acknowledge a grant a restart could forget.
 			n.rejects++
+			n.persistFailedLocked("grant", req.Epoch, err)
 			n.logf("control: refusing epoch %d to %s: persist failed: %v", req.Epoch, req.Holder, err)
 			return client.LeaseResponse{Granted: false, Epoch: n.epoch, Holder: n.holder}
 		}
@@ -399,12 +382,12 @@ func (n *Node) HandleLease(req client.LeaseRequest, now time.Time) client.LeaseR
 		n.suspect = 0
 		n.granted[req.Epoch] = req.Holder
 		n.grants++
-		n.cfg.Events.Emit("lease.grant",
+		n.events.Emit("lease.grant",
 			"epoch", strconv.FormatUint(req.Epoch, 10), "holder", req.Holder)
 		if deposed {
 			n.leading = false
 			n.stepdowns++
-			n.cfg.Events.Emit("lease.stepdown",
+			n.events.Emit("lease.stepdown",
 				"epoch", strconv.FormatUint(req.Epoch, 10), "reason", "deposed", "by", req.Holder)
 			n.logf("control: deposed by %s (epoch %d)", req.Holder, req.Epoch)
 		} else if req.Holder != n.cfg.Self {
@@ -415,7 +398,7 @@ func (n *Node) HandleLease(req client.LeaseRequest, now time.Time) client.LeaseR
 		n.expires = now.Add(n.ttl)
 		n.suspect = 0
 		n.renewals++
-		n.cfg.Events.Emit("lease.renew",
+		n.events.Emit("lease.renew",
 			"epoch", strconv.FormatUint(req.Epoch, 10), "holder", req.Holder)
 		return client.LeaseResponse{Granted: true, Epoch: n.epoch, Holder: n.holder}
 	default:
@@ -450,6 +433,15 @@ func (n *Node) saveLocked(epoch uint64, holder string, voteEpoch uint64, voteHol
 	return n.cfg.Store.Save(st)
 }
 
+// persistFailedLocked journals a vote record the Store refused to save, so
+// a node whose state file is failing shows up in the event log and not
+// only in its own log lines. Stage names the refused step: "grant",
+// "campaign", "win" or "adopt".
+func (n *Node) persistFailedLocked(stage string, epoch uint64, err error) {
+	n.events.Emit("vote.persist_failed",
+		"stage", stage, "epoch", strconv.FormatUint(epoch, 10), "error", err.Error())
+}
+
 // CheckFence accepts or rejects a dispatched chunk's fencing token: tokens
 // below this node's epoch come from a deposed coordinator and are refused
 // with a StaleTokenError (the daemon's 409). Token 0 is an unfenced legacy
@@ -464,7 +456,7 @@ func (n *Node) CheckFence(token uint64) error {
 	}
 	n.fenceRejects++
 	err := &StaleTokenError{Token: token, Epoch: n.epoch, Coordinator: n.holder}
-	n.cfg.Events.Emit("fence.reject",
+	n.events.Emit("fence.reject",
 		"token", strconv.FormatUint(token, 10), "epoch", strconv.FormatUint(n.epoch, 10))
 	n.logf("control: rejected stale chunk dispatch: %v", err)
 	return err
@@ -496,7 +488,7 @@ func (n *Node) Tick(now time.Time) {
 		// as coordinator before anyone else needs to fence us off.
 		n.leading = false
 		n.stepdowns++
-		n.cfg.Events.Emit("lease.stepdown",
+		n.events.Emit("lease.stepdown",
 			"epoch", strconv.FormatUint(n.epoch, 10), "reason", "expired")
 		n.logf("control: lease for epoch %d expired without quorum, stepping down", n.epoch)
 	}
@@ -655,7 +647,7 @@ func (n *Node) campaign(now time.Time) {
 		// process may have votes outstanding that this one cannot remember.
 		if !n.graceHeld {
 			n.graceHeld = true
-			n.cfg.Events.Emit("grace.hold",
+			n.events.Emit("grace.hold",
 				"until", n.graceUntil.Format(time.RFC3339))
 		}
 		n.mu.Unlock()
@@ -696,13 +688,14 @@ func (n *Node) campaign(now time.Time) {
 		return
 	}
 	if err := n.saveLocked(n.epoch, n.holder, next, n.cfg.Self); err != nil {
+		n.persistFailedLocked("campaign", next, err)
 		n.mu.Unlock()
 		n.logf("control: abandoning campaign for epoch %d: persist failed: %v", next, err)
 		return
 	}
 	n.granted[next] = n.cfg.Self
 	n.grants++
-	n.cfg.Events.Emit("campaign.start",
+	n.events.Emit("campaign.start",
 		"epoch", strconv.FormatUint(next, 10), "live", strconv.Itoa(len(live)))
 	n.mu.Unlock()
 
@@ -723,15 +716,16 @@ func (n *Node) campaign(now time.Time) {
 		n.elections++
 		n.held = append(n.held, next)
 		if err := n.saveLocked(n.epoch, n.holder, 0, ""); err != nil {
+			n.persistFailedLocked("win", next, err)
 			n.logf("control: persisting epoch %d win failed: %v", next, err)
 		}
-		n.cfg.Events.Emit("campaign.won",
+		n.events.Emit("campaign.won",
 			"epoch", strconv.FormatUint(next, 10),
 			"grants", strconv.Itoa(granted), "peers", strconv.Itoa(len(n.peers)))
 		n.logf("control: won epoch %d with %d/%d grants (%d live peers)",
 			next, granted, len(n.peers), len(live))
 	} else {
-		n.cfg.Events.Emit("campaign.lost",
+		n.events.Emit("campaign.lost",
 			"epoch", strconv.FormatUint(next, 10), "grants", strconv.Itoa(granted))
 	}
 }
@@ -748,13 +742,14 @@ func (n *Node) adopt(now time.Time, resp *client.LeaseResponse) {
 	if err := n.saveLocked(resp.Epoch, resp.Holder, 0, ""); err != nil {
 		// Staying behind is safe (rejections will keep arriving); adopting
 		// an epoch a restart would forget is not.
+		n.persistFailedLocked("adopt", resp.Epoch, err)
 		n.logf("control: not adopting epoch %d: persist failed: %v", resp.Epoch, err)
 		return
 	}
 	if n.leading {
 		n.leading = false
 		n.stepdowns++
-		n.cfg.Events.Emit("lease.stepdown",
+		n.events.Emit("lease.stepdown",
 			"epoch", strconv.FormatUint(resp.Epoch, 10), "reason", "deposed", "by", resp.Holder)
 		n.logf("control: deposed, adopting epoch %d held by %s", resp.Epoch, resp.Holder)
 	}
@@ -813,9 +808,9 @@ func (n *Node) electWinner(live []string, epoch uint64) string {
 	} else {
 		winner = live[res.Leader]
 	}
-	if n.spans() != nil {
+	if spans := n.spanCollector(); spans != nil {
 		sc := obs.NewSpanContext()
-		n.spans().Add(obs.Span{
+		spans.Add(obs.Span{
 			Trace: sc.Trace, ID: sc.Span,
 			Name: "control.elect", Service: "control",
 			Start: began.UnixMicro(), Dur: time.Since(began).Microseconds(),
@@ -844,10 +839,10 @@ func electIDs(k int, seed uint64) []int64 {
 	return ids
 }
 
-func (n *Node) spans() *obs.SpanCollector {
+func (n *Node) spanCollector() *obs.SpanCollector {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.cfg.Spans
+	return n.spans
 }
 
 func (n *Node) logf(format string, args ...any) {

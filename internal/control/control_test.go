@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"cliquelect/elect"
 	"cliquelect/elect/client"
+	"cliquelect/internal/obs"
 )
 
 // nopTransport satisfies Transport for state-machine unit tests that never
@@ -44,11 +46,24 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Self: "a"}); err == nil {
 		t.Fatal("missing Transport accepted")
 	}
-	if _, err := New(Config{Self: "a", Transport: nopTransport{}, Spec: "no-such-spec"}); err == nil {
-		t.Fatal("unknown spec accepted")
-	}
 	if _, err := New(Config{Self: "a", Peers: []string{"b", ""}, Transport: nopTransport{}}); err == nil {
 		t.Fatal("empty peer URL accepted")
+	}
+}
+
+// TestDefaultSpecUsable: campaign winners are computed by DefaultSpec on
+// the async simulator, and every candidate must compute the same one, so
+// the spec must be registered, async-capable and deterministic.
+func TestDefaultSpecUsable(t *testing.T) {
+	spec, err := elect.Lookup(DefaultSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spec.Supports(elect.EngineAsync) {
+		t.Fatalf("DefaultSpec %q does not run on the async simulator engine", DefaultSpec)
+	}
+	if !spec.Deterministic {
+		t.Fatalf("DefaultSpec %q is not deterministic; candidates could not agree on a winner", DefaultSpec)
 	}
 }
 
@@ -291,11 +306,19 @@ func TestPersistFailureRefusesGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := obs.NewEventLog(16, "http://a")
+	n.SetEvents(events)
 	if n.HandleLease(client.LeaseRequest{Epoch: 1, Holder: "http://b"}, clock.Now()).Granted {
 		t.Fatal("grant acknowledged without durable vote")
 	}
 	if st := n.Status(); st.Epoch != 0 || st.Grants != 0 || st.Rejects != 1 {
 		t.Fatalf("state mutated by refused grant: %+v", st)
+	}
+	// The refusal must reach the journal, not only the log line.
+	evs := events.Events(0, 0)
+	if len(evs) != 1 || evs[0].Kind != "vote.persist_failed" ||
+		evs[0].Fields["stage"] != "grant" || evs[0].Fields["epoch"] != "1" || evs[0].Fields["error"] == "" {
+		t.Fatalf("journal after refused grant = %+v, want one vote.persist_failed{stage=grant epoch=1 error=…}", evs)
 	}
 	store.fail = false
 	if !n.HandleLease(client.LeaseRequest{Epoch: 1, Holder: "http://b"}, clock.Now()).Granted {

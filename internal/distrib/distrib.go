@@ -76,10 +76,6 @@ type Config struct {
 	// with ErrFenced — both mean this dispatcher was deposed. Nil means
 	// unfenced dispatch (the plain sweep CLI).
 	Fence func() uint64
-	// Events, when non-nil, journals fleet scheduling events (worker
-	// liveness transitions, chunk failovers, straggler duplicates) into the
-	// daemon's event log. Settable later via SetEvents.
-	Events *obs.EventLog
 }
 
 // ErrFenced means the dispatcher was deposed mid-grid: either a worker
@@ -158,9 +154,6 @@ func New(cfg Config) (*Fleet, error) {
 		copts = append(copts[:len(copts):len(copts)], client.WithSpanCollector(cfg.Spans))
 	}
 	f := &Fleet{cfg: cfg}
-	if cfg.Events != nil {
-		f.events.Store(cfg.Events)
-	}
 	for _, raw := range cfg.Workers {
 		url := NormalizeURL(raw)
 		if url == "" {
@@ -184,9 +177,10 @@ func NormalizeURL(s string) string {
 	return strings.TrimRight(s, "/")
 }
 
-// SetEvents directs fleet scheduling events into log (cmd/electd wires the
-// service's journal in after constructing both). Safe to call while grids
-// are in flight.
+// SetEvents journals fleet scheduling events (worker liveness transitions,
+// chunk failovers, straggler duplicates) into log; without it the fleet
+// journals nothing. cmd/electd wires the service's journal in after
+// constructing both. Safe to call while grids are in flight.
 func (f *Fleet) SetEvents(log *obs.EventLog) { f.events.Store(log) }
 
 // ev is the current journal — nil when journaling is off, which makes every

@@ -50,11 +50,13 @@ func (v Verdict) String() string {
 }
 
 // Crash schedules one explicit crash-stop: node Node fails permanently at
-// instant At (a round on the sync engine, a time on the async one). At 0 the
-// node fails before doing anything.
+// instant At — a round number on the sync engine, a time in delay units on
+// the async one. At 0 the node fails before doing anything. The JSON tags
+// are part of the elect result-cache key (elect.Fingerprint hashes the
+// plan's crash list), so they are frozen.
 type Crash struct {
-	Node int
-	At   float64
+	Node int     `json:"node"`
+	At   float64 `json:"at"`
 }
 
 // DefaultCrashWindow is the horizon, in rounds/time units, over which sampled
@@ -76,13 +78,18 @@ type Adversary interface {
 	Tick(at float64) []int
 }
 
-// Plan declares the faults of one run. The zero Plan injects nothing.
+// Plan declares the faults of one run (elect.FaultPlan is an alias). The
+// zero Plan injects nothing and leaves a run byte-identical to a plain one:
+// all fault sampling draws from the injector's private stream, which the
+// elect layer salts off the run seed, never from the engine or protocol
+// streams. Same seed + same plan reproduces the same faulted execution.
 type Plan struct {
 	// CrashRate makes each node independently crash-stop with this
 	// probability, at an instant sampled uniformly from [0, CrashWindow).
 	CrashRate float64
-	// CrashWindow is the sampling horizon for CrashRate victims; <= 0 means
-	// DefaultCrashWindow.
+	// CrashWindow is the sampling horizon for CrashRate victims, in rounds
+	// (sync) or time units (async); <= 0 means DefaultCrashWindow. It must
+	// be finite.
 	CrashWindow float64
 	// Crashes schedules explicit crash-stops, in addition to sampled ones.
 	Crashes []Crash
@@ -115,6 +122,9 @@ func (p Plan) Validate(n int) error {
 			return fmt.Errorf("faults: %s = %v, want a probability in [0, 1]", f.name, f.v)
 		}
 	}
+	if math.IsNaN(p.CrashWindow) || math.IsInf(p.CrashWindow, 0) {
+		return fmt.Errorf("faults: CrashWindow = %v, want a finite horizon", p.CrashWindow)
+	}
 	if p.DropFirst < 0 {
 		return fmt.Errorf("faults: DropFirst = %d", p.DropFirst)
 	}
@@ -122,8 +132,8 @@ func (p Plan) Validate(n int) error {
 		if c.Node < 0 || c.Node >= n {
 			return fmt.Errorf("faults: crash schedule names invalid node %d (n = %d)", c.Node, n)
 		}
-		if c.At < 0 || math.IsNaN(c.At) {
-			return fmt.Errorf("faults: crash of node %d at negative instant %v", c.Node, c.At)
+		if c.At < 0 || math.IsNaN(c.At) || math.IsInf(c.At, 1) {
+			return fmt.Errorf("faults: crash of node %d at instant %v, want a finite instant >= 0", c.Node, c.At)
 		}
 	}
 	return nil

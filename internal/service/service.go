@@ -730,11 +730,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Cache != nil {
 		cs := s.cfg.Cache.Stats()
-		h.Cache = &client.CacheStats{
-			Hits: cs.Hits, DiskHits: cs.DiskHits, Misses: cs.Misses,
-			Puts: cs.Puts, DiskErrors: cs.DiskErrors, Evictions: cs.Evictions,
-			Entries: cs.Entries,
-		}
+		h.Cache = &cs
 	}
 	if s.cfg.Control != nil {
 		st := s.cfg.Control.Status()
