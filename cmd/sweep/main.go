@@ -173,13 +173,9 @@ func run(args []string) error {
 		if spanCol != nil && fleet == nil {
 			// Local mode has no grid spans, so give each k iteration its own
 			// span under the sweep root (fleet mode gets them from distrib).
-			sc := traceRoot.Child()
-			spanCol.Add(obs.Span{
-				Trace: sc.Trace, ID: sc.Span, Parent: traceRoot.Span,
-				Name: "batch", Service: "sweep",
-				Start: kStart.UnixMicro(), Dur: time.Since(kStart).Microseconds(),
-				Attrs: map[string]string{"k": strconv.Itoa(k), "cells": strconv.Itoa(len(batch.Runs))},
-			})
+			spanCol.Add(obs.NewSpan(traceRoot.Child(), traceRoot.Span, "batch", "sweep",
+				kStart, time.Since(kStart),
+				map[string]string{"k": strconv.Itoa(k), "cells": strconv.Itoa(len(batch.Runs))}))
 		}
 		cells += len(batch.Runs)
 		// One power fit per topology group (the clique-only sweep is the
@@ -253,12 +249,8 @@ func run(args []string) error {
 		}
 	}
 	if spanCol != nil {
-		spanCol.Add(obs.Span{
-			Trace: traceRoot.Trace, ID: traceRoot.Span,
-			Name: "sweep", Service: "sweep",
-			Start: start.UnixMicro(), Dur: elapsed.Microseconds(),
-			Attrs: map[string]string{"algo": *algo, "cells": strconv.Itoa(cells)},
-		})
+		spanCol.Add(obs.NewSpan(traceRoot, obs.SpanID{}, "sweep", "sweep", start, elapsed,
+			map[string]string{"algo": *algo, "cells": strconv.Itoa(cells)}))
 		if err := writeTrace(*traceOut, spanCol.Trace(traceRoot.Trace), !*csv); err != nil {
 			return err
 		}

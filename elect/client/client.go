@@ -444,21 +444,13 @@ func (c *Client) doHdr(ctx context.Context, method, path string, hdr map[string]
 	var reqSC obs.SpanContext
 	tries := 0
 	if traced {
-		if parent.Valid() {
-			reqSC = parent.Child()
-		} else {
-			reqSC = obs.NewSpanContext()
-		}
+		reqSC = parent.Child()
 		began := time.Now()
 		defer func() {
-			c.spans.Add(obs.Span{
-				Trace: reqSC.Trace, ID: reqSC.Span, Parent: parent.Span,
-				Name: "client.request", Service: "client",
-				Start: began.UnixMicro(), Dur: time.Since(began).Microseconds(),
-				Attrs: map[string]string{
+			c.spans.Add(obs.NewSpan(reqSC, parent.Span, "client.request", "client",
+				began, time.Since(began), map[string]string{
 					"method": method, "path": path, "attempts": strconv.Itoa(tries),
-				},
-			})
+				}))
 		}()
 	}
 	var lastErr error
@@ -547,12 +539,7 @@ func (c *Client) attemptSpan(sc, parent obs.SpanContext, began time.Time, attemp
 	if backoff > 0 {
 		attrs["backoff"] = backoff.String()
 	}
-	c.spans.Add(obs.Span{
-		Trace: sc.Trace, ID: sc.Span, Parent: parent.Span,
-		Name: "client.attempt", Service: "client",
-		Start: began.UnixMicro(), Dur: time.Since(began).Microseconds(),
-		Attrs: attrs,
-	})
+	c.spans.Add(obs.NewSpan(sc, parent.Span, "client.attempt", "client", began, time.Since(began), attrs))
 }
 
 // jitterDelay scales one backoff sleep by a uniform factor in

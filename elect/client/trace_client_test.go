@@ -44,7 +44,11 @@ func TestRetriesBecomeAttemptSpans(t *testing.T) {
 		t.Fatalf("health after retries: %+v err=%v", h, err)
 	}
 
-	spans := col.Spans()
+	ids := col.TraceIDs(0)
+	if len(ids) != 1 {
+		t.Fatalf("collector holds %d traces, want the one request's", len(ids))
+	}
+	spans := col.Trace(ids[0])
 	var reqSpan obs.Span
 	var attempts []obs.Span
 	for _, sp := range spans {

@@ -809,19 +809,14 @@ func (n *Node) electWinner(live []string, epoch uint64) string {
 		winner = live[res.Leader]
 	}
 	if spans := n.spanCollector(); spans != nil {
-		sc := obs.NewSpanContext()
-		spans.Add(obs.Span{
-			Trace: sc.Trace, ID: sc.Span,
-			Name: "control.elect", Service: "control",
-			Start: began.UnixMicro(), Dur: time.Since(began).Microseconds(),
-			Attrs: map[string]string{
+		spans.Add(obs.NewSpan(obs.NewSpanContext(), obs.SpanID{}, "control.elect", "control",
+			began, time.Since(began), map[string]string{
 				"spec":   n.spec.Name,
 				"epoch":  strconv.FormatUint(epoch, 10),
 				"n":      strconv.Itoa(k),
 				"winner": winner,
 				"msgs":   strconv.FormatInt(res.Messages, 10),
-			},
-		})
+			}))
 	}
 	return winner
 }

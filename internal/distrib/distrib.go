@@ -275,11 +275,7 @@ func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batc
 	// the traced worker clients, the whole remote subtree.
 	var gridSC obs.SpanContext
 	if traced := f.cfg.Spans != nil || f.cfg.Root.Valid(); traced {
-		if f.cfg.Root.Valid() {
-			gridSC = f.cfg.Root.Child()
-		} else {
-			gridSC = obs.NewSpanContext()
-		}
+		gridSC = f.cfg.Root.Child()
 		gridStart := time.Now()
 		defer func() {
 			attrs := map[string]string{
@@ -289,12 +285,8 @@ func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batc
 			if err != nil {
 				attrs["error"] = err.Error()
 			}
-			f.cfg.Spans.Add(obs.Span{
-				Trace: gridSC.Trace, ID: gridSC.Span, Parent: f.cfg.Root.Span,
-				Name: "grid", Service: "sweep",
-				Start: gridStart.UnixMicro(), Dur: time.Since(gridStart).Microseconds(),
-				Attrs: attrs,
-			})
+			f.cfg.Spans.Add(obs.NewSpan(gridSC, f.cfg.Root.Span, "grid", "sweep",
+				gridStart, time.Since(gridStart), attrs))
 		}()
 	}
 	if b.Cancel != nil {
@@ -413,12 +405,8 @@ func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batc
 				if comp.err != nil {
 					attrs["error"] = comp.err.Error()
 				}
-				f.cfg.Spans.Add(obs.Span{
-					Trace: dispSC.Trace, ID: dispSC.Span, Parent: gridSC.Span,
-					Name: "chunk.dispatch", Service: "sweep",
-					Start: start.UnixMicro(), Dur: comp.dur.Microseconds(),
-					Attrs: attrs,
-				})
+				f.cfg.Spans.Add(obs.NewSpan(dispSC, gridSC.Span, "chunk.dispatch", "sweep",
+					start, comp.dur, attrs))
 				if err == nil {
 					// Merge the worker-side view (serve/queue/exec) into the
 					// coordinator's trace.

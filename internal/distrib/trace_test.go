@@ -13,15 +13,34 @@ import (
 // TestFleetTraceSingleTraceID is the end-to-end tracing contract: a grid
 // dispatched to two workers produces ONE trace — grid, chunk.dispatch,
 // client request/attempt, and the worker-side serve/queue/exec spans all
-// share the root's trace id, and the tree is fully connected.
+// share the root's trace id, and the tree is fully connected. The second
+// input packs the 97 spans of 16 one-cell chunks into a 256-span collector:
+// one trace may use the whole buffer, so every chunk's spans survive.
 func TestFleetTraceSingleTraceID(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		capacity, chunkSize int
+		chunks              int  // chunk.dispatch and chunk.serve spans expected
+		exact               bool // exactly chunks, not at least
+	}{
+		// 16 cells at chunk size 3 → 6 chunks.
+		{"default-capacity", 0, 3, 6, false},
+		{"one-cell-chunks", 256, 1, 16, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testFleetTrace(t, tc.capacity, tc.chunkSize, tc.chunks, tc.exact)
+		})
+	}
+}
+
+func testFleetTrace(t *testing.T, capacity, chunkSize, chunks int, exact bool) {
 	b, wire := testGrid()
 	spec := mustSpec(t, "tradeoff")
 
-	col := obs.NewSpanCollector(0)
+	col := obs.NewSpanCollector(capacity)
 	root := obs.NewSpanContext()
 	w1, w2 := newHarness(t), newHarness(t)
-	fleet := newFleet(t, Config{ChunkSize: 3, Spans: col, Root: root}, w1, w2)
+	fleet := newFleet(t, Config{ChunkSize: chunkSize, Spans: col, Root: root}, w1, w2)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	if _, err := elect.RunMany(spec, remote); err != nil {
@@ -49,10 +68,10 @@ func TestFleetTraceSingleTraceID(t *testing.T) {
 			t.Errorf("no %s span in trace (have %v)", name, count)
 		}
 	}
-	// 16 cells at chunk size 3 → 6 chunks, each with a dispatch span and a
-	// worker-side subtree.
-	if count["chunk.dispatch"] < 6 || count["chunk.serve"] < 6 {
-		t.Errorf("span counts %v, want >= 6 dispatches and serves", count)
+	// Each chunk has a dispatch span and a worker-side subtree.
+	d, sv := count["chunk.dispatch"], count["chunk.serve"]
+	if exact && (d != chunks || sv != chunks) || d < chunks || sv < chunks {
+		t.Errorf("span counts %v, want %d dispatches and serves (exact=%v)", count, chunks, exact)
 	}
 	// Connectivity: every span's parent is either the external root span or
 	// another span in the trace.

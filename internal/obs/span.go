@@ -98,8 +98,13 @@ func NewSpanContext() SpanContext {
 }
 
 // Child returns a context in the same trace with a fresh span id — the
-// identity of a new child span whose parent is c.Span.
+// identity of a new child span whose parent is c.Span. The child of an
+// invalid context is a fresh root (NewSpanContext), so callers that may or
+// may not have inherited a trace need no branch.
 func (c SpanContext) Child() SpanContext {
+	if !c.Valid() {
+		return NewSpanContext()
+	}
 	out := SpanContext{Trace: c.Trace}
 	fillRandom(out.Span[:])
 	return out
@@ -138,34 +143,30 @@ func (c SpanContext) Traceparent() string {
 	return string(b)
 }
 
-// ParseTraceparent parses a W3C traceparent header value. It accepts any
-// two-hex-digit version except the reserved "ff", requires the fixed
-// 2-32-16-2 hex field layout, and rejects all-zero trace or span ids (the
-// spec's invalid values). Unknown trailing fields of future versions are
-// tolerated only behind a further "-".
+// ParseTraceparent parses a W3C traceparent header value. It requires the
+// fixed 2-32-16-2 field layout in lowercase hex, accepts any version except
+// the reserved "ff", and rejects all-zero trace or span ids (the spec's
+// invalid values). Unknown trailing fields are tolerated only behind a
+// further "-", and only for versions after 00, which has none.
 func ParseTraceparent(s string) (SpanContext, bool) {
-	if len(s) < traceparentLen {
+	if len(s) < traceparentLen || s[0:2] == "ff" {
 		return SpanContext{}, false
 	}
-	if len(s) > traceparentLen && s[traceparentLen] != '-' {
+	if len(s) > traceparentLen && (s[0:2] == "00" || s[traceparentLen] != '-') {
 		return SpanContext{}, false
 	}
-	if s[2] != '-' || s[35] != '-' || s[52] != '-' {
-		return SpanContext{}, false
+	for i := range traceparentLen {
+		if i == 2 || i == 35 || i == 52 {
+			if s[i] != '-' {
+				return SpanContext{}, false
+			}
+		} else if !('0' <= s[i] && s[i] <= '9' || 'a' <= s[i] && s[i] <= 'f') {
+			return SpanContext{}, false
+		}
 	}
-	var version [1]byte
-	if hexInto(version[:], []byte(s[0:2]), "version") != nil || s[0:2] == "ff" {
-		return SpanContext{}, false
-	}
-	var c SpanContext
-	if hexInto(c.Trace[:], []byte(s[3:35]), "trace id") != nil ||
-		hexInto(c.Span[:], []byte(s[36:52]), "span id") != nil {
-		return SpanContext{}, false
-	}
-	var flags [1]byte
-	if hexInto(flags[:], []byte(s[53:55]), "flags") != nil {
-		return SpanContext{}, false
-	}
+	var c SpanContext // the digits are checked above, so Decode cannot fail
+	hex.Decode(c.Trace[:], []byte(s[3:35]))
+	hex.Decode(c.Span[:], []byte(s[36:52]))
 	if !c.Valid() {
 		return SpanContext{}, false
 	}
@@ -196,6 +197,18 @@ type Span struct {
 	// job ids). Nil for attribute-free spans — the common case — so span
 	// emission on the disabled path allocates nothing.
 	Attrs map[string]string `json:"attrs,omitempty"`
+}
+
+// NewSpan builds the record of one completed span: sc is its identity,
+// parent the span it hangs under (zero for a root), and start/dur the wall
+// clock interval, stored in the record's microsecond units.
+func NewSpan(sc SpanContext, parent SpanID, name, svc string, start time.Time, dur time.Duration, attrs map[string]string) Span {
+	return Span{
+		Trace: sc.Trace, ID: sc.Span, Parent: parent,
+		Name: name, Service: svc,
+		Start: start.UnixMicro(), Dur: dur.Microseconds(),
+		Attrs: attrs,
+	}
 }
 
 // End returns the span's end time in epoch microseconds.

@@ -56,6 +56,11 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7_01", false},
 		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0x", false},
 		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", false},
+		// The spec's hex is lowercase (so "FF" is the reserved version in
+		// the wrong case), and version 00 has no trailing fields.
+		{"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01", false},
+		{"FF-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", false},
 	}
 	for _, tc := range cases {
 		if _, ok := ParseTraceparent(tc.in); ok != tc.ok {
@@ -112,4 +117,43 @@ func TestSpanContextPropagation(t *testing.T) {
 	if got := SpanFromContext(ctx); got != sc {
 		t.Fatalf("got %+v, want %+v", got, sc)
 	}
+	// The child of an invalid context is a fresh root: valid, and a new
+	// trace each time.
+	a, b := SpanContext{}.Child(), SpanContext{}.Child()
+	if !a.Valid() || !b.Valid() {
+		t.Fatalf("Child of the zero context is invalid: %+v, %+v", a, b)
+	}
+	if a.Trace == b.Trace {
+		t.Fatalf("two roots minted from the zero context share trace %s", a.Trace)
+	}
+}
+
+// FuzzParseTraceparent holds the parser of an untrusted header to its
+// contract: it never panics; an accepted header is W3C-shaped (lowercase,
+// not the reserved version ff in any case, nothing after version 00's
+// flags) and yields a valid context whose Traceparent repeats the input's
+// trace and span ids byte for byte and parses back to the same context.
+// The seed corpus lives in testdata/fuzz/FuzzParseTraceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("accepted %q as invalid context %+v", s, sc)
+		}
+		head := s[:traceparentLen]
+		if v := strings.ToLower(head[:2]); v == "ff" || v == "00" && len(s) != traceparentLen ||
+			strings.ToLower(head) != head {
+			t.Fatalf("accepted %q, which W3C Trace Context rejects", s)
+		}
+		hdr := sc.Traceparent()
+		if hdr[3:52] != s[3:52] {
+			t.Fatalf("Traceparent() = %q does not repeat the ids of %q", hdr, s)
+		}
+		if back, ok := ParseTraceparent(hdr); !ok || back != sc {
+			t.Fatalf("re-parse of %q: %+v ok=%v, want %+v", hdr, back, ok, sc)
+		}
+	})
 }

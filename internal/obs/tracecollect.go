@@ -1,10 +1,12 @@
 package obs
 
-// SpanCollector: a lock-sharded, bounded in-memory span store, plus the
-// deterministic Chrome trace-event exporter. One collector sits in every
-// electd daemon (backing GET /v1/traces) and one in a tracing sweep client
-// (cmd/sweep -trace-out), where coordinator spans and the worker spans
-// returned in chunk responses merge into a single fleet-wide trace.
+// SpanCollector: a bounded in-memory span store (one mutex-guarded ring in
+// insertion order, the same shape as EventLog, so one trace may use the
+// whole buffer), plus the deterministic Chrome trace-event exporter. One
+// collector sits in every electd daemon (backing GET /v1/traces) and one in
+// a tracing sweep client (cmd/sweep -trace-out), where coordinator spans and
+// the worker spans returned in chunk responses merge into a single
+// fleet-wide trace. Every layer builds its records with NewSpan (span.go).
 
 import (
 	"context"
@@ -14,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // spanCtxKey carries a SpanContext through a context.Context.
@@ -34,32 +35,17 @@ func SpanFromContext(ctx context.Context) SpanContext {
 	return sc
 }
 
-// spanShards is the collector's lock-shard count. Spans shard by trace id,
-// so one trace's spans live in one shard and Trace() takes a single lock.
-const spanShards = 16
-
-// entry is one stored span plus its collector-wide insertion sequence (the
-// recency order TraceIDs and Spans report).
-type entry struct {
-	seq  uint64
-	span Span
-}
-
-type spanShard struct {
-	mu   sync.Mutex
-	buf  []entry // ring: slot = writes % cap
-	next int     // write cursor
-}
-
-// SpanCollector stores completed spans in a bounded ring per shard: memory
-// is fixed at construction, the newest spans win, and the oldest fall off
-// silently. All methods are safe for concurrent use, and every method is
+// SpanCollector stores completed spans in one bounded ring kept in
+// insertion order: memory is fixed at construction, the newest spans win,
+// and the oldest fall off silently. One trace may fill the whole buffer.
+// All methods are safe for concurrent use, and every method is
 // nil-receiver-safe — a disabled tracing layer is a nil *SpanCollector, and
 // its Add costs exactly one nil check (the RoundTrace discipline; the
 // simsync allocation-budget test pins the zero-allocation claim).
 type SpanCollector struct {
-	seq    atomic.Uint64
-	shards [spanShards]spanShard
+	mu   sync.Mutex
+	buf  []Span // ring: buf[head] is the oldest held span once full
+	head int
 }
 
 // DefaultSpanCapacity bounds a collector built with capacity 0: enough for
@@ -68,18 +54,12 @@ type SpanCollector struct {
 const DefaultSpanCapacity = 4096
 
 // NewSpanCollector builds a collector holding at most capacity spans
-// (rounded up to a multiple of the shard count; <= 0 means
-// DefaultSpanCapacity).
+// (<= 0 means DefaultSpanCapacity).
 func NewSpanCollector(capacity int) *SpanCollector {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	per := (capacity + spanShards - 1) / spanShards
-	c := &SpanCollector{}
-	for i := range c.shards {
-		c.shards[i].buf = make([]entry, 0, per)
-	}
-	return c
+	return &SpanCollector{buf: make([]Span, 0, capacity)}
 }
 
 // Add stores one completed span. A nil collector ignores the call.
@@ -87,16 +67,14 @@ func (c *SpanCollector) Add(s Span) {
 	if c == nil {
 		return
 	}
-	sh := &c.shards[s.Trace[15]%spanShards]
-	seq := c.seq.Add(1)
-	sh.mu.Lock()
-	if len(sh.buf) < cap(sh.buf) {
-		sh.buf = append(sh.buf, entry{seq, s})
+	c.mu.Lock()
+	if len(c.buf) < cap(c.buf) {
+		c.buf = append(c.buf, s)
 	} else {
-		sh.buf[sh.next] = entry{seq, s}
+		c.buf[c.head] = s
+		c.head = (c.head + 1) % len(c.buf)
 	}
-	sh.next = (sh.next + 1) % cap(sh.buf)
-	sh.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // AddAll stores a batch of spans (worker spans merged from a chunk
@@ -115,40 +93,9 @@ func (c *SpanCollector) Len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.buf)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// snapshot copies every held entry.
-func (c *SpanCollector) snapshot() []entry {
-	var out []entry
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.buf...)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// Spans returns every held span, newest-first by insertion order.
-func (c *SpanCollector) Spans() []Span {
-	if c == nil {
-		return nil
-	}
-	es := c.snapshot()
-	sort.Slice(es, func(i, j int) bool { return es[i].seq > es[j].seq })
-	out := make([]Span, len(es))
-	for i, e := range es {
-		out[i] = e.span
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.buf)
 }
 
 // Trace returns every held span of one trace, in insertion order (oldest
@@ -158,19 +105,13 @@ func (c *SpanCollector) Trace(id TraceID) []Span {
 	if c == nil {
 		return nil
 	}
-	sh := &c.shards[id[15]%spanShards]
-	sh.mu.Lock()
-	es := make([]entry, 0, 8)
-	for _, e := range sh.buf {
-		if e.span.Trace == id {
-			es = append(es, e)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]Span, 0, 8)
+	for i := range c.buf {
+		if s := c.buf[(c.head+i)%len(c.buf)]; s.Trace == id {
+			out = append(out, s)
 		}
-	}
-	sh.mu.Unlock()
-	sort.Slice(es, func(i, j int) bool { return es[i].seq < es[j].seq })
-	out := make([]Span, len(es))
-	for i, e := range es {
-		out[i] = e.span
 	}
 	return out
 }
@@ -182,16 +123,17 @@ func (c *SpanCollector) TraceIDs(limit int) []TraceID {
 	if c == nil {
 		return nil
 	}
-	es := c.snapshot()
-	sort.Slice(es, func(i, j int) bool { return es[i].seq > es[j].seq })
-	seen := make(map[TraceID]struct{}, len(es))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen := make(map[TraceID]struct{})
 	var out []TraceID
-	for _, e := range es {
-		if _, dup := seen[e.span.Trace]; dup {
+	for i := len(c.buf) - 1; i >= 0; i-- {
+		id := c.buf[(c.head+i)%len(c.buf)].Trace
+		if _, dup := seen[id]; dup {
 			continue
 		}
-		seen[e.span.Trace] = struct{}{}
-		out = append(out, e.span.Trace)
+		seen[id] = struct{}{}
+		out = append(out, id)
 		if limit > 0 && len(out) >= limit {
 			break
 		}

@@ -40,30 +40,53 @@ func TestSpanCollectorBasics(t *testing.T) {
 	if len(ids) != 2 || ids[0] != tr {
 		t.Fatalf("TraceIDs = %v", ids)
 	}
-	if all := c.Spans(); len(all) != 3 || all[0].Name != "c" {
-		t.Fatalf("Spans newest-first broken: %+v", all)
-	}
 	if got := c.TraceIDs(1); len(got) != 1 {
 		t.Fatalf("limit ignored: %v", got)
 	}
 }
 
-// TestSpanCollectorBounded fills one shard far past its ring capacity and
-// checks that memory stays bounded and the newest spans survive.
+// TestSpanCollectorBounded adds spans of one trace to rings of exact
+// capacity: a capacity-4 ring filled far past capacity keeps only the
+// newest four, and a capacity-64 ring given 64 spans keeps them all (there
+// is no per-trace cap). Trace returns the survivors oldest first.
 func TestSpanCollectorBounded(t *testing.T) {
-	c := NewSpanCollector(spanShards) // one slot per shard
-	tr := mkSpan(3, 0, "").Trace
-	for i := 0; i < 100; i++ {
-		s := mkSpan(3, byte(i), "s")
-		s.Start = int64(i)
-		c.Add(s)
+	for _, tc := range []struct{ capacity, adds int }{{4, 100}, {64, 64}} {
+		c := NewSpanCollector(tc.capacity)
+		for i := 0; i < tc.adds; i++ {
+			s := mkSpan(3, byte(i), "s")
+			s.Start = int64(i)
+			c.Add(s)
+		}
+		got := c.Trace(mkSpan(3, 0, "").Trace)
+		if c.Len() != tc.capacity || len(got) != tc.capacity {
+			t.Fatalf("capacity %d: ring holds %d, Trace returned %d", tc.capacity, c.Len(), len(got))
+		}
+		first := tc.adds - tc.capacity
+		for i, s := range got {
+			if s.Start != int64(first+i) {
+				t.Fatalf("capacity %d: span %d is %d, want the newest %d oldest first",
+					tc.capacity, i, s.Start, tc.capacity)
+			}
+		}
 	}
-	got := c.Trace(tr)
-	if len(got) != 1 {
-		t.Fatalf("ring held %d spans, want 1", len(got))
+}
+
+// TestSpanCollectorTraceIDsNewestFirst checks the recency order across a
+// wrapped ring: a trace's rank is set by its most recent held span.
+func TestSpanCollectorTraceIDsNewestFirst(t *testing.T) {
+	c := NewSpanCollector(3)
+	for _, tr := range []byte{1, 2, 3, 1, 4, 2} { // ring keeps 1, 4, 2
+		c.Add(mkSpan(tr, tr, "s"))
 	}
-	if got[0].Start != 99 {
-		t.Fatalf("ring kept span %d, want the newest (99)", got[0].Start)
+	ids := c.TraceIDs(0)
+	want := []byte{2, 4, 1}
+	if len(ids) != len(want) {
+		t.Fatalf("TraceIDs = %v, want traces %v", ids, want)
+	}
+	for i, tr := range want {
+		if ids[i] != mkSpan(tr, 0, "").Trace {
+			t.Fatalf("TraceIDs[%d] = %s, want trace %d", i, ids[i], tr)
+		}
 	}
 }
 
@@ -74,7 +97,7 @@ func TestNilSpanCollector(t *testing.T) {
 	var c *SpanCollector
 	c.Add(mkSpan(1, 1, "x"))
 	c.AddAll([]Span{mkSpan(1, 2, "y")})
-	if c.Len() != 0 || c.Spans() != nil || c.Trace(TraceID{}) != nil || c.TraceIDs(5) != nil {
+	if c.Len() != 0 || c.Trace(TraceID{}) != nil || c.TraceIDs(5) != nil {
 		t.Fatal("nil collector not inert")
 	}
 }
@@ -96,7 +119,7 @@ func TestNilSpanCollectorAddAllocs(t *testing.T) {
 	}
 }
 
-// TestSpanCollectorConcurrent is the -race hammer: writers on every shard
+// TestSpanCollectorConcurrent is the -race hammer: writers of many traces
 // racing readers of every accessor.
 func TestSpanCollectorConcurrent(t *testing.T) {
 	c := NewSpanCollector(256)
@@ -119,7 +142,6 @@ func TestSpanCollectorConcurrent(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_ = c.Spans()
 				_ = c.Trace(mkSpan(byte(r), 0, "").Trace)
 				_ = c.TraceIDs(10)
 				_ = c.Len()

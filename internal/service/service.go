@@ -192,12 +192,8 @@ func (s *Server) Handler() http.Handler {
 		began := time.Now()
 		var parent, sc obs.SpanContext
 		if s.spans != nil {
-			var ok bool
-			if parent, ok = obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-				sc = parent.Child()
-			} else {
-				sc = obs.NewSpanContext()
-			}
+			parent, _ = obs.ParseTraceparent(r.Header.Get("traceparent"))
+			sc = parent.Child()
 			w.Header().Set("X-Trace-Id", sc.Trace.String())
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), sc))
 		}
@@ -220,14 +216,10 @@ func (s *Server) Handler() http.Handler {
 		s.met.requests.With(route, r.Method, strconv.Itoa(code)).Inc()
 		s.met.latency.With(route).Observe(dur.Seconds())
 		if s.spans != nil {
-			s.spans.Add(obs.Span{
-				Trace: sc.Trace, ID: sc.Span, Parent: parent.Span,
-				Name: "http.request", Service: s.svc,
-				Start: began.UnixMicro(), Dur: dur.Microseconds(),
-				Attrs: map[string]string{
+			s.spans.Add(obs.NewSpan(sc, parent.Span, "http.request", s.svc, began, dur,
+				map[string]string{
 					"route": route, "method": r.Method, "status": strconv.Itoa(code),
-				},
-			})
+				}))
 		}
 		if s.cfg.Logf != nil {
 			line := fmt.Sprintf("method=%s route=%s path=%s status=%d dur=%s",
@@ -422,18 +414,13 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 // http.request span under that id after the handler returns.
 func (s *Server) chunkSpans(r *http.Request, sc obs.SpanContext, snap jobs.Snapshot) []obs.Span {
 	parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
-	serve := obs.Span{
-		Trace: sc.Trace, ID: sc.Span, Parent: parent.Span,
-		Name: "chunk.serve", Service: s.svc,
-		Start: snap.Created.UnixMicro(),
-		Dur:   snap.Finished.Sub(snap.Created).Microseconds(),
-		Attrs: map[string]string{"job": snap.ID},
-	}
+	serve := obs.NewSpan(sc, parent.Span, "chunk.serve", s.svc,
+		snap.Created, snap.Finished.Sub(snap.Created), map[string]string{"job": snap.ID})
 	qw := queueWaitSpan(sc, s.svc, snap)
 	ex := execSpan(sc, s.svc, snap)
 	s.spans.Add(qw)
 	s.spans.Add(ex)
-	return []obs.Span{serve, qw, ex}
+	return append(make([]obs.Span, 0, 3), serve, qw, ex)
 }
 
 // validRange rejects malformed cell ranges before they consume a queue
@@ -510,26 +497,17 @@ func queueWaitSpan(parent obs.SpanContext, svc string, snap jobs.Snapshot) obs.S
 	if end.IsZero() {
 		end = snap.Finished
 	}
-	return obs.Span{
-		Trace: parent.Trace, ID: parent.Child().Span, Parent: parent.Span,
-		Name: "queue.wait", Service: svc,
-		Start: snap.Created.UnixMicro(),
-		Dur:   end.Sub(snap.Created).Microseconds(),
-		Attrs: map[string]string{"job": snap.ID, "kind": string(snap.Kind)},
-	}
+	return obs.NewSpan(parent.Child(), parent.Span, "queue.wait", svc,
+		snap.Created, end.Sub(snap.Created),
+		map[string]string{"job": snap.ID, "kind": string(snap.Kind)})
 }
 
 // execSpan covers a job's running phase.
 func execSpan(parent obs.SpanContext, svc string, snap jobs.Snapshot) obs.Span {
-	return obs.Span{
-		Trace: parent.Trace, ID: parent.Child().Span, Parent: parent.Span,
-		Name: "job.exec", Service: svc,
-		Start: snap.Started.UnixMicro(),
-		Dur:   snap.Finished.Sub(snap.Started).Microseconds(),
-		Attrs: map[string]string{
+	return obs.NewSpan(parent.Child(), parent.Span, "job.exec", svc,
+		snap.Started, snap.Finished.Sub(snap.Started), map[string]string{
 			"job": snap.ID, "kind": string(snap.Kind), "state": string(snap.State),
-		},
-	}
+		})
 }
 
 // await blocks until the job is terminal or the caller goes away (then the
