@@ -143,26 +143,44 @@ func (c *runConfig) fingerprint(spec Spec) (string, error) {
 // from that Run exactly as they would without a cache. A corrupted cache
 // entry is treated as a miss and overwritten.
 func RunCached(cache Cache, spec Spec, opts ...Option) (Result, bool, error) {
+	res, _, hit, err := RunCachedWire(cache, spec, opts...)
+	return res, hit, err
+}
+
+// RunCachedWire is RunCached that also returns the Result's wire bytes when
+// it holds them anyway: on a miss, the EncodeResult bytes it stored; on a
+// hit, the stored bytes when they are canonical, that is exactly what
+// EncodeResult writes for the Result they decode to. Otherwise — an
+// uncacheable run, or a hit on bytes in any other layout — the bytes are
+// nil. A hit is always decoded: a Cache's bytes need not have been written
+// by this process, and the decode is what checks them. Callers must not
+// modify the bytes.
+func RunCachedWire(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool, error) {
 	if cache == nil {
 		res, err := Run(spec, opts...)
-		return res, false, err
+		return res, nil, false, err
 	}
 	key, err := Fingerprint(spec, opts...)
 	if err != nil {
 		res, err := Run(spec, opts...)
-		return res, false, err
+		return res, nil, false, err
 	}
 	if data, ok := cache.Get(key); ok {
-		if res, err := DecodeResult(data); err == nil {
-			return res, true, nil
+		if res, canonical, err := decodeResult(data); err == nil {
+			if !canonical {
+				data = nil
+			}
+			return res, data, true, nil
 		}
 	}
 	res, err := Run(spec, opts...)
 	if err != nil {
-		return res, false, err
+		return res, nil, false, err
 	}
-	if data, err := EncodeResult(res); err == nil {
-		cache.Put(key, data)
+	data, err := EncodeResult(res)
+	if err != nil {
+		return res, nil, false, nil
 	}
-	return res, false, nil
+	cache.Put(key, data)
+	return res, data, false, nil
 }

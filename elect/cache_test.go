@@ -180,6 +180,44 @@ func TestRunCachedCorruptEntryRecovers(t *testing.T) {
 	}
 }
 
+// TestRunCachedWireBytes: RunCachedWire returns the bytes it stored on a
+// miss and the canonical bytes it read on a hit, no bytes for an uncached
+// run, and on a hit whose bytes decode but are not canonical (2.5E+3
+// where EncodeResult writes 2500) the decoded Result with no bytes.
+func TestRunCachedWireBytes(t *testing.T) {
+	cache := newMemCache()
+	spec := mustSpec(t, "tradeoff")
+	opts := []Option{WithN(32), WithSeed(6)}
+	key, err := Fingerprint(spec, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, wire, hit, err := RunCachedWire(cache, spec, opts...)
+	if err != nil || hit {
+		t.Fatalf("miss: hit=%v err=%v", hit, err)
+	}
+	want, _ := EncodeResult(res)
+	if !bytes.Equal(wire, want) || !bytes.Equal(cache.m[key], want) {
+		t.Fatalf("miss bytes %s, stored %s, want %s", wire, cache.m[key], want)
+	}
+	if _, wire, hit, err := RunCachedWire(cache, spec, opts...); err != nil || !hit || !bytes.Equal(wire, want) {
+		t.Fatalf("hit: hit=%v err=%v bytes %s, want %s", hit, err, wire, want)
+	}
+	if _, wire, _, err := RunCachedWire(nil, spec, opts...); err != nil || wire != nil {
+		t.Fatalf("uncached run: bytes %s err=%v", wire, err)
+	}
+
+	planted := bytes.Replace(want, []byte(`"time_units":0,`), []byte(`"time_units":2.5E+3,`), 1)
+	cache.Put(key, planted)
+	got, wire, hit, err := RunCachedWire(cache, spec, opts...)
+	if err != nil || !hit || wire != nil {
+		t.Fatalf("planted hit: hit=%v err=%v bytes %s, want a hit with no bytes", hit, err, wire)
+	}
+	if got.TimeUnits != 2500 {
+		t.Fatalf("planted hit decoded time_units %v, want 2500", got.TimeUnits)
+	}
+}
+
 // TestFingerprintRunVsRunMany proves the satellite property end to end: the
 // same logical run reaches the same key whether it goes through Run or
 // through RunMany's (n, seed) grid, so each side hits entries the other

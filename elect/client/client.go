@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cliquelect/elect"
 	"cliquelect/internal/obs"
 	"cliquelect/internal/xrand"
 )
@@ -519,7 +520,15 @@ func (c *Client) doHdr(ctx context.Context, method, path string, hdr map[string]
 		if out == nil {
 			return nil
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if run, ok := out.(*RunResponse); ok {
+			var body []byte
+			if body, err = readBody(resp); err == nil {
+				err = decodeRunResponse(body, run)
+			}
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(out)
+		}
+		if err != nil {
 			return fmt.Errorf("electd: decoding %s %s response: %w", method, path, err)
 		}
 		return nil
@@ -571,4 +580,99 @@ func decodeError(resp *http.Response) error {
 		}
 	}
 	return &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(data))}
+}
+
+// maxSizedBody caps how much a response's Content-Length may make
+// readBody allocate up front; a larger body grows as it arrives.
+const maxSizedBody = 16 << 20
+
+// readBody reads a response body whole, into one buffer of the announced
+// Content-Length when there is one.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxSizedBody {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// decodeRunResponse decodes a POST /v1/run reply into a zero out. The
+// layout the daemon writes for a finished run,
+// {"job":{...},"result":{...},"cache_hit":B} and a newline, is split by
+// hand, so the result's bytes are scanned once, by elect.DecodeResult,
+// instead of once more by encoding/json around it. Every other body, and
+// any span that fails to decode, goes through json.Decoder as it always
+// has, so values, errors and the indifference to trailing data are
+// encoding/json's.
+func decodeRunResponse(body []byte, out *RunResponse) error {
+	if splitRunResponse(body, out) {
+		return nil
+	}
+	*out = RunResponse{}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(out)
+}
+
+// splitRunResponse is decodeRunResponse's hand path; it reports false,
+// with out in any state, on a body it does not take.
+func splitRunResponse(body []byte, out *RunResponse) bool {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"job":`))
+	if !ok {
+		return false
+	}
+	end := objectEnd(rest)
+	if end < 0 {
+		return false
+	}
+	job := rest[:end]
+	if rest, ok = bytes.CutPrefix(rest[end:], []byte(`,"result":`)); !ok {
+		return false
+	}
+	rest = bytes.TrimSuffix(rest, []byte("\n"))
+	if rest, ok = bytes.CutSuffix(rest, []byte(`,"cache_hit":true}`)); ok {
+		out.CacheHit = true
+	} else if rest, ok = bytes.CutSuffix(rest, []byte(`,"cache_hit":false}`)); !ok {
+		return false
+	}
+	if json.Unmarshal(job, &out.Job) != nil {
+		return false
+	}
+	if string(bytes.Trim(rest, " \t\r\n")) == "null" {
+		return true // out.Result stays nil, as encoding/json leaves it
+	}
+	res, err := elect.DecodeResult(rest)
+	if err != nil {
+		return false
+	}
+	out.Result = &res
+	return true
+}
+
+// objectEnd returns the length of the JSON object data starts with, or -1.
+// It matches brackets outside strings without validating anything else:
+// whatever it measures is then decoded, which rejects invalid JSON.
+func objectEnd(data []byte) int {
+	if len(data) == 0 || data[0] != '{' {
+		return -1
+	}
+	depth, inString := 0, false
+	for i := 0; i < len(data); i++ {
+		c := data[i]
+		switch {
+		case inString && c == '\\':
+			i++
+		case c == '"':
+			inString = !inString
+		case inString:
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return -1
 }

@@ -106,15 +106,22 @@ func EncodeResult(r Result) ([]byte, error) {
 // DecodeResult parses wire bytes written by EncodeResult. Unknown fields are
 // ignored, so older binaries can read results written by newer ones.
 func DecodeResult(data []byte) (Result, error) {
-	var r Result
+	r, _, err := decodeResult(data)
+	return r, err
+}
+
+// decodeResult is DecodeResult that also reports whether data took the
+// canonical fast path, which guarantees that EncodeResult of the decoded
+// Result gives back exactly data.
+func decodeResult(data []byte) (r Result, canonical bool, err error) {
 	if decodeCanonical(data, &r) {
-		return r, nil
+		return r, true, nil
 	}
 	var ref resultJSON
 	if err := json.Unmarshal(data, &ref); err != nil {
-		return Result{}, fmt.Errorf("elect: decoding result: %w", err)
+		return Result{}, false, fmt.Errorf("elect: decoding result: %w", err)
 	}
-	return Result(ref), nil
+	return Result(ref), false, nil
 }
 
 // EncodeBatchResult renders b in the stable v1 wire form (canonical bytes,
@@ -267,7 +274,9 @@ func appendFloat(b []byte, f float64) []byte {
 // decodeCanonical fills r from data when data is exactly the canonical
 // layout appendResult writes; otherwise it reports false and r holds
 // garbage. Every value it accepts decodes to what the reference decoder
-// produces for the same bytes.
+// produces for the same bytes, and re-encodes to exactly those bytes: an
+// optional field present with its zero value, a non-shortest number or a
+// string the reference would escape is left to the reference.
 func decodeCanonical(data []byte, r *Result) bool {
 	d := wireReader{data: data, ok: true}
 	d.lit(`{"algorithm":`)
@@ -312,6 +321,7 @@ func decodeCanonical(data []byte, r *Result) bool {
 	r.Rounds = d.int()
 	if d.key(`,"per_round":`) {
 		r.PerRound = array(&d, d.int64)
+		d.need(len(r.PerRound) > 0)
 	}
 	d.lit(`,"time_units":`)
 	r.TimeUnits = d.float64()
@@ -325,6 +335,7 @@ func decodeCanonical(data []byte, r *Result) bool {
 	r.TimedOut = d.bool()
 	if d.key(`,"crashed":`) {
 		r.Crashed = array(&d, d.int)
+		d.need(len(r.Crashed) > 0)
 	}
 	d.lit(`,"dropped":`)
 	r.Dropped = d.int64()
@@ -334,12 +345,15 @@ func decodeCanonical(data []byte, r *Result) bool {
 	r.OK = d.bool()
 	if d.key(`,"topo":`) {
 		r.Topo = string(d.str())
+		d.need(r.Topo != "")
 	}
 	if d.key(`,"diameter":`) {
 		r.Diameter = d.int()
+		d.need(r.Diameter != 0)
 	}
 	if d.key(`,"graph_edges":`) {
 		r.GraphEdges = d.int64()
+		d.need(r.GraphEdges != 0)
 	}
 	d.lit(`}`)
 	return d.ok && d.pos == len(d.data)
@@ -373,13 +387,18 @@ func (d *wireReader) char(c byte) bool {
 
 // lit consumes s or fails.
 func (d *wireReader) lit(s string) {
-	if !d.key(s) {
+	d.need(d.key(s))
+}
+
+// need fails unless cond holds.
+func (d *wireReader) need(cond bool) {
+	if !cond {
 		d.ok = false
 	}
 }
 
-// str reads a quoted string that needs no unescaping: printable ASCII
-// without quotes or backslashes. The result aliases the input.
+// str reads a quoted string that encoding/json writes verbatim (see
+// plainString). The result aliases the input.
 func (d *wireReader) str() []byte {
 	if !d.char('"') {
 		d.ok = false
@@ -391,7 +410,7 @@ func (d *wireReader) str() []byte {
 		case c == '"':
 			d.pos++
 			return d.data[start : d.pos-1]
-		case c < 0x20 || c > 0x7e || c == '\\':
+		case c < 0x20 || c > 0x7e || c == '\\' || c == '<' || c == '>' || c == '&':
 			d.ok = false
 			return nil
 		}
@@ -400,7 +419,8 @@ func (d *wireReader) str() []byte {
 	return nil
 }
 
-// number reads a JSON integer literal as its sign and magnitude.
+// number reads a JSON integer literal as its sign and magnitude; -0 fails,
+// since the reference writes zero as 0.
 func (d *wireReader) number() (neg bool, v uint64) {
 	neg = d.char('-')
 	start := d.pos
@@ -414,6 +434,7 @@ func (d *wireReader) number() (neg bool, v uint64) {
 	for _, c := range digits {
 		v = v*10 + uint64(c-'0')
 	}
+	d.need(!neg || v != 0)
 	return neg, v
 }
 
@@ -459,7 +480,8 @@ func (d *wireReader) bool() bool {
 }
 
 // float64 reads a JSON number literal and converts it as the reference
-// does; out-of-range values fail.
+// does; out-of-range values fail, and so does any literal appendFloat would
+// not write back (2.5E+3 for 2500, 1.0 for 1).
 func (d *wireReader) float64() float64 {
 	start := d.pos
 	d.char('-')
@@ -476,11 +498,14 @@ func (d *wireReader) float64() float64 {
 	if !d.ok {
 		return 0
 	}
-	f, err := strconv.ParseFloat(string(d.data[start:d.pos]), 64)
+	lit := d.data[start:d.pos]
+	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
 		d.ok = false
 		return 0
 	}
+	var buf [32]byte
+	d.need(bytes.Equal(appendFloat(buf[:0], f), lit))
 	return f
 }
 

@@ -1,11 +1,9 @@
 package elect_test
 
 import (
-	"encoding/json"
 	"testing"
 
 	"cliquelect/elect"
-	"cliquelect/elect/client"
 )
 
 // codecBenchResult is the wire-codec benchmark input: tradeoff k=4 at
@@ -44,29 +42,6 @@ func BenchmarkDecodeResult(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := elect.DecodeResult(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunResponseDecode decodes a whole POST /v1/run response body, as
-// elect/client does: the envelope through encoding/json, the Result through
-// its UnmarshalJSON.
-func BenchmarkRunResponseDecode(b *testing.B) {
-	res, _ := codecBenchResult(b)
-	body, err := json.Marshal(client.RunResponse{
-		Job:      client.JobStatus{ID: "j1", Kind: "run", State: "done", Done: 1, Total: 1},
-		Result:   &res,
-		CacheHit: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for b.Loop() {
-		var resp client.RunResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
 			b.Fatal(err)
 		}
 	}

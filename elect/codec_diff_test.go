@@ -192,10 +192,12 @@ func TestUnmarshalJSONMerges(t *testing.T) {
 
 // FuzzDecodeResult is the wire-decode trust boundary: on any input,
 // DecodeResult and the reference agree on failure (error text included)
-// and on the decoded value, and re-encoding agrees too.
+// and on the decoded value, and re-encoding agrees too. Input the fast path
+// accepts is canonical: it re-encodes to itself, which is what lets a
+// server splice cached bytes into a reply in place of their re-encoding.
 func FuzzDecodeResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeResult(data)
+		got, canonical, err := decodeResult(data)
 		var ref resultJSON
 		refErr := json.Unmarshal(data, &ref)
 		if (err == nil) != (refErr == nil) {
@@ -214,6 +216,9 @@ func FuzzDecodeResult(f *testing.F) {
 		want, refEncErr := json.Marshal(ref)
 		if (encErr == nil) != (refEncErr == nil) || !bytes.Equal(enc, want) {
 			t.Fatalf("re-encoding differs from the reference:\n got %s (%v)\nwant %s (%v)", enc, encErr, want, refEncErr)
+		}
+		if canonical && !bytes.Equal(enc, data) {
+			t.Fatalf("the fast path accepted non-canonical input:\n got %s\nre-encodes as %s", data, enc)
 		}
 	})
 }

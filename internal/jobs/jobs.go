@@ -65,7 +65,8 @@ type Config struct {
 	// submissions past the bound fail fast with ErrQueueFull (the daemon
 	// turns that into 503). 0 means 256.
 	QueueDepth int
-	// Cache, when non-nil, is consulted by every job (see elect.RunCached);
+	// Cache, when non-nil, is consulted by every job (see elect.RunCached;
+	// run jobs use elect.RunCachedWire and offer the bytes via TakeWire);
 	// jobs submitted with NoCache opt out individually.
 	Cache elect.Cache
 	// BatchWorkers caps the sharded RunMany executor of each batch job.
@@ -331,6 +332,8 @@ type Job struct {
 	total    int
 	cacheHit bool
 	result   *elect.Result
+	wire     []byte // result's wire bytes until TakeWire (KindRun)
+	taken    bool   // TakeWire was called: wire stays nil from then on
 	batchRes *elect.BatchResult
 	chunkRes []elect.Result
 	subs     map[int]chan Snapshot
@@ -419,6 +422,21 @@ func (j *Job) Result() (elect.Result, bool) {
 		return elect.Result{}, false
 	}
 	return *j.result, true
+}
+
+// TakeWire hands over the wire bytes of a Done KindRun job's Result, as
+// elect.RunCachedWire produced them, to one caller: the first call returns
+// them (nil when the run yielded none) and drops the job's reference, so
+// the job table keeps only the decoded Result. Every later call returns
+// nil, and so does a call before the job is done, after which the job
+// never keeps the bytes at all. Result is unaffected. The bytes must not be
+// modified.
+func (j *Job) TakeWire() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	wire := j.wire
+	j.wire, j.taken = nil, true
+	return wire
 }
 
 // BatchResult returns the batch outcome of a Done KindBatch job.
@@ -557,7 +575,7 @@ func (j *Job) execute() {
 	}
 	switch j.Kind {
 	case KindRun:
-		res, hit, err := elect.RunCached(cache, j.spec, j.opts...)
+		res, wire, hit, err := elect.RunCachedWire(cache, j.spec, j.opts...)
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		if err != nil {
@@ -565,6 +583,9 @@ func (j *Job) execute() {
 			return
 		}
 		j.result = &res
+		if !j.taken {
+			j.wire = wire
+		}
 		j.cacheHit = hit
 		j.done = 1
 		j.finishLocked(Done, nil)

@@ -548,3 +548,81 @@ func TestQueueDepthGauge(t *testing.T) {
 		t.Fatalf("topology batch finished %+v", s)
 	}
 }
+
+// TestTakeWireOnce pins the take-once contract: a finished run job hands
+// its wire bytes to the first TakeWire and to no later one, its Result
+// outlives the handover, and a TakeWire before the job finishes means the
+// job never keeps the bytes.
+func TestTakeWireOnce(t *testing.T) {
+	var release chan struct{}
+	m := NewManager(Config{
+		Workers: 1,
+		Cache:   resultcache.New(),
+		// A fenced chunk holds the only worker until release closes.
+		CheckFence: func(uint64) error { <-release; return nil },
+	})
+	defer m.Close()
+	spec := mustSpec(t, "tradeoff")
+	opts := []elect.Option{elect.WithN(64), elect.WithSeed(11)}
+
+	for _, pass := range []string{"miss", "hit"} {
+		j, err := m.SubmitRun(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := wait(t, j); s.CacheHit != (pass == "hit") {
+			t.Fatalf("%s: snapshot %+v", pass, s)
+		}
+		res, ok := j.Result()
+		if !ok {
+			t.Fatalf("%s: no result", pass)
+		}
+		want, err := elect.EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.TakeWire(); string(got) != string(want) {
+			t.Fatalf("%s: TakeWire gave %q, want %q", pass, got, want)
+		}
+		if got := j.TakeWire(); got != nil {
+			t.Fatalf("%s: a second TakeWire gave %d bytes", pass, len(got))
+		}
+		if again, ok := j.Result(); !ok || again.LeaderID != res.LeaderID {
+			t.Fatalf("%s: Result after TakeWire: %+v ok=%v", pass, again, ok)
+		}
+	}
+
+	j, err := m.SubmitRun(spec, opts, NoCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, j)
+	if got := j.TakeWire(); got != nil {
+		t.Fatalf("an uncached run offered %d wire bytes", len(got))
+	}
+
+	// Decline the bytes while the run is still queued behind a chunk.
+	release = make(chan struct{})
+	chunk, err := m.SubmitChunk(spec, elect.Batch{Ns: []int{8}, Seeds: []uint64{1}}, 0, 1, WithFence(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err = m.SubmitRun(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.TakeWire(); got != nil {
+		t.Fatalf("TakeWire on a queued job gave %d bytes", len(got))
+	}
+	close(release)
+	wait(t, chunk)
+	if s := wait(t, j); s.State != Done || !s.CacheHit {
+		t.Fatalf("snapshot %+v", s)
+	}
+	if got := j.TakeWire(); got != nil {
+		t.Fatalf("a declined job kept %d wire bytes", len(got))
+	}
+	if _, ok := j.Result(); !ok {
+		t.Fatal("a declined job lost its Result")
+	}
+}

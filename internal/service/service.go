@@ -254,6 +254,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
+	// A reply that does not splice the wire bytes declines them, so the
+	// job table keeps only the decoded Result.
+	defer job.TakeWire()
 	w.Header().Set("X-Job-Id", job.ID)
 	if req.Async {
 		writeJSON(w, http.StatusAccepted, client.RunResponse{Job: status(job)})
@@ -267,11 +270,52 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, errors.New(st.Error))
 		return
 	}
+	if wire := job.TakeWire(); wire != nil && writeRunWire(w, st, wire) {
+		return
+	}
 	resp := client.RunResponse{Job: st, CacheHit: st.CacheHit}
 	if res, ok := job.Result(); ok {
 		resp.Result = &res
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// Envelope pieces around a run's spliced job status and result bytes.
+var (
+	runHead    = []byte(`{"job":`)
+	runResult  = []byte(`,"result":`)
+	runTailHit = []byte(`,"cache_hit":true}` + "\n")
+	runTailMis = []byte(`,"cache_hit":false}` + "\n")
+)
+
+// writeRunWire writes the 200 reply writeJSON would write for
+// RunResponse{Job: st, Result: <wire decoded>, CacheHit: st.CacheHit},
+// with the result's wire bytes spliced in unchanged instead of decoded,
+// re-encoded and compacted again. The bytes are the same:
+// elect.RunCachedWire yields only bytes that Result.MarshalJSON writes for
+// the Result they decode to, and those are compact JSON with HTML escaped,
+// which encoding/json copies as they are. It reports false, having written
+// nothing, when st does not encode.
+func writeRunWire(w http.ResponseWriter, st client.JobStatus, wire []byte) bool {
+	job, err := json.Marshal(st)
+	if err != nil {
+		return false
+	}
+	tail := runTailMis
+	if st.CacheHit {
+		tail = runTailHit
+	}
+	head := make([]byte, 0, len(runHead)+len(job)+len(runResult))
+	head = append(append(append(head, runHead...), job...), runResult...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(wire)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	// As in writeJSON, a failed write means the caller is gone: there is no
+	// one left to report it to.
+	w.Write(head)
+	w.Write(wire)
+	w.Write(tail)
+	return true
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
