@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"cliquelect/internal/stats"
-	"cliquelect/internal/topo"
 )
 
 // ErrCanceled is returned by RunMany when its Batch.Cancel channel closes
@@ -217,17 +216,13 @@ func CellOptions(b *Batch, ns []int, seeds []uint64, idx int) []Option {
 func CheckRange(spec Spec, b *Batch, ns []int, seeds []uint64, start int, results []Result) error {
 	for i, res := range results {
 		idx := start + i
-		cfg := defaultRunConfig()
-		for _, o := range CellOptions(b, ns, seeds, idx) {
-			o(&cfg)
-		}
-		tp, err := topo.Canonical(cfg.topo)
+		cfg, err := resolve(spec, CellOptions(b, ns, seeds, idx))
 		if err != nil {
 			return err
 		}
-		if res.Algorithm != spec.Name || res.N != cfg.n || res.Seed != cfg.seed || res.Topo != tp {
+		if res.Algorithm != spec.Name || res.N != cfg.n || res.Seed != cfg.seed || res.Topo != cfg.topo {
 			return fmt.Errorf("elect: cell %d answered with %s n=%d seed=%d topo=%q, want %s n=%d seed=%d topo=%q",
-				idx, res.Algorithm, res.N, res.Seed, res.Topo, spec.Name, cfg.n, cfg.seed, tp)
+				idx, res.Algorithm, res.N, res.Seed, res.Topo, spec.Name, cfg.n, cfg.seed, cfg.topo)
 		}
 	}
 	return nil
@@ -246,7 +241,7 @@ func CheckRange(spec Spec, b *Batch, ns []int, seeds []uint64, start int, result
 func RunRange(spec Spec, b Batch, start, count int) ([]Result, error) {
 	ns, seeds := defaultAxes(b.Ns, b.Seeds)
 	total := GridSize(ns, seeds, b.Topos)
-	if start < 0 || count < 1 || start+count > total {
+	if start < 0 || count < 1 || count > total-start {
 		return nil, fmt.Errorf("elect: cell range [%d, %d) outside the %d-cell grid",
 			start, start+count, total)
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
-	"cliquelect/internal/topo"
 )
 
 // Cache is the byte-level store consulted by RunCached and Batch.Cache:
@@ -69,41 +67,41 @@ type faultsKey struct {
 // Fingerprint returns the content-address of the run that Run(spec, opts...)
 // would execute: a hex SHA-256 over a canonical encoding of the spec name,
 // resolved engine, n, seed, parameters, ID assignment, wake policy, delay
-// profile, budget, explicit/trace flags and fault plan. Two option lists
-// that resolve to the same configuration — whatever their order, and whether
-// they reach Run directly or through RunMany's grid — produce the same key;
-// configurations that can differ in any observable way never share one.
+// profile, budget, explicit/trace flags, fault plan and canonical topology.
+// Two option lists that resolve to the same configuration — whatever their
+// order, and whether they reach Run directly or through RunMany's grid —
+// produce the same key; configurations that can differ in any observable
+// way never share one.
 //
-// Only deterministic executions have fingerprints: EngineLive runs and
-// plans with a FaultPlan.NewAdversary factory return an error, which
-// RunCached treats as "bypass the cache".
+// Fingerprint resolves the options exactly as Run does, so a configuration
+// Run rejects before drawing from the seed fails here with Run's error.
+// Errors Run finds only while building the run (a bad parameter, ID list,
+// wake set or fault plan) do not stop a key, but a run that fails stores
+// nothing, so such a key never addresses a cached Result. Among the
+// configurations Run accepts, only the nondeterministic ones have no
+// fingerprint: EngineLive runs and plans with a FaultPlan.NewAdversary
+// factory return an error, which RunCached treats as "bypass the cache".
 func Fingerprint(spec Spec, opts ...Option) (string, error) {
-	cfg := defaultRunConfig()
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := resolve(spec, opts)
+	if err != nil {
+		return "", err
 	}
-	return cfg.fingerprint(spec)
+	return fingerprint(spec, &cfg)
 }
 
-func (c *runConfig) fingerprint(spec Spec) (string, error) {
-	if spec.buildSync == nil && spec.buildAsync == nil {
-		return "", fmt.Errorf("elect: spec %q was not obtained from the registry (use Lookup or Registry)", spec.Name)
-	}
-	engine := c.resolveEngine(spec)
-	if engine == EngineLive {
-		return "", fmt.Errorf("elect: %s engine runs are nondeterministic and have no fingerprint", engine)
+// fingerprint is Fingerprint for a configuration resolve accepted: it
+// refuses the two nondeterministic cases and hashes the rest.
+func fingerprint(spec Spec, c *runConfig) (string, error) {
+	if c.engine == EngineLive {
+		return "", fmt.Errorf("elect: %s engine runs are nondeterministic and have no fingerprint", c.engine)
 	}
 	if c.faults.NewAdversary != nil {
 		return "", fmt.Errorf("elect: fault plans with a NewAdversary factory have no canonical encoding and no fingerprint")
 	}
-	topoCanon, err := topo.Canonical(c.topo)
-	if err != nil {
-		return "", err
-	}
 	payload := fingerprintPayload{
 		Version:   fingerprintVersion,
 		Spec:      spec.Name,
-		Engine:    engine.String(),
+		Engine:    c.engine.String(),
 		N:         c.n,
 		Seed:      c.seed,
 		Params:    c.params,
@@ -122,7 +120,7 @@ func (c *runConfig) fingerprint(spec Spec) (string, error) {
 			DropFirst:   c.faults.DropFirst,
 			DupRate:     c.faults.DupRate,
 		},
-		Topo:       topoCanon,
+		Topo:       c.topo,
 		RoundTrace: c.roundTrace,
 	}
 	data, err := json.Marshal(payload)
@@ -156,13 +154,17 @@ func RunCached(cache Cache, spec Spec, opts ...Option) (Result, bool, error) {
 // by this process, and the decode is what checks them. Callers must not
 // modify the bytes.
 func RunCachedWire(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool, error) {
+	cfg, err := resolve(spec, opts)
+	if err != nil {
+		return rejected(spec, cfg), nil, false, err
+	}
 	if cache == nil {
-		res, err := Run(spec, opts...)
+		res, err := run(spec, cfg)
 		return res, nil, false, err
 	}
-	key, err := Fingerprint(spec, opts...)
+	key, err := fingerprint(spec, &cfg)
 	if err != nil {
-		res, err := Run(spec, opts...)
+		res, err := run(spec, cfg)
 		return res, nil, false, err
 	}
 	if data, ok := cache.Get(key); ok {
@@ -173,7 +175,7 @@ func RunCachedWire(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool
 			return res, data, true, nil
 		}
 	}
-	res, err := Run(spec, opts...)
+	res, err := run(spec, cfg)
 	if err != nil {
 		return res, nil, false, err
 	}

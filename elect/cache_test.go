@@ -123,6 +123,37 @@ func TestFingerprintUncacheable(t *testing.T) {
 	}
 }
 
+// TestFingerprintAgreesWithRun: a configuration Run rejects before
+// executing fails Fingerprint with the same error, so no cache key names a
+// run that cannot happen.
+func TestFingerprintAgreesWithRun(t *testing.T) {
+	tradeoff := mustSpec(t, "tradeoff")
+	async := mustSpec(t, "asynctradeoff")
+	for _, c := range []struct {
+		name string
+		spec Spec
+		opts []Option
+	}{
+		{"n=0", tradeoff, []Option{WithN(0)}},
+		{"trace-on-async", async, []Option{WithTrace()}},
+		{"delays-on-sync", tradeoff, []Option{WithDelays(DelayUniform)}},
+		{"explicit-on-async", async, []Option{WithExplicit()}},
+		{"sync-engine-on-async", async, []Option{WithEngine(EngineSync)}},
+		{"ring-on-tradeoff", tradeoff, []Option{WithTopology("ring")}},
+	} {
+		_, runErr := Run(c.spec, c.opts...)
+		if runErr == nil {
+			t.Fatalf("%s: Run accepted the configuration", c.name)
+		}
+		key, err := Fingerprint(c.spec, c.opts...)
+		if err == nil {
+			t.Errorf("%s: Fingerprint = %s for a configuration Run rejects with %q", c.name, key, runErr)
+		} else if err.Error() != runErr.Error() {
+			t.Errorf("%s: Fingerprint error %q, Run error %q", c.name, err, runErr)
+		}
+	}
+}
+
 func TestRunCachedHitIsByteIdentical(t *testing.T) {
 	cache := newMemCache()
 	spec := mustSpec(t, "tradeoff")

@@ -289,7 +289,7 @@ type ChunkResponse struct {
 // progress events).
 type JobStatus struct {
 	ID    string `json:"id"`
-	Kind  string `json:"kind"` // "run" or "batch"
+	Kind  string `json:"kind"` // "run", "batch" or "chunk"
 	Spec  string `json:"spec"`
 	State string `json:"state"` // queued, running, done, failed, canceled
 	Error string `json:"error,omitempty"`

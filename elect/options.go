@@ -1,6 +1,12 @@
 package elect
 
-import "cliquelect/internal/simasync"
+import (
+	"fmt"
+	"strings"
+
+	"cliquelect/internal/simasync"
+	"cliquelect/internal/topo"
+)
 
 // DelayProfile names an adversarial delay scheduler for the asynchronous
 // simulator. The live engine ignores delays: its schedule is whatever the Go
@@ -72,22 +78,78 @@ type runConfig struct {
 	topo       string
 }
 
-// defaultRunConfig is the option baseline shared by Run, Fingerprint and
-// RunCached — they must agree or cache keys would drift from executions.
+// defaultRunConfig is the configuration of a Run given no options, the
+// baseline resolve applies options over.
 func defaultRunConfig() runConfig {
 	return runConfig{n: 64, engine: EngineAuto, delays: DelayUnit, params: DefaultParams()}
 }
 
-// resolveEngine maps EngineAuto to the spec model's natural simulator, the
-// same way Run does.
-func (c *runConfig) resolveEngine(spec Spec) Engine {
-	if c.engine != EngineAuto {
-		return c.engine
+// resolve applies opts over the defaults and checks the configuration
+// against the spec. It is the one place options become a runConfig: Run,
+// Fingerprint, RunCachedWire and CheckRange all start here, so no
+// configuration Run rejects here has a fingerprint. It makes every check
+// Run makes before drawing from the seed, in Run's order; the checks that
+// need the run's parts built (protocol parameters, explicit IDs, wake set,
+// delay profile, fault plan, a topology n cannot carry) are left to run.
+// It returns the configuration with its engine resolved (never EngineAuto)
+// and its topology in canonical form; on an error the configuration still
+// carries the options' n and seed.
+func resolve(spec Spec, opts []Option) (runConfig, error) {
+	cfg := defaultRunConfig()
+	for _, o := range opts {
+		o(&cfg)
 	}
-	if spec.Model == Async {
-		return EngineAsync
+	if cfg.n < 1 {
+		return cfg, fmt.Errorf("elect: n = %d", cfg.n)
 	}
-	return EngineSync
+	switch {
+	case spec.Model == Sync && spec.buildSync != nil:
+	case spec.Model == Async && spec.buildAsync != nil:
+	default:
+		return cfg, fmt.Errorf("elect: spec %q was not obtained from the registry (use Lookup or Registry)", spec.Name)
+	}
+	if cfg.engine == EngineAuto {
+		cfg.engine = EngineSync
+		if spec.Model == Async {
+			cfg.engine = EngineAsync
+		}
+	}
+	engine := cfg.engine
+	if !spec.Supports(engine) {
+		return cfg, fmt.Errorf("elect: %s runs on the %s model, not on the %s engine",
+			spec.Name, spec.Model, engine)
+	}
+	if cfg.trace && engine != EngineSync {
+		return cfg, fmt.Errorf("elect: WithTrace requires the sync engine (got %s)", engine)
+	}
+	if cfg.roundTrace && engine == EngineLive {
+		return cfg, fmt.Errorf("elect: WithRoundTrace requires a deterministic simulator (got %s engine)", engine)
+	}
+	if cfg.delaysSet && engine == EngineSync {
+		return cfg, fmt.Errorf("elect: WithDelays has no effect on the sync engine")
+	}
+	if cfg.explicit && spec.Model != Sync {
+		return cfg, fmt.Errorf("elect: WithExplicit requires a synchronous spec (got %s)", spec.Name)
+	}
+	if !cfg.faults.IsZero() && engine == EngineLive {
+		return cfg, fmt.Errorf("elect: WithFaults requires a deterministic simulator (got %s engine)", engine)
+	}
+	canon, err := topo.Canonical(cfg.topo)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.topo = canon
+	if canon != "" {
+		if engine == EngineLive {
+			return cfg, fmt.Errorf("elect: WithTopology requires a deterministic simulator (got %s engine)", engine)
+		}
+		family, _ := topo.Family(canon)
+		if !spec.SupportsTopology(family) {
+			return cfg, fmt.Errorf("elect: %s runs on the clique only (topologies: %s)",
+				spec.Name, strings.Join(append([]string{"clique"}, spec.Topologies...), ", "))
+		}
+	}
+	return cfg, nil
 }
 
 // Option configures a Run (and, through Batch.Options, a RunMany).

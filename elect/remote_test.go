@@ -3,6 +3,7 @@ package elect
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -66,6 +67,12 @@ func TestRunRangeValidation(t *testing.T) {
 		if _, err := RunRange(spec, b, rng[0], rng[1]); err == nil {
 			t.Errorf("range [%d, %d) accepted", rng[0], rng[0]+rng[1])
 		}
+	}
+	// A range whose end overflows int is outside the grid too; unchecked,
+	// its cell index would run past the topology axis.
+	ring := Batch{Ns: []int{16}, Seeds: Seeds(1, 1), Topos: []string{"ring"}}
+	if _, err := RunRange(mustSpec(t, "kuttenmoses"), ring, math.MaxInt, 1); err == nil {
+		t.Error("range starting at math.MaxInt accepted")
 	}
 	// Empty Ns/Seeds default like RunMany: a 1-cell grid.
 	out, err := RunRange(spec, Batch{}, 0, 1)

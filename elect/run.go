@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"cliquelect/internal/core"
+	"cliquelect/internal/faults"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/livenet"
 	"cliquelect/internal/obs"
@@ -157,61 +158,29 @@ func (r Result) String() string {
 // combinations) return a non-nil error; a run that merely fails to elect a
 // unique leader returns OK=false.
 func Run(spec Spec, opts ...Option) (Result, error) {
-	cfg := defaultRunConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-
-	res := Result{
-		Algorithm: spec.Name, Model: spec.Model, N: cfg.n, Seed: cfg.seed, Leader: -1,
-	}
-	if cfg.n < 1 {
-		return res, fmt.Errorf("elect: n = %d", cfg.n)
-	}
-	switch {
-	case spec.Model == Sync && spec.buildSync != nil:
-	case spec.Model == Async && spec.buildAsync != nil:
-	default:
-		return res, fmt.Errorf("elect: spec %q was not obtained from the registry (use Lookup or Registry)", spec.Name)
-	}
-	engine := cfg.resolveEngine(spec)
-	res.Engine = engine
-	if !spec.Supports(engine) {
-		return res, fmt.Errorf("elect: %s runs on the %s model, not on the %s engine",
-			spec.Name, spec.Model, engine)
-	}
-	if cfg.trace && engine != EngineSync {
-		return res, fmt.Errorf("elect: WithTrace requires the sync engine (got %s)", engine)
-	}
-	if cfg.roundTrace && engine == EngineLive {
-		return res, fmt.Errorf("elect: WithRoundTrace requires a deterministic simulator (got %s engine)", engine)
-	}
-	if cfg.delaysSet && engine == EngineSync {
-		return res, fmt.Errorf("elect: WithDelays has no effect on the sync engine")
-	}
-	if cfg.explicit && spec.Model != Sync {
-		return res, fmt.Errorf("elect: WithExplicit requires a synchronous spec (got %s)", spec.Name)
-	}
-	if !cfg.faults.IsZero() && engine == EngineLive {
-		return res, fmt.Errorf("elect: WithFaults requires a deterministic simulator (got %s engine)", engine)
-	}
-	topoCanon, err := topo.Canonical(cfg.topo)
+	cfg, err := resolve(spec, opts)
 	if err != nil {
-		return res, err
+		return rejected(spec, cfg), err
 	}
-	cfg.topo = topoCanon
-	if topoCanon != "" {
-		if engine == EngineLive {
-			return res, fmt.Errorf("elect: WithTopology requires a deterministic simulator (got %s engine)", engine)
-		}
-		family, _ := topo.Family(topoCanon)
-		if !spec.SupportsTopology(family) {
-			return res, fmt.Errorf("elect: %s runs on the clique only (topologies: %s)",
-				spec.Name, strings.Join(append([]string{"clique"}, spec.Topologies...), ", "))
-		}
-		res.Topo = topoCanon
-	}
+	return run(spec, cfg)
+}
 
+// rejected is the Result returned with a configuration error from resolve:
+// the run's identity and no outcome.
+func rejected(spec Spec, cfg runConfig) Result {
+	return Result{Algorithm: spec.Name, Model: spec.Model, Engine: cfg.engine, N: cfg.n, Seed: cfg.seed, Leader: -1}
+}
+
+// run executes a configuration resolve accepted. It is the one place an
+// engine is wired: it builds the ID assignment, the protocol factory, the
+// wake set, the fault injector, the topology and the round trace — in this
+// order, which fixes every run's draws from the seed — and hands them to
+// the engine cfg.engine names.
+func run(spec Spec, cfg runConfig) (Result, error) {
+	res := Result{
+		Algorithm: spec.Name, Model: spec.Model, Engine: cfg.engine,
+		N: cfg.n, Seed: cfg.seed, Leader: -1, Topo: cfg.topo,
+	}
 	rng := xrand.New(cfg.seed)
 	assign, err := makeIDs(spec, cfg, rng)
 	if err != nil {
@@ -219,17 +188,110 @@ func Run(spec Spec, opts ...Option) (Result, error) {
 	}
 	res.IDs = append([]int64(nil), assign...)
 
-	switch engine {
-	case EngineSync:
-		err = runSync(spec, cfg, assign, rng, &res)
-	case EngineAsync:
-		err = runAsync(spec, cfg, assign, rng, &res)
-	case EngineLive:
-		err = runLive(spec, cfg, assign, rng, &res)
+	var (
+		syncFactory  simsync.Factory
+		asyncFactory simasync.Factory
+		delays       simasync.DelayPolicy
+	)
+	if cfg.engine == EngineSync {
+		syncFactory, err = spec.buildSync(cfg.params)
+		if err == nil && cfg.explicit {
+			syncFactory = core.NewExplicit(syncFactory)
+		}
+	} else {
+		asyncFactory, err = spec.buildAsync(cfg.n, cfg.params)
+	}
+	if err == nil && cfg.engine == EngineAsync {
+		delays, err = delayPolicy(cfg.delays)
 	}
 	if err != nil {
 		return res, err
 	}
+	wset, err := wakeNodes(cfg, rng)
+	if err != nil {
+		return res, err
+	}
+	// The live engine takes no injector: resolve rejects a non-zero plan
+	// there, and a zero plan is not validated for it. Nor does it take a
+	// topology or round trace, which resolve also rejects.
+	var inj *faults.Injector
+	if cfg.engine != EngineLive {
+		if inj, err = cfg.injector(); err != nil {
+			return res, err
+		}
+	}
+	graph, err := buildTopo(cfg, rng, &res)
+	if err != nil {
+		return res, err
+	}
+	var rt *obs.RoundTrace
+	if cfg.roundTrace {
+		first := 0 // async windows count from 0, sync rounds from 1
+		if cfg.engine == EngineSync {
+			first = 1
+		}
+		rt = obs.NewRoundTrace(cfg.n, first)
+	}
+	seed := rng.Uint64()
+
+	switch cfg.engine {
+	case EngineSync:
+		var wake simsync.WakePolicy = simsync.Simultaneous{}
+		if wset != nil {
+			wake = simsync.AdversarialSet{Nodes: wset}
+		}
+		var rec *trace.Recorder
+		if cfg.trace {
+			rec = trace.NewRecorder(cfg.n)
+		}
+		out, err := simsync.Run(simsync.Config{
+			N: cfg.n, IDs: assign, Seed: seed, Wake: wake, Topo: graph,
+			MaxMessages: cfg.budget, Trace: rec, Faults: inj, Rounds: rt,
+		}, syncFactory)
+		if err != nil {
+			return res, err
+		}
+		res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
+		res.Rounds = out.Rounds
+		res.PerRound = out.PerRound
+		if rec != nil {
+			res.Trace = &TraceSummary{
+				Edges:        rec.TotalEdges(),
+				MaxComponent: rec.MaxComponent(),
+				Components:   rec.NumComponents(),
+				PortOpens:    rec.TotalPortOpens(),
+			}
+		}
+	case EngineAsync:
+		wake := simasync.AllAtZero(cfg.n)
+		if wset != nil {
+			wake = simasync.SubsetAtZero(wset)
+		}
+		out, err := simasync.Run(simasync.Config{
+			N: cfg.n, IDs: assign, Seed: seed, Delays: delays, Wake: wake, Topo: graph,
+			MaxMessages: cfg.budget, Faults: inj, Rounds: rt,
+		}, asyncFactory)
+		if err != nil {
+			return res, err
+		}
+		res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
+		res.TimeUnits = out.TimeUnits
+	case EngineLive:
+		if wset == nil {
+			wset = make([]int, cfg.n)
+			for i := range wset {
+				wset[i] = i
+			}
+		}
+		out, err := livenet.Run(livenet.Config{
+			N: cfg.n, IDs: assign, Seed: seed, Wake: wset, MaxMessages: cfg.budget,
+		}, asyncFactory)
+		if err != nil {
+			return res, err
+		}
+		res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
+	}
+	res.RoundTrace = rt.Stats()
 	if res.Leader >= 0 {
 		res.LeaderID = assign[res.Leader]
 	}
@@ -293,128 +355,6 @@ func wakeNodes(cfg runConfig, rng *xrand.RNG) ([]int, error) {
 		return rng.Sample(cfg.n, min(cfg.wakeCount, cfg.n)), nil
 	}
 	return nil, nil
-}
-
-func runSync(spec Spec, cfg runConfig, assign ids.Assignment, rng *xrand.RNG, res *Result) error {
-	factory, err := spec.buildSync(cfg.params)
-	if err != nil {
-		return err
-	}
-	if cfg.explicit {
-		factory = core.NewExplicit(factory)
-	}
-	wset, err := wakeNodes(cfg, rng)
-	if err != nil {
-		return err
-	}
-	var wake simsync.WakePolicy = simsync.Simultaneous{}
-	if wset != nil {
-		wake = simsync.AdversarialSet{Nodes: wset}
-	}
-	var rec *trace.Recorder
-	if cfg.trace {
-		rec = trace.NewRecorder(cfg.n)
-	}
-	inj, err := cfg.injector()
-	if err != nil {
-		return err
-	}
-	graph, err := buildTopo(cfg, rng, res)
-	if err != nil {
-		return err
-	}
-	var rt *obs.RoundTrace
-	if cfg.roundTrace {
-		rt = obs.NewRoundTrace(cfg.n, 1)
-	}
-	out, err := simsync.Run(simsync.Config{
-		N: cfg.n, IDs: assign, Seed: rng.Uint64(), Wake: wake, Topo: graph,
-		MaxMessages: cfg.budget, Trace: rec, Faults: inj, Rounds: rt,
-	}, factory)
-	if err != nil {
-		return err
-	}
-	res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
-	res.Rounds = out.Rounds
-	res.PerRound = out.PerRound
-	if rec != nil {
-		res.Trace = &TraceSummary{
-			Edges:        rec.TotalEdges(),
-			MaxComponent: rec.MaxComponent(),
-			Components:   rec.NumComponents(),
-			PortOpens:    rec.TotalPortOpens(),
-		}
-	}
-	res.RoundTrace = rt.Stats()
-	return nil
-}
-
-func runAsync(spec Spec, cfg runConfig, assign ids.Assignment, rng *xrand.RNG, res *Result) error {
-	factory, err := spec.buildAsync(cfg.n, cfg.params)
-	if err != nil {
-		return err
-	}
-	policy, err := delayPolicy(cfg.delays)
-	if err != nil {
-		return err
-	}
-	wset, err := wakeNodes(cfg, rng)
-	if err != nil {
-		return err
-	}
-	wake := simasync.AllAtZero(cfg.n)
-	if wset != nil {
-		wake = simasync.SubsetAtZero(wset)
-	}
-	inj, err := cfg.injector()
-	if err != nil {
-		return err
-	}
-	graph, err := buildTopo(cfg, rng, res)
-	if err != nil {
-		return err
-	}
-	var rt *obs.RoundTrace
-	if cfg.roundTrace {
-		rt = obs.NewRoundTrace(cfg.n, 0)
-	}
-	out, err := simasync.Run(simasync.Config{
-		N: cfg.n, IDs: assign, Seed: rng.Uint64(), Delays: policy, Wake: wake, Topo: graph,
-		MaxMessages: cfg.budget, Faults: inj, Rounds: rt,
-	}, factory)
-	if err != nil {
-		return err
-	}
-	res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
-	res.TimeUnits = out.TimeUnits
-	res.RoundTrace = rt.Stats()
-	return nil
-}
-
-func runLive(spec Spec, cfg runConfig, assign ids.Assignment, rng *xrand.RNG, res *Result) error {
-	factory, err := spec.buildAsync(cfg.n, cfg.params)
-	if err != nil {
-		return err
-	}
-	wset, err := wakeNodes(cfg, rng)
-	if err != nil {
-		return err
-	}
-	if wset == nil {
-		wset = make([]int, cfg.n)
-		for i := range wset {
-			wset[i] = i
-		}
-	}
-	out, err := livenet.Run(livenet.Config{
-		N: cfg.n, IDs: assign, Seed: rng.Uint64(), Wake: wset,
-		MaxMessages: cfg.budget,
-	}, factory)
-	if err != nil {
-		return err
-	}
-	res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
-	return nil
 }
 
 // setOutcome copies the engine-independent part of a run's result: the

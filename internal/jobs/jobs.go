@@ -37,7 +37,7 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == Done || s == Failed || s == Canceled }
 
-// Kind distinguishes single runs from batches.
+// Kind distinguishes single runs, batches and fleet chunks.
 type Kind string
 
 // Kinds.

@@ -266,8 +266,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := status(job)
-	if st.State == string(jobs.Failed) {
-		writeError(w, http.StatusUnprocessableEntity, errors.New(st.Error))
+	if st.State != string(jobs.Done) {
+		writeNotDone(w, st)
 		return
 	}
 	if wire := job.TakeWire(); wire != nil && writeRunWire(w, st, wire) {
@@ -360,8 +360,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := status(job)
-	if st.State == string(jobs.Failed) {
-		writeError(w, http.StatusUnprocessableEntity, errors.New(st.Error))
+	if st.State != string(jobs.Done) {
+		writeNotDone(w, st)
 		return
 	}
 	resp := client.BatchResponse{Job: st}
@@ -434,11 +434,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 			writeFenceError(w, stale)
 			return
 		}
-		msg := st.Error
-		if msg == "" {
-			msg = "chunk " + st.State
-		}
-		writeError(w, http.StatusUnprocessableEntity, errors.New(msg))
+		writeNotDone(w, st)
 		return
 	}
 	results, _ := job.ChunkResult()
@@ -467,11 +463,22 @@ func (s *Server) chunkSpans(r *http.Request, sc obs.SpanContext, snap jobs.Snaps
 	return append(make([]obs.Span, 0, 3), serve, qw, ex)
 }
 
+// writeNotDone answers a synchronous request whose job ended Failed or
+// Canceled: 422 with the job's error, or "<kind> canceled" when there is
+// none. A 200 would carry no result.
+func writeNotDone(w http.ResponseWriter, st client.JobStatus) {
+	msg := st.Error
+	if msg == "" {
+		msg = st.Kind + " " + st.State
+	}
+	writeError(w, http.StatusUnprocessableEntity, errors.New(msg))
+}
+
 // validRange rejects malformed cell ranges before they consume a queue
 // slot. elect.RunRange re-validates at execution.
 func validRange(b elect.Batch, start, count int) error {
 	total := elect.GridSize(b.Ns, b.Seeds, b.Topos)
-	if start < 0 || count < 1 || start+count > total {
+	if start < 0 || count < 1 || count > total-start {
 		return fmt.Errorf("cell range [%d, %d) outside the %d-cell grid", start, start+count, total)
 	}
 	return nil

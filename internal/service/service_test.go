@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -248,6 +249,64 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 }
 
+// TestSyncCanceledIs422: a synchronous run or batch whose job is canceled
+// while queued answers 422 "<kind> canceled" instead of a 200 carrying no
+// result, so client.Run and client.Batch return an *APIError.
+func TestSyncCanceledIs422(t *testing.T) {
+	c, _ := newTestDaemon(t, Config{Workers: 1})
+	blocker, err := c.SubmitBatch(ctx(t), client.BatchRequest{
+		Spec: "tradeoff", Ns: []int{4096}, SeedCount: 64, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Cancel(ctx(t), blocker.ID)
+	for _, kind := range []string{"run", "batch"} {
+		rctx := ctx(t)
+		errc := make(chan error, 1)
+		go func() {
+			var err error
+			if kind == "run" {
+				_, err = c.Run(rctx, client.RunRequest{Spec: "tradeoff"})
+			} else {
+				_, err = c.Batch(rctx, client.BatchRequest{Spec: "tradeoff"})
+			}
+			errc <- err
+		}()
+		var id string
+		for deadline := time.Now().Add(10 * time.Second); id == "" && time.Now().Before(deadline); {
+			all, err := c.Jobs(ctx(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range all {
+				if j.Kind == kind && j.ID != blocker.ID && !j.Terminal() {
+					id = j.ID
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if id == "" {
+			t.Fatalf("sync %s job never showed up", kind)
+		}
+		if err := c.Cancel(ctx(t), id); err != nil {
+			t.Fatal(err)
+		}
+		err := <-errc
+		if err == nil {
+			// Legitimate only if the blocker drained and the job ran.
+			if b, berr := c.Job(ctx(t), blocker.ID); berr != nil || !b.Job.Terminal() {
+				t.Fatalf("canceled sync %s returned no error (blocker %+v, err %v)", kind, b, berr)
+			}
+			t.Skipf("blocker drained before the %s was canceled", kind)
+		}
+		apiErr, ok := err.(*client.APIError)
+		if !ok || apiErr.StatusCode != 422 || apiErr.Message != kind+" canceled" {
+			t.Fatalf("canceled sync %s: got %v, want 422 %q", kind, err, kind+" canceled")
+		}
+	}
+}
+
 func TestQueueFullIs503(t *testing.T) {
 	c, _ := newTestDaemon(t, Config{Workers: 1, QueueDepth: 1})
 	// The blocker must outlive the submission loop below by construction
@@ -328,6 +387,11 @@ func TestChunkEndpoint(t *testing.T) {
 		{Spec: "tradeoff", Ns: []int{32}, Seeds: []uint64{1}, Start: -1, Count: 1},
 		{Spec: "tradeoff", Ns: []int{32}, Seeds: []uint64{1}, Start: 0, Count: 0},
 		{Spec: "bogus", Start: 0, Count: 1},
+		// start+count overflows int. Unchecked, a jobs worker indexed the
+		// topology axis out of range and took the daemon down; the request
+		// below shows it still answers.
+		{Spec: "kuttenmoses", Ns: []int{16}, Seeds: []uint64{1}, Topos: []string{"ring"},
+			Start: math.MaxInt, Count: 1},
 	} {
 		if _, err := c.Chunk(ctx(t), bad); err == nil {
 			t.Errorf("chunk %+v accepted", bad)

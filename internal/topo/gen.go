@@ -169,10 +169,7 @@ func PowerLaw(n, m int, rng *xrand.RNG) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topo: n = %d", n)
 	}
-	seed := m + 1
-	if seed > n {
-		seed = n
-	}
+	seed := min(m, n-1) + 1 // m+1 seed nodes, at most n; m+1 may overflow
 	var edges [][2]int
 	// targets is the degree-weighted endpoint multiset: each edge appends
 	// both endpoints, so drawing uniformly from it is preferential
@@ -187,7 +184,7 @@ func PowerLaw(n, m int, rng *xrand.RNG) (*Graph, error) {
 			addEdge(u, v)
 		}
 	}
-	picked := make([]int, 0, m)
+	picked := make([]int, 0, min(m, n))
 	for u := seed; u < n; u++ {
 		picked = picked[:0]
 		for len(picked) < m {

@@ -101,7 +101,8 @@ func intParam(head, arg string, hasArg bool, key string, def int) (int, error) {
 	return val, nil
 }
 
-// parseEdges parses "0-1,1-2,..." into an edge list.
+// parseEdges parses "0-1,1-2,..." into an edge list of non-negative
+// endpoints.
 func parseEdges(arg string) ([][2]int, error) {
 	parts := strings.Split(arg, ",")
 	edges := make([][2]int, 0, len(parts))
@@ -117,6 +118,10 @@ func parseEdges(arg string) ([][2]int, error) {
 		v, err := strconv.Atoi(b)
 		if err != nil {
 			return nil, fmt.Errorf("topo: edge endpoint %q is not an integer", b)
+		}
+		if u < 0 || v < 0 {
+			// "0--1" would canonicalize to "-1-0", which does not parse.
+			return nil, fmt.Errorf("topo: edge %q has a negative endpoint", p)
 		}
 		edges = append(edges, [2]int{u, v})
 	}
