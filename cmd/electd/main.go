@@ -145,34 +145,10 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 			return err
 		}
 		cfg.Control = node
-		// The dispatch fleet is the peer set minus self: a coordinator
-		// shards fleet batches over the other daemons (falling back to local
-		// execution when none survive), never through its own bounded worker
-		// pool. Its fencing token tracks the node's election epoch.
-		var others []string
-		for _, p := range node.Peers() {
-			if p != self {
-				others = append(others, p)
-			}
-		}
-		if len(others) > 0 {
-			fleet, err := distrib.New(distrib.Config{
-				Workers: others,
-				Fence:   node.Token,
-				Logf:    logger.Printf,
-			})
-			if err != nil {
-				return err
-			}
-			cfg.Fleet = fleet
-		}
 	}
 
 	srv := service.New(cfg)
 	defer srv.Close()
-	if cfg.Fleet != nil {
-		cfg.Fleet.SetEvents(srv.Events())
-	}
 	if node != nil {
 		node.SetSpans(srv.Spans())
 		node.SetEvents(srv.Events())

@@ -28,9 +28,9 @@ func ParseInts(s string) ([]int, error) {
 // anything else is a comma-separated list of electd worker hosts/URLs for
 // distributed fleet dispatch ("host1:8090,host2:8090"). Exactly one of the
 // two returns is meaningful: fleet is nil in integer mode, local is 0 in
-// fleet mode. List mode rejects duplicate hosts (dispatching twice to one
-// daemon silently halves a fleet) and bare-integer entries (a mistyped
-// count like "4,8" must not become a hostname).
+// fleet mode. List mode rejects empty and bare-integer entries (a mistyped
+// count like "4,8" must not become a hostname); distrib.New rejects two
+// entries that name one daemon, after normalizing their URLs.
 func ParseWorkers(s string) (local int, fleet []string, err error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -42,7 +42,6 @@ func ParseWorkers(s string) (local int, fleet []string, err error) {
 		}
 		return v, nil, nil
 	}
-	seen := make(map[string]bool)
 	for _, p := range strings.Split(s, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" {
@@ -51,10 +50,6 @@ func ParseWorkers(s string) (local int, fleet []string, err error) {
 		if _, aerr := strconv.Atoi(p); aerr == nil {
 			return 0, nil, fmt.Errorf("bad worker list %q: %q is a number, not a host (worker counts don't mix with host lists)", s, p)
 		}
-		if seen[p] {
-			return 0, nil, fmt.Errorf("bad worker list %q: duplicate host %q", s, p)
-		}
-		seen[p] = true
 		fleet = append(fleet, p)
 	}
 	return 0, fleet, nil

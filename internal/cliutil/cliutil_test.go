@@ -42,9 +42,6 @@ func TestParseWorkers(t *testing.T) {
 		{"http://h1:8090,https://h2", 0, []string{"http://h1:8090", "https://h2"}, true},
 		{"h1,,h2", 0, nil, false},
 		{",", 0, nil, false},
-		// Duplicate hosts: dispatching twice to one daemon halves the fleet.
-		{"h1:1,h2:2,h1:1", 0, nil, false},
-		{"h1:1,h1:1", 0, nil, false},
 		// Bare integers mixed into a host list: almost certainly a mistyped
 		// worker count, never a hostname.
 		{"4,8", 0, nil, false},

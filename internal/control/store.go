@@ -38,8 +38,8 @@ type Store interface {
 }
 
 // FileStore is the production Store: one JSON file, replaced atomically
-// (temp file + fsync + rename) so a crash mid-save leaves the previous
-// state intact. cmd/electd wires it under -state-file.
+// (temp file + fsync + rename + directory fsync) so a crash mid-save leaves
+// the previous state intact. cmd/electd wires it under -state-file.
 type FileStore struct {
 	mu   sync.Mutex
 	path string
@@ -68,7 +68,8 @@ func (s *FileStore) Load() (State, error) {
 	return st, nil
 }
 
-// Save writes st durably: temp file in the same directory, fsync, rename.
+// Save writes st durably: temp file in the same directory, fsync, rename,
+// then fsync the directory so the rename itself survives a power cut.
 func (s *FileStore) Save(st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -98,5 +99,13 @@ func (s *FileStore) Save(st State) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, s.path)
+	if err := os.Rename(tmp, s.path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(s.path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }

@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,14 +48,9 @@ type Config struct {
 	// DefaultChunkSize(total). Must not depend on fleet size (the
 	// partitioner contract).
 	ChunkSize int
-	// ProbeTimeout bounds each health probe; 0 means 2s.
-	ProbeTimeout time.Duration
 	// StragglerAfter is how long a chunk may be in flight before an idle
 	// worker is given a duplicate copy (first answer wins); 0 means 30s.
 	StragglerAfter time.Duration
-	// Logf, when non-nil, receives one line per fleet event (probe results,
-	// failovers, straggler re-dispatches).
-	Logf func(format string, args ...any)
 	// ClientOptions are applied to every worker's client (retry tuning,
 	// test transports).
 	ClientOptions []client.ClientOption
@@ -123,25 +119,14 @@ type worker struct {
 	maxLat     time.Duration
 }
 
-// noteDispatch records one dispatch attempt landing on this worker; dup
-// marks a straggler duplicate of a chunk already in flight elsewhere.
-func (w *worker) noteDispatch(dup bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.dispatches++
-	if dup {
-		w.stragglers++
-	}
-}
+// probeTimeout bounds each health probe.
+const probeTimeout = 2 * time.Second
 
 // New builds a Fleet over the given worker URLs. No probing happens here;
 // the first RunGrid (or an explicit Probe) discovers who is alive.
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("distrib: no workers configured")
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
 	}
 	if cfg.StragglerAfter <= 0 {
 		cfg.StragglerAfter = 30 * time.Second
@@ -158,6 +143,11 @@ func New(cfg Config) (*Fleet, error) {
 		url := NormalizeURL(raw)
 		if url == "" {
 			return nil, fmt.Errorf("distrib: empty worker URL in %v", cfg.Workers)
+		}
+		// Two spellings of one daemon would register it twice and silently
+		// halve the fleet.
+		if slices.ContainsFunc(f.workers, func(w *worker) bool { return w.url == url }) {
+			return nil, fmt.Errorf("distrib: worker %s listed twice in %v", url, cfg.Workers)
 		}
 		f.workers = append(f.workers, &worker{url: url, c: client.New(url, copts...)})
 	}
@@ -178,9 +168,10 @@ func NormalizeURL(s string) string {
 }
 
 // SetEvents journals fleet scheduling events (worker liveness transitions,
-// chunk failovers, straggler duplicates) into log; without it the fleet
-// journals nothing. cmd/electd wires the service's journal in after
-// constructing both. Safe to call while grids are in flight.
+// chunk failovers, straggler duplicates, local fallbacks) into log; without
+// it the fleet journals nothing. The journal is the fleet's only log. The
+// service wires its own journal into the HA fleet it builds. Safe to call
+// while grids are in flight.
 func (f *Fleet) SetEvents(log *obs.EventLog) { f.events.Store(log) }
 
 // ev is the current journal — nil when journaling is off, which makes every
@@ -196,7 +187,7 @@ func (f *Fleet) Probe(ctx context.Context) int {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			h, err := w.c.Health(pctx)
 			w.mu.Lock()
@@ -213,10 +204,10 @@ func (f *Fleet) Probe(ctx context.Context) int {
 			case now && !was:
 				f.ev().Emit("worker.up", "url", w.url)
 			case !now && was:
-				f.ev().Emit("worker.down", "url", w.url, "reason", "probe")
-			}
-			if !now && f.cfg.Logf != nil {
-				f.cfg.Logf("distrib: worker %s unreachable: %v", w.url, err)
+				if err == nil {
+					err = errors.New("healthz not ok")
+				}
+				f.ev().Emit("worker.down", "url", w.url, "reason", "probe", "error", err.Error())
 			}
 		}(w)
 	}
@@ -251,10 +242,9 @@ func (r *runner) RunGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Bat
 
 // chunkState is the scheduler's view of one chunk.
 type chunkState struct {
-	done     bool
-	inflight int                  // concurrent dispatch attempts (straggler dups)
-	since    time.Time            // first dispatch, for straggler detection
-	on       map[*worker]struct{} // workers this chunk is currently running on
+	done  bool
+	since time.Time // first dispatch, for straggler detection
+	on    []*worker // workers this chunk is in flight on: two while a straggler duplicate runs
 }
 
 // completion is one dispatch attempt's outcome, delivered to the scheduler.
@@ -266,36 +256,56 @@ type completion struct {
 	err     error
 }
 
-// runGrid is the scheduler: partition, probe, dispatch, failover, merge.
+// grid is one RunGrid call: its inputs, the partition and cache keys plan
+// computes, and the scheduler's state, which only the goroutine running
+// schedule touches. Attempt goroutines read the inputs and the partition
+// and report back through comp.
+type grid struct {
+	f     *Fleet
+	spec  elect.Spec
+	ns    []int
+	seeds []uint64
+	b     *elect.Batch
+	wopts client.Options
+	ctx   context.Context // canceled when runGrid returns, aborting attempts still in flight
+	sc    obs.SpanContext // the grid span; invalid when untraced
+	fence uint64          // the fencing token every chunk of this grid carries
+
+	chunks []Chunk
+	keys   []string // per-cell cache keys; nil without a cache, "" for an uncacheable cell
+	runs   []elect.Result
+
+	states      []chunkState
+	pending     []int // chunks neither merged nor in flight
+	outstanding int   // attempts in flight, duplicates of merged chunks included
+	merged      int   // cells merged; the grid is done when it reaches len(runs)
+	comp        chan completion
+}
+
+// runGrid probes the fleet and runs the grid's stages: plan, then
+// schedule, which drives one attempt per dispatch and merges each chunk as
+// its first answer arrives.
 func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batch, wopts client.Options) (results []elect.Result, err error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	g := &grid{f: f, spec: spec, ns: ns, seeds: seeds, b: b, wopts: wopts, ctx: ctx,
+		comp: make(chan completion)}
 	// Trace the grid when a collector or an inherited root is configured.
 	// The grid span context also parents every chunk.dispatch and, through
 	// the traced worker clients, the whole remote subtree.
-	var gridSC obs.SpanContext
 	if traced := f.cfg.Spans != nil || f.cfg.Root.Valid(); traced {
-		gridSC = f.cfg.Root.Child()
+		g.sc = f.cfg.Root.Child()
 		gridStart := time.Now()
 		defer func() {
 			attrs := map[string]string{
 				"spec":  spec.Name,
-				"cells": strconv.Itoa(elect.GridSize(ns, seeds, b.Topos)),
+				"cells": strconv.Itoa(len(g.runs)),
 			}
 			if err != nil {
 				attrs["error"] = err.Error()
 			}
-			f.cfg.Spans.Add(obs.NewSpan(gridSC, f.cfg.Root.Span, "grid", "sweep",
+			f.cfg.Spans.Add(obs.NewSpan(g.sc, f.cfg.Root.Span, "grid", "sweep",
 				gridStart, time.Since(gridStart), attrs))
-		}()
-	}
-	if b.Cancel != nil {
-		go func() {
-			select {
-			case <-b.Cancel:
-				cancel()
-			case <-ctx.Done():
-			}
 		}()
 	}
 	// A fleet that is down at grid start takes the same path as one that
@@ -305,274 +315,58 @@ func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batc
 	// The fencing token is captured once per grid: every chunk of this grid
 	// carries the same token, and the scheduler aborts if the local token
 	// moves on mid-grid (this dispatcher was deposed).
-	var fence uint64
 	if f.cfg.Fence != nil {
-		fence = f.cfg.Fence()
+		g.fence = f.cfg.Fence()
 	}
-
-	total := elect.GridSize(ns, seeds, b.Topos)
-	chunks := Partition(total, f.cfg.ChunkSize)
-	runs := make([]elect.Result, total)
-	keys := f.fingerprints(spec, ns, seeds, b)
-
-	// localBatch executes chunks in-process: the failover of last resort
-	// (and the cache probe path). Remote/OnResult are cleared — progress is
-	// reported per merged cell by the scheduler itself.
-	localBatch := *b
-	localBatch.Ns, localBatch.Seeds = ns, seeds
-	localBatch.Remote, localBatch.OnResult = nil, nil
-
-	states := make([]chunkState, len(chunks))
-	var merged int64 // cells merged, for OnResult
-	doneChunks := 0
-	// store is true only for remotely computed cells: cache-resolved chunks
-	// were just read from the cache, and local-fallback cells were already
-	// stored by RunCached — re-Putting either would rewrite disk entries
-	// with the bytes they already hold.
-	finish := func(ci int, results []elect.Result, store bool) {
-		states[ci].done = true
-		doneChunks++
-		for i, res := range results {
-			idx := chunks[ci].Start + i
-			runs[idx] = res
-			if store && keys != nil && keys[idx] != "" && b.Cache != nil {
-				if data, err := elect.EncodeResult(res); err == nil {
-					b.Cache.Put(keys[idx], data)
-				}
-			}
-			merged++
-			if b.OnResult != nil {
-				b.OnResult(int(merged), total)
-			}
-		}
+	g.plan()
+	if err := g.schedule(); err != nil {
+		return nil, err
 	}
-
-	compCh := make(chan completion)
-	outstanding := 0
-	dispatch := func(ci int) bool {
-		w := f.pickWorker(states[ci].on)
-		if w == nil {
-			return false
-		}
-		st := &states[ci]
-		if st.on == nil {
-			st.on = make(map[*worker]struct{}, 2)
-		}
-		st.on[w] = struct{}{}
-		dup := st.inflight > 0
-		w.noteDispatch(dup)
-		st.inflight++
-		if st.since.IsZero() {
-			st.since = time.Now()
-		}
-		outstanding++
-		ch := chunks[ci]
-		go func() {
-			start := time.Now()
-			cctx := ctx
-			var dispSC obs.SpanContext
-			if gridSC.Valid() {
-				// One dispatch span per attempt; the worker client reads the
-				// context and parents its request/attempt spans (and, via the
-				// traceparent header, the worker daemon's subtree) under it.
-				dispSC = gridSC.Child()
-				cctx = obs.ContextWithSpan(ctx, dispSC)
-			}
-			resp, err := w.c.Chunk(cctx, client.ChunkRequest{
-				Spec: spec.Name, Ns: ns, Seeds: seeds, Topos: b.Topos,
-				Start: ch.Start, Count: ch.Count, Fence: fence, Options: wopts,
-			})
-			comp := completion{ci: ci, w: w, dur: time.Since(start), err: err}
-			if err == nil {
-				if len(resp.Results) != ch.Count {
-					comp.err = fmt.Errorf("distrib: worker %s returned %d results for a %d-cell chunk",
-						w.url, len(resp.Results), ch.Count)
-				} else if err := elect.CheckRange(spec, b, ns, seeds, ch.Start, resp.Results); err != nil {
-					comp.err = fmt.Errorf("distrib: worker %s: %w", w.url, err)
-				} else {
-					comp.results = resp.Results
-				}
-			}
-			if dispSC.Valid() {
-				attrs := map[string]string{
-					"worker": w.url,
-					"start":  strconv.Itoa(ch.Start),
-					"count":  strconv.Itoa(ch.Count),
-				}
-				if dup {
-					attrs["dup"] = "true"
-				}
-				if comp.err != nil {
-					attrs["error"] = comp.err.Error()
-				}
-				f.cfg.Spans.Add(obs.NewSpan(dispSC, gridSC.Span, "chunk.dispatch", "sweep",
-					start, comp.dur, attrs))
-				if err == nil {
-					// Merge the worker-side view (serve/queue/exec) into the
-					// coordinator's trace.
-					f.cfg.Spans.AddAll(resp.Spans)
-				}
-			}
-			// Settle the worker's accounting here, not in the scheduler: when
-			// runGrid exits with this dispatch still in flight (straggler race
-			// won elsewhere, abort, cancel) the completion below is dropped,
-			// and a reusable Fleet must not leak the in-flight slot.
-			if w.endChunk(comp.err == nil, ch.Count, comp.dur) {
-				f.ev().Emit("worker.down", "url", w.url, "reason", "chunk")
-			}
-			select {
-			case compCh <- comp:
-			case <-ctx.Done():
-			}
-		}()
-		return true
-	}
-
-	pending := make([]int, 0, len(chunks))
-	for ci := range chunks {
-		pending = append(pending, ci)
-	}
-	stragglerTick := max(f.cfg.StragglerAfter/4, 10*time.Millisecond)
-
-	for doneChunks < len(chunks) {
-		if f.cfg.Fence != nil {
-			if now := f.cfg.Fence(); now != fence {
-				return nil, fmt.Errorf("distrib: fencing token advanced %d → %d mid-grid: %w",
-					fence, now, ErrFenced)
-			}
-		}
-		// Dispatch everything dispatchable; cache-satisfied chunks are merged
-		// without touching the network (this is also what makes re-enqueued
-		// chunks free when their cells got merged meanwhile).
-		still := pending[:0]
-		for _, ci := range pending {
-			if states[ci].done {
-				continue
-			}
-			if results, ok := f.fromCache(b.Cache, keys, chunks[ci]); ok {
-				f.cachedCells.Add(int64(chunks[ci].Count))
-				finish(ci, results, false)
-				continue
-			}
-			if !dispatch(ci) {
-				still = append(still, ci)
-			}
-		}
-		pending = still
-		if doneChunks == len(chunks) {
-			break
-		}
-
-		if outstanding == 0 {
-			if len(pending) == 0 {
-				break
-			}
-			// Every worker is dead (or saturated to zero): fail the next
-			// chunk over to local execution so the sweep still completes.
-			ci := pending[0]
-			pending = pending[1:]
-			if f.cfg.Logf != nil {
-				f.cfg.Logf("distrib: no worker alive, running chunk [%d, %d) locally",
-					chunks[ci].Start, chunks[ci].End())
-			}
-			results, err := elect.RunRange(spec, localBatch, chunks[ci].Start, chunks[ci].Count)
-			if err != nil {
-				return nil, err
-			}
-			f.localCells.Add(int64(chunks[ci].Count))
-			finish(ci, results, false)
-			continue
-		}
-
-		select {
-		case <-ctx.Done():
-			return nil, elect.ErrCanceled
-		case comp := <-compCh:
-			outstanding--
-			st := &states[comp.ci]
-			st.inflight--
-			delete(st.on, comp.w)
-			switch {
-			case comp.err != nil && fencedStatus(comp.err):
-				// A worker holds a newer epoch than this grid's token: we were
-				// deposed, and the new coordinator owns the remaining work.
-				return nil, fmt.Errorf("distrib: chunk [%d, %d) on %s rejected (%v): %w",
-					chunks[comp.ci].Start, chunks[comp.ci].End(), comp.w.url, comp.err, ErrFenced)
-			case comp.err != nil && definite(comp.err):
-				// The daemon answered: this configuration fails everywhere.
-				return nil, fmt.Errorf("distrib: chunk [%d, %d) on %s: %w",
-					chunks[comp.ci].Start, chunks[comp.ci].End(), comp.w.url, comp.err)
-			case comp.err != nil:
-				if f.cfg.Logf != nil {
-					f.cfg.Logf("distrib: worker %s failed chunk [%d, %d): %v",
-						comp.w.url, chunks[comp.ci].Start, chunks[comp.ci].End(), comp.err)
-				}
-				if !st.done && st.inflight == 0 {
-					f.retried.Add(1)
-					f.ev().Emit("chunk.failover",
-						"worker", comp.w.url,
-						"start", strconv.Itoa(chunks[comp.ci].Start),
-						"count", strconv.Itoa(chunks[comp.ci].Count))
-					pending = append(pending, comp.ci)
-				}
-			case st.done:
-				// A straggler's duplicate finished too; first answer won.
-			default:
-				finish(comp.ci, comp.results, true)
-			}
-		case <-time.After(stragglerTick):
-			for ci := range states {
-				st := &states[ci]
-				if st.done || st.inflight != 1 || time.Since(st.since) < f.cfg.StragglerAfter {
-					continue
-				}
-				if dispatch(ci) {
-					f.retried.Add(1)
-					f.ev().Emit("chunk.straggler",
-						"start", strconv.Itoa(chunks[ci].Start),
-						"count", strconv.Itoa(chunks[ci].Count),
-						"inflight", time.Since(st.since).Round(time.Millisecond).String())
-					if f.cfg.Logf != nil {
-						f.cfg.Logf("distrib: chunk [%d, %d) straggling %v, re-dispatched",
-							chunks[ci].Start, chunks[ci].End(), time.Since(st.since).Round(time.Millisecond))
-					}
-				}
-			}
-		}
-	}
-	return runs, nil
+	return g.runs, nil
 }
 
-// fingerprints computes every cell's cache key, or nil when the batch has
-// no cache. Uncacheable configurations (adaptive adversaries) leave empty
-// keys and always dispatch.
-func (f *Fleet) fingerprints(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batch) []string {
-	if b.Cache == nil {
-		return nil
-	}
-	keys := make([]string, elect.GridSize(ns, seeds, b.Topos))
-	for idx := range keys {
-		if key, err := elect.Fingerprint(spec, elect.CellOptions(b, ns, seeds, idx)...); err == nil {
-			keys[idx] = key
+// plan partitions the grid, computes every cell's cache key, and merges
+// each chunk the cache holds whole. The other chunks are left pending.
+// Uncacheable configurations (adaptive adversaries) get empty keys and
+// always dispatch.
+func (g *grid) plan() {
+	total := elect.GridSize(g.ns, g.seeds, g.b.Topos)
+	g.chunks = Partition(total, g.f.cfg.ChunkSize)
+	g.runs = make([]elect.Result, total)
+	g.states = make([]chunkState, len(g.chunks))
+	if g.b.Cache != nil {
+		g.keys = make([]string, total)
+		for idx := range g.keys {
+			if key, err := elect.Fingerprint(g.spec, elect.CellOptions(g.b, g.ns, g.seeds, idx)...); err == nil {
+				g.keys[idx] = key
+			}
 		}
 	}
-	return keys
+	g.pending = make([]int, 0, len(g.chunks))
+	for ci, ch := range g.chunks {
+		if results, ok := g.fromCache(ch); ok {
+			g.f.cachedCells.Add(int64(ch.Count))
+			g.merge(ci, results, false)
+			continue
+		}
+		g.pending = append(g.pending, ci)
+	}
 }
 
 // fromCache resolves a whole chunk from the fingerprint cache, or reports
 // false without side effects (partial hits still dispatch: the worker's own
 // cache covers its cells).
-func (f *Fleet) fromCache(cache elect.Cache, keys []string, ch Chunk) ([]elect.Result, bool) {
-	if cache == nil || keys == nil {
+func (g *grid) fromCache(ch Chunk) ([]elect.Result, bool) {
+	if g.keys == nil {
 		return nil, false
 	}
 	results := make([]elect.Result, ch.Count)
-	for i := 0; i < ch.Count; i++ {
-		key := keys[ch.Start+i]
+	for i := range results {
+		key := g.keys[ch.Start+i]
 		if key == "" {
 			return nil, false
 		}
-		data, ok := cache.Get(key)
+		data, ok := g.b.Cache.Get(key)
 		if !ok {
 			return nil, false
 		}
@@ -583,6 +377,211 @@ func (f *Fleet) fromCache(cache elect.Cache, keys []string, ch Chunk) ([]elect.R
 		results[i] = res
 	}
 	return results, true
+}
+
+// schedule runs the dispatch loop until every chunk is merged. Each pass
+// checks the fence and the batch's Cancel, dispatches every pending chunk a
+// worker can take, and runs one chunk locally when nothing is in flight
+// (every worker is dead or saturated to zero). Otherwise it waits for an
+// attempt to finish, failing its chunk over on a transient error, or for
+// the straggler tick.
+func (g *grid) schedule() error {
+	f, chunks := g.f, g.chunks
+	tick := time.NewTicker(max(f.cfg.StragglerAfter/4, 10*time.Millisecond))
+	defer tick.Stop()
+	for g.merged < len(g.runs) {
+		if f.cfg.Fence != nil {
+			if now := f.cfg.Fence(); now != g.fence {
+				return fmt.Errorf("distrib: fencing token advanced %d → %d mid-grid: %w",
+					g.fence, now, ErrFenced)
+			}
+		}
+		select {
+		case <-g.b.Cancel:
+			return elect.ErrCanceled
+		default:
+		}
+		still := g.pending[:0]
+		for _, ci := range g.pending {
+			if !g.dispatch(ci) {
+				still = append(still, ci)
+			}
+		}
+		g.pending = still
+
+		if g.outstanding == 0 {
+			// Nothing in flight, so every unmerged chunk is pending: run the
+			// next one in-process so the sweep still completes. Remote and
+			// OnResult are cleared, since merge reports progress per cell.
+			ci := g.pending[0]
+			g.pending = g.pending[1:]
+			ch := chunks[ci]
+			f.ev().Emit("chunk.local", "start", strconv.Itoa(ch.Start), "count", strconv.Itoa(ch.Count))
+			local := *g.b
+			local.Ns, local.Seeds = g.ns, g.seeds
+			local.Remote, local.OnResult = nil, nil
+			results, err := elect.RunRange(g.spec, local, ch.Start, ch.Count)
+			if err != nil {
+				return err
+			}
+			f.localCells.Add(int64(ch.Count))
+			// RunRange already stored the cells in the cache.
+			g.merge(ci, results, false)
+			continue
+		}
+
+		select {
+		case <-g.b.Cancel:
+			return elect.ErrCanceled
+		case c := <-g.comp:
+			g.outstanding--
+			st := &g.states[c.ci]
+			st.on = slices.DeleteFunc(st.on, func(w *worker) bool { return w == c.w })
+			ch := chunks[c.ci]
+			switch {
+			case c.err != nil && fencedStatus(c.err):
+				// A worker holds a newer epoch than this grid's token: we were
+				// deposed, and the new coordinator owns the remaining work.
+				return fmt.Errorf("distrib: chunk [%d, %d) on %s rejected (%v): %w",
+					ch.Start, ch.End(), c.w.url, c.err, ErrFenced)
+			case c.err != nil && definite(c.err):
+				// The daemon answered: this configuration fails everywhere.
+				return fmt.Errorf("distrib: chunk [%d, %d) on %s: %w",
+					ch.Start, ch.End(), c.w.url, c.err)
+			case c.err != nil:
+				if !st.done && len(st.on) == 0 {
+					f.retried.Add(1)
+					f.ev().Emit("chunk.failover", "worker", c.w.url,
+						"start", strconv.Itoa(ch.Start), "count", strconv.Itoa(ch.Count),
+						"error", c.err.Error())
+					g.pending = append(g.pending, c.ci)
+				}
+			case st.done:
+				// A straggler's duplicate finished too; first answer won.
+			default:
+				g.merge(c.ci, c.results, true)
+			}
+		case <-tick.C:
+			for ci := range g.states {
+				st := &g.states[ci]
+				if st.done || len(st.on) != 1 || time.Since(st.since) < f.cfg.StragglerAfter {
+					continue
+				}
+				if g.dispatch(ci) {
+					f.retried.Add(1)
+					f.ev().Emit("chunk.straggler",
+						"start", strconv.Itoa(chunks[ci].Start),
+						"count", strconv.Itoa(chunks[ci].Count),
+						"inflight", time.Since(st.since).Round(time.Millisecond).String())
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// dispatch starts one attempt of chunk ci on the best worker not already
+// running it, or reports false when no worker can take it.
+func (g *grid) dispatch(ci int) bool {
+	st := &g.states[ci]
+	w := g.f.pickWorker(st.on)
+	if w == nil {
+		return false
+	}
+	dup := len(st.on) > 0
+	st.on = append(st.on, w)
+	if st.since.IsZero() {
+		st.since = time.Now()
+	}
+	g.outstanding++
+	go func() {
+		c := g.attempt(ci, w, dup)
+		select {
+		case g.comp <- c:
+		case <-g.ctx.Done():
+		}
+	}()
+	return true
+}
+
+// attempt is one dispatch of chunk ci to w: it sends the request, checks
+// the answer, records the chunk.dispatch span and settles the worker's
+// accounting. It settles the accounting itself because runGrid may return
+// with this attempt still in flight (a straggler race won elsewhere, an
+// abort, a cancel), and a reusable Fleet must not leak the in-flight slot.
+func (g *grid) attempt(ci int, w *worker, dup bool) completion {
+	ch := g.chunks[ci]
+	start := time.Now()
+	ctx := g.ctx
+	var sc obs.SpanContext
+	if g.sc.Valid() {
+		// One dispatch span per attempt; the worker client reads the
+		// context and parents its request/attempt spans (and, via the
+		// traceparent header, the worker daemon's subtree) under it.
+		sc = g.sc.Child()
+		ctx = obs.ContextWithSpan(ctx, sc)
+	}
+	resp, err := w.c.Chunk(ctx, client.ChunkRequest{
+		Spec: g.spec.Name, Ns: g.ns, Seeds: g.seeds, Topos: g.b.Topos,
+		Start: ch.Start, Count: ch.Count, Fence: g.fence, Options: g.wopts,
+	})
+	c := completion{ci: ci, w: w, dur: time.Since(start), err: err}
+	if err == nil {
+		if len(resp.Results) != ch.Count {
+			c.err = fmt.Errorf("distrib: worker %s returned %d results for a %d-cell chunk",
+				w.url, len(resp.Results), ch.Count)
+		} else if err := elect.CheckRange(g.spec, g.b, g.ns, g.seeds, ch.Start, resp.Results); err != nil {
+			c.err = fmt.Errorf("distrib: worker %s: %w", w.url, err)
+		} else {
+			c.results = resp.Results
+		}
+	}
+	if sc.Valid() {
+		attrs := map[string]string{
+			"worker": w.url,
+			"start":  strconv.Itoa(ch.Start),
+			"count":  strconv.Itoa(ch.Count),
+		}
+		if dup {
+			attrs["dup"] = "true"
+		}
+		if c.err != nil {
+			attrs["error"] = c.err.Error()
+		}
+		g.f.cfg.Spans.Add(obs.NewSpan(sc, g.sc.Span, "chunk.dispatch", "sweep", start, c.dur, attrs))
+		if err == nil {
+			// Merge the worker-side view (serve/queue/exec) into the
+			// coordinator's trace.
+			g.f.cfg.Spans.AddAll(resp.Spans)
+		}
+	}
+	if w.endChunk(c.err == nil, ch.Count, c.dur) {
+		g.f.ev().Emit("worker.down", "url", w.url, "reason", "chunk", "error", c.err.Error())
+	}
+	return c
+}
+
+// merge places chunk ci's results in the grid and reports each cell to
+// OnResult. store is true only for cells a worker computed: cache-resolved
+// chunks were just read from the cache, and local-fallback cells were
+// already stored by RunRange, so re-Putting either would rewrite disk
+// entries with the bytes they already hold.
+func (g *grid) merge(ci int, results []elect.Result, store bool) {
+	g.states[ci].done = true
+	start := g.chunks[ci].Start
+	for i, res := range results {
+		idx := start + i
+		g.runs[idx] = res
+		if store && g.keys != nil && g.keys[idx] != "" {
+			if data, err := elect.EncodeResult(res); err == nil {
+				g.b.Cache.Put(g.keys[idx], data)
+			}
+		}
+		g.merged++
+		if g.b.OnResult != nil {
+			g.b.OnResult(g.merged, len(g.runs))
+		}
+	}
 }
 
 // definite reports errors a different worker cannot fix: the daemon
@@ -611,13 +610,15 @@ const maxInflight = 2
 
 // pickWorker chooses the dispatch target: the alive worker with the fewest
 // chunks in flight (below maxInflight), ties broken by the lighter
-// probe-time queue, skipping workers in exclude (a straggler's duplicate
-// must go somewhere new). Returns nil when nobody qualifies.
-func (f *Fleet) pickWorker(exclude map[*worker]struct{}) *worker {
+// probe-time queue, skipping the workers the chunk already runs on (a
+// straggler's duplicate must go somewhere new). It counts the dispatch on
+// the worker it picks, as a straggler duplicate when on is non-empty.
+// Returns nil when nobody qualifies.
+func (f *Fleet) pickWorker(on []*worker) *worker {
 	var best *worker
 	bestInflight, bestQueue := 0, 0
 	for _, w := range f.workers {
-		if _, dup := exclude[w]; dup {
+		if slices.Contains(on, w) {
 			continue
 		}
 		w.mu.Lock()
@@ -634,6 +635,10 @@ func (f *Fleet) pickWorker(exclude map[*worker]struct{}) *worker {
 	if best != nil {
 		best.mu.Lock()
 		best.inflight++
+		best.dispatches++
+		if len(on) > 0 {
+			best.stragglers++
+		}
 		best.mu.Unlock()
 	}
 	return best

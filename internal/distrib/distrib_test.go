@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +20,7 @@ import (
 
 	"cliquelect/elect/client"
 	. "cliquelect/internal/distrib"
+	"cliquelect/internal/obs"
 	"cliquelect/internal/resultcache"
 	"cliquelect/internal/service"
 )
@@ -356,7 +360,6 @@ func TestFleetUnreachableFallsBackToRunMany(t *testing.T) {
 	}
 	fleet, err := New(Config{
 		Workers:       []string{deadURL},
-		ProbeTimeout:  100 * time.Millisecond,
 		ClientOptions: []client.ClientOption{client.WithRetry(1, time.Millisecond)},
 	})
 	if err != nil {
@@ -374,6 +377,63 @@ func TestFleetUnreachableFallsBackToRunMany(t *testing.T) {
 	grid := elect.GridSize(b.Ns, b.Seeds, b.Topos)
 	if stats := fleet.Stats(); stats.LocalCells != int64(grid) {
 		t.Fatalf("LocalCells = %d, want the whole %d-cell grid", stats.LocalCells, grid)
+	}
+}
+
+// TestFleetJournal: the journal is the fleet's only log. A fleet whose
+// only worker is dead journals one chunk.local per chunk, and a chunk that
+// fails on a worker journals chunk.failover with the error.
+func TestFleetJournal(t *testing.T) {
+	b, wire := testGrid()
+	spec := mustSpec(t, "tradeoff")
+	byKind := func(log *obs.EventLog, kind string) []obs.Event {
+		var out []obs.Event
+		for _, e := range log.Events(0, 0) {
+			if e.Kind == kind {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
+	dead := newHarness(t)
+	dead.ts.Close()
+	fleet := newFleet(t, Config{ChunkSize: 4}, dead)
+	log := obs.NewEventLog(0, "coordinator")
+	fleet.SetEvents(log)
+	remote := b
+	remote.Remote = fleet.Runner(wire)
+	if _, err := elect.RunMany(spec, remote); err != nil {
+		t.Fatal(err)
+	}
+	var got []Chunk
+	for _, e := range byKind(log, "chunk.local") {
+		start, _ := strconv.Atoi(e.Fields["start"])
+		count, _ := strconv.Atoi(e.Fields["count"])
+		got = append(got, Chunk{Start: start, Count: count})
+	}
+	want := Partition(elect.GridSize(b.Ns, b.Seeds, b.Topos), 4)
+	if !slices.Equal(got, want) {
+		t.Fatalf("chunk.local events cover %v, want one per chunk %v", got, want)
+	}
+
+	survivor, victim := newHarness(t), newHarness(t)
+	victim.failAfter.Store(1)
+	fleet = newFleet(t, Config{ChunkSize: 2}, survivor, victim)
+	log = obs.NewEventLog(0, "coordinator")
+	fleet.SetEvents(log)
+	remote.Remote = fleet.Runner(wire)
+	if _, err := elect.RunMany(spec, remote); err != nil {
+		t.Fatal(err)
+	}
+	failovers := byKind(log, "chunk.failover")
+	if len(failovers) == 0 {
+		t.Fatal("no chunk.failover journaled despite a dead worker")
+	}
+	for _, e := range failovers {
+		if e.Fields["worker"] != NormalizeURL(victim.ts.URL) || e.Fields["error"] == "" {
+			t.Fatalf("chunk.failover %v, want the victim's URL and its error", e.Fields)
+		}
 	}
 }
 
@@ -638,6 +698,21 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Workers: []string{"  "}}); err == nil {
 		t.Fatal("blank worker URL accepted")
 	}
+	// Two entries for one daemon would register it twice and halve the
+	// fleet, however the second one is spelled.
+	for _, workers := range [][]string{
+		{"h1:1", "h2:2", "h1:1"},
+		{"h1:1", "h1:1"},
+		{"localhost:8090", "http://localhost:8090/"},
+	} {
+		if _, err := New(Config{Workers: workers}); err == nil {
+			t.Fatalf("duplicate workers %q accepted", workers)
+		}
+	}
+	// The same host on different ports is two daemons.
+	if _, err := New(Config{Workers: []string{"h1:1", "h1:2"}}); err != nil {
+		t.Fatalf("two ports on one host rejected: %v", err)
+	}
 	if got := NormalizeURL(" host:8090/ "); got != "http://host:8090" {
 		t.Fatalf("NormalizeURL = %q", got)
 	}
@@ -646,11 +721,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// Probe must be bounded by ProbeTimeout even against a black-hole address.
+// Probe must be bounded by its timeout even against a black hole: a
+// listener that never accepts, so the connection opens and no answer ever
+// comes.
 func TestProbeTimeout(t *testing.T) {
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hole.Close() })
 	f, err := New(Config{
-		Workers:       []string{"http://192.0.2.1:1"}, // TEST-NET, never routes
-		ProbeTimeout:  50 * time.Millisecond,
+		Workers:       []string{hole.Addr().String()},
 		ClientOptions: []client.ClientOption{client.WithRetry(1, time.Millisecond)},
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"cliquelect/internal/core"
 	"cliquelect/internal/ids"
+	"cliquelect/internal/obs"
 	"cliquelect/internal/simasync"
 	"cliquelect/internal/stats"
 	"cliquelect/internal/xrand"
@@ -26,14 +27,17 @@ func measureAsync(n, seeds int, seed uint64, factory simasync.Factory,
 	var pt asyncPoint
 	for s := 0; s < seeds; s++ {
 		assign := ids.Random(ids.LogUniverse(n), n, rng)
+		rounds := obs.NewRoundTrace(n, 0)
 		res, err := simasync.Run(simasync.Config{
-			N: n, IDs: assign, Seed: rng.Uint64(), Delays: delays, Wake: wake,
+			N: n, IDs: assign, Seed: rng.Uint64(), Delays: delays, Wake: wake, Rounds: rounds,
 		}, factory)
 		if err != nil {
 			return pt, err
 		}
 		pt.msgs += float64(res.Messages)
-		pt.wakeMsgs += float64(res.PerKind[core.KindWakeup])
+		for _, st := range rounds.Stats() {
+			pt.wakeMsgs += float64(st.Kinds[core.KindWakeup])
+		}
 		pt.timeUnits += float64(res.TimeUnits)
 		if res.Validate() == nil {
 			pt.successes++

@@ -76,7 +76,7 @@ type SLOStatus struct {
 	// Requests is the number of requests observed inside the window.
 	Requests int64 `json:"requests"`
 	// WindowSeconds is the actual span of the window the ratio covers (less
-	// than the configured window early in a daemon's life).
+	// than DefaultSLOWindow early in a daemon's life).
 	WindowSeconds float64 `json:"window_seconds"`
 }
 
@@ -85,9 +85,6 @@ type SLOStatus struct {
 // construct with NewSLOTracker.
 type SLOTracker struct {
 	source func() SLOSample
-	budget float64
-	window time.Duration
-	step   time.Duration
 	now    func() time.Time
 
 	mu     sync.Mutex
@@ -99,38 +96,18 @@ type sloPoint struct {
 	s SLOSample
 }
 
-// SLO defaults: up to 1% of requests may be bad (5xx or slower than the
+// The SLO: up to 1% of requests may be bad (5xx or slower than the
 // objective), judged over a 5-minute window sampled every 10 seconds.
 const (
 	DefaultSLOBudget = 0.01
 	DefaultSLOWindow = 5 * time.Minute
-	defaultSLOStep   = 10 * time.Second
+	sloStep          = 10 * time.Second
 )
 
 // NewSLOTracker builds a tracker over source, which must return cumulative
-// (never decreasing) totals. budget <= 0 means DefaultSLOBudget; window
-// <= 0 means DefaultSLOWindow.
-func NewSLOTracker(source func() SLOSample, budget float64, window time.Duration) *SLOTracker {
-	if budget <= 0 {
-		budget = DefaultSLOBudget
-	}
-	if window <= 0 {
-		window = DefaultSLOWindow
-	}
-	step := window / 30
-	if step > defaultSLOStep {
-		step = defaultSLOStep
-	}
-	if step <= 0 {
-		step = time.Second
-	}
-	return &SLOTracker{
-		source: source,
-		budget: budget,
-		window: window,
-		step:   step,
-		now:    time.Now,
-	}
+// (never decreasing) totals.
+func NewSLOTracker(source func() SLOSample) *SLOTracker {
+	return &SLOTracker{source: source, now: time.Now}
 }
 
 // setClock pins the tracker's clock (tests).
@@ -145,12 +122,12 @@ func (t *SLOTracker) Status() SLOStatus {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n := len(t.points); n == 0 || now.Sub(t.points[n-1].t) >= t.step {
+	if n := len(t.points); n == 0 || now.Sub(t.points[n-1].t) >= sloStep {
 		t.points = append(t.points, cur)
 	}
 	// Drop points that have fallen out of the window, but always keep one
 	// baseline: the delta is measured against the oldest retained point.
-	for len(t.points) > 1 && now.Sub(t.points[1].t) >= t.window {
+	for len(t.points) > 1 && now.Sub(t.points[1].t) >= DefaultSLOWindow {
 		t.points = t.points[1:]
 	}
 	base := t.points[0]
@@ -166,7 +143,7 @@ func (t *SLOTracker) Status() SLOStatus {
 	}
 	st.Requests = reqs
 	st.BadRatio = float64(bad) / float64(reqs)
-	st.BurnRate = st.BadRatio / t.budget
+	st.BurnRate = st.BadRatio / DefaultSLOBudget
 	switch {
 	case st.BurnRate >= SLOBurnCritical:
 		st.Verdict = HealthCritical

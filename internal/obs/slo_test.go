@@ -20,7 +20,7 @@ func TestVerdictMerging(t *testing.T) {
 
 func TestSLOTrackerVerdicts(t *testing.T) {
 	var sample SLOSample
-	tr := NewSLOTracker(func() SLOSample { return sample }, 0.01, time.Minute)
+	tr := NewSLOTracker(func() SLOSample { return sample })
 	now := time.Unix(1000, 0)
 	tr.setClock(func() time.Time { return now })
 
@@ -62,9 +62,9 @@ func TestSLOTrackerVerdicts(t *testing.T) {
 		t.Fatalf("window = %vs, want 30", st.WindowSeconds)
 	}
 
-	// Errors stop; once the bad samples age out of the 1-minute window the
+	// Errors stop; once the bad samples age out of the 5-minute window the
 	// verdict recovers.
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 60; i++ {
 		now = now.Add(10 * time.Second)
 		sample.Requests += 1000
 		st = tr.Status()
@@ -75,17 +75,17 @@ func TestSLOTrackerVerdicts(t *testing.T) {
 }
 
 func TestSLOTrackerWindowTrim(t *testing.T) {
-	tr := NewSLOTracker(func() SLOSample { return SLOSample{} }, 0, 30*time.Second)
+	tr := NewSLOTracker(func() SLOSample { return SLOSample{} })
 	now := time.Unix(2000, 0)
 	tr.setClock(func() time.Time { return now })
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 1000; i++ {
 		tr.Status()
 		now = now.Add(time.Second)
 	}
 	tr.mu.Lock()
 	n := len(tr.points)
 	tr.mu.Unlock()
-	// 30s window at 1s steps: ~30 live points plus one baseline.
+	// 5-minute window at 10s steps: ~30 live points plus one baseline.
 	if n > 35 {
 		t.Fatalf("ring holds %d points, want bounded near window/step", n)
 	}

@@ -3,33 +3,11 @@ package proto
 import "sync"
 
 // This file holds the engines' hot-path scratch machinery: a pooled arena of
-// per-node delivery buffers and a fixed-array message-kind counter. Both
-// exist to keep the simulators' round/event loops allocation-free in steady
-// state — large sweeps run the same engine back to back thousands of times,
-// and recycling the O(n) scratch across runs (not just across rounds) is
-// what lets RunMany hold a stable memory footprint at n >= 10^5.
-
-// KindCounts counts messages by payload kind over a full uint8 keyspace.
-// The engines increment it with one array index per message where they
-// previously paid a map assign; Map converts to the sparse map form the
-// Result types expose, so observable results are unchanged.
-type KindCounts [256]int64
-
-// Add records one message of the given kind.
-func (k *KindCounts) Add(kind uint8) { k[kind]++ }
-
-// Map returns the nonzero counters as the map form used by Result.PerKind.
-// A kind appears in the map iff at least one message of that kind was sent —
-// exactly the entries the previous map-increment representation held.
-func (k *KindCounts) Map() map[uint8]int64 {
-	out := make(map[uint8]int64)
-	for kind, c := range k {
-		if c != 0 {
-			out[uint8(kind)] = c
-		}
-	}
-	return out
-}
+// per-node delivery buffers and a reusable send buffer. Both exist to keep
+// the simulators' round/event loops allocation-free in steady state — large
+// sweeps run the same engine back to back thousands of times, and recycling
+// the O(n) scratch across runs (not just across rounds) is what lets
+// RunMany hold a stable memory footprint at n >= 10^5.
 
 // Arena is a run's reusable scratch: one delivery buffer per node, retained
 // across rounds (capacity survives the per-round reset) and across runs

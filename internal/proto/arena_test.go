@@ -1,30 +1,6 @@
 package proto
 
-import (
-	"reflect"
-	"testing"
-)
-
-func TestKindCountsMap(t *testing.T) {
-	var k KindCounts
-	k.Add(0)
-	k.Add(3)
-	k.Add(3)
-	k.Add(255)
-	want := map[uint8]int64{0: 1, 3: 2, 255: 1}
-	if got := k.Map(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Map() = %v, want %v", got, want)
-	}
-	// A kind never sent must be absent, matching the map-increment semantics
-	// the engines previously had.
-	if _, ok := k.Map()[7]; ok {
-		t.Fatal("unsent kind present in map")
-	}
-	var zero KindCounts
-	if got := zero.Map(); len(got) != 0 {
-		t.Fatalf("zero counters produced %v", got)
-	}
-}
+import "testing"
 
 func TestArenaReuse(t *testing.T) {
 	a := GetArena(4)

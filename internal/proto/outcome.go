@@ -16,8 +16,6 @@ type Outcome struct {
 	Messages int64
 	// Words is the total CONGEST payload volume in O(log n)-bit words.
 	Words int64
-	// PerKind counts messages by payload kind.
-	PerKind map[uint8]int64
 	// Decisions holds each node's final output.
 	Decisions []Decision
 	// TimedOut reports that the engine's runaway cap (rounds or events)

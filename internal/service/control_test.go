@@ -11,7 +11,6 @@ import (
 
 	"cliquelect/elect/client"
 	"cliquelect/internal/control/chaostest"
-	"cliquelect/internal/distrib"
 )
 
 // TestControlPlaneHTTPSurface drives the split-brain regression through the
@@ -42,11 +41,7 @@ func TestControlPlaneHTTPSurface(t *testing.T) {
 		}
 	}
 	node := cl.Node(workerURL)
-	fleet, err := distrib.New(distrib.Config{Workers: []string{"http://peer-a", "http://peer-b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Config{Control: node, Fleet: fleet})
+	srv := New(Config{Control: node})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	c := client.New(ts.URL)

@@ -111,7 +111,7 @@ func newMetrics(s *Server) *metrics {
 			smp.Slow += h.Count() - h.CountLE(sloSlowObjective)
 		})
 		return smp
-	}, obs.DefaultSLOBudget, obs.DefaultSLOWindow)
+	})
 	r.GaugeFunc("electd_slo_burn_rate",
 		"Error-budget burn rate over the rolling SLO window (1 = on budget).",
 		func() float64 { return m.slo.Status().BurnRate })

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -69,8 +70,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// TraceSpans caps the in-memory span collector behind /v1/traces; 0
 	// means obs.DefaultSpanCapacity, negative disables tracing entirely
-	// (no X-Trace-Id, no spans, no trace routes — each request then pays
-	// one nil check).
+	// (no X-Trace-Id and no spans; the trace routes answer empty lists,
+	// and each request pays one nil check).
 	TraceSpans int
 	// Instance names this daemon in span Service fields (e.g. its listen
 	// address), so merged fleet traces tell workers apart. Empty means
@@ -81,13 +82,11 @@ type Config struct {
 	// POST /v1/lease and GET /v1/coordinator, stamps role/epoch on
 	// /healthz, fences /v1/chunk dispatches (409 on stale tokens, both at
 	// submission and at execution start) and gates fleet batches on
-	// coordinatorship.
+	// coordinatorship. A coordinator dispatches fleet batches
+	// (BatchRequest.Fleet) over the node's other peers, fenced by the
+	// node's Token; without Control, or without another peer, fleet batches
+	// are rejected.
 	Control *control.Node
-	// Fleet, when non-nil, dispatches fleet batches (BatchRequest.Fleet)
-	// across the daemon's peers. Normally set alongside Control with the
-	// node's Token as the fencing source; without it fleet batches are
-	// rejected.
-	Fleet *distrib.Fleet
 	// Events caps the daemon's event journal behind /v1/events; 0 means
 	// obs.DefaultEventCapacity, negative disables journaling entirely (the
 	// event routes then 404 and every Emit in the stack pays one nil
@@ -98,6 +97,7 @@ type Config struct {
 // Server is the electd HTTP service.
 type Server struct {
 	cfg    Config
+	fleet  *distrib.Fleet // fleet-batch dispatch; nil unless Control names other peers
 	mgr    *jobs.Manager
 	mux    *http.ServeMux
 	met    *metrics
@@ -136,6 +136,16 @@ func New(cfg Config) *Server {
 	var checkFence func(uint64) error
 	if cfg.Control != nil {
 		checkFence = cfg.Control.CheckFence
+		// The dispatch fleet is the peer set minus self: a coordinator
+		// shards fleet batches over the other daemons (falling back to local
+		// execution when none survive), never through its own bounded
+		// worker pool. New fails when no other peer is listed, and the
+		// fleet then stays off.
+		others := slices.DeleteFunc(cfg.Control.Peers(), func(p string) bool { return p == cfg.Control.Self() })
+		if fleet, err := distrib.New(distrib.Config{Workers: others, Fence: cfg.Control.Token}); err == nil {
+			fleet.SetEvents(s.events)
+			s.fleet = fleet
+		}
 	}
 	s.mgr = jobs.NewManager(jobs.Config{
 		Workers:      cfg.Workers,
@@ -177,8 +187,7 @@ func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 func (s *Server) Spans() *obs.SpanCollector { return s.spans }
 
 // Events exposes the daemon's event journal (nil when journaling is
-// disabled) — cmd/electd wires it into the control node and the dispatch
-// fleet.
+// disabled) — cmd/electd wires it into the control node.
 func (s *Server) Events() *obs.EventLog { return s.events }
 
 // Handler returns the API handler: the route mux behind the observation
@@ -330,7 +339,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Fleet {
-		if s.cfg.Fleet == nil || s.cfg.Control == nil {
+		if s.fleet == nil {
 			writeError(w, http.StatusBadRequest,
 				errors.New("fleet batches need a fleet-managed daemon (electd -peers)"))
 			return
@@ -344,7 +353,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		batch.Remote = s.cfg.Fleet.Runner(req.Options)
+		batch.Remote = s.fleet.Runner(req.Options)
 	}
 	job, err := s.mgr.SubmitBatch(spec, batch, submitOpts(r, req.NoCache)...)
 	if err != nil {

@@ -389,7 +389,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	for u := range res.WakeTime {
 		res.WakeTime[u] = -1
 	}
-	var kinds proto.KindCounts
 
 	sc := getScratch()
 	defer scratchPool.Put(sc)
@@ -445,7 +444,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 			v, q := dest(u, s.Port)
 			res.Messages++
 			res.Words += int64(s.Msg.Words())
-			kinds.Add(s.Msg.Kind)
 			if rt != nil {
 				rt.Send(window(now), u, s.Msg.Kind, s.Msg.Words())
 			}
@@ -561,7 +559,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	for u := 0; u < n; u++ {
 		res.Decisions[u] = nodes[u].Decision()
 	}
-	res.PerKind = kinds.Map()
 	res.TimeUnits = lastEvent - firstWake
 	// Final crash sweep: record every crash that fell within the run's span
 	// even if no event for the victim popped after its crash instant —

@@ -204,7 +204,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		PerRound:  make([]int64, 1, 64),
 		WakeRound: make([]int, n),
 	}
-	var kinds proto.KindCounts
 
 	awake := make([]bool, n)
 	envs := make([]proto.Env, n)
@@ -323,7 +322,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 				res.Messages++
 				res.Words += int64(s.Msg.Words())
 				res.PerRound[r]++
-				kinds.Add(s.Msg.Kind)
 				if rt != nil {
 					rt.Send(r, u, s.Msg.Kind, s.Msg.Words())
 				}
@@ -397,7 +395,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		res.Decisions[u] = nodes[u].Decision()
 	}
 	res.Rounds = lastActivity
-	res.PerKind = kinds.Map()
 	inj.Record(&res.Outcome)
 	return res, nil
 }

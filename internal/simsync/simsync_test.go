@@ -78,9 +78,6 @@ func TestMaxBroadcastElectsMaxID(t *testing.T) {
 		if res.Words != res.Messages*3 {
 			t.Fatalf("words = %d", res.Words)
 		}
-		if res.PerKind[1] != res.Messages {
-			t.Fatalf("per-kind = %v", res.PerKind)
-		}
 		if res.PerRound[1] != res.Messages {
 			t.Fatalf("per-round = %v", res.PerRound)
 		}
