@@ -78,12 +78,13 @@
 //
 // The deterministic engines are built for large-n sweeps: pooled inbox
 // arenas and send buffers (internal/proto), flat open-addressing tables
-// under the lazy port wirings (internal/flatmap), a boxing-free event heap
-// in the async simulator, and work-stealing shards in elect.RunMany. A
-// single tradeoff election at n = 2^20 completes in tens of seconds on one
-// core. ARCHITECTURE.md fixes the layer stack and the determinism contract
-// all of this preserves; PERFORMANCE.md documents the benchmark workflow,
-// the BENCH_<date>.json -compare regression gate, and current numbers.
+// under the lazy port wirings (internal/flatmap), a FIFO lane beside a
+// boxing-free event heap in the async simulator, and work-stealing shards
+// in elect.RunMany. A single tradeoff election at n = 2^20 completes in
+// tens of seconds on one core. ARCHITECTURE.md fixes the layer stack and
+// the determinism contract all of this preserves; PERFORMANCE.md documents
+// the benchmark workflow, the BENCH_<date>.json -compare regression gate,
+// and current numbers.
 //
 // See README.md for a tour and quickstart.
 package cliquelect

@@ -30,11 +30,16 @@ func mix64(x uint64) uint64 {
 }
 
 // U64Map maps uint64 keys (< 1<<63) to uint64 values. The zero value is
-// ready to use.
+// ready to use. A slot holds its key and value side by side, so a hit reads
+// one cache line.
 type U64Map struct {
-	keys []uint64 // key+1, 0 = empty
-	vals []uint64
-	n    int
+	slots []slot
+	n     int
+}
+
+type slot struct {
+	k uint64 // key+1, 0 = empty
+	v uint64
 }
 
 // Len returns the number of live entries.
@@ -45,35 +50,34 @@ func (m *U64Map) Get(key uint64) (uint64, bool) {
 	if m.n == 0 {
 		return 0, false
 	}
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.slots) - 1)
 	for i := mix64(key) & mask; ; i = (i + 1) & mask {
-		k := m.keys[i]
-		if k == 0 {
+		s := &m.slots[i]
+		if s.k == 0 {
 			return 0, false
 		}
-		if k == key+1 {
-			return m.vals[i], true
+		if s.k == key+1 {
+			return s.v, true
 		}
 	}
 }
 
 // Put inserts or overwrites the value under key.
 func (m *U64Map) Put(key, val uint64) {
-	if 4*(m.n+1) > 3*len(m.keys) { // grow at 75% load
+	if 4*(m.n+1) > 3*len(m.slots) { // grow at 75% load
 		m.grow()
 	}
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.slots) - 1)
 	i := mix64(key) & mask
 	for {
-		k := m.keys[i]
-		if k == 0 {
-			m.keys[i] = key + 1
-			m.vals[i] = val
+		s := &m.slots[i]
+		if s.k == 0 {
+			*s = slot{key + 1, val}
 			m.n++
 			return
 		}
-		if k == key+1 {
-			m.vals[i] = val
+		if s.k == key+1 {
+			s.v = val
 			return
 		}
 		i = (i + 1) & mask
@@ -82,29 +86,27 @@ func (m *U64Map) Put(key, val uint64) {
 
 // Reset empties the map, keeping grown capacity for reuse.
 func (m *U64Map) Reset() {
-	clear(m.keys)
+	clear(m.slots)
 	m.n = 0
 }
 
 func (m *U64Map) grow() {
-	old := *m
+	old := m.slots
 	size := minSize
-	if len(old.keys) > 0 {
-		size = 2 * len(old.keys)
+	if len(old) > 0 {
+		size = 2 * len(old)
 	}
-	m.keys = make([]uint64, size)
-	m.vals = make([]uint64, size)
-	mask := uint64(len(m.keys) - 1)
-	for j, k := range old.keys {
-		if k == 0 {
+	m.slots = make([]slot, size)
+	mask := uint64(len(m.slots) - 1)
+	for _, s := range old {
+		if s.k == 0 {
 			continue
 		}
-		i := mix64(k-1) & mask
-		for m.keys[i] != 0 {
+		i := mix64(s.k-1) & mask
+		for m.slots[i].k != 0 {
 			i = (i + 1) & mask
 		}
-		m.keys[i] = k
-		m.vals[i] = old.vals[j]
+		m.slots[i] = s
 	}
 }
 

@@ -47,9 +47,9 @@ func TestU64MapZeroKeyAndReset(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d after overwrite, want 1", m.Len())
 	}
-	was := cap(m.keys)
+	was := cap(m.slots)
 	m.Reset()
-	if m.Len() != 0 || cap(m.keys) != was {
+	if m.Len() != 0 || cap(m.slots) != was {
 		t.Fatal("Reset must empty the map but keep capacity")
 	}
 	if _, ok := m.Get(0); ok {

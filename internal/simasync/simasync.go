@@ -12,9 +12,14 @@
 //
 // The adversary model matches Section 5: the port mapping is fixed
 // obliviously (before any node wakes, independent of the nodes' coins),
-// while the schedule (delays) may be adaptive. Determinism: the event queue
-// is a binary heap ordered by (time, sequence number), so identical seeds
-// reproduce identical executions.
+// while the schedule (delays) may be adaptive. Determinism: events are
+// processed in (time, sequence number) order, a total order, so identical
+// seeds reproduce identical executions. The queue keeps that order in two
+// parts: a FIFO lane that takes every event not earlier than the last one
+// it took, and a binary heap for the rest; a pop takes the earlier of the
+// two heads. Under UnitDelay with wake-ups in time order (as AllAtZero and
+// SubsetAtZero schedule them), times never decrease, so every event rides
+// the lane and the heap stays empty.
 package simasync
 
 import (
@@ -306,11 +311,82 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// scratch is the pooled per-run state of the event loop: the heap's backing
-// array and the FIFO clamp table, both of which reach O(messages) size and
-// are reused across the runs of a sweep.
+// lane is a ring of events in (time, seq) order: the event queue's fast
+// path. A push only ever appends an event that is not earlier than the
+// tail, and seq grows with every push, so the ring stays sorted and both
+// ends are O(1).
+type lane struct {
+	buf  []event // ring storage; len is zero or a power of two
+	head int     // index of the earliest pending event
+	n    int     // pending events
+}
+
+func (l *lane) tail() *event { return &l.buf[(l.head+l.n-1)&(len(l.buf)-1)] }
+
+func (l *lane) push(e event) {
+	if l.n == len(l.buf) {
+		buf := make([]event, max(minLane, 2*len(l.buf)))
+		k := copy(buf, l.buf[l.head:])
+		copy(buf[k:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = e
+	l.n++
+}
+
+func (l *lane) pop() event {
+	e := l.buf[l.head]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return e
+}
+
+const minLane = 64
+
+// eventQueue yields events in (time, seq) order. An event not earlier than
+// the lane's tail joins the lane; any other goes to the heap. Each part is
+// sorted, so the earlier of their two heads is the next event overall, and
+// the pop sequence is the sorted order whichever part held each event.
+type eventQueue struct {
+	lane lane
+	heap eventHeap
+}
+
+func (q *eventQueue) len() int { return q.lane.n + len(q.heap) }
+
+// reset empties the queue, keeping both parts' storage for reuse.
+func (q *eventQueue) reset() {
+	q.lane.head, q.lane.n = 0, 0
+	q.heap = q.heap[:0]
+}
+
+func (q *eventQueue) push(e event) {
+	if q.lane.n > 0 && e.time < q.lane.tail().time {
+		q.heap.push(e)
+		return
+	}
+	q.lane.push(e)
+}
+
+func (q *eventQueue) pop() event {
+	if q.lane.n > 0 {
+		if len(q.heap) == 0 {
+			return q.lane.pop()
+		}
+		l, h := &q.lane.buf[q.lane.head], &q.heap[0]
+		if l.time < h.time || (l.time == h.time && l.seq < h.seq) {
+			return q.lane.pop()
+		}
+	}
+	return q.heap.pop()
+}
+
+// scratch is the pooled per-run state of the event loop: the event queue's
+// lane and heap and the FIFO clamp table, each of which reaches O(messages)
+// size and is reused across the runs of a sweep. Under UnitDelay the clamp
+// table stays unused, and with wake-ups in time order so does the heap.
 type scratch struct {
-	h     eventHeap
+	q     eventQueue
 	sched flatmap.U64Map // directed link -> last delivery time bits (FIFO clamp)
 }
 
@@ -318,7 +394,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
-	s.h = s.h[:0]
+	s.q.reset()
 	s.sched.Reset()
 	return s
 }
@@ -396,15 +472,15 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	push := func(e event) {
 		e.seq = seq
 		seq++
-		sc.h.push(e)
+		sc.q.push(e)
 	}
 	firstWake := cfg.Wake[0].Time
 	for _, w := range cfg.Wake {
 		if w.Node < 0 || w.Node >= n {
 			return nil, fmt.Errorf("simasync: wake schedule names invalid node %d", w.Node)
 		}
-		if w.Time < 0 {
-			return nil, fmt.Errorf("simasync: negative wake time %v", w.Time)
+		if !(w.Time >= 0) {
+			return nil, fmt.Errorf("simasync: invalid wake time %v (need >= 0)", w.Time)
 		}
 		if w.Time < firstWake {
 			firstWake = w.Time
@@ -424,6 +500,10 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 
 	inj := cfg.Faults
 	kindAware, _ := delays.(KindAwareDelayPolicy)
+	// Under UnitDelay each delivery is due at now+1 and now never
+	// decreases, so no message can overtake an earlier one on its link and
+	// the FIFO clamp below could never move an event.
+	_, unit := delays.(UnitDelay)
 	// degOf and dest abstract over the two wirings: the implicit clique
 	// (portmap) and an explicit topology.
 	degOf := func(int) int { return n - 1 }
@@ -467,20 +547,22 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 				} else {
 					d = delays.Delay(u, s.Port, now, delayRNG)
 				}
-				if d <= 0 {
+				if !(d > 0) { // NaN too: it would void the queue's order
 					d = 1e-9
 				}
 				if d > 1 {
 					d = 1
 				}
 				at := now + d
-				lk := linkKey(u, v)
-				if bits, ok := sc.sched.Get(lk); ok {
-					if prev := math.Float64frombits(bits); at < prev {
-						at = prev // FIFO: no overtaking on a link
+				if !unit {
+					lk := linkKey(u, v)
+					if bits, ok := sc.sched.Get(lk); ok {
+						if prev := math.Float64frombits(bits); at < prev {
+							at = prev // FIFO: no overtaking on a link
+						}
 					}
+					sc.sched.Put(lk, math.Float64bits(at))
 				}
-				sc.sched.Put(lk, math.Float64bits(at))
 				push(event{time: at, kind: evDeliver, node: v, d: proto.Delivery{Port: q, Msg: s.Msg}})
 			}
 		}
@@ -488,13 +570,13 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	}
 
 	var processed int64
-	for len(sc.h) > 0 {
+	for sc.q.len() > 0 {
 		if processed >= maxEvents {
 			res.TimedOut = true
 			break
 		}
 		processed++
-		e := sc.h.pop()
+		e := sc.q.pop()
 		u := e.node
 		if inj != nil {
 			// Fault hook: adaptive adversary tick, then the crash check for

@@ -163,8 +163,8 @@ func TestFIFOPreventsOvertaking(t *testing.T) {
 }
 
 func TestDelayClamping(t *testing.T) {
-	// Delay > 1 clamps to 1; delay <= 0 clamps to a positive epsilon.
-	for _, d := range []float64{5, -3, 0} {
+	// Delay > 1 clamps to 1; delay <= 0 or NaN clamps to a positive epsilon.
+	for _, d := range []float64{5, -3, 0, math.NaN()} {
 		d := d
 		policy := delayFunc(func() float64 { return d })
 		res, err := Run(Config{
@@ -332,6 +332,11 @@ func TestConfigErrors(t *testing.T) {
 		N: 2, IDs: ids.Assignment{1, 2}, Wake: WakeSchedule{{Node: 0, Time: -1}},
 	}, mk); err == nil {
 		t.Fatal("negative wake time accepted")
+	}
+	if _, err := Run(Config{
+		N: 2, IDs: ids.Assignment{1, 2}, Wake: WakeSchedule{{Node: 0, Time: math.NaN()}},
+	}, mk); err == nil {
+		t.Fatal("NaN wake time accepted")
 	}
 }
 
