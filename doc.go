@@ -77,8 +77,9 @@
 // # Performance
 //
 // The deterministic engines are built for large-n sweeps: pooled inbox
-// arenas and send buffers (internal/proto), flat open-addressing tables
-// under the lazy port wirings (internal/flatmap), a FIFO lane beside a
+// arenas and send buffers (internal/proto), dense membership bitsets and
+// flat open-addressing tables under the lazy port wirings
+// (internal/portmap, internal/flatmap), a FIFO lane beside a
 // boxing-free event heap in the async simulator, and work-stealing shards
 // in elect.RunMany. A single tradeoff election at n = 2^20 completes in
 // tens of seconds on one core. ARCHITECTURE.md fixes the layer stack and

@@ -8,9 +8,14 @@
 // and Reset reuses grown capacity so pooled consumers reach steady-state
 // zero allocation across runs.
 //
+// Consumers: U64Map holds portmap's lazy wiring (endpoint -> endpoint) and
+// simasync's per-link FIFO clamp. U64Set holds portmap's wired links only
+// above its dense cutoff (n > 4096); below it portmap answers membership
+// from bitsets, so serve-sized runs never touch a U64Set.
+//
 // Keys are stored shifted by +1 so the zero word can mean "empty slot";
-// callers' keys must therefore fit in 63 bits. Both current consumers pack
-// two 31-bit indices, far below the limit.
+// callers' keys must therefore fit in 63 bits. Every consumer packs two
+// 31-bit indices, far below the limit.
 //
 // Containers here only ever answer membership/value questions — they never
 // influence iteration order or randomness — so swapping them in for Go maps
@@ -44,6 +49,9 @@ type slot struct {
 
 // Len returns the number of live entries.
 func (m *U64Map) Len() int { return m.n }
+
+// Cap returns the number of slots the map holds, live or empty.
+func (m *U64Map) Cap() int { return len(m.slots) }
 
 // Get returns the value stored under key, if any.
 func (m *U64Map) Get(key uint64) (uint64, bool) {

@@ -11,8 +11,11 @@
 //     by all nodes. O(n) memory; scrambles deterministic protocols' port
 //     choices while remaining cheap at large n.
 //   - LazyRandom: a uniformly random port mapping materialized lazily, port
-//     by port, on first use. O(#used links) memory, so uniformly-random
-//     wiring scales to cliques whose full mapping would not fit in memory.
+//     by port, on first use. Membership ("is this port wired?", "are these
+//     nodes linked?") lives in two dense bitsets of ~n²/4 bytes while they
+//     fit in denseBudget (n <= 4096); above that it is hashed and memory is
+//     O(#used links), so uniformly-random wiring scales to cliques whose
+//     full mapping would not fit in memory.
 //   - Adaptive: the lower-bound adversary's mapping (Lemma 3.3): unused
 //     ports are wired at first use by a caller-supplied strategy, subject to
 //     feasibility. This is admissible against deterministic algorithms
@@ -21,6 +24,7 @@ package portmap
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"cliquelect/internal/flatmap"
@@ -111,39 +115,101 @@ func link(u, v int) uint64 {
 	return uint64(u)<<32 | uint64(uint32(v))
 }
 
+// denseBudget caps the two membership bitsets of a lazy mapping, in bytes.
+// Below it, membership is one bit per port and one per ordered node pair
+// (~n²/4 bytes, 1 MiB at n = 2048): each question costs one load from a
+// table a quarter the size of the hashed set it replaces, and never probes.
+// Above it (n > 4096) the bitsets would grow quadratically while a run
+// touches only a sparse fraction of the clique, so membership is hashed and
+// memory stays O(#used links) for the million-node sweeps.
+const denseBudget = 4 << 20
+
+// denseWords returns the lengths in words of the ports and pairs bitsets of
+// an n-node mapping.
+func denseWords(n int) (ports, pairs int) {
+	return (n*(n-1) + 63) / 64, (n*n + 63) / 64
+}
+
+// denseFits reports whether an n-node mapping's bitsets fit in denseBudget.
+func denseFits(n int) bool {
+	ports, pairs := denseWords(n)
+	return 8*(ports+pairs) <= denseBudget
+}
+
 // lazyState is the shared machinery of LazyRandom and Adaptive: consistent
 // lazy wiring with feasibility bookkeeping. The wiring lives in flatmap's
-// open-addressing tables — the lazy mappings are the engines' single
-// hottest data structure — but lazyState consumes randomness only through
-// the membership questions the tables answer, so the RNG draw sequence
-// (and hence every execution) is identical to the map-backed
-// representation they replaced.
+// open-addressing tables and the membership questions in dense bitsets (or,
+// above denseBudget, a hashed link set) — the lazy mappings are the
+// engines' single hottest data structure — but lazyState consumes
+// randomness only through those membership questions, so the RNG draw
+// sequence (and hence every execution) is identical whichever
+// representation answers them, and identical to the map-backed one they
+// replaced.
 type lazyState struct {
 	n     int
 	rng   *xrand.RNG
 	wired flatmap.U64Map // endpoint -> endpoint (both directions)
-	links flatmap.U64Set // unordered pairs already wired
 	deg   []int          // wired links per node
+
+	dense bool
+	ports []uint64       // dense: bit u*(n-1)+p set when port (u,p) is wired
+	pairs []uint64       // dense: bit u*n+v set when link {u,v} is wired, both orders
+	links flatmap.U64Set // hashed: unordered pairs already wired
 }
 
 func (s *lazyState) init(n int, rng *xrand.RNG) {
+	s.initRepr(n, rng, denseFits(n))
+}
+
+// initRepr is init with the membership representation chosen by the
+// caller; the tests drive both representations at one n through it.
+func (s *lazyState) initRepr(n int, rng *xrand.RNG, dense bool) {
 	if n < 2 {
 		panic(fmt.Sprintf("portmap: need n >= 2, got %d", n))
 	}
 	s.n = n
 	s.rng = rng
+	s.dense = dense
 	s.wired.Reset()
-	s.links.Reset()
-	if cap(s.deg) < n {
-		s.deg = make([]int, n)
+	if dense {
+		ports, pairs := denseWords(n)
+		s.ports = resize(s.ports, ports)
+		s.pairs = resize(s.pairs, pairs)
 	} else {
-		s.deg = s.deg[:n]
-		clear(s.deg)
+		s.links.Reset()
 	}
+	s.deg = resize(s.deg, n)
+}
+
+// resize returns a zeroed slice of length n, reusing b's storage when it is
+// large enough. Only the first n elements are cleared.
+func resize[T uint64 | int](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+func setBit(b []uint64, i int) { b[i>>6] |= 1 << (i & 63) }
+
+// portWired reports whether port (u,p) is already wired.
+func (s *lazyState) portWired(u, p int) bool {
+	if s.dense {
+		return hasBit(s.ports, u*(s.n-1)+p)
+	}
+	_, used := s.wired.Get(endpoint(u, p))
+	return used
 }
 
 // connected reports whether the link {u,v} is already wired.
 func (s *lazyState) connected(u, v int) bool {
+	if s.dense {
+		return hasBit(s.pairs, u*s.n+v)
+	}
 	return s.links.Has(link(u, v))
 }
 
@@ -155,7 +221,7 @@ func (s *lazyState) freePort(v int) int {
 	}
 	for {
 		q := s.rng.Intn(s.n - 1)
-		if _, used := s.wired.Get(endpoint(v, q)); !used {
+		if !s.portWired(v, q) {
 			return q
 		}
 	}
@@ -165,13 +231,24 @@ func (s *lazyState) freePort(v int) int {
 func (s *lazyState) wire(u, p, v, q int) {
 	s.wired.Put(endpoint(u, p), endpoint(v, q))
 	s.wired.Put(endpoint(v, q), endpoint(u, p))
-	s.links.Add(link(u, v))
+	if s.dense {
+		setBit(s.ports, u*(s.n-1)+p)
+		setBit(s.ports, v*(s.n-1)+q)
+		setBit(s.pairs, u*s.n+v)
+		setBit(s.pairs, v*s.n+u)
+	} else {
+		s.links.Add(link(u, v))
+	}
 	s.deg[u]++
 	s.deg[v]++
 }
 
-// resolve returns the wired far end of (u,p) if present.
+// resolve returns the wired far end of (u,p) if present. A dense mapping
+// asks the table only for ports its bitset says are wired.
 func (s *lazyState) resolve(u, p int) (int, int, bool) {
+	if s.dense && !hasBit(s.ports, u*(s.n-1)+p) {
+		return 0, 0, false
+	}
 	e, ok := s.wired.Get(endpoint(u, p))
 	if !ok {
 		return 0, 0, false
@@ -188,26 +265,34 @@ type LazyRandom struct {
 	s lazyState
 }
 
-// lazyPool recycles LazyRandom mappings between runs. The wiring tables of
-// a large run reach megabytes; re-growing them from scratch for every cell
-// of a sweep costs more than the wiring itself, so engines that construct
-// the default mapping return it with Release when the run ends.
-var lazyPool = sync.Pool{New: func() any { return new(LazyRandom) }}
+// lazyPools recycle LazyRandom mappings between runs, one pool per size
+// class bits.Len(n). The wiring tables of a large run reach megabytes;
+// re-growing them from scratch for every cell of a sweep costs more than
+// the wiring itself, so engines that construct the default mapping return
+// it with Release when the run ends. Classing by n keeps a small run from
+// drawing (and clearing) tables a large one grew.
+var lazyPools [bits.UintSize]sync.Pool
 
 // NewLazyRandom returns a lazy uniform mapping driven by the given RNG,
-// reusing pooled table capacity from released mappings when available.
+// reusing pooled table capacity from released mappings of a similar n when
+// available.
 func NewLazyRandom(n int, rng *xrand.RNG) *LazyRandom {
-	m := lazyPool.Get().(*LazyRandom)
+	m, _ := lazyPools[sizeClass(n)].Get().(*LazyRandom)
+	if m == nil {
+		m = new(LazyRandom)
+	}
 	m.s.init(n, rng)
 	return m
 }
+
+func sizeClass(n int) int { return bits.Len(uint(max(n, 0))) }
 
 // Release returns the mapping's tables to the pool. Only the owner that
 // constructed the mapping may call it, and must not use the mapping (or
 // hand out its wiring) afterwards.
 func (m *LazyRandom) Release() {
 	m.s.rng = nil
-	lazyPool.Put(m)
+	lazyPools[sizeClass(m.s.n)].Put(m)
 }
 
 // N implements Map.
@@ -274,10 +359,7 @@ func (m *Adaptive) N() int { return m.s.n }
 
 // Wired reports whether port p of node u has been wired yet. The component
 // game uses this to distinguish port opens from reuse.
-func (m *Adaptive) Wired(u, p int) bool {
-	_, _, ok := m.s.resolve(u, p)
-	return ok
-}
+func (m *Adaptive) Wired(u, p int) bool { return m.s.portWired(u, p) }
 
 // Connected reports whether nodes u and v are already joined by a wired
 // link.
@@ -305,7 +387,7 @@ func (m *Adaptive) Dest(u, p int) (int, int) {
 	q := -1
 	if m.chooseArrival != nil {
 		if c := m.chooseArrival(v); c >= 0 && c < m.s.n-1 {
-			if _, used := m.s.wired.Get(endpoint(v, c)); !used {
+			if !m.s.portWired(v, c) {
 				q = c
 			}
 		}

@@ -10,6 +10,8 @@
 // byte-for-byte reproducible from a single uint64 seed.
 package xrand
 
+import "math/bits"
+
 // RNG is a deterministic pseudo-random number generator. The zero value is a
 // valid generator seeded with 0; prefer New to make seeding explicit.
 type RNG struct {
@@ -120,23 +122,50 @@ func (r *RNG) Sample(n, k int) []int {
 		panic("xrand: Sample with k out of range")
 	}
 	out := make([]int, 0, k)
-	// swapped[i] records the value currently residing at virtual index i of
-	// the implicitly shuffled array 0..n-1.
-	swapped := make(map[int]int, 2*k)
-	at := func(i int) int {
-		if v, ok := swapped[i]; ok {
-			return v
+	if k == 0 {
+		return out
+	}
+	// The shuffle's displaced values live in an open-addressing table of at
+	// least 2k slots, keyed by virtual index of the implicitly shuffled
+	// array 0..n-1. Step i reads indices i and j >= i and leaves index i
+	// behind for good, so only the value moved to j is stored: at most k
+	// keys, under half load.
+	shift := 64 - bits.Len(uint(2*k-1))
+	table := make([]sampleSlot, 1<<(64-shift))
+	mask := len(table) - 1
+	find := func(i int) *sampleSlot {
+		h := int(uint64(i) * 0x9e3779b97f4a7c15 >> shift)
+		for {
+			sl := &table[h]
+			if sl.key == 0 || sl.key == i+1 {
+				return sl
+			}
+			h = (h + 1) & mask
 		}
-		return i
 	}
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
-		vi, vj := at(i), at(j)
-		swapped[i], swapped[j] = vj, vi
+		vi := i
+		if sl := find(i); sl.key != 0 {
+			vi = sl.val
+		}
+		vj := vi
+		if j != i {
+			sl := find(j)
+			vj = j
+			if sl.key != 0 {
+				vj = sl.val
+			}
+			*sl = sampleSlot{key: j + 1, val: vi}
+		}
 		out = append(out, vj)
 	}
 	return out
 }
+
+// sampleSlot is one entry of Sample's table: key is a virtual index plus
+// one (0 marks an empty slot), val the value now at that index.
+type sampleSlot struct{ key, val int }
 
 // mul64 returns the 128-bit product of x and y as (hi, lo).
 func mul64(x, y uint64) (hi, lo uint64) {

@@ -220,3 +220,66 @@ func BenchmarkSample16(b *testing.B) {
 		_ = r.Sample(1<<20, 16)
 	}
 }
+
+// sampleReference is Sample as it was first written, over a Go map: the
+// oracle the flat-table Sample must match value for value.
+func sampleReference(r *RNG, n, k int) []int {
+	if k < 0 || k > n {
+		panic("xrand: Sample with k out of range")
+	}
+	out := make([]int, 0, k)
+	// swapped[i] records the value currently residing at virtual index i of
+	// the implicitly shuffled array 0..n-1.
+	swapped := make(map[int]int, 2*k)
+	at := func(i int) int {
+		if v, ok := swapped[i]; ok {
+			return v
+		}
+		return i
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		vi, vj := at(i), at(j)
+		swapped[i], swapped[j] = vj, vi
+		out = append(out, vj)
+	}
+	return out
+}
+
+func TestSampleMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 10, 2047, 1 << 20} {
+		ks := []int{0, 1, min(2, n), min(3, n), min(16, n), n / 2, n - 1, n}
+		if n == 1<<20 {
+			// Shuffles this long are slow through the map oracle, so the
+			// large k run below for three seeds only.
+			ks = []int{0, 1, 2, 3, 16, 1000, 4096}
+		}
+		for _, k := range ks {
+			for seed := uint64(1); seed <= 50; seed++ {
+				checkSampleAgainstReference(t, seed, n, k)
+			}
+		}
+	}
+	for _, k := range []int{1 << 16, 1 << 20} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			checkSampleAgainstReference(t, seed, 1<<20, k)
+		}
+	}
+}
+
+func checkSampleAgainstReference(t *testing.T, seed uint64, n, k int) {
+	t.Helper()
+	got, want := New(seed), New(seed)
+	g, w := got.Sample(n, k), sampleReference(want, n, k)
+	if len(g) != len(w) {
+		t.Fatalf("Sample(%d,%d) seed %d: %d values, reference %d", n, k, seed, len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("Sample(%d,%d) seed %d: value %d is %d, reference %d", n, k, seed, i, g[i], w[i])
+		}
+	}
+	if got.state != want.state {
+		t.Fatalf("Sample(%d,%d) seed %d: generator state diverged from the reference", n, k, seed)
+	}
+}
