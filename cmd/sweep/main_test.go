@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cliquelect/elect"
 	"cliquelect/internal/service"
 )
 
@@ -184,6 +185,48 @@ func TestSweepFleetMatchesLocal(t *testing.T) {
 		}
 		if !bytes.Equal(local, remote) {
 			t.Fatalf("%s: fleet BENCH json differs from local:\n%s\nvs\n%s", name, remote, local)
+		}
+	}
+}
+
+// TestSweepFleetCacheBytes: a fleet sweep with -cache stores, for every
+// cell, exactly the bytes a local sweep with -cache stores — each the
+// canonical EncodeResult encoding of the merged result — though the fleet
+// coordinator stores the bytes its workers sent instead of re-encoding.
+func TestSweepFleetCacheBytes(t *testing.T) {
+	fleet := startWorkers(t, 2)
+	args := []string{"-algo", "tradeoff", "-k", "3", "-ns", "32,64", "-seeds", "4"}
+	localDir, fleetDir := t.TempDir(), t.TempDir()
+	if err := run(append(args, "-cache", localDir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-cache", fleetDir, "-workers", fleet)); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(fleetDir, "*", "*.json"))
+	if err != nil || len(entries) != 8 {
+		t.Fatalf("fleet cache holds %d entries (err %v), want 8", len(entries), err)
+	}
+	for _, path := range entries {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(fleetDir, path)
+		want, err := os.ReadFile(filepath.Join(localDir, rel))
+		if err != nil {
+			t.Fatalf("local sweep has no entry %s: %v", rel, err)
+		}
+		res, err := elect.DecodeResult(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical, err := elect.EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(got, canonical) {
+			t.Fatalf("%s: fleet cache holds\n%s\nlocal cache\n%s\ncanonical\n%s", rel, got, want, canonical)
 		}
 	}
 }

@@ -163,7 +163,7 @@ func RunMany(spec Spec, b Batch) (*BatchResult, error) {
 		}
 		return assembleBatch(ns, seeds, b.Topos, runs), nil
 	}
-	runs, err := runCells(spec, b, ns, seeds, 0, total)
+	runs, _, err := runCells(spec, b, ns, seeds, 0, total, false)
 	if err != nil {
 		return nil, err
 	}
@@ -239,19 +239,29 @@ func CheckRange(spec Spec, b *Batch, ns []int, seeds []uint64, start int, result
 // done/total are relative to the range); Remote is ignored — ranges always
 // execute locally.
 func RunRange(spec Spec, b Batch, start, count int) ([]Result, error) {
+	runs, _, err := RunRangeWire(spec, b, start, count)
+	return runs, err
+}
+
+// RunRangeWire is RunRange that also returns each cell's wire bytes as
+// RunCachedWire yields them through b.Cache: the bytes a miss stored or a
+// canonical hit read, and nil for a cell without them. The bytes must not
+// be modified.
+func RunRangeWire(spec Spec, b Batch, start, count int) ([]Result, [][]byte, error) {
 	ns, seeds := defaultAxes(b.Ns, b.Seeds)
 	total := GridSize(ns, seeds, b.Topos)
 	if start < 0 || count < 1 || count > total-start {
-		return nil, fmt.Errorf("elect: cell range [%d, %d) outside the %d-cell grid",
+		return nil, nil, fmt.Errorf("elect: cell range [%d, %d) outside the %d-cell grid",
 			start, start+count, total)
 	}
-	return runCells(spec, b, ns, seeds, start, count)
+	return runCells(spec, b, ns, seeds, start, count, true)
 }
 
 // runCells is the local executor shared by RunMany and RunRange: it runs
 // cells [start, start+count) of the ns × seeds grid and returns their
-// Results in cell order.
-func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int) ([]Result, error) {
+// Results in cell order, and their RunCachedWire bytes too when keepWire
+// is set.
+func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int, keepWire bool) ([]Result, [][]byte, error) {
 	workers := b.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -262,8 +272,16 @@ func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int) ([
 
 	runs := make([]Result, count)
 	errs := make([]error, count)
+	var wires [][]byte
+	if keepWire {
+		wires = make([][]byte, count)
+	}
 	runCell := func(i int) {
-		runs[i], _, errs[i] = RunCached(b.Cache, spec, CellOptions(&b, ns, seeds, start+i)...)
+		var wire []byte
+		runs[i], wire, _, errs[i] = RunCachedWire(b.Cache, spec, CellOptions(&b, ns, seeds, start+i)...)
+		if keepWire {
+			wires[i] = wire
+		}
 	}
 	canceled := func() bool {
 		select {
@@ -291,7 +309,7 @@ func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int) ([
 		claimed = runSharded(count, workers, runCell, canceled, b.OnResult)
 	}
 	if claimed < count {
-		return nil, ErrCanceled
+		return nil, nil, ErrCanceled
 	}
 
 	for i, err := range errs {
@@ -299,14 +317,14 @@ func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int) ([
 			idx := start + i
 			inner := len(ns) * len(seeds)
 			if len(b.Topos) > 0 {
-				return nil, fmt.Errorf("elect: run topo=%q n=%d seed=%d: %w",
+				return nil, nil, fmt.Errorf("elect: run topo=%q n=%d seed=%d: %w",
 					b.Topos[idx/inner], ns[idx%inner/len(seeds)], seeds[idx%len(seeds)], err)
 			}
-			return nil, fmt.Errorf("elect: run n=%d seed=%d: %w",
+			return nil, nil, fmt.Errorf("elect: run n=%d seed=%d: %w",
 				ns[idx/len(seeds)], seeds[idx%len(seeds)], err)
 		}
 	}
-	return runs, nil
+	return runs, wires, nil
 }
 
 // runSharded is RunMany's parallel executor: cells [0, total) are split

@@ -168,7 +168,7 @@ func RunCachedWire(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool
 		return res, nil, false, err
 	}
 	if data, ok := cache.Get(key); ok {
-		if res, canonical, err := decodeResult(data); err == nil {
+		if res, canonical, err := DecodeCanonical(data); err == nil {
 			if !canonical {
 				data = nil
 			}

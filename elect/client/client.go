@@ -520,12 +520,18 @@ func (c *Client) doHdr(ctx context.Context, method, path string, hdr map[string]
 		if out == nil {
 			return nil
 		}
-		if run, ok := out.(*RunResponse); ok {
+		switch out := out.(type) {
+		case *RunResponse:
 			var body []byte
 			if body, err = readBody(resp); err == nil {
-				err = decodeRunResponse(body, run)
+				err = decodeRunResponse(body, out)
 			}
-		} else {
+		case *ChunkResponse:
+			var body []byte
+			if body, err = readBody(resp); err == nil {
+				err = decodeChunkResponse(body, out)
+			}
+		default:
 			err = json.NewDecoder(resp.Body).Decode(out)
 		}
 		if err != nil {
@@ -650,11 +656,73 @@ func splitRunResponse(body []byte, out *RunResponse) bool {
 	return true
 }
 
-// objectEnd returns the length of the JSON object data starts with, or -1.
-// It matches brackets outside strings without validating anything else:
-// whatever it measures is then decoded, which rejects invalid JSON.
+// decodeChunkResponse decodes a POST /v1/chunk reply into a zero out. The
+// layout the daemon writes, {"results":[{...},...]} with an optional
+// ,"spans":[...] before the closing brace, and a newline, is split by
+// hand, so each result's bytes are scanned once, by elect.DecodeCanonical,
+// and kept in out.Wire when canonical. Every other body, and any part that
+// fails to decode, goes through json.Decoder, as decodeRunResponse does.
+func decodeChunkResponse(body []byte, out *ChunkResponse) error {
+	if splitChunkResponse(body, out) {
+		return nil
+	}
+	*out = ChunkResponse{}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(out)
+}
+
+// splitChunkResponse is decodeChunkResponse's hand path; it reports false,
+// with out in any state, on a body it does not take.
+func splitChunkResponse(body []byte, out *ChunkResponse) bool {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"results":[`))
+	if !ok {
+		return false
+	}
+	var elems [][]byte
+	for {
+		end := objectEnd(rest)
+		if end < 0 {
+			return false
+		}
+		elems = append(elems, rest[:end:end])
+		if rest = rest[end:]; len(rest) == 0 || rest[0] != ',' {
+			break
+		}
+		rest = rest[1:]
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`]`)); !ok {
+		return false
+	}
+	if spans, ok := bytes.CutPrefix(rest, []byte(`,"spans":`)); ok {
+		end := objectEnd(spans)
+		if end < 0 || json.Unmarshal(spans[:end], &out.Spans) != nil {
+			return false
+		}
+		rest = spans[end:]
+	}
+	if string(rest) != "}\n" && string(rest) != "}" {
+		return false
+	}
+	out.Results = make([]elect.Result, len(elems))
+	for i, elem := range elems {
+		res, canonical, err := elect.DecodeCanonical(elem)
+		if err != nil {
+			return false
+		}
+		out.Results[i] = res
+		if !canonical {
+			elems[i] = nil
+		}
+	}
+	out.Wire = elems
+	return true
+}
+
+// objectEnd returns the length of the JSON object or array data starts
+// with, or -1. It matches brackets outside strings without validating
+// anything else: whatever it measures is then decoded, which rejects
+// invalid JSON.
 func objectEnd(data []byte) int {
-	if len(data) == 0 || data[0] != '{' {
+	if len(data) == 0 || data[0] != '{' && data[0] != '[' {
 		return -1
 	}
 	depth, inString := 0, false

@@ -283,6 +283,11 @@ type ChunkResponse struct {
 	// worker's view into one fleet trace. A trailing, omitted-when-empty
 	// addition — not a wire break.
 	Spans []obs.Span `json:"spans,omitempty"`
+	// Wire is never sent. Client.Chunk sets it when it splits the reply by
+	// hand: Wire[i] holds the bytes Results[i] was decoded from when they
+	// are canonical (exactly what elect.EncodeResult writes for it), else
+	// nil. It is nil altogether when the reply took encoding/json's path.
+	Wire [][]byte `json:"-"`
 }
 
 // JobStatus is the wire view of one job (see GET /v1/jobs/{id} and the SSE

@@ -106,14 +106,15 @@ func EncodeResult(r Result) ([]byte, error) {
 // DecodeResult parses wire bytes written by EncodeResult. Unknown fields are
 // ignored, so older binaries can read results written by newer ones.
 func DecodeResult(data []byte) (Result, error) {
-	r, _, err := decodeResult(data)
+	r, _, err := DecodeCanonical(data)
 	return r, err
 }
 
-// decodeResult is DecodeResult that also reports whether data took the
+// DecodeCanonical is DecodeResult that also reports whether data took the
 // canonical fast path, which guarantees that EncodeResult of the decoded
-// Result gives back exactly data.
-func decodeResult(data []byte) (r Result, canonical bool, err error) {
+// Result gives back exactly data: a caller may then store or splice data
+// in place of the Result's encoding.
+func DecodeCanonical(data []byte) (r Result, canonical bool, err error) {
 	if decodeCanonical(data, &r) {
 		return r, true, nil
 	}

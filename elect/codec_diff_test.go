@@ -197,7 +197,7 @@ func TestUnmarshalJSONMerges(t *testing.T) {
 // server splice cached bytes into a reply in place of their re-encoding.
 func FuzzDecodeResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, canonical, err := decodeResult(data)
+		got, canonical, err := DecodeCanonical(data)
 		var ref resultJSON
 		refErr := json.Unmarshal(data, &ref)
 		if (err == nil) != (refErr == nil) {

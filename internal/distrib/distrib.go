@@ -20,7 +20,17 @@
 // mid-sweep and its chunks fail over to the survivors (or, with no
 // survivor left, to local execution). The merger reuses the fingerprint
 // cache: cells already cached are never dispatched, merged results are
-// stored back, and so re-dispatched or re-run cells are free.
+// stored back — as the canonical bytes the worker sent, once checked — and
+// so re-dispatched or re-run cells are free.
+//
+// Partition is a pure function of the grid axes, never of the fleet, so a
+// batch shards into the same chunks on any number of workers. Unless
+// Config.ChunkSize fixes the size, consecutive cells join a chunk until
+// their summed weight n·⌈log₂ n⌉ (a spec-independent stand-in for a cell's
+// work) reaches a fixed budget: cheap cells share a round trip, and a cell
+// heavy enough to reach the budget alone travels alone. Only a chunk the
+// coordinator's cache holds whole is merged without dispatch; a chunk with
+// some cells cached goes out whole, and the worker's cache answers those.
 package distrib
 
 import (
@@ -44,9 +54,9 @@ type Config struct {
 	// Workers lists the electd base URLs; a bare "host:port" is given the
 	// http scheme. At least one is required.
 	Workers []string
-	// ChunkSize overrides the deterministic per-grid chunk size; 0 means
-	// DefaultChunkSize(total). Must not depend on fleet size (the
-	// partitioner contract).
+	// ChunkSize fixes the number of cells per chunk; 0 means the default
+	// weight-shaped partition (see Partition). Must not depend on fleet
+	// size (the partitioner contract).
 	ChunkSize int
 	// StragglerAfter is how long a chunk may be in flight before an idle
 	// worker is given a duplicate copy (first answer wins); 0 means 30s.
@@ -252,6 +262,7 @@ type completion struct {
 	ci      int
 	w       *worker
 	results []elect.Result
+	wire    [][]byte // the results' checked wire bytes (client.ChunkResponse.Wire)
 	dur     time.Duration
 	err     error
 }
@@ -331,7 +342,7 @@ func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batc
 // always dispatch.
 func (g *grid) plan() {
 	total := elect.GridSize(g.ns, g.seeds, g.b.Topos)
-	g.chunks = Partition(total, g.f.cfg.ChunkSize)
+	g.chunks = Partition(g.ns, g.seeds, g.b.Topos, g.f.cfg.ChunkSize)
 	g.runs = make([]elect.Result, total)
 	g.states = make([]chunkState, len(g.chunks))
 	if g.b.Cache != nil {
@@ -346,7 +357,7 @@ func (g *grid) plan() {
 	for ci, ch := range g.chunks {
 		if results, ok := g.fromCache(ch); ok {
 			g.f.cachedCells.Add(int64(ch.Count))
-			g.merge(ci, results, false)
+			g.merge(ci, results, nil, false)
 			continue
 		}
 		g.pending = append(g.pending, ci)
@@ -426,7 +437,7 @@ func (g *grid) schedule() error {
 			}
 			f.localCells.Add(int64(ch.Count))
 			// RunRange already stored the cells in the cache.
-			g.merge(ci, results, false)
+			g.merge(ci, results, nil, false)
 			continue
 		}
 
@@ -459,7 +470,7 @@ func (g *grid) schedule() error {
 			case st.done:
 				// A straggler's duplicate finished too; first answer won.
 			default:
-				g.merge(c.ci, c.results, true)
+				g.merge(c.ci, c.results, c.wire, true)
 			}
 		case <-tick.C:
 			for ci := range g.states {
@@ -533,7 +544,7 @@ func (g *grid) attempt(ci int, w *worker, dup bool) completion {
 		} else if err := elect.CheckRange(g.spec, g.b, g.ns, g.seeds, ch.Start, resp.Results); err != nil {
 			c.err = fmt.Errorf("distrib: worker %s: %w", w.url, err)
 		} else {
-			c.results = resp.Results
+			c.results, c.wire = resp.Results, resp.Wire
 		}
 	}
 	if sc.Valid() {
@@ -562,18 +573,27 @@ func (g *grid) attempt(ci int, w *worker, dup bool) completion {
 }
 
 // merge places chunk ci's results in the grid and reports each cell to
-// OnResult. store is true only for cells a worker computed: cache-resolved
-// chunks were just read from the cache, and local-fallback cells were
-// already stored by RunRange, so re-Putting either would rewrite disk
-// entries with the bytes they already hold.
-func (g *grid) merge(ci int, results []elect.Result, store bool) {
+// OnResult. store is true only for cells a worker computed: each goes into
+// the cache as the bytes the worker sent, when client.Chunk kept them in
+// wire (canonical, and checked by elect.CheckRange with their Result),
+// else re-encoded. Cache-resolved chunks were just read from the cache,
+// and local-fallback cells were already stored by RunRange, so re-Putting
+// either would rewrite disk entries with the bytes they already hold.
+func (g *grid) merge(ci int, results []elect.Result, wire [][]byte, store bool) {
 	g.states[ci].done = true
 	start := g.chunks[ci].Start
 	for i, res := range results {
 		idx := start + i
 		g.runs[idx] = res
 		if store && g.keys != nil && g.keys[idx] != "" {
-			if data, err := elect.EncodeResult(res); err == nil {
+			var data []byte
+			var err error
+			if wire != nil && wire[i] != nil {
+				data = wire[i]
+			} else {
+				data, err = elect.EncodeResult(res)
+			}
+			if err == nil {
 				g.b.Cache.Put(g.keys[idx], data)
 			}
 		}

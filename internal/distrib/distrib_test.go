@@ -131,39 +131,43 @@ func encodeBatch(t *testing.T, b *elect.BatchResult) []byte {
 	return data
 }
 
+// TestPartition pins Partition on grid axes: fixed sizes shard like any
+// contiguous split, and the default partition batches cheap cells by
+// weight, floored at ceil(total/64) cells and capped at MaxChunkCells.
 func TestPartition(t *testing.T) {
-	for _, tc := range []struct{ total, size, chunks int }{
-		{16, 3, 6}, {16, 16, 1}, {16, 100, 1}, {1, 0, 1}, {0, 5, 0},
-		{64, 0, 64},        // default size for 64 cells is 1
-		{64 * 1024, 0, 64}, // ceil(65536/64) = 1024 = cap
+	small := []int{16, 32} // testGrid's sizes: cells far below the budget
+	for _, tc := range []struct {
+		name   string
+		ns     []int
+		seeds  int
+		size   int
+		chunks int
+	}{
+		{"fixed size 3", small, 8, 3, 6},
+		{"fixed size of the grid", small, 8, 16, 1},
+		{"fixed size past the grid", small, 8, 100, 1},
+		{"default axes", nil, 0, 0, 1},
+		{"cheap cells share one chunk", small, 8, 0, 1},
+		// n = 1024 weighs 10240, past the budget: one cell per chunk.
+		{"heavy cells run alone", []int{1024}, 64, 0, 64},
+		// 65536 light cells: the floor ceil(65536/64) = 1024 is the cap.
+		{"floor reaches the cap", []int{16}, 64 * 1024, 0, 64},
 	} {
-		got := Partition(tc.total, tc.size)
+		seeds := elect.Seeds(1, tc.seeds)
+		if tc.seeds == 0 {
+			seeds = nil
+		}
+		got := Partition(tc.ns, seeds, nil, tc.size)
 		if len(got) != tc.chunks {
-			t.Fatalf("Partition(%d, %d) = %d chunks, want %d", tc.total, tc.size, len(got), tc.chunks)
+			t.Fatalf("%s: %d chunks, want %d", tc.name, len(got), tc.chunks)
 		}
-		// Chunks cover [0, total) exactly once, in order.
-		next := 0
-		for _, c := range got {
-			if c.Start != next || c.Count < 1 {
-				t.Fatalf("Partition(%d, %d): bad chunk %+v at offset %d", tc.total, tc.size, c, next)
-			}
-			next = c.End()
-		}
-		if next != tc.total {
-			t.Fatalf("Partition(%d, %d) covers %d cells", tc.total, tc.size, next)
-		}
+		checkCover(t, got, elect.GridSize(tc.ns, seeds, nil))
 	}
-	// Determinism: repeated calls agree exactly.
-	for _, total := range []int{1, 7, 64, 1000, 1 << 20} {
-		a, b := Partition(total, 0), Partition(total, 0)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("Partition(%d) not deterministic at chunk %d", total, i)
-			}
-		}
-	}
-	if DefaultChunkSize(1<<30) != MaxChunkCells {
-		t.Fatal("huge grids must clamp to MaxChunkCells")
+	// Huge grids clamp to MaxChunkCells: a 2^20-cell grid of light cells
+	// is 1024 chunks of exactly that size.
+	huge := Partition([]int{16}, elect.Seeds(1, 1<<20), nil, 0)
+	if len(huge) != 1024 || huge[0].Count != MaxChunkCells || huge[1023].Count != MaxChunkCells {
+		t.Fatalf("2^20-cell grid: %d chunks, first %+v", len(huge), huge[0])
 	}
 }
 
@@ -199,7 +203,7 @@ func TestFleetMatchesLocal(t *testing.T) {
 	if len(c1) == 0 || len(c2) == 0 {
 		t.Fatalf("load not balanced: %d vs %d chunks", len(c1), len(c2))
 	}
-	assertChunkSet(t, append(c1, c2...), Partition(16, 3))
+	assertChunkSet(t, append(c1, c2...), Partition(b.Ns, b.Seeds, nil, 3))
 	stats := fleet.Stats()
 	if stats.ChunksRetried != 0 || stats.LocalCells != 0 {
 		t.Fatalf("healthy fleet reported retries/local cells: %+v", stats)
@@ -221,7 +225,7 @@ func TestFleetMatchesLocal(t *testing.T) {
 	if cells != 16 {
 		t.Fatalf("worker cells sum to %d, want 16", cells)
 	}
-	if want := int64(len(Partition(16, 3))); dispatches != want {
+	if want := int64(len(Partition(b.Ns, b.Seeds, nil, 3))); dispatches != want {
 		t.Fatalf("dispatch attempts sum to %d, want %d", dispatches, want)
 	}
 	if stats.HTTPAttempts == 0 || stats.HTTPRetries != 0 {
@@ -252,7 +256,7 @@ func assertChunkSet(t *testing.T, got, want []Chunk) {
 // property — the same batch shards into the same chunks whether the fleet
 // has one worker or three.
 func TestChunkAssignmentFleetSizeIndependent(t *testing.T) {
-	b, wire := testGrid()
+	b, wire := multiChunkGrid()
 	spec := mustSpec(t, "tradeoff")
 
 	runWith := func(n int) []Chunk {
@@ -273,8 +277,66 @@ func TestChunkAssignmentFleetSizeIndependent(t *testing.T) {
 		return all
 	}
 	one, three := runWith(1), runWith(3)
-	assertChunkSet(t, one, Partition(16, 0))
-	assertChunkSet(t, three, Partition(16, 0))
+	want := Partition(b.Ns, b.Seeds, b.Topos, 0)
+	if len(want) < 3 {
+		t.Fatalf("the default partition has %d chunks; the test needs several", len(want))
+	}
+	assertChunkSet(t, one, want)
+	assertChunkSet(t, three, want)
+}
+
+// multiChunkGrid is testGrid with its larger size raised to n = 256, whose
+// cells weigh half the chunk budget each: the default partition shards it
+// into several chunks.
+func multiChunkGrid() (elect.Batch, client.Options) {
+	b, wire := testGrid()
+	b.Ns = []int{16, 256}
+	return b, wire
+}
+
+// TestFleetFailoverDefaultPartition: a worker killed mid-sweep on the
+// default, weight-shaped partition loses its remaining chunks to the
+// survivor, and the merged grid stays byte-identical to a local RunMany.
+func TestFleetFailoverDefaultPartition(t *testing.T) {
+	b, wire := multiChunkGrid()
+	spec := mustSpec(t, "tradeoff")
+	local, err := elect.RunMany(spec, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	survivor, victim := newHarness(t), newHarness(t)
+	victim.failAfter.Store(1) // one chunk completes, then the daemon "dies"
+	fleet := newFleet(t, Config{}, survivor, victim)
+	remote := b
+	remote.Remote = fleet.Runner(wire)
+	got, err := elect.RunMany(spec, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBatch(t, local), encodeBatch(t, got)) {
+		t.Fatal("failover grid differs from local RunMany")
+	}
+	stats := fleet.Stats()
+	if stats.ChunksRetried < 1 || stats.LocalCells != 0 {
+		t.Fatalf("want a failover onto the survivor and no local cells: %+v", stats)
+	}
+	var served []Chunk
+	for _, h := range []*harness{survivor, victim} {
+		served = append(served, h.served()...)
+	}
+	// Every chunk the partition names was asked for, and nothing else.
+	want := Partition(b.Ns, b.Seeds, b.Topos, 0)
+	for _, c := range served {
+		if !slices.Contains(want, c) {
+			t.Fatalf("served chunk %+v is not in the default partition %v", c, want)
+		}
+	}
+	for _, c := range want {
+		if !slices.Contains(served, c) {
+			t.Fatalf("chunk %+v of the default partition was never dispatched", c)
+		}
+	}
 }
 
 // TestFleetFailover: a worker killed mid-sweep loses its remaining chunks
@@ -412,7 +474,7 @@ func TestFleetJournal(t *testing.T) {
 		count, _ := strconv.Atoi(e.Fields["count"])
 		got = append(got, Chunk{Start: start, Count: count})
 	}
-	want := Partition(elect.GridSize(b.Ns, b.Seeds, b.Topos), 4)
+	want := Partition(b.Ns, b.Seeds, b.Topos, 4)
 	if !slices.Equal(got, want) {
 		t.Fatalf("chunk.local events cover %v, want one per chunk %v", got, want)
 	}

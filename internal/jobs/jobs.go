@@ -66,8 +66,9 @@ type Config struct {
 	// turns that into 503). 0 means 256.
 	QueueDepth int
 	// Cache, when non-nil, is consulted by every job (see elect.RunCached;
-	// run jobs use elect.RunCachedWire and offer the bytes via TakeWire);
-	// jobs submitted with NoCache opt out individually.
+	// run jobs use elect.RunCachedWire and offer the bytes via TakeWire,
+	// chunk jobs elect.RunRangeWire and TakeChunk); jobs submitted with
+	// NoCache opt out individually.
 	Cache elect.Cache
 	// BatchWorkers caps the sharded RunMany executor of each batch job.
 	// Without a cap, every concurrent batch job spins up GOMAXPROCS workers
@@ -322,22 +323,23 @@ type Job struct {
 	cancelOnce sync.Once
 	doneCh     chan struct{}
 
-	mu       sync.Mutex
-	state    State
-	err      error
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	done     int
-	total    int
-	cacheHit bool
-	result   *elect.Result
-	wire     []byte // result's wire bytes until TakeWire (KindRun)
-	taken    bool   // TakeWire was called: wire stays nil from then on
-	batchRes *elect.BatchResult
-	chunkRes []elect.Result
-	subs     map[int]chan Snapshot
-	nextSub  int
+	mu        sync.Mutex
+	state     State
+	err       error
+	created   time.Time
+	started   time.Time
+	finished  time.Time
+	done      int
+	total     int
+	cacheHit  bool
+	result    *elect.Result
+	wire      []byte // result's wire bytes until TakeWire (KindRun)
+	taken     bool   // TakeWire or TakeChunk was called: nothing is kept from then on
+	batchRes  *elect.BatchResult
+	chunkRes  []elect.Result // until TakeChunk (KindChunk)
+	chunkWire [][]byte       // chunkRes's wire bytes, until TakeChunk
+	subs      map[int]chan Snapshot
+	nextSub   int
 }
 
 // Snapshot is a point-in-time, data-only view of a job, safe to hold after
@@ -446,12 +448,19 @@ func (j *Job) BatchResult() (*elect.BatchResult, bool) {
 	return j.batchRes, j.batchRes != nil
 }
 
-// ChunkResult returns the per-cell outcomes of a Done KindChunk job, in
-// cell order.
-func (j *Job) ChunkResult() ([]elect.Result, bool) {
+// TakeChunk hands over a Done KindChunk job's per-cell Results, in cell
+// order, and their wire bytes as elect.RunRangeWire produced them (a nil
+// entry for a cell without them), to one caller: the first call returns
+// them and drops the job's references, so the job table keeps neither.
+// Every later call reports false, and so does a call before the job is
+// done, after which the job never keeps them at all. The bytes must not be
+// modified.
+func (j *Job) TakeChunk() ([]elect.Result, [][]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.chunkRes, j.chunkRes != nil
+	res, wire := j.chunkRes, j.chunkWire
+	j.chunkRes, j.chunkWire, j.taken = nil, nil, true
+	return res, wire, res != nil
 }
 
 // Cancel requests cancellation: a queued job is canceled immediately (the
@@ -607,12 +616,13 @@ func (j *Job) execute() {
 			j.mu.Unlock()
 		}
 		var (
-			batchOut *elect.BatchResult
-			chunkOut []elect.Result
-			err      error
+			batchOut  *elect.BatchResult
+			chunkOut  []elect.Result
+			chunkWire [][]byte
+			err       error
 		)
 		if j.Kind == KindChunk {
-			chunkOut, err = elect.RunRange(j.spec, b, j.start, j.count)
+			chunkOut, chunkWire, err = elect.RunRangeWire(j.spec, b, j.start, j.count)
 		} else {
 			batchOut, err = elect.RunMany(j.spec, b)
 		}
@@ -625,7 +635,9 @@ func (j *Job) execute() {
 			j.finishLocked(Failed, err)
 		default:
 			j.batchRes = batchOut
-			j.chunkRes = chunkOut
+			if !j.taken {
+				j.chunkRes, j.chunkWire = chunkOut, chunkWire
+			}
 			j.done = j.total
 			j.finishLocked(Done, nil)
 		}

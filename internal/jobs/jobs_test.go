@@ -438,7 +438,7 @@ func TestChunkJob(t *testing.T) {
 	if s.State != Done || s.Kind != KindChunk || s.Done != 3 || s.Total != 3 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	got, ok := j.ChunkResult()
+	got, _, ok := j.TakeChunk()
 	if !ok || len(got) != 3 {
 		t.Fatalf("chunk result %d ok=%v", len(got), ok)
 	}
@@ -495,8 +495,8 @@ func TestChunkJobUsesCache(t *testing.T) {
 	if st.Misses != misses || st.Hits != 4 {
 		t.Fatalf("re-dispatched chunk recomputed: %+v", st)
 	}
-	a, _ := first.ChunkResult()
-	b, _ := second.ChunkResult()
+	a, _, _ := first.TakeChunk()
+	b, _, _ := second.TakeChunk()
 	for i := range a {
 		ab, _ := elect.EncodeResult(a[i])
 		bb, _ := elect.EncodeResult(b[i])
@@ -624,5 +624,85 @@ func TestTakeWireOnce(t *testing.T) {
 	}
 	if _, ok := j.Result(); !ok {
 		t.Fatal("a declined job lost its Result")
+	}
+}
+
+// TestTakeChunkOnce pins the chunk half of the take-once contract: a
+// finished chunk job hands its Results and their wire bytes to the first
+// TakeChunk and to no later one; the bytes are the canonical encoding of
+// each Result on a miss and on a hit, absent without a cache; and a
+// TakeChunk before the job finishes means the job never keeps either.
+func TestTakeChunkOnce(t *testing.T) {
+	var release chan struct{}
+	m := NewManager(Config{
+		Workers: 1,
+		Cache:   resultcache.New(),
+		// A chunk fenced with token 1 holds the only worker until release
+		// closes.
+		CheckFence: func(fence uint64) error {
+			if fence == 1 {
+				<-release
+			}
+			return nil
+		},
+	})
+	defer m.Close()
+	spec := mustSpec(t, "tradeoff")
+	batch := elect.Batch{Ns: []int{32, 64}, Seeds: elect.Seeds(1, 3)}
+
+	for _, pass := range []string{"miss", "hit"} {
+		j, err := m.SubmitChunk(spec, batch, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait(t, j)
+		res, wire, ok := j.TakeChunk()
+		if !ok || len(res) != 4 || len(wire) != 4 {
+			t.Fatalf("%s: TakeChunk gave %d results, %d wires, ok=%v", pass, len(res), len(wire), ok)
+		}
+		for i := range res {
+			want, err := elect.EncodeResult(res[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(wire[i]) != string(want) {
+				t.Fatalf("%s: cell %d wire %q, want %q", pass, i, wire[i], want)
+			}
+		}
+		if res, wire, ok := j.TakeChunk(); ok || res != nil || wire != nil {
+			t.Fatalf("%s: a second TakeChunk gave %d results, %d wires", pass, len(res), len(wire))
+		}
+	}
+
+	j, err := m.SubmitChunk(spec, batch, 0, 2, NoCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, j)
+	res, wire, ok := j.TakeChunk()
+	if !ok || len(res) != 2 || len(wire) != 2 || wire[0] != nil || wire[1] != nil {
+		t.Fatalf("uncached chunk: %d results, wires %q", len(res), wire)
+	}
+
+	// Decline the results while the chunk is still queued behind another.
+	release = make(chan struct{})
+	blocker, err := m.SubmitChunk(spec, elect.Batch{Ns: []int{8}, Seeds: []uint64{1}}, 0, 1, WithFence(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err = m.SubmitChunk(spec, batch, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := j.TakeChunk(); ok {
+		t.Fatal("TakeChunk on a queued job reported results")
+	}
+	close(release)
+	wait(t, blocker)
+	if s := wait(t, j); s.State != Done || s.Done != 3 {
+		t.Fatalf("snapshot %+v", s)
+	}
+	if res, wire, ok := j.TakeChunk(); ok || res != nil || wire != nil {
+		t.Fatalf("a declined job kept %d results and %d wires", len(res), len(wire))
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -225,6 +226,160 @@ func BenchmarkRunResponseEncode(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			writeJSON(w, http.StatusOK, client.RunResponse{Job: st, Result: &res, CacheHit: true})
+		}
+	})
+}
+
+// postChunk sends a raw POST /v1/chunk and returns the reply body and
+// whether the reply was spliced (announced its Content-Length).
+func postChunk(t *testing.T, url string, req client.ChunkRequest) ([]byte, bool) {
+	t.Helper()
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/chunk", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, Content-Type %q: %s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	if len(body) <= 2048 {
+		t.Fatalf("a %d-byte reply is too small to tell the writers apart", len(body))
+	}
+	return body, resp.ContentLength == int64(len(body))
+}
+
+// TestChunkReplyMatchesWriteJSON is the differential test of the spliced
+// /v1/chunk writer: on traced and untraced daemons, for misses, hits and
+// uncached chunks of plain, topology-swept and round-traced grids, the
+// reply is byte for byte what writeJSON writes for the same results (run
+// locally with elect.RunRange) and spans (as the reply carries them).
+// Every cached reply is spliced except one holding a round-traced hit,
+// whose bytes the canonical decoder leaves to the reference; no_cache
+// replies always fall back.
+func TestChunkReplyMatchesWriteJSON(t *testing.T) {
+	reqs := map[string]client.ChunkRequest{
+		"tradeoff": {Spec: "tradeoff", Ns: []int{64, 128}, Seeds: []uint64{1, 2, 3}, Start: 1, Count: 4,
+			Options: client.Options{Params: &client.ParamSpec{K: intp(4)}}},
+		"topology": {Spec: "kuttenmoses", Ns: []int{16, 32}, Seeds: []uint64{4, 5}, Topos: []string{"ring", "torus"},
+			Start: 2, Count: 5},
+		"roundtrace": {Spec: "tradeoff", Ns: []int{64}, Seeds: []uint64{6, 7}, Start: 0, Count: 2,
+			Options: client.Options{RoundTrace: true}},
+	}
+	for _, traced := range []bool{false, true} {
+		cfg := Config{Cache: resultcache.New(), TraceSpans: -1}
+		if traced {
+			cfg.TraceSpans = 0
+		}
+		srv := New(cfg)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+		for name, req := range reqs {
+			spec, batch, err := req.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := elect.RunRange(spec, batch, req.Start, req.Count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nocache := req
+			nocache.NoCache = true
+			for _, pass := range []struct {
+				name    string
+				req     client.ChunkRequest
+				spliced bool
+			}{
+				{"miss", req, true},
+				{"hit", req, !req.RoundTrace},
+				{"no_cache", nocache, false},
+			} {
+				label := fmt.Sprintf("traced=%v %s/%s", traced, name, pass.name)
+				body, spliced := postChunk(t, ts.URL, pass.req)
+				var got client.ChunkResponse
+				if err := json.Unmarshal(body, &got); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if traced != (len(got.Spans) == 3) {
+					t.Fatalf("%s: reply carries %d spans", label, len(got.Spans))
+				}
+				want := writeJSONBody(client.ChunkResponse{Results: results, Spans: got.Spans})
+				if !bytes.Equal(body, want) {
+					t.Fatalf("%s: reply differs from writeJSON's:\n got %s\nwant %s", label, body, want)
+				}
+				if spliced != pass.spliced {
+					t.Fatalf("%s: spliced %v, want %v", label, spliced, pass.spliced)
+				}
+			}
+		}
+	}
+}
+
+// TestChunkJobKeepsNothing: once POST /v1/chunk has answered, the job table
+// holds neither the chunk's Results nor their bytes.
+func TestChunkJobKeepsNothing(t *testing.T) {
+	srv := New(Config{Cache: resultcache.New()})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	postChunk(t, ts.URL, client.ChunkRequest{Spec: "tradeoff", Ns: []int{64}, Seeds: []uint64{1, 2, 3}, Start: 0, Count: 3})
+	jobs := srv.mgr.Jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("%d jobs, want 1", len(jobs))
+	}
+	if res, wire, ok := jobs[0].TakeChunk(); ok || res != nil || wire != nil {
+		t.Fatalf("the answered chunk job kept %d results and %d wires", len(res), len(wire))
+	}
+}
+
+// BenchmarkChunkResponseEncode writes an 8-result POST /v1/chunk reply for
+// tradeoff k=4 at n=128: spliced from the cached bytes, and through
+// writeJSON, which re-encodes and compacts every Result.
+func BenchmarkChunkResponseEncode(b *testing.B) {
+	spec, err := elect.Lookup("tradeoff")
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := elect.RunRange(spec, elect.Batch{
+		Ns: []int{128}, Seeds: elect.Seeds(1, 8),
+		Options: []elect.Option{elect.WithParams(elect.Params{K: 4, D: 2, G: 1, Eps: 1.0 / 16})},
+	}, 0, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire := make([][]byte, len(results))
+	size := 0
+	for i, res := range results {
+		if wire[i], err = elect.EncodeResult(res); err != nil {
+			b.Fatal(err)
+		}
+		size += len(wire[i])
+	}
+	w := discardWriter{h: http.Header{}}
+	b.Run("splice", func(b *testing.B) {
+		b.SetBytes(int64(size))
+		b.ReportAllocs()
+		for b.Loop() {
+			writeChunkWire(w, wire, nil)
+		}
+	})
+	b.Run("writeJSON", func(b *testing.B) {
+		b.SetBytes(int64(size))
+		b.ReportAllocs()
+		for b.Loop() {
+			writeJSON(w, http.StatusOK, client.ChunkResponse{Results: results})
 		}
 	})
 }

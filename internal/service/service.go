@@ -433,6 +433,9 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
+	// The reply is the only reader of the chunk's results: whether or not
+	// one is written, the job table keeps none of them.
+	defer job.TakeChunk()
 	w.Header().Set("X-Job-Id", job.ID)
 	if !s.await(w, r, job) {
 		return
@@ -446,12 +449,61 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeNotDone(w, st)
 		return
 	}
-	results, _ := job.ChunkResult()
+	results, wire, _ := job.TakeChunk()
 	resp := client.ChunkResponse{Results: results}
 	if sc := obs.SpanFromContext(r.Context()); sc.Valid() {
 		resp.Spans = s.chunkSpans(r, sc, job.Snapshot())
 	}
+	if writeChunkWire(w, wire, resp.Spans) {
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// Envelope pieces around a chunk's spliced result bytes and spans.
+var (
+	chunkHead     = []byte(`{"results":[`)
+	chunkComma    = []byte(`,`)
+	chunkSpansKey = []byte(`],"spans":`)
+	chunkEnd      = []byte("}\n")
+	chunkTail     = []byte(`]}` + "\n")
+)
+
+// writeChunkWire writes the 200 reply writeJSON would write for
+// ChunkResponse{Results: <wire decoded>, Spans: spans}, with each result's
+// wire bytes spliced in unchanged, as writeRunWire does for one run. It
+// reports false, having written nothing, when a result has no bytes (an
+// uncached chunk, a non-canonical hit) or the spans do not encode.
+func writeChunkWire(w http.ResponseWriter, wire [][]byte, spans []obs.Span) bool {
+	if len(wire) == 0 || slices.ContainsFunc(wire, func(b []byte) bool { return b == nil }) {
+		return false
+	}
+	tail := chunkTail
+	if len(spans) > 0 {
+		data, err := json.Marshal(spans)
+		if err != nil {
+			return false
+		}
+		tail = slices.Concat(chunkSpansKey, data, chunkEnd)
+	}
+	size := len(chunkHead) + len(wire) - 1 + len(tail)
+	for _, b := range wire {
+		size += len(b)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	w.WriteHeader(http.StatusOK)
+	// As in writeJSON, a failed write means the caller is gone: there is no
+	// one left to report it to.
+	w.Write(chunkHead)
+	for i, b := range wire {
+		if i > 0 {
+			w.Write(chunkComma)
+		}
+		w.Write(b)
+	}
+	w.Write(tail)
+	return true
 }
 
 // chunkSpans builds the worker-side span set a chunk response carries back
