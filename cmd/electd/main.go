@@ -135,7 +135,6 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 			Peers:     peerList,
 			LeaseTTL:  *leaseTTL,
 			Transport: control.NewHTTPTransport(),
-			Logf:      logger.Printf,
 		}
 		if *stateFile != "" {
 			ctlCfg.Store = control.NewFileStore(*stateFile)

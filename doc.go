@@ -10,8 +10,10 @@
 // the elect package: see ExampleRun, ExampleRunMany, ExampleRunCached and
 // ExampleWithFaults (all compiled and run by go test).
 //
-//   - elect — public API: Registry/Lookup, Run with functional options,
-//     unified Result, RunMany worker-pool sweeps, and fault injection
+//   - elect — public API: Registry/Lookup, each Spec's paper bound
+//     (Spec.Bound, the one home of every theorem's explicit constant), Run
+//     with functional options, unified Result, RunMany worker-pool sweeps,
+//     and fault injection
 //     (WithFaults: deterministic crash-stop/drop/duplicate plans plus
 //     adaptive adversaries, with OK semantics restricted to survivors).
 //     Also the stable JSON wire codec (EncodeResult/EncodeBatchResult) and

@@ -27,6 +27,7 @@ package elect
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -127,6 +128,22 @@ type Spec struct {
 
 	buildSync  func(p Params) (simsync.Factory, error)
 	buildAsync func(n int, p Params) (simasync.Factory, error)
+	bound      func(n int, p Params, edges int64, diameter int) (messages, rounds float64)
+}
+
+// Bound returns the paper's upper bound on messages and on rounds (time
+// units, on an async spec) for a fault-free run at n nodes with valid
+// Params p, under the wake model the spec's theorem assumes. edges and
+// diameter are the Result's GraphEdges and Diameter: both are zero on the
+// clique. The bounds carry the explicit constants this repository checks
+// runs against; they do not cover WithFaults, WithMessageBudget or an
+// adaptive adversary. A Spec not obtained from the registry has no bound
+// and reports +Inf for both.
+func (s Spec) Bound(n int, p Params, edges int64, diameter int) (messages, rounds float64) {
+	if s.bound == nil {
+		return math.Inf(1), math.Inf(1)
+	}
+	return s.bound(n, p, edges, diameter)
 }
 
 // Engines returns the engines this spec can run on.
@@ -181,7 +198,7 @@ func (s Spec) Validate(p Params) error {
 // registry is ordered for stable listings.
 var registry = []Spec{
 	{
-		Name: "tradeoff", FaultTolerant: true, Model: Sync, Paper: "Theorem 3.10", Deterministic: true,
+		Name: "tradeoff", FaultTolerant: true, Model: Sync, Paper: "Theorem 3.10 (arXiv 2301.08235)", Deterministic: true,
 		Description: "improved deterministic tradeoff: 2k-3 rounds, O(k·n^{1+1/(k-1)}) msgs",
 		buildSync: func(p Params) (simsync.Factory, error) {
 			if err := core.ValidateTradeoffK(p.K); err != nil {
@@ -189,9 +206,12 @@ var registry = []Spec{
 			}
 			return core.NewTradeoff(p.K), nil
 		},
+		bound: func(n int, p Params, _ int64, _ int) (float64, float64) {
+			return 8 * float64(p.K) * math.Pow(float64(n), 1+1/float64(p.K-1)), float64(2*p.K - 3)
+		},
 	},
 	{
-		Name: "afekgafni", FaultTolerant: true, Model: Sync, Paper: "Afek-Gafni [1] baseline", Deterministic: true,
+		Name: "afekgafni", FaultTolerant: true, Model: Sync, Paper: "Afek-Gafni [1] baseline (arXiv 2301.08235 Table 1)", Deterministic: true,
 		Description: "classic deterministic tradeoff: 2k rounds, O(k·n^{1+1/k}) msgs",
 		buildSync: func(p Params) (simsync.Factory, error) {
 			if err := core.ValidateAfekGafniK(p.K); err != nil {
@@ -199,9 +219,12 @@ var registry = []Spec{
 			}
 			return core.NewAfekGafni(p.K), nil
 		},
+		bound: func(n int, p Params, _ int64, _ int) (float64, float64) {
+			return 8 * float64(p.K) * math.Pow(float64(n), 1+1/float64(p.K)), float64(2 * p.K)
+		},
 	},
 	{
-		Name: "smallid", FaultTolerant: true, Model: Sync, Paper: "Theorem 3.15 / Algorithm 1", Deterministic: true,
+		Name: "smallid", FaultTolerant: true, Model: Sync, Paper: "Theorem 3.15 / Algorithm 1 (arXiv 2301.08235)", Deterministic: true,
 		SmallIDSpace: true,
 		Description:  "small-ID-universe scan: ceil(n/d) rounds, <= n·d·g msgs",
 		buildSync: func(p Params) (simsync.Factory, error) {
@@ -210,26 +233,35 @@ var registry = []Spec{
 			}
 			return core.NewSmallID(p.D, p.G), nil
 		},
+		bound: func(n int, p Params, _ int64, _ int) (float64, float64) {
+			return float64(n) * float64(p.D) * float64(p.G), float64(core.CeilDiv(n, p.D))
+		},
 	},
 	{
 		// Not FaultTolerant: its nodes busy-wait for referee verdicts that a
 		// single dropped or duplicated message can void, so faulted runs wedge
 		// until the engine's round cap instead of failing gracefully.
-		Name: "lasvegas", Model: Sync, Paper: "Theorem 3.16",
+		Name: "lasvegas", Model: Sync, Paper: "Theorem 3.16 (arXiv 2301.08235)",
 		Description: "Las Vegas: 3 rounds and O(n) msgs w.h.p., never wrong",
 		buildSync: func(Params) (simsync.Factory, error) {
 			return core.NewLasVegas(), nil
 		},
+		bound: func(n int, _ Params, _ int64, _ int) (float64, float64) {
+			return 6 * float64(n), 3
+		},
 	},
 	{
-		Name: "sublinear", FaultTolerant: true, Model: Sync, Paper: "Kutten et al. [16] baseline",
+		Name: "sublinear", FaultTolerant: true, Model: Sync, Paper: "Kutten et al. [16] baseline (arXiv 1210.4822)",
 		Description: "Monte Carlo: 2 rounds, O(sqrt(n)·log^{3/2} n) msgs, fails with o(1) prob.",
 		buildSync: func(Params) (simsync.Factory, error) {
 			return core.NewSublinear(), nil
 		},
+		bound: func(n int, _ Params, _ int64, _ int) (float64, float64) {
+			return sublinearMessages(n), 2
+		},
 	},
 	{
-		Name: "advwake", FaultTolerant: true, Model: Sync, Paper: "Theorem 4.1",
+		Name: "advwake", FaultTolerant: true, Model: Sync, Paper: "Theorem 4.1 (arXiv 2301.08235)",
 		Description: "adversarial wake-up: 2 rounds, O(n^{3/2}·log(1/eps)) msgs",
 		buildSync: func(p Params) (simsync.Factory, error) {
 			if err := core.ValidateEps(p.Eps); err != nil {
@@ -237,15 +269,24 @@ var registry = []Spec{
 			}
 			return core.NewAdvWake2Round(p.Eps), nil
 		},
+		bound: func(n int, p Params, _ int64, _ int) (float64, float64) {
+			// log2(1/eps) floored at 1: every root's sqrt(n) fan-out is spent
+			// whatever eps is.
+			return 20 * math.Pow(float64(n), 1.5) * math.Max(1, math.Log2(1/p.Eps)), 2
+		},
 	},
 	{
-		Name: "spreadelect", FaultTolerant: true, Model: Sync, Paper: "substituted [14]-style baseline",
+		Name: "spreadelect", FaultTolerant: true, Model: Sync, Paper: "substituted [14]-style baseline (arXiv 2301.08235 Table 1)",
 		Description: "adversarial wake-up: k+5 rounds, O(n^{1+1/k}+n) msgs",
 		buildSync: func(p Params) (simsync.Factory, error) {
 			if err := core.ValidateSpreadK(p.K); err != nil {
 				return nil, err
 			}
 			return core.NewSpreadElect(p.K), nil
+		},
+		bound: func(n int, p Params, _ int64, _ int) (float64, float64) {
+			spread, election := math.Pow(float64(n), 1+1/float64(p.K)), float64(n)*math.Log2(float64(n))
+			return 8 * math.Max(spread, election), float64(p.K + 5)
 		},
 	},
 	{
@@ -258,6 +299,13 @@ var registry = []Spec{
 		buildSync: func(Params) (simsync.Factory, error) {
 			return core.NewKuttenMoses(), nil
 		},
+		bound: func(n int, _ Params, edges int64, diameter int) (float64, float64) {
+			m, d := float64(edges), diameter
+			if edges == 0 { // the clique
+				m, d = float64(n)*float64(n-1)/2, 1
+			}
+			return 8 * m * math.Log(float64(n)), float64(4*d + 8)
+		},
 	},
 	{
 		Name: "kpprt", FaultTolerant: true, Model: Sync, Paper: "KPPRT (arXiv 1210.4822) generalized",
@@ -266,9 +314,15 @@ var registry = []Spec{
 		buildSync: func(Params) (simsync.Factory, error) {
 			return core.NewKPPRT(), nil
 		},
+		bound: func(n int, _ Params, edges int64, diameter int) (float64, float64) {
+			if edges == 0 {
+				return sublinearMessages(n), 2
+			}
+			return 4 * float64(edges) * (2 + math.Log(math.Log(float64(n)))), float64(2*diameter + 2)
+		},
 	},
 	{
-		Name: "asynctradeoff", FaultTolerant: true, Model: Async, Paper: "Theorem 5.1 / Algorithm 2",
+		Name: "asynctradeoff", FaultTolerant: true, Model: Async, Paper: "Theorem 5.1 / Algorithm 2 (arXiv 2301.08235)",
 		Description: "async tradeoff: k+8 time units, O(n^{1+1/k}) msgs",
 		buildAsync: func(_ int, p Params) (simasync.Factory, error) {
 			if err := core.ValidateAsyncK(p.K); err != nil {
@@ -276,21 +330,36 @@ var registry = []Spec{
 			}
 			return core.NewAsyncTradeoff(p.K), nil
 		},
+		bound: func(n int, p Params, _ int64, _ int) (float64, float64) {
+			return 24 * math.Pow(float64(n), 1+1/float64(p.K)), float64(p.K + 8)
+		},
 	},
 	{
-		Name: "asyncafekgafni", FaultTolerant: true, Model: Async, Paper: "Theorem 5.14 / Section 5.4", Deterministic: true,
+		Name: "asyncafekgafni", FaultTolerant: true, Model: Async, Paper: "Theorem 5.14 / Section 5.4 (arXiv 2301.08235)", Deterministic: true,
 		Description: "asynchronized Afek-Gafni: O(log n) time, O(n log n) msgs, simultaneous wake-up",
 		buildAsync: func(int, Params) (simasync.Factory, error) {
 			return core.NewAsyncAfekGafni(), nil
 		},
+		bound: func(n int, _ Params, _ int64, _ int) (float64, float64) {
+			return 16 * float64(n) * math.Log2(float64(n)), 8*math.Log2(float64(n)) + 8
+		},
 	},
 	{
-		Name: "asynclinear", FaultTolerant: true, Model: Async, Paper: "substituted [14]-style async baseline",
+		Name: "asynclinear", FaultTolerant: true, Model: Async, Paper: "substituted [14]-style async baseline (arXiv 2301.08235 Table 1)",
 		Description: "near-linear msgs at k=Theta(log n/log log n): O(n log n) msgs, O(log n) time",
 		buildAsync: func(n int, _ Params) (simasync.Factory, error) {
 			return core.NewAsyncLinear(n), nil
 		},
+		bound: func(n int, _ Params, _ int64, _ int) (float64, float64) {
+			return 24 * float64(n) * math.Log2(float64(n)), 4 * math.Log2(float64(n))
+		},
 	},
+}
+
+// sublinearMessages is the message bound of the 2-round referee election of
+// arXiv 1210.4822 on the clique, which both sublinear and kpprt run there.
+func sublinearMessages(n int) float64 {
+	return 40 * math.Sqrt(float64(n)) * math.Pow(math.Log(float64(n)), 1.5)
 }
 
 // Registry returns the registered protocol specs in registry order.

@@ -1,6 +1,8 @@
 package elect
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -67,6 +69,52 @@ func TestRegistryGolden(t *testing.T) {
 			t.Errorf("%s: missing paper/description metadata", s.Name)
 		}
 	}
+}
+
+// TestBoundProperties: every registered spec states a paper bound that is
+// finite, positive, at least one round, and whose messages do not decrease
+// in n, at n = 2…2^16 under the default Params and at the edges of the
+// valid ones.
+func TestBoundProperties(t *testing.T) {
+	variants := []Params{DefaultParams()}
+	for _, f := range []func(*Params){
+		func(p *Params) { p.K = 1 }, func(p *Params) { p.K = 2 }, func(p *Params) { p.K = 64 },
+		func(p *Params) { p.D = 1 }, func(p *Params) { p.D = 1 << 16 },
+		func(p *Params) { p.G = 16 }, func(p *Params) { p.Eps = 1e-9 }, func(p *Params) { p.Eps = 1 - 1e-9 },
+	} {
+		p := DefaultParams()
+		f(&p)
+		variants = append(variants, p)
+	}
+	for _, spec := range Registry() {
+		for _, p := range variants {
+			if spec.Validate(p) == nil {
+				if err := checkBound(spec, p); err != nil {
+					t.Errorf("%s %+v: %v", spec.Name, p, err)
+				}
+			}
+		}
+	}
+	if checkBound(Spec{Name: "unbounded"}, DefaultParams()) == nil {
+		t.Error("a spec without a bound passes the property check")
+	}
+}
+
+func checkBound(spec Spec, p Params) error {
+	prev := 0.0
+	for n := 2; n <= 1<<16; n++ {
+		msgs, rounds := spec.Bound(n, p, 0, 0)
+		switch {
+		case math.IsInf(msgs, 0) || math.IsNaN(msgs) || msgs <= 0:
+			return fmt.Errorf("n=%d: messages bound %v", n, msgs)
+		case math.IsInf(rounds, 0) || math.IsNaN(rounds) || rounds < 1:
+			return fmt.Errorf("n=%d: rounds bound %v", n, rounds)
+		case msgs < prev:
+			return fmt.Errorf("n=%d: messages bound %v below %v at n-1", n, msgs, prev)
+		}
+		prev = msgs
+	}
+	return nil
 }
 
 func TestSpecEngines(t *testing.T) {

@@ -121,9 +121,6 @@ type Config struct {
 	// campaign for one full LeaseTTL after startup (the amnesia grace
 	// period), trading bootstrap latency for restart safety.
 	Store Store
-	// Logf, when non-nil, receives one line per control-plane event
-	// (elections, grants, depositions, fence rejections).
-	Logf func(format string, args ...any)
 }
 
 // Stats is a point-in-time view of a node's control-plane state and
@@ -372,7 +369,6 @@ func (n *Node) HandleLease(req client.LeaseRequest, now time.Time) client.LeaseR
 			// acknowledge a grant a restart could forget.
 			n.rejects++
 			n.persistFailedLocked("grant", req.Epoch, err)
-			n.logf("control: refusing epoch %d to %s: persist failed: %v", req.Epoch, req.Holder, err)
 			return client.LeaseResponse{Granted: false, Epoch: n.epoch, Holder: n.holder}
 		}
 		deposed := n.leading && req.Holder != n.cfg.Self
@@ -389,9 +385,6 @@ func (n *Node) HandleLease(req client.LeaseRequest, now time.Time) client.LeaseR
 			n.stepdowns++
 			n.events.Emit("lease.stepdown",
 				"epoch", strconv.FormatUint(req.Epoch, 10), "reason", "deposed", "by", req.Holder)
-			n.logf("control: deposed by %s (epoch %d)", req.Holder, req.Epoch)
-		} else if req.Holder != n.cfg.Self {
-			n.logf("control: granted epoch %d to %s", req.Epoch, req.Holder)
 		}
 		return client.LeaseResponse{Granted: true, Epoch: n.epoch, Holder: n.holder}
 	case req.Epoch == n.epoch && req.Holder != "" && req.Holder == n.holder:
@@ -458,7 +451,6 @@ func (n *Node) CheckFence(token uint64) error {
 	err := &StaleTokenError{Token: token, Epoch: n.epoch, Coordinator: n.holder}
 	n.events.Emit("fence.reject",
 		"token", strconv.FormatUint(token, 10), "epoch", strconv.FormatUint(n.epoch, 10))
-	n.logf("control: rejected stale chunk dispatch: %v", err)
 	return err
 }
 
@@ -490,7 +482,6 @@ func (n *Node) Tick(now time.Time) {
 		n.stepdowns++
 		n.events.Emit("lease.stepdown",
 			"epoch", strconv.FormatUint(n.epoch, 10), "reason", "expired")
-		n.logf("control: lease for epoch %d expired without quorum, stepping down", n.epoch)
 	}
 	leading := n.leading
 	holder, expires := n.holder, n.expires
@@ -628,9 +619,12 @@ func (n *Node) watch(now time.Time, holder string) {
 	}
 	n.suspect++
 	dead := n.suspect >= suspectThreshold
+	if dead {
+		n.events.Emit("holder.unreachable",
+			"holder", holder, "probes", strconv.Itoa(n.suspect), "error", err.Error())
+	}
 	n.mu.Unlock()
 	if dead {
-		n.logf("control: coordinator %s unreachable %d probes running, campaigning", holder, suspectThreshold)
 		n.campaign(now)
 	}
 }
@@ -690,7 +684,6 @@ func (n *Node) campaign(now time.Time) {
 	if err := n.saveLocked(n.epoch, n.holder, next, n.cfg.Self); err != nil {
 		n.persistFailedLocked("campaign", next, err)
 		n.mu.Unlock()
-		n.logf("control: abandoning campaign for epoch %d: persist failed: %v", next, err)
 		return
 	}
 	n.granted[next] = n.cfg.Self
@@ -717,13 +710,10 @@ func (n *Node) campaign(now time.Time) {
 		n.held = append(n.held, next)
 		if err := n.saveLocked(n.epoch, n.holder, 0, ""); err != nil {
 			n.persistFailedLocked("win", next, err)
-			n.logf("control: persisting epoch %d win failed: %v", next, err)
 		}
 		n.events.Emit("campaign.won",
 			"epoch", strconv.FormatUint(next, 10),
 			"grants", strconv.Itoa(granted), "peers", strconv.Itoa(len(n.peers)))
-		n.logf("control: won epoch %d with %d/%d grants (%d live peers)",
-			next, granted, len(n.peers), len(live))
 	} else {
 		n.events.Emit("campaign.lost",
 			"epoch", strconv.FormatUint(next, 10), "grants", strconv.Itoa(granted))
@@ -743,7 +733,6 @@ func (n *Node) adopt(now time.Time, resp *client.LeaseResponse) {
 		// Staying behind is safe (rejections will keep arriving); adopting
 		// an epoch a restart would forget is not.
 		n.persistFailedLocked("adopt", resp.Epoch, err)
-		n.logf("control: not adopting epoch %d: persist failed: %v", resp.Epoch, err)
 		return
 	}
 	if n.leading {
@@ -751,7 +740,6 @@ func (n *Node) adopt(now time.Time, resp *client.LeaseResponse) {
 		n.stepdowns++
 		n.events.Emit("lease.stepdown",
 			"epoch", strconv.FormatUint(resp.Epoch, 10), "reason", "deposed", "by", resp.Holder)
-		n.logf("control: deposed, adopting epoch %d held by %s", resp.Epoch, resp.Holder)
 	}
 	n.epoch = resp.Epoch
 	n.holder = resp.Holder
@@ -802,21 +790,26 @@ func (n *Node) electWinner(live []string, epoch uint64) string {
 		elect.WithSeed(seed),
 		elect.WithIDs(electIDs(k, seed)),
 	)
+	if err == nil && (res.Leader < 0 || res.Leader >= k) {
+		err = fmt.Errorf("control: election run named leader %d of %d nodes", res.Leader, k)
+	}
 	winner := live[k-1]
-	if err != nil || res.Leader < 0 || res.Leader >= k {
-		n.logf("control: election run failed (%v), falling back to max URL", err)
-	} else {
+	if err == nil {
 		winner = live[res.Leader]
 	}
 	if spans := n.spanCollector(); spans != nil {
+		attrs := map[string]string{
+			"spec":   n.spec.Name,
+			"epoch":  strconv.FormatUint(epoch, 10),
+			"n":      strconv.Itoa(k),
+			"winner": winner,
+			"msgs":   strconv.FormatInt(res.Messages, 10),
+		}
+		if err != nil {
+			attrs["error"] = err.Error() // the winner fell back to the max URL
+		}
 		spans.Add(obs.NewSpan(obs.NewSpanContext(), obs.SpanID{}, "control.elect", "control",
-			began, time.Since(began), map[string]string{
-				"spec":   n.spec.Name,
-				"epoch":  strconv.FormatUint(epoch, 10),
-				"n":      strconv.Itoa(k),
-				"winner": winner,
-				"msgs":   strconv.FormatInt(res.Messages, 10),
-			}))
+			began, time.Since(began), attrs))
 	}
 	return winner
 }
@@ -838,10 +831,4 @@ func (n *Node) spanCollector() *obs.SpanCollector {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.spans
-}
-
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf(format, args...)
-	}
 }

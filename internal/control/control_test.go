@@ -205,6 +205,45 @@ func TestLeaseExpiryDemotes(t *testing.T) {
 	}
 }
 
+// TestWatchJournalsUnreachableHolder: a follower whose lease holder stops
+// answering journals holder.unreachable when it gives up and campaigns.
+func TestWatchJournalsUnreachableHolder(t *testing.T) {
+	n, clock := newTestNode(t, "http://a", "http://b", "http://c")
+	events := obs.NewEventLog(16, "http://a")
+	n.SetEvents(events)
+	n.HandleLease(client.LeaseRequest{Epoch: 1, Holder: "http://b"}, clock.Now())
+	for i := 0; i < suspectThreshold; i++ {
+		n.Tick(clock.Now()) // every probe of http://b fails
+		clock.t = clock.t.Add(n.ttl / 3)
+	}
+	var kinds []string
+	for _, ev := range events.Events(0, 0) {
+		kinds = append(kinds, ev.Kind)
+		if ev.Kind == "holder.unreachable" && ev.Fields["holder"] == "http://b" && ev.Fields["error"] != "" {
+			return
+		}
+	}
+	t.Fatalf("journal %v has no holder.unreachable{holder=http://b error=…}", kinds)
+}
+
+// TestElectWinnerFallbackSpan: when the election run fails, the max URL
+// wins and the control.elect span carries the error.
+func TestElectWinnerFallbackSpan(t *testing.T) {
+	n, _ := newTestNode(t, "http://a", "http://b")
+	spans := obs.NewSpanCollector(4)
+	n.SetSpans(spans)
+	if n.spec, _ = elect.Lookup("tradeoff"); n.spec.Supports(elect.EngineAsync) {
+		t.Fatal("tradeoff runs on the async engine; pick a sync-only spec")
+	}
+	if got := n.electWinner([]string{"http://b", "http://a"}, 1); got != "http://b" {
+		t.Fatalf("fallback winner %s, want the max URL", got)
+	}
+	ids := spans.TraceIDs(1)
+	if len(ids) != 1 || spans.Trace(ids[0])[0].Attrs["error"] == "" {
+		t.Fatal("control.elect span without an error attribute on fallback")
+	}
+}
+
 func TestElectWinnerDeterministicAndLiveBound(t *testing.T) {
 	n, _ := newTestNode(t, "http://a", "http://b", "http://c")
 	live := []string{"http://c", "http://a", "http://b"}

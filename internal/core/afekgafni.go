@@ -58,9 +58,6 @@ func NewAfekGafni(k int) simsync.Factory {
 	return func(int) simsync.Protocol { return &AfekGafni{k: k} }
 }
 
-// Rounds returns the running time l = 2k for n > 1.
-func (a *AfekGafni) Rounds() int { return 2 * a.k }
-
 // Init implements simsync.Protocol.
 func (a *AfekGafni) Init(env proto.Env) {
 	a.env = env

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
-	"math"
 	"testing"
 
+	"cliquelect/elect"
+	. "cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/proto"
 	"cliquelect/internal/simsync"
@@ -14,12 +15,9 @@ func TestAfekGafniSimultaneousElectsMaxID(t *testing.T) {
 	for _, n := range []int{2, 3, 8, 17, 64, 100} {
 		for _, k := range []int{1, 2, 3, 4} {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(n+k)))
-			res, err := simsync.Run(simsync.Config{
+			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: uint64(k), Strict: true,
 			}, NewAfekGafni(k))
-			if err != nil {
-				t.Fatal(err)
-			}
 			if err := res.Validate(); err != nil {
 				t.Fatalf("n=%d k=%d: %v", n, k, err)
 			}
@@ -32,30 +30,23 @@ func TestAfekGafniSimultaneousElectsMaxID(t *testing.T) {
 }
 
 func TestAfekGafniRoundBudget(t *testing.T) {
-	// l = 2k rounds: all message activity ends by round 2k.
+	// All message activity ends within the baseline's round bound.
 	for _, k := range []int{1, 2, 3} {
 		const n = 64
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(k)))
-		res, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: 7}, NewAfekGafni(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rounds > 2*k {
-			t.Fatalf("k=%d: rounds = %d > %d", k, res.Rounds, 2*k)
+		res := runSync(t, simsync.Config{N: n, IDs: assign, Seed: 7}, NewAfekGafni(k))
+		if _, bound := lookup(t, "afekgafni").Bound(n, elect.Params{K: k}, 0, 0); float64(res.Rounds) > bound {
+			t.Fatalf("k=%d: rounds = %d > %.0f", k, res.Rounds, bound)
 		}
 	}
 }
 
 func TestAfekGafniMessageBound(t *testing.T) {
-	// O(k · n^{1+1/k}) with a generous constant.
 	for _, n := range []int{64, 256, 1024} {
 		for _, k := range []int{1, 2, 3, 4} {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(n+k)))
-			res, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: 3}, NewAfekGafni(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound := 8 * float64(k) * math.Pow(float64(n), 1+1/float64(k))
+			res := runSync(t, simsync.Config{N: n, IDs: assign, Seed: 3}, NewAfekGafni(k))
+			bound, _ := lookup(t, "afekgafni").Bound(n, elect.Params{K: k}, 0, 0)
 			if float64(res.Messages) > bound {
 				t.Fatalf("n=%d k=%d: %d messages exceed %.0f", n, k, res.Messages, bound)
 			}
@@ -70,13 +61,10 @@ func TestAfekGafniAdversarialWake(t *testing.T) {
 	const n, k = 40, 3
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(11))
 	for _, wake := range [][]int{{0}, {5, 17}, {0, 1, 2, 3, 4, 5, 6, 7}} {
-		res, err := simsync.Run(simsync.Config{
+		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: 2, Strict: true,
 			Wake: simsync.AdversarialSet{Nodes: wake},
 		}, NewAfekGafni(k))
-		if err != nil {
-			t.Fatal(err)
-		}
 		leader := res.UniqueLeader()
 		if leader < 0 {
 			t.Fatalf("wake=%v: no unique leader", wake)
@@ -107,23 +95,17 @@ func TestAfekGafniSingleRootWins(t *testing.T) {
 	// competitor.
 	const n, k = 16, 2
 	assign := ids.Sequential(ids.LinearUniverse(n, 1), n)
-	res, err := simsync.Run(simsync.Config{
+	res := runSync(t, simsync.Config{
 		N: n, IDs: assign, Seed: 5, Strict: true,
 		Wake: simsync.AdversarialSet{Nodes: []int{3}},
 	}, NewAfekGafni(k))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := res.UniqueLeader(); got != 3 {
 		t.Fatalf("leader = %d, want 3", got)
 	}
 }
 
 func TestAfekGafniSoloNode(t *testing.T) {
-	res, err := simsync.Run(simsync.Config{N: 1, IDs: ids.Assignment{1}}, NewAfekGafni(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSync(t, simsync.Config{N: 1, IDs: ids.Assignment{1}}, NewAfekGafni(2))
 	if res.UniqueLeader() != 0 {
 		t.Fatal("solo node must lead")
 	}

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
-	"math"
 	"testing"
 
+	"cliquelect/elect"
+	. "cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/simasync"
 	"cliquelect/internal/xrand"
@@ -19,6 +20,17 @@ func asyncPolicies() map[string]simasync.DelayPolicy {
 	}
 }
 
+// runAsync runs one configuration on the asynchronous engine, failing the
+// test on a configuration error.
+func runAsync(t *testing.T, cfg simasync.Config, f simasync.Factory) *simasync.Result {
+	t.Helper()
+	res, err := simasync.Run(cfg, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // --- AsyncTradeoff (Algorithm 2 / Theorem 5.1) ---
 
 func TestAsyncTradeoffElectsUniqueLeader(t *testing.T) {
@@ -29,13 +41,10 @@ func TestAsyncTradeoffElectsUniqueLeader(t *testing.T) {
 			const trials = 25
 			for seed := uint64(0); seed < trials; seed++ {
 				assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+404))
-				res, err := simasync.Run(simasync.Config{
+				res := runAsync(t, simasync.Config{
 					N: n, IDs: assign, Seed: seed, Delays: policy,
 					Wake: simasync.SubsetAtZero([]int{0}),
 				}, NewAsyncTradeoff(k))
-				if err != nil {
-					t.Fatal(err)
-				}
 				if res.Validate() != nil {
 					fails++
 				}
@@ -54,13 +63,10 @@ func TestAsyncTradeoffWakesEveryone(t *testing.T) {
 		const trials = 20
 		for seed := uint64(0); seed < trials; seed++ {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+11))
-			res, err := simasync.Run(simasync.Config{
+			res := runAsync(t, simasync.Config{
 				N: n, IDs: assign, Seed: seed,
 				Wake: simasync.SubsetAtZero([]int{int(seed) % n}),
 			}, NewAsyncTradeoff(k))
-			if err != nil {
-				t.Fatal(err)
-			}
 			if res.AllAwake() {
 				ok++
 			}
@@ -72,47 +78,39 @@ func TestAsyncTradeoffWakesEveryone(t *testing.T) {
 }
 
 func TestAsyncTradeoffTimeBound(t *testing.T) {
-	// Theorem 5.1: k+8 time units. The paper's accounting is asymptotic; we
-	// allow 2 extra units of slack (the final announcement hop and the
-	// sub-unit skews of the uniform scheduler).
+	// Theorem 5.1's time bound holds on every run, not only on average.
 	const n = 256
 	for _, k := range []int{2, 3, 5} {
+		_, bound := lookup(t, "asynctradeoff").Bound(n, elect.Params{K: k}, 0, 0)
 		for seed := uint64(0); seed < 10; seed++ {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+77))
-			res, err := simasync.Run(simasync.Config{
+			res := runAsync(t, simasync.Config{
 				N: n, IDs: assign, Seed: seed, Delays: simasync.UnitDelay{},
 				Wake: simasync.SubsetAtZero([]int{0}),
 			}, NewAsyncTradeoff(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.TimeUnits > float64(k)+10 {
-				t.Fatalf("k=%d seed=%d: time %.2f > k+10", k, seed, res.TimeUnits)
+			if res.TimeUnits > bound {
+				t.Fatalf("k=%d seed=%d: time %.2f > %.0f", k, seed, res.TimeUnits, bound)
 			}
 		}
 	}
 }
 
 func TestAsyncTradeoffMessageBound(t *testing.T) {
-	// O(n^{1+1/k}): generous constant, worst over seeds.
+	// Theorem 5.1's message bound, worst over seeds.
 	for _, n := range []int{256, 1024} {
 		for _, k := range []int{2, 3} {
 			var worst int64
 			for seed := uint64(0); seed < 5; seed++ {
 				assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
-				res, err := simasync.Run(simasync.Config{
+				res := runAsync(t, simasync.Config{
 					N: n, IDs: assign, Seed: seed,
 					Wake: simasync.SubsetAtZero([]int{0}),
 				}, NewAsyncTradeoff(k))
-				if err != nil {
-					t.Fatal(err)
-				}
 				if res.Messages > worst {
 					worst = res.Messages
 				}
 			}
-			bound := 24 * math.Pow(float64(n), 1+1/float64(k))
-			if float64(worst) > bound {
+			if bound, _ := lookup(t, "asynctradeoff").Bound(n, elect.Params{K: k}, 0, 0); float64(worst) > bound {
 				t.Fatalf("n=%d k=%d: worst %d messages exceed %.0f", n, k, worst, bound)
 			}
 		}
@@ -129,13 +127,10 @@ func TestAsyncTradeoffManyRoots(t *testing.T) {
 	fails := 0
 	for seed := uint64(0); seed < 20; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+3))
-		res, err := simasync.Run(simasync.Config{
+		res := runAsync(t, simasync.Config{
 			N: n, IDs: assign, Seed: seed,
 			Wake: simasync.SubsetAtZero(all),
 		}, NewAsyncTradeoff(k))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if res.Validate() != nil {
 			fails++
 		}
@@ -152,16 +147,13 @@ func TestAsyncTradeoffStaggeredWake(t *testing.T) {
 	fails := 0
 	for seed := uint64(0); seed < 20; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+8))
-		res, err := simasync.Run(simasync.Config{
+		res := runAsync(t, simasync.Config{
 			N: n, IDs: assign, Seed: seed,
 			Delays: simasync.SkewDelay{Fast: 0.02, Mod: 2},
 			Wake: simasync.WakeSchedule{
 				{Node: 0, Time: 0}, {Node: 1, Time: 0.5}, {Node: 2, Time: 0.9},
 			},
 		}, NewAsyncTradeoff(k))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if res.Validate() != nil {
 			fails++
 		}
@@ -172,12 +164,9 @@ func TestAsyncTradeoffStaggeredWake(t *testing.T) {
 }
 
 func TestAsyncTradeoffSoloNode(t *testing.T) {
-	res, err := simasync.Run(simasync.Config{
+	res := runAsync(t, simasync.Config{
 		N: 1, IDs: ids.Assignment{5}, Wake: simasync.SubsetAtZero([]int{0}),
 	}, NewAsyncTradeoff(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.UniqueLeader() != 0 {
 		t.Fatal("solo node must lead")
 	}
@@ -201,13 +190,10 @@ func TestAsyncAfekGafniDeterministicUniqueLeader(t *testing.T) {
 		for name, policy := range asyncPolicies() {
 			for seed := uint64(0); seed < 5; seed++ {
 				assign := ids.Random(ids.LogUniverse(max(n, 2)), n, xrand.New(seed+uint64(n)))
-				res, err := simasync.Run(simasync.Config{
+				res := runAsync(t, simasync.Config{
 					N: n, IDs: assign, Seed: seed, Delays: policy,
 					Wake: simasync.AllAtZero(n),
 				}, NewAsyncAfekGafni())
-				if err != nil {
-					t.Fatal(err)
-				}
 				if err := res.Validate(); err != nil {
 					t.Fatalf("n=%d %s seed=%d: %v", n, name, seed, err)
 				}
@@ -222,37 +208,30 @@ func TestAsyncAfekGafniMessageBound(t *testing.T) {
 		var worst int64
 		for seed := uint64(0); seed < 5; seed++ {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
-			res, err := simasync.Run(simasync.Config{
+			res := runAsync(t, simasync.Config{
 				N: n, IDs: assign, Seed: seed,
 				Delays: simasync.UniformDelay{Lo: 0.1},
 				Wake:   simasync.AllAtZero(n),
 			}, NewAsyncAfekGafni())
-			if err != nil {
-				t.Fatal(err)
-			}
 			if res.Messages > worst {
 				worst = res.Messages
 			}
 		}
-		bound := 16 * float64(n) * math.Log2(float64(n))
-		if float64(worst) > bound {
+		if bound, _ := lookup(t, "asyncafekgafni").Bound(n, elect.Params{}, 0, 0); float64(worst) > bound {
 			t.Fatalf("n=%d: worst %d messages exceed %.0f", n, worst, bound)
 		}
 	}
 }
 
 func TestAsyncAfekGafniTimeBound(t *testing.T) {
-	// O(log n) time from simultaneous wake-up: allow a constant per level.
+	// O(log n) time from simultaneous wake-up: a constant per level.
 	for _, n := range []int{64, 256, 1024} {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(n)))
-		res, err := simasync.Run(simasync.Config{
+		res := runAsync(t, simasync.Config{
 			N: n, IDs: assign, Seed: 3, Delays: simasync.UnitDelay{},
 			Wake: simasync.AllAtZero(n),
 		}, NewAsyncAfekGafni())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TimeUnits > 8*float64(CeilLog2(n))+8 {
+		if _, bound := lookup(t, "asyncafekgafni").Bound(n, elect.Params{}, 0, 0); res.TimeUnits > bound {
 			t.Fatalf("n=%d: time %.1f not O(log n)", n, res.TimeUnits)
 		}
 	}
@@ -267,14 +246,11 @@ func TestAsyncAfekGafniAdversarialWakeStillUnique(t *testing.T) {
 	fails := 0
 	for seed := uint64(0); seed < 10; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+500))
-		res, err := simasync.Run(simasync.Config{
+		res := runAsync(t, simasync.Config{
 			N: n, IDs: assign, Seed: seed,
 			Delays: simasync.UniformDelay{Lo: 0.2},
 			Wake:   simasync.SubsetAtZero([]int{0, 5}),
 		}, NewAsyncAfekGafni())
-		if err != nil {
-			t.Fatal(err)
-		}
 		if got := len(res.Leaders()); got != 1 {
 			fails++
 		}
@@ -288,29 +264,20 @@ func TestAsyncLinearBaseline(t *testing.T) {
 	// The substituted [14] baseline: near-linear messages, polylog time.
 	const n = 1024
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(9))
-	res, err := simasync.Run(simasync.Config{
+	res := runAsync(t, simasync.Config{
 		N: n, IDs: assign, Seed: 10,
 		Wake: simasync.SubsetAtZero([]int{0}),
 	}, NewAsyncLinear(n))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if float64(res.Messages) > 24*float64(n)*math.Log2(float64(n)) {
+	msgBound, timeBound := lookup(t, "asynclinear").Bound(n, elect.Params{}, 0, 0)
+	if float64(res.Messages) > msgBound {
 		t.Fatalf("messages %d not near-linear", res.Messages)
 	}
-	if res.TimeUnits > 4*math.Log2(float64(n)) {
+	if res.TimeUnits > timeBound {
 		t.Fatalf("time %.1f not polylog", res.TimeUnits)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TestAsyncTradeoffUnderTargetedScheduler stresses Algorithm 2's winner
@@ -323,14 +290,11 @@ func TestAsyncTradeoffUnderTargetedScheduler(t *testing.T) {
 	const trials = 20
 	for seed := uint64(0); seed < trials; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+640))
-		res, err := simasync.Run(simasync.Config{
+		res := runAsync(t, simasync.Config{
 			N: n, IDs: assign, Seed: seed,
 			Delays: simasync.KindDelay{Slow: []uint8{KindCompeteAsync, KindConsult}},
 			Wake:   simasync.SubsetAtZero([]int{0, 1}),
 		}, NewAsyncTradeoff(k))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if res.Validate() != nil {
 			fails++
 		}
@@ -346,14 +310,11 @@ func TestAsyncAfekGafniUnderTargetedScheduler(t *testing.T) {
 	const n = 64
 	for seed := uint64(0); seed < 10; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+17))
-		res, err := simasync.Run(simasync.Config{
+		res := runAsync(t, simasync.Config{
 			N: n, IDs: assign, Seed: seed,
 			Delays: simasync.KindDelay{Slow: []uint8{KindCancel, KindCancelGrant, KindCancelRefuse}},
 			Wake:   simasync.AllAtZero(n),
 		}, NewAsyncAfekGafni())
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := res.Validate(); err != nil {
 			t.Fatalf("seed %d: %v (deterministic algorithm must not fail)", seed, err)
 		}

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
-	"math"
 	"testing"
 
+	"cliquelect/elect"
+	. "cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/simsync"
 	"cliquelect/internal/topo"
@@ -28,12 +29,9 @@ func TestKuttenMosesElectsMaxIDOnEveryTopology(t *testing.T) {
 			}
 			g := buildTopo(t, spec, n, uint64(n))
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(n)+7))
-			res, err := simsync.Run(simsync.Config{
+			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: uint64(n), Topo: g, Strict: true,
 			}, NewKuttenMoses())
-			if err != nil {
-				t.Fatal(err)
-			}
 			if err := res.Validate(); err != nil {
 				t.Fatalf("%s n=%d: %v", spec, n, err)
 			}
@@ -45,12 +43,9 @@ func TestKuttenMosesElectsMaxIDOnEveryTopology(t *testing.T) {
 }
 
 func TestKuttenMosesSingleNode(t *testing.T) {
-	res, err := simsync.Run(simsync.Config{
+	res := runSync(t, simsync.Config{
 		N: 1, IDs: ids.Assignment{5}, Seed: 1, Topo: buildTopo(t, "ring", 1, 1), Strict: true,
 	}, NewKuttenMoses())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +59,10 @@ func TestKuttenMosesSubsetWake(t *testing.T) {
 		g := buildTopo(t, "ring", n, seed)
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
 		wake := xrand.New(seed+100).Sample(n, 3)
-		res, err := simsync.Run(simsync.Config{
+		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: seed, Topo: g, Strict: true,
 			Wake: simsync.AdversarialSet{Nodes: wake},
 		}, NewKuttenMoses())
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := res.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -96,23 +88,18 @@ func TestKuttenMosesRingProfile(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
 		g := buildTopo(t, "ring", n, uint64(n))
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(n)))
-		res, err := simsync.Run(simsync.Config{
+		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: 9, Topo: g, MaxRounds: 8 * n,
 		}, NewKuttenMoses())
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := res.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		m := float64(g.M())
-		msgBound := 8 * m * math.Log(float64(n))
+		msgBound, roundBound := lookup(t, "kuttenmoses").Bound(n, elect.Params{}, g.M(), g.Diameter())
 		if float64(res.Messages) > msgBound {
 			t.Fatalf("n=%d: %d messages exceed O(m log n) bound %.0f", n, res.Messages, msgBound)
 		}
-		d := g.Diameter()
-		if res.Rounds > 4*d+8 {
-			t.Fatalf("n=%d: %d rounds exceed diameter bound %d", n, res.Rounds, 4*d+8)
+		if float64(res.Rounds) > roundBound {
+			t.Fatalf("n=%d: %d rounds exceed diameter bound %.0f", n, res.Rounds, roundBound)
 		}
 	}
 }
@@ -125,12 +112,9 @@ func TestKPPRTOnGraphs(t *testing.T) {
 		for seed := uint64(1); seed <= 20; seed++ {
 			g := buildTopo(t, spec, n, seed)
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
-			res, err := simsync.Run(simsync.Config{
+			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed, Topo: g, Strict: true,
 			}, NewKPPRT())
-			if err != nil {
-				t.Fatal(err)
-			}
 			if res.TimedOut {
 				t.Fatalf("%s seed %d: timed out (horizon halting is broken)", spec, seed)
 			}
@@ -138,9 +122,13 @@ func TestKPPRTOnGraphs(t *testing.T) {
 				fail++
 				continue
 			}
-			// The horizon is exact: 2·diam + 2.
-			if want := 2*g.Diameter() + 2; res.Rounds != want {
-				t.Fatalf("%s seed %d: decided at round %d, want horizon %d", spec, seed, res.Rounds, want)
+			// The horizon round bound is met exactly.
+			msgs, want := lookup(t, "kpprt").Bound(n, elect.Params{}, g.M(), g.Diameter())
+			if res.Rounds != int(want) {
+				t.Fatalf("%s seed %d: decided at round %d, want horizon %.0f", spec, seed, res.Rounds, want)
+			}
+			if float64(res.Messages) > msgs {
+				t.Fatalf("%s seed %d: %d messages exceed O(m log log n) bound %.0f", spec, seed, res.Messages, msgs)
 			}
 		}
 		if fail > 4 {
@@ -153,19 +141,16 @@ func TestKPPRTCliqueModeMatchesSublinearShape(t *testing.T) {
 	// On the default clique wiring KPPRT is the classic 2-round referee
 	// algorithm with a sublinear message bill.
 	const n = 256
+	bound, rounds := lookup(t, "kpprt").Bound(n, elect.Params{}, 0, 0)
 	fail := 0
 	for seed := uint64(1); seed <= 20; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
-		res, err := simsync.Run(simsync.Config{
+		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: seed, Strict: true,
 		}, NewKPPRT())
-		if err != nil {
-			t.Fatal(err)
+		if float64(res.Rounds) > rounds {
+			t.Fatalf("seed %d: %d rounds on the clique, want <= %.0f", seed, res.Rounds, rounds)
 		}
-		if res.Rounds > 2 {
-			t.Fatalf("seed %d: %d rounds on the clique, want <= 2", seed, res.Rounds)
-		}
-		bound := 64 * math.Sqrt(float64(n)) * math.Pow(math.Log(float64(n)), 1.5)
 		if float64(res.Messages) > bound {
 			t.Fatalf("seed %d: %d messages exceed sublinear bound %.0f", seed, res.Messages, bound)
 		}
@@ -180,12 +165,9 @@ func TestKPPRTCliqueModeMatchesSublinearShape(t *testing.T) {
 
 func TestKPPRTSingleNode(t *testing.T) {
 	for _, g := range []topo.Topology{nil, buildTopo(t, "ring", 1, 1)} {
-		res, err := simsync.Run(simsync.Config{
+		res := runSync(t, simsync.Config{
 			N: 1, IDs: ids.Assignment{3}, Seed: 1, Topo: g, Strict: true,
 		}, NewKPPRT())
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := res.Validate(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 // Cross-cutting property-based tests (testing/quick) over the protocol
 // suite: the invariants the paper's correctness arguments promise must hold
@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cliquelect/elect"
+	. "cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/portmap"
 	"cliquelect/internal/simasync"
@@ -81,9 +83,11 @@ func TestPropertyAfekGafniMaxRootWins(t *testing.T) {
 	}
 }
 
-// TestPropertySmallIDMinWins: Algorithm 1 elects the minimum ID for any
-// (d, g) and any assignment from the linear universe.
+// TestPropertySmallIDMinWins: Algorithm 1 elects the minimum ID within
+// Theorem 3.15's bounds for any (d, g) and any assignment from the linear
+// universe.
 func TestPropertySmallIDMinWins(t *testing.T) {
+	spec := lookup(t, "smallid")
 	prop := func(seed uint64, sz, dsel, gsel uint8) bool {
 		n := int(sz%100) + 2
 		d := int(dsel)%n + 1
@@ -96,9 +100,9 @@ func TestPropertySmallIDMinWins(t *testing.T) {
 		if err != nil || res.Validate() != nil {
 			return false
 		}
+		msgs, rounds := spec.Bound(n, elect.Params{D: d, G: g}, 0, 0)
 		return assign[res.UniqueLeader()] == assign.Min() &&
-			res.Rounds <= CeilDiv(n, d) &&
-			res.Messages <= int64(n)*int64(d)*int64(g)
+			float64(res.Rounds) <= rounds && float64(res.Messages) <= msgs
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
 
+	"cliquelect/elect"
+	. "cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/proto"
 	"cliquelect/internal/simsync"
@@ -14,18 +16,16 @@ import (
 
 func TestSublinearSuccessRate(t *testing.T) {
 	const n, trials = 256, 120
+	_, rounds := lookup(t, "sublinear").Bound(n, elect.Params{}, 0, 0)
 	fails := 0
 	for seed := uint64(0); seed < trials; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+5000))
-		res, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: seed, Strict: true}, NewSublinear())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSync(t, simsync.Config{N: n, IDs: assign, Seed: seed, Strict: true}, NewSublinear())
 		if res.UniqueLeader() < 0 {
 			fails++
 		}
-		if res.Rounds > 2 {
-			t.Fatalf("seed %d: rounds = %d > 2", seed, res.Rounds)
+		if float64(res.Rounds) > rounds {
+			t.Fatalf("seed %d: rounds = %d > %.0f", seed, res.Rounds, rounds)
 		}
 	}
 	// w.h.p. success: allow a small handful of failures out of 120.
@@ -35,21 +35,16 @@ func TestSublinearSuccessRate(t *testing.T) {
 }
 
 func TestSublinearMessageBound(t *testing.T) {
-	// O(sqrt(n) · log^{3/2} n) with a generous constant.
 	for _, n := range []int{256, 1024, 4096} {
 		var worst int64
 		for seed := uint64(0); seed < 10; seed++ {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
-			res, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: seed}, NewSublinear())
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runSync(t, simsync.Config{N: n, IDs: assign, Seed: seed}, NewSublinear())
 			if res.Messages > worst {
 				worst = res.Messages
 			}
 		}
-		bound := 40 * math.Sqrt(float64(n)) * math.Pow(math.Log(float64(n)), 1.5)
-		if float64(worst) > bound {
+		if bound, _ := lookup(t, "sublinear").Bound(n, elect.Params{}, 0, 0); float64(worst) > bound {
 			t.Fatalf("n=%d: worst %d messages exceed bound %.0f", n, worst, bound)
 		}
 	}
@@ -61,10 +56,7 @@ func TestSublinearIsActuallySublinear(t *testing.T) {
 	// asymptotics have kicked in.
 	const n = 1 << 16
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(1))
-	res, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: 2}, NewSublinear())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSync(t, simsync.Config{N: n, IDs: assign, Seed: 2}, NewSublinear())
 	if res.Messages >= int64(n) {
 		t.Fatalf("messages %d >= n = %d", res.Messages, n)
 	}
@@ -79,10 +71,7 @@ func TestLasVegasNeverWrong(t *testing.T) {
 	for _, n := range []int{2, 3, 16, 64, 256} {
 		for seed := uint64(0); seed < 40; seed++ {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+uint64(n)))
-			res, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: seed, Strict: true}, NewLasVegas())
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runSync(t, simsync.Config{N: n, IDs: assign, Seed: seed, Strict: true}, NewLasVegas())
 			if err := res.Validate(); err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -92,17 +81,15 @@ func TestLasVegasNeverWrong(t *testing.T) {
 
 func TestLasVegasRoundsMostlyThree(t *testing.T) {
 	const n, trials = 256, 100
+	_, rounds := lookup(t, "lasvegas").Bound(n, elect.Params{}, 0, 0)
 	restarts := 0
 	for seed := uint64(0); seed < trials; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+900))
-		res, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: seed}, NewLasVegas())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSync(t, simsync.Config{N: n, IDs: assign, Seed: seed}, NewLasVegas())
 		if res.Rounds%3 != 0 {
 			t.Fatalf("seed %d: rounds = %d, want multiple of 3", seed, res.Rounds)
 		}
-		if res.Rounds > 3 {
+		if float64(res.Rounds) > rounds {
 			restarts++
 		}
 	}
@@ -112,18 +99,15 @@ func TestLasVegasRoundsMostlyThree(t *testing.T) {
 }
 
 func TestLasVegasLinearMessages(t *testing.T) {
-	// Theorem 3.16: O(n) messages w.h.p. — and at least n-1 (the
+	// Theorem 3.16's O(n) messages w.h.p. — and at least n-1 (the
 	// announcement), which is the Omega(n) lower-bound side made concrete.
 	for _, n := range []int{256, 1024, 4096} {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(n)))
-		res, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: uint64(n), Strict: true}, NewLasVegas())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSync(t, simsync.Config{N: n, IDs: assign, Seed: uint64(n), Strict: true}, NewLasVegas())
 		if res.Messages < int64(n-1) {
 			t.Fatalf("n=%d: %d messages below the announcement floor", n, res.Messages)
 		}
-		if res.Messages > int64(6*n) {
+		if bound, _ := lookup(t, "lasvegas").Bound(n, elect.Params{}, 0, 0); float64(res.Messages) > bound {
 			t.Fatalf("n=%d: %d messages not O(n)", n, res.Messages)
 		}
 	}
@@ -134,21 +118,19 @@ func TestLasVegasLinearMessages(t *testing.T) {
 func TestAdvWakeSuccessAcrossWakeSets(t *testing.T) {
 	const n = 256
 	rng := xrand.New(123)
+	_, rounds := lookup(t, "advwake").Bound(n, elect.Params{Eps: 1.0 / 16}, 0, 0)
 	wakeSizes := []int{1, 16, n / 2, n}
 	for _, w := range wakeSizes {
 		fails := 0
 		const trials = 60
 		for seed := uint64(0); seed < trials; seed++ {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+7777))
-			res, err := simsync.Run(simsync.Config{
+			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed, Strict: true,
 				Wake: simsync.RandomWakeSet(n, w, rng),
 			}, NewAdvWake2Round(1.0/16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Rounds > 2 {
-				t.Fatalf("w=%d seed=%d: rounds = %d > 2", w, seed, res.Rounds)
+			if float64(res.Rounds) > rounds {
+				t.Fatalf("w=%d seed=%d: rounds = %d > %.0f", w, seed, res.Rounds, rounds)
 			}
 			if res.UniqueLeader() < 0 || !res.AllAwake() {
 				fails++
@@ -163,26 +145,20 @@ func TestAdvWakeSuccessAcrossWakeSets(t *testing.T) {
 }
 
 func TestAdvWakeMessageBound(t *testing.T) {
-	// O(n^{3/2} log(1/eps)) with slack; also at least one full broadcast
-	// when successful.
 	const eps = 0.25
 	for _, n := range []int{256, 1024} {
 		var worst int64
 		for seed := uint64(0); seed < 8; seed++ {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
-			res, err := simsync.Run(simsync.Config{
+			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed,
 				Wake: simsync.Simultaneous{}, // worst case: everyone is a root
 			}, NewAdvWake2Round(eps))
-			if err != nil {
-				t.Fatal(err)
-			}
 			if res.Messages > worst {
 				worst = res.Messages
 			}
 		}
-		bound := 20 * math.Pow(float64(n), 1.5) * math.Log(1/eps) / math.Log(2)
-		if float64(worst) > bound {
+		if bound, _ := lookup(t, "advwake").Bound(n, elect.Params{Eps: eps}, 0, 0); float64(worst) > bound {
 			t.Fatalf("n=%d: worst %d messages exceed %.0f", n, worst, bound)
 		}
 	}
@@ -196,13 +172,10 @@ func TestAdvWakeSingleRootWakesEveryone(t *testing.T) {
 	const trials = 30
 	for seed := uint64(0); seed < trials; seed++ {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+31))
-		res, err := simsync.Run(simsync.Config{
+		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: seed,
 			Wake: simsync.AdversarialSet{Nodes: []int{0}},
 		}, NewAdvWake2Round(1.0/16))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if res.AllAwake() {
 			ok++
 		}
@@ -233,15 +206,12 @@ func TestSpreadElectCorrectness(t *testing.T) {
 		const trials = 30
 		for seed := uint64(0); seed < trials; seed++ {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+101))
-			res, err := simsync.Run(simsync.Config{
+			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed, Strict: true,
 				Wake: simsync.RandomWakeSet(n, 1+int(rng.Uint64n(4)), rng),
 			}, NewSpreadElect(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Rounds > k+5 {
-				t.Fatalf("k=%d: rounds %d > %d", k, res.Rounds, k+5)
+			if _, rounds := lookup(t, "spreadelect").Bound(n, elect.Params{K: k}, 0, 0); float64(res.Rounds) > rounds {
+				t.Fatalf("k=%d: rounds %d > %.0f", k, res.Rounds, rounds)
 			}
 			if res.UniqueLeader() < 0 {
 				fails++
@@ -255,17 +225,15 @@ func TestSpreadElectCorrectness(t *testing.T) {
 
 func TestSpreadElectNearLinearMessages(t *testing.T) {
 	// At k = 9 the spreading costs O(n^{10/9}) and the election O(n log n):
-	// messages should be well below the n^{3/2} of the 2-round algorithm.
+	// messages stay within the near-linear bound, well below the n^{3/2} of
+	// the 2-round algorithm.
 	const n, k = 4096, 9
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(3))
-	res, err := simsync.Run(simsync.Config{
+	res := runSync(t, simsync.Config{
 		N: n, IDs: assign, Seed: 4,
 		Wake: simsync.AdversarialSet{Nodes: []int{0}},
 	}, NewSpreadElect(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(res.Messages) > 8*float64(n)*math.Log2(float64(n)) {
+	if bound, _ := lookup(t, "spreadelect").Bound(n, elect.Params{K: k}, 0, 0); float64(res.Messages) > bound {
 		t.Fatalf("messages %d not near-linear", res.Messages)
 	}
 	if float64(res.Messages) > math.Pow(float64(n), 1.5)/4 {
@@ -276,13 +244,10 @@ func TestSpreadElectNearLinearMessages(t *testing.T) {
 func TestSpreadElectAwakeNodesDecide(t *testing.T) {
 	const n, k = 128, 3
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(21))
-	res, err := simsync.Run(simsync.Config{
+	res := runSync(t, simsync.Config{
 		N: n, IDs: assign, Seed: 9, Strict: true,
 		Wake: simsync.AdversarialSet{Nodes: []int{7}},
 	}, NewSpreadElect(k))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for u, d := range res.Decisions {
 		if res.WakeRound[u] != 0 && d == proto.Undecided {
 			t.Fatalf("awake node %d undecided", u)

@@ -1,8 +1,10 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"cliquelect/elect"
+	. "cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/simsync"
 	"cliquelect/internal/xrand"
@@ -10,13 +12,9 @@ import (
 
 func runSmallID(t *testing.T, n, d, g int, assign ids.Assignment, seed uint64) *simsync.Result {
 	t.Helper()
-	res, err := simsync.Run(simsync.Config{
+	return runSync(t, simsync.Config{
 		N: n, IDs: assign, Seed: seed, Strict: true,
 	}, NewSmallID(d, g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 func TestSmallIDElectsMinID(t *testing.T) {
@@ -40,19 +38,19 @@ func TestSmallIDElectsMinID(t *testing.T) {
 }
 
 func TestSmallIDRoundAndMessageBounds(t *testing.T) {
-	// Theorem 3.15: <= ceil(n/d) rounds and <= n·d·g messages.
+	// Theorem 3.15's round and message bounds.
 	for _, n := range []int{64, 256} {
 		for _, d := range []int{2, 8, 16} {
 			for _, g := range []int{1, 3} {
 				u := ids.LinearUniverse(n, g)
 				assign := ids.Spread(u, n) // adversarial: every window is full
 				res := runSmallID(t, n, d, g, assign, 1)
-				if res.Rounds > CeilDiv(n, d) {
-					t.Fatalf("n=%d d=%d g=%d: rounds %d > %d", n, d, g, res.Rounds, CeilDiv(n, d))
+				msgs, rounds := lookup(t, "smallid").Bound(n, elect.Params{D: d, G: g}, 0, 0)
+				if float64(res.Rounds) > rounds {
+					t.Fatalf("n=%d d=%d g=%d: rounds %d > %.0f", n, d, g, res.Rounds, rounds)
 				}
-				if res.Messages > int64(n)*int64(d)*int64(g) {
-					t.Fatalf("n=%d d=%d g=%d: %d messages > n·d·g = %d",
-						n, d, g, res.Messages, n*d*g)
+				if float64(res.Messages) > msgs {
+					t.Fatalf("n=%d d=%d g=%d: %d messages > %.0f", n, d, g, res.Messages, msgs)
 				}
 			}
 		}
@@ -110,10 +108,7 @@ func TestSmallIDSublinearRegime(t *testing.T) {
 }
 
 func TestSmallIDSoloNode(t *testing.T) {
-	res, err := simsync.Run(simsync.Config{N: 1, IDs: ids.Assignment{1}}, NewSmallID(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSync(t, simsync.Config{N: 1, IDs: ids.Assignment{1}}, NewSmallID(1, 1))
 	if res.UniqueLeader() != 0 {
 		t.Fatal("solo node must lead")
 	}

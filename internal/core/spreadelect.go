@@ -84,9 +84,6 @@ func SpreadFanout(n, k int) int {
 	return f
 }
 
-// Rounds returns the worst-case round count k+5.
-func (s *SpreadElect) Rounds() int { return s.k + 5 }
-
 // Init implements simsync.Protocol.
 func (s *SpreadElect) Init(env proto.Env) {
 	s.env = env

@@ -60,9 +60,6 @@ func NewTradeoff(k int) simsync.Factory {
 	return func(int) simsync.Protocol { return &Tradeoff{k: k} }
 }
 
-// Rounds returns the running time l = 2k-3 of the algorithm for n > 1.
-func (t *Tradeoff) Rounds() int { return 2*t.k - 3 }
-
 // Init implements simsync.Protocol.
 func (t *Tradeoff) Init(env proto.Env) {
 	t.env = env

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
-	"math"
 	"testing"
 
+	"cliquelect/elect"
+	. "cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/portmap"
 	"cliquelect/internal/proto"
@@ -15,13 +16,31 @@ import (
 func runTradeoff(t *testing.T, n, k int, seed uint64, pm portmap.Map) (*simsync.Result, ids.Assignment) {
 	t.Helper()
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+1000))
-	res, err := simsync.Run(simsync.Config{
+	return runSync(t, simsync.Config{
 		N: n, IDs: assign, Seed: seed, Ports: pm, Strict: true,
-	}, NewTradeoff(k))
+	}, NewTradeoff(k)), assign
+}
+
+// runSync runs one configuration on the synchronous engine, failing the
+// test on a configuration error.
+func runSync(t *testing.T, cfg simsync.Config, f simsync.Factory) *simsync.Result {
+	t.Helper()
+	res, err := simsync.Run(cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, assign
+	return res
+}
+
+// lookup returns the registered elect spec whose Bound is the one home of
+// every paper bound these tests hold a run to.
+func lookup(t *testing.T, name string) elect.Spec {
+	t.Helper()
+	spec, err := elect.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }
 
 func TestTradeoffElectsMaxID(t *testing.T) {
@@ -40,23 +59,23 @@ func TestTradeoffElectsMaxID(t *testing.T) {
 }
 
 func TestTradeoffExactRoundCount(t *testing.T) {
-	// Theorem 3.10: l = 2k-3 rounds, exactly (the final broadcast happens in
-	// round 2k-3 and decisions land the same round).
+	// Theorem 3.10's round bound is met exactly (the final broadcast and
+	// the decisions land in the last round).
 	for _, k := range []int{3, 4, 5, 6} {
 		res, _ := runTradeoff(t, 64, k, uint64(k), nil)
-		if want := 2*k - 3; res.Rounds != want {
-			t.Fatalf("k=%d: rounds = %d, want %d", k, res.Rounds, want)
+		if _, want := lookup(t, "tradeoff").Bound(64, elect.Params{K: k}, 0, 0); res.Rounds != int(want) {
+			t.Fatalf("k=%d: rounds = %d, want %.0f", k, res.Rounds, want)
 		}
 	}
 }
 
 func TestTradeoffMessageBound(t *testing.T) {
-	// O(k · n^{1+1/(k-1)}) with a generous constant; also sanity lower
-	// bound: the final broadcast alone costs >= n-1.
+	// Theorem 3.10's message bound; also sanity lower bound: the final
+	// broadcast alone costs >= n-1.
 	for _, n := range []int{64, 256, 512} {
 		for _, k := range []int{3, 4, 5} {
 			res, _ := runTradeoff(t, n, k, uint64(n+k), nil)
-			bound := 8 * float64(k) * math.Pow(float64(n), 1+1/float64(k-1))
+			bound, _ := lookup(t, "tradeoff").Bound(n, elect.Params{K: k}, 0, 0)
 			if float64(res.Messages) > bound {
 				t.Fatalf("n=%d k=%d: %d messages exceed bound %.0f", n, k, res.Messages, bound)
 			}
@@ -88,10 +107,7 @@ func TestTradeoffAllPortMaps(t *testing.T) {
 }
 
 func TestTradeoffSoloNode(t *testing.T) {
-	res, err := simsync.Run(simsync.Config{N: 1, IDs: ids.Assignment{7}}, NewTradeoff(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSync(t, simsync.Config{N: 1, IDs: ids.Assignment{7}}, NewTradeoff(3))
 	if res.UniqueLeader() != 0 || res.Messages != 0 {
 		t.Fatalf("solo node: %+v", res)
 	}
@@ -118,14 +134,8 @@ func TestTradeoffBeatsAfekGafniAtEqualRounds(t *testing.T) {
 	for _, k := range []int{3, 4} {
 		agIters := k - 1 // 2k-2 rounds for AG vs 2k-3 for ours
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(9))
-		ours, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: 1}, NewTradeoff(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ag, err := simsync.Run(simsync.Config{N: n, IDs: assign, Seed: 1}, NewAfekGafni(agIters))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ours := runSync(t, simsync.Config{N: n, IDs: assign, Seed: 1}, NewTradeoff(k))
+		ag := runSync(t, simsync.Config{N: n, IDs: assign, Seed: 1}, NewAfekGafni(agIters))
 		if ours.Messages >= ag.Messages {
 			t.Fatalf("k=%d: tradeoff %d msgs not better than afek-gafni %d msgs",
 				k, ours.Messages, ag.Messages)

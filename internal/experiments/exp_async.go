@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"cliquelect/elect"
 	"cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/obs"
@@ -68,16 +69,15 @@ func E10AsyncTradeoff(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
+			_, timeBound := bound("asynctradeoff", n, elect.Params{K: k})
 			xs = append(xs, float64(n))
 			wakeYs = append(wakeYs, pt.wakeMsgs)
-			rep.Table.AddRow(k, n, pt.msgs, math.Pow(float64(n), 1+1/float64(k)), pt.timeUnits, k+8,
+			rep.Table.AddRow(k, n, pt.msgs, math.Pow(float64(n), 1+1/float64(k)), pt.timeUnits, int(timeBound),
 				fmt.Sprintf("%d/%d", pt.successes, cfg.seeds()))
 			rep.check(fmt.Sprintf("success k=%d n=%d", k, n), pt.successes >= cfg.seeds()-1,
 				"%d/%d unique-leader runs", pt.successes, cfg.seeds())
-			// The paper's k+8 is asymptotic; consult serialization at one
-			// referee adds a vanishing O(polylog/sqrt(n)) term at small n.
-			rep.check(fmt.Sprintf("time k=%d n=%d", k, n), pt.timeUnits <= float64(k)+11,
-				"mean %.2f time units vs paper k+8 = %d", pt.timeUnits, k+8)
+			rep.check(fmt.Sprintf("time k=%d n=%d", k, n), pt.timeUnits <= timeBound,
+				"mean %.2f time units vs paper k+8 = %.0f", pt.timeUnits, timeBound)
 			// The election term on top of the spreading is o(n): Theta(log n)
 			// candidates each contacting Theta(sqrt(n log n)) referees.
 			election := pt.msgs - pt.wakeMsgs
@@ -117,12 +117,13 @@ func E11AsyncLinear(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		nlogn := float64(n) * math.Log2(float64(n))
+		msgBound, timeBound := bound("asynclinear", n, elect.Params{})
 		rep.Table.AddRow(n, k, pt.msgs, pt.msgs/nlogn, pt.timeUnits,
 			fmt.Sprintf("%d/%d", pt.successes, cfg.seeds()))
-		rep.check(fmt.Sprintf("near-linear n=%d", n), pt.msgs <= 24*nlogn,
+		rep.check(fmt.Sprintf("near-linear n=%d", n), pt.msgs <= msgBound,
 			"%.0f msgs <= 24·n·log2 n", pt.msgs)
-		rep.check(fmt.Sprintf("polylog time n=%d", n), pt.timeUnits <= 4*math.Log2(float64(n)),
-			"%.1f time units <= 4·log2 n = %.1f", pt.timeUnits, 4*math.Log2(float64(n)))
+		rep.check(fmt.Sprintf("polylog time n=%d", n), pt.timeUnits <= timeBound,
+			"%.1f time units <= 4·log2 n = %.1f", pt.timeUnits, timeBound)
 	}
 	// Crossover at fixed n: sweep k and verify messages decrease while time
 	// increases, meeting the near-linear corner at k_max.
@@ -183,14 +184,14 @@ func E12AsyncAfekGafni(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			nlogn := float64(n) * math.Log2(float64(n))
+			msgBound, timeBound := bound("asyncafekgafni", n, elect.Params{})
 			rep.Table.AddRow(n, pol.name, pt.msgs, pt.msgs/nlogn, pt.timeUnits,
 				pt.timeUnits/math.Log2(float64(n)), fmt.Sprintf("%d/%d", pt.successes, cfg.seeds()))
 			rep.check(fmt.Sprintf("deterministic success n=%d %s", n, pol.name), pt.successes == cfg.seeds(),
 				"%d/%d runs elected exactly one leader (no probability)", pt.successes, cfg.seeds())
-			rep.check(fmt.Sprintf("O(n log n) msgs n=%d %s", n, pol.name), pt.msgs <= 16*nlogn,
-				"%.0f <= 16·n·log2 n = %.0f", pt.msgs, 16*nlogn)
-			rep.check(fmt.Sprintf("O(log n) time n=%d %s", n, pol.name),
-				pt.timeUnits <= 8*math.Log2(float64(n))+8,
+			rep.check(fmt.Sprintf("O(n log n) msgs n=%d %s", n, pol.name), pt.msgs <= msgBound,
+				"%.0f <= 16·n·log2 n = %.0f", pt.msgs, msgBound)
+			rep.check(fmt.Sprintf("O(log n) time n=%d %s", n, pol.name), pt.timeUnits <= timeBound,
 				"%.1f time units <= 8·log2 n + 8", pt.timeUnits)
 		}
 	}

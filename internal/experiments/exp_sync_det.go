@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"cliquelect/elect"
 	"cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/lowerbound"
@@ -65,7 +66,7 @@ func E3Tradeoff(cfg Config) (*Report, error) {
 			if succ != cfg.seeds() {
 				return nil, fmt.Errorf("E3: deterministic run failed at n=%d l=%d", n, l)
 			}
-			if int(rounds) != l {
+			if _, want := bound("tradeoff", n, elect.Params{K: k}); int(rounds) != int(want) {
 				roundsOK = false
 			}
 			xs = append(xs, float64(n))
@@ -99,6 +100,7 @@ func E13AfekGafni(cfg Config) (*Report, error) {
 	ns := cfg.nsFor([]int{512, 1024, 2048, 4096, 8192}, []int{256, 1024, 4096})
 	for _, k := range []int{2, 3, 4} {
 		var xs, ys []float64
+		var most float64
 		roundsOK := true
 		for _, n := range ns {
 			msgs, rounds, succ, err := meanMessages(n, cfg.seeds(), cfg.Seed+uint64(k), core.NewAfekGafni(k), logIDs(n), nil)
@@ -108,7 +110,7 @@ func E13AfekGafni(cfg Config) (*Report, error) {
 			if succ != cfg.seeds() {
 				return nil, fmt.Errorf("E13: failed at n=%d k=%d", n, k)
 			}
-			if int(rounds) > 2*k {
+			if _, most = bound("afekgafni", n, elect.Params{K: k}); int(rounds) > int(most) {
 				roundsOK = false
 			}
 			xs = append(xs, float64(n))
@@ -120,7 +122,7 @@ func E13AfekGafni(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.check(fmt.Sprintf("rounds<=2k (k=%d)", k), roundsOK, "every run within %d rounds", 2*k)
+		rep.check(fmt.Sprintf("rounds<=2k (k=%d)", k), roundsOK, "every run within %.0f rounds", most)
 		rep.check(fmt.Sprintf("msg exponent (k=%d)", k), math.Abs(fit.Alpha-want) < 0.2,
 			"fitted %.3f vs paper %.3f (R²=%.3f)", fit.Alpha, want, fit.R2)
 	}
@@ -136,9 +138,11 @@ func E13AfekGafni(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		_, ourRounds := bound("tradeoff", nBig, elect.Params{K: k})
+		_, agRounds := bound("afekgafni", nBig, elect.Params{K: k - 1})
 		rep.check(fmt.Sprintf("crossover k=%d (n=%d)", k, nBig), ours < ag,
-			"Tradeoff %.0f msgs in %d rounds vs Afek-Gafni %.0f msgs in %d rounds",
-			ours, 2*k-3, ag, 2*k-2)
+			"Tradeoff %.0f msgs in %.0f rounds vs Afek-Gafni %.0f msgs in %.0f rounds",
+			ours, ourRounds, ag, agRounds)
 	}
 	return rep, nil
 }
@@ -323,8 +327,7 @@ func E4SmallID(cfg Config) (*Report, error) {
 				worstRounds = r
 			}
 		}
-		msgBound := float64(n) * float64(c.d) * float64(c.g)
-		roundBound := float64(core.CeilDiv(n, c.d))
+		msgBound, roundBound := bound("smallid", n, elect.Params{D: c.d, G: c.g})
 		rep.Table.AddRow(n, c.d, c.g, worstMsgs, msgBound, worstRounds, roundBound)
 		rep.check(fmt.Sprintf("bounds d=%d g=%d", c.d, c.g),
 			worstMsgs <= msgBound && worstRounds <= roundBound,

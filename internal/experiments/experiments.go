@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"cliquelect/elect"
 	"cliquelect/internal/stats"
 )
 
@@ -121,6 +122,16 @@ func (r *Report) Markdown() string {
 	}
 	b.WriteByte('\n')
 	return b.String()
+}
+
+// bound is the named spec's paper bound on the clique: elect.Spec.Bound is
+// the one home of every constant a Table-1 check holds a row to.
+func bound(name string, n int, p elect.Params) (messages, rounds float64) {
+	spec, err := elect.Lookup(name)
+	if err != nil {
+		panic(err) // experiments name registered specs only
+	}
+	return spec.Bound(n, p, 0, 0)
 }
 
 // Runner executes one experiment.
