@@ -40,8 +40,8 @@
 //
 // The same contract powers distributed dispatch (internal/distrib): the
 // sweep CLIs' -workers flag shards a batch grid into deterministic chunks
-// across a fleet of electd daemons (POST /v1/chunk), with health-probe
-// load balancing, failover off dead workers and straggler re-dispatch —
+// across a fleet of electd daemons (POST /v1/chunk), with in-flight load
+// balancing, failover off dead workers and straggler re-dispatch —
 // merging a BatchResult byte-identical to a purely local RunMany.
 //
 // The implementation lives under internal/:

@@ -1,6 +1,8 @@
 package control
 
 import (
+	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,4 +54,56 @@ func TestFileStoreCorruptIsError(t *testing.T) {
 		Store: NewFileStore(path)}); err == nil {
 		t.Fatal("node built over a corrupt state file")
 	}
+}
+
+// FuzzFileStoreLoad feeds arbitrary bytes to FileStore.Load as a state
+// file. An accepted file must round-trip: Save then Load returns the same
+// State, and a second Save writes the same bytes as the first. A nil and an
+// empty Granted count as equal, because Save's omitempty writes neither,
+// so Load cannot tell them apart.
+func FuzzFileStoreLoad(f *testing.F) {
+	for _, seed := range []string{
+		`{"epoch":7,"holder":"http://b","granted":{"6":"http://a","7":"http://b"}}`,
+		`{}`,
+		`{"epoch":7,"holder":"http://b","gra`,
+		`{"epoch":18446744073709551615,"granted":{"18446744073709551615":"http://a"}}`,
+		`{"epoch":1,"granted":{"one":"http://a"}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "state.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := NewFileStore(path)
+		st, err := s.Load()
+		if err != nil {
+			return
+		}
+		if err := s.Save(st); err != nil {
+			t.Fatal(err)
+		}
+		first, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := s.Load()
+		if err != nil {
+			t.Fatalf("Load rejects what Save wrote: %v\n%s", err, first)
+		}
+		if again.Epoch != st.Epoch || again.Holder != st.Holder || !maps.Equal(again.Granted, st.Granted) {
+			t.Fatalf("round trip = %+v, want %+v", again, st)
+		}
+		if err := s.Save(again); err != nil {
+			t.Fatal(err)
+		}
+		second, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("second Save wrote different bytes:\n%s\nvs\n%s", first, second)
+		}
+	})
 }

@@ -3,10 +3,13 @@
 // remote electd workers over the /v1/chunk wire call, merging the results
 // into exactly the grid a local elect.RunMany would produce.
 //
-// A Fleet is a registry of workers with health probes and in-flight
-// tracking. Runner binds a Fleet to the wire-form options of one sweep
-// configuration and yields an elect.RemoteRunner, so dispatch plugs into
-// the public API as Batch.Remote:
+// A Fleet is a registry of workers with liveness and in-flight tracking.
+// A worker is up from a successful /healthz probe until a chunk dispatched
+// to it fails; each grid probes only the workers marked down, so a grid
+// over a healthy fleet sends no probe at all. Runner binds a Fleet to the
+// wire-form options of one sweep configuration and yields an
+// elect.RemoteRunner, so dispatch plugs into the public API as
+// Batch.Remote:
 //
 //	fleet, _ := distrib.New(distrib.Config{Workers: hosts})
 //	b.Remote = fleet.Runner(client.Options{Params: &client.ParamSpec{K: &k}})
@@ -24,11 +27,11 @@
 // so re-dispatched or re-run cells are free.
 //
 // Partition is a pure function of the grid axes, never of the fleet, so a
-// batch shards into the same chunks on any number of workers. Unless
-// Config.ChunkSize fixes the size, consecutive cells join a chunk until
-// their summed weight n·⌈log₂ n⌉ (a spec-independent stand-in for a cell's
-// work) reaches a fixed budget: cheap cells share a round trip, and a cell
-// heavy enough to reach the budget alone travels alone. Only a chunk the
+// batch shards into the same chunks on any number of workers. Consecutive
+// cells join a chunk until their summed weight n·⌈log₂ n⌉ (a
+// spec-independent stand-in for a cell's work) reaches a fixed budget:
+// cheap cells share a round trip, and a cell heavy enough to reach the
+// budget alone travels alone. Only a chunk the
 // coordinator's cache holds whole is merged without dispatch; a chunk with
 // some cells cached goes out whole, and the worker's cache answers those.
 package distrib
@@ -54,10 +57,6 @@ type Config struct {
 	// Workers lists the electd base URLs; a bare "host:port" is given the
 	// http scheme. At least one is required.
 	Workers []string
-	// ChunkSize fixes the number of cells per chunk; 0 means the default
-	// weight-shaped partition (see Partition). Must not depend on fleet
-	// size (the partitioner contract).
-	ChunkSize int
 	// StragglerAfter is how long a chunk may be in flight before an idle
 	// worker is given a duplicate copy (first answer wins); 0 means 30s.
 	StragglerAfter time.Duration
@@ -108,12 +107,9 @@ type worker struct {
 	url string
 	c   *client.Client
 
-	mu         sync.Mutex
-	alive      bool
-	queueDepth int    // from the last probe: jobs waiting on the daemon
-	role       string // from the last probe: control-plane role ("" standalone)
-	epoch      uint64 // from the last probe: highest election epoch seen
-	inflight   int    // chunks currently dispatched to this worker
+	mu       sync.Mutex
+	alive    bool // set by a successful probe, cleared by a failed chunk
+	inflight int  // chunks currently dispatched to this worker
 
 	cells  int64
 	chunks int64
@@ -132,8 +128,9 @@ type worker struct {
 // probeTimeout bounds each health probe.
 const probeTimeout = 2 * time.Second
 
-// New builds a Fleet over the given worker URLs. No probing happens here;
-// the first RunGrid (or an explicit Probe) discovers who is alive.
+// New builds a Fleet over the given worker URLs. No probing happens here:
+// every worker starts down, so the first RunGrid (or an explicit Probe)
+// probes them all.
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("distrib: no workers configured")
@@ -188,49 +185,49 @@ func (f *Fleet) SetEvents(log *obs.EventLog) { f.events.Store(log) }
 // Emit a single-branch no-op.
 func (f *Fleet) ev() *obs.EventLog { return f.events.Load() }
 
-// Probe health-checks every worker in parallel, refreshing liveness and the
-// load gauges the scheduler balances on, and returns how many are alive. A
-// worker marked dead by an earlier failure gets a fresh chance here.
+// Probe health-checks, in parallel, every worker not known to be up, and
+// returns how many are up. A worker that answers is up until a chunk
+// dispatched to it fails (endChunk); one that does not stays down until a
+// later Probe. A worker that dies while marked up is found by its next
+// chunk: the client retries, then the chunk fails over.
 func (f *Fleet) Probe(ctx context.Context) int {
 	var wg sync.WaitGroup
 	for _, w := range f.workers {
+		if w.up() {
+			continue
+		}
 		wg.Add(1)
-		go func(w *worker) {
+		go func() {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
-			h, err := w.c.Health(pctx)
+			if h, err := w.c.Health(pctx); err != nil || !h.OK {
+				return
+			}
 			w.mu.Lock()
-			was := w.alive
-			w.alive = err == nil && h.OK
-			if w.alive {
-				w.queueDepth = h.QueueDepth
-				w.role = h.Role
-				w.epoch = h.Epoch
-			}
-			now := w.alive
+			revived := !w.alive
+			w.alive = true
 			w.mu.Unlock()
-			switch {
-			case now && !was:
+			if revived {
 				f.ev().Emit("worker.up", "url", w.url)
-			case !now && was:
-				if err == nil {
-					err = errors.New("healthz not ok")
-				}
-				f.ev().Emit("worker.down", "url", w.url, "reason", "probe", "error", err.Error())
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	alive := 0
 	for _, w := range f.workers {
-		w.mu.Lock()
-		if w.alive {
+		if w.up() {
 			alive++
 		}
-		w.mu.Unlock()
 	}
 	return alive
+}
+
+// up reports whether w is marked up.
+func (w *worker) up() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.alive
 }
 
 // Runner binds the fleet to one sweep configuration's wire options and
@@ -293,9 +290,9 @@ type grid struct {
 	comp        chan completion
 }
 
-// runGrid probes the fleet and runs the grid's stages: plan, then
-// schedule, which drives one attempt per dispatch and merges each chunk as
-// its first answer arrives.
+// runGrid probes the workers marked down and runs the grid's stages: plan,
+// then schedule, which drives one attempt per dispatch and merges each
+// chunk as its first answer arrives.
 func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batch, wopts client.Options) (results []elect.Result, err error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -342,7 +339,7 @@ func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batc
 // always dispatch.
 func (g *grid) plan() {
 	total := elect.GridSize(g.ns, g.seeds, g.b.Topos)
-	g.chunks = Partition(g.ns, g.seeds, g.b.Topos, g.f.cfg.ChunkSize)
+	g.chunks = Partition(g.ns, g.seeds, g.b.Topos)
 	g.runs = make([]elect.Result, total)
 	g.states = make([]chunkState, len(g.chunks))
 	if g.b.Cache != nil {
@@ -567,7 +564,7 @@ func (g *grid) attempt(ci int, w *worker, dup bool) completion {
 		}
 	}
 	if w.endChunk(c.err == nil, ch.Count, c.dur) {
-		g.f.ev().Emit("worker.down", "url", w.url, "reason", "chunk", "error", c.err.Error())
+		g.f.ev().Emit("worker.down", "url", w.url, "error", c.err.Error())
 	}
 	return c
 }
@@ -629,27 +626,26 @@ func fencedStatus(err error) bool {
 const maxInflight = 2
 
 // pickWorker chooses the dispatch target: the alive worker with the fewest
-// chunks in flight (below maxInflight), ties broken by the lighter
-// probe-time queue, skipping the workers the chunk already runs on (a
-// straggler's duplicate must go somewhere new). It counts the dispatch on
-// the worker it picks, as a straggler duplicate when on is non-empty.
-// Returns nil when nobody qualifies.
+// chunks in flight (below maxInflight, ties to the first listed), skipping
+// the workers the chunk already runs on (a straggler's duplicate must go
+// somewhere new). It counts the dispatch on the worker it picks, as a
+// straggler duplicate when on is non-empty. Returns nil when nobody
+// qualifies.
 func (f *Fleet) pickWorker(on []*worker) *worker {
 	var best *worker
-	bestInflight, bestQueue := 0, 0
+	bestInflight := 0
 	for _, w := range f.workers {
 		if slices.Contains(on, w) {
 			continue
 		}
 		w.mu.Lock()
-		alive, inflight, queue := w.alive, w.inflight, w.queueDepth
+		alive, inflight := w.alive, w.inflight
 		w.mu.Unlock()
 		if !alive || inflight >= maxInflight {
 			continue
 		}
-		if best == nil || inflight < bestInflight ||
-			(inflight == bestInflight && queue < bestQueue) {
-			best, bestInflight, bestQueue = w, inflight, queue
+		if best == nil || inflight < bestInflight {
+			best, bestInflight = w, inflight
 		}
 	}
 	if best != nil {
@@ -665,9 +661,9 @@ func (f *Fleet) pickWorker(on []*worker) *worker {
 }
 
 // endChunk settles a dispatch attempt: accounting on success, death on
-// failure (the next Probe revives a restarted daemon). Reports whether this
-// failure is what killed the worker, so the caller can journal exactly one
-// worker.down per death.
+// failure (the next grid's Probe revives a restarted daemon). Reports
+// whether this failure is what killed the worker, so the caller can journal
+// exactly one worker.down per death.
 func (w *worker) endChunk(ok bool, cells int, dur time.Duration) (died bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -694,11 +690,6 @@ func (w *worker) endChunk(ok bool, cells int, dur time.Duration) (died bool) {
 type WorkerStats struct {
 	URL   string
 	Alive bool
-	// Role and Epoch are the worker's control-plane position from the last
-	// probe ("" / 0 on standalone daemons) — the fleet footer's "who leads"
-	// column.
-	Role  string
-	Epoch uint64
 	// Chunks and Cells count successfully completed dispatches; Busy is the
 	// wall time those chunks spent in flight.
 	Chunks int64
@@ -759,9 +750,6 @@ func (s Stats) String() string {
 		if !w.Alive {
 			status = "dead"
 		}
-		if w.Role != "" {
-			status += " " + w.Role + " epoch=" + strconv.FormatUint(w.Epoch, 10)
-		}
 		fmt.Fprintf(&b, "# worker %s [%s]: %d cells in %d chunks (%.0f cells/s), %d dispatches (%d failed, %d straggler dups), latency %s..%s\n",
 			w.URL, status, w.Cells, w.Chunks, w.CellsPerSec(),
 			w.Dispatches, w.Failures, w.Stragglers,
@@ -781,7 +769,7 @@ func (f *Fleet) Stats() Stats {
 		cs := w.c.Stats()
 		w.mu.Lock()
 		out.Workers = append(out.Workers, WorkerStats{
-			URL: w.url, Alive: w.alive, Role: w.role, Epoch: w.epoch,
+			URL: w.url, Alive: w.alive,
 			Chunks: w.chunks, Cells: w.cells, Busy: w.busy,
 			Dispatches: w.dispatches, Failures: w.failures, Stragglers: w.stragglers,
 			MinLat: w.minLat, MaxLat: w.maxLat, Client: cs,

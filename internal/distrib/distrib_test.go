@@ -26,15 +26,17 @@ import (
 )
 
 // harness is one electd worker under test: the real service handler behind
-// a wrapper that records every chunk request, can inject latency, and can
-// start refusing chunks after a set number of requests (a worker killed
-// mid-sweep).
+// a wrapper that records every chunk request, counts health probes, can
+// inject latency, and can start refusing chunks after a set number of
+// requests (a worker killed mid-sweep).
 type harness struct {
 	ts  *httptest.Server
 	srv *service.Server
 
 	mu     sync.Mutex
 	chunks []Chunk
+
+	probes atomic.Int64 // GET /healthz requests received
 
 	delay     atomic.Int64 // ns slept before serving a chunk
 	failAfter atomic.Int64 // chunk requests served before dying; <0 = never
@@ -46,6 +48,9 @@ func newHarness(t *testing.T) *harness {
 	h.failAfter.Store(-1)
 	inner := h.srv.Handler()
 	h.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			h.probes.Add(1)
+		}
 		if r.URL.Path == "/v1/chunk" {
 			body, _ := io.ReadAll(r.Body)
 			r.Body = io.NopCloser(bytes.NewReader(body))
@@ -131,33 +136,28 @@ func encodeBatch(t *testing.T, b *elect.BatchResult) []byte {
 	return data
 }
 
-// TestPartition pins Partition on grid axes: fixed sizes shard like any
-// contiguous split, and the default partition batches cheap cells by
+// TestPartition pins Partition on grid axes: it batches cheap cells by
 // weight, floored at ceil(total/64) cells and capped at MaxChunkCells.
 func TestPartition(t *testing.T) {
-	small := []int{16, 32} // testGrid's sizes: cells far below the budget
 	for _, tc := range []struct {
 		name   string
 		ns     []int
 		seeds  int
-		size   int
 		chunks int
 	}{
-		{"fixed size 3", small, 8, 3, 6},
-		{"fixed size of the grid", small, 8, 16, 1},
-		{"fixed size past the grid", small, 8, 100, 1},
-		{"default axes", nil, 0, 0, 1},
-		{"cheap cells share one chunk", small, 8, 0, 1},
+		{"default axes", nil, 0, 1},
+		// testGrid's sizes: cells far below the budget.
+		{"cheap cells share one chunk", []int{16, 32}, 8, 1},
 		// n = 1024 weighs 10240, past the budget: one cell per chunk.
-		{"heavy cells run alone", []int{1024}, 64, 0, 64},
+		{"heavy cells run alone", []int{1024}, 64, 64},
 		// 65536 light cells: the floor ceil(65536/64) = 1024 is the cap.
-		{"floor reaches the cap", []int{16}, 64 * 1024, 0, 64},
+		{"floor reaches the cap", []int{16}, 64 * 1024, 64},
 	} {
 		seeds := elect.Seeds(1, tc.seeds)
 		if tc.seeds == 0 {
 			seeds = nil
 		}
-		got := Partition(tc.ns, seeds, nil, tc.size)
+		got := Partition(tc.ns, seeds, nil)
 		if len(got) != tc.chunks {
 			t.Fatalf("%s: %d chunks, want %d", tc.name, len(got), tc.chunks)
 		}
@@ -165,7 +165,7 @@ func TestPartition(t *testing.T) {
 	}
 	// Huge grids clamp to MaxChunkCells: a 2^20-cell grid of light cells
 	// is 1024 chunks of exactly that size.
-	huge := Partition([]int{16}, elect.Seeds(1, 1<<20), nil, 0)
+	huge := Partition([]int{16}, elect.Seeds(1, 1<<20), nil)
 	if len(huge) != 1024 || huge[0].Count != MaxChunkCells || huge[1023].Count != MaxChunkCells {
 		t.Fatalf("2^20-cell grid: %d chunks, first %+v", len(huge), huge[0])
 	}
@@ -174,7 +174,7 @@ func TestPartition(t *testing.T) {
 // TestFleetMatchesLocal is the heart of the fabric: a grid dispatched to
 // two workers merges byte-identically to the same grid run locally.
 func TestFleetMatchesLocal(t *testing.T) {
-	b, wire := testGrid()
+	b, wire := multiChunkGrid()
 	spec := mustSpec(t, "tradeoff")
 	local, err := elect.RunMany(spec, b)
 	if err != nil {
@@ -182,7 +182,7 @@ func TestFleetMatchesLocal(t *testing.T) {
 	}
 
 	w1, w2 := newHarness(t), newHarness(t)
-	fleet := newFleet(t, Config{ChunkSize: 3}, w1, w2)
+	fleet := newFleet(t, Config{}, w1, w2)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	var progress atomic.Int64
@@ -203,7 +203,7 @@ func TestFleetMatchesLocal(t *testing.T) {
 	if len(c1) == 0 || len(c2) == 0 {
 		t.Fatalf("load not balanced: %d vs %d chunks", len(c1), len(c2))
 	}
-	assertChunkSet(t, append(c1, c2...), Partition(b.Ns, b.Seeds, nil, 3))
+	assertChunkSet(t, append(c1, c2...), Partition(b.Ns, b.Seeds, nil))
 	stats := fleet.Stats()
 	if stats.ChunksRetried != 0 || stats.LocalCells != 0 {
 		t.Fatalf("healthy fleet reported retries/local cells: %+v", stats)
@@ -225,7 +225,7 @@ func TestFleetMatchesLocal(t *testing.T) {
 	if cells != 16 {
 		t.Fatalf("worker cells sum to %d, want 16", cells)
 	}
-	if want := int64(len(Partition(b.Ns, b.Seeds, nil, 3))); dispatches != want {
+	if want := int64(len(Partition(b.Ns, b.Seeds, nil))); dispatches != want {
 		t.Fatalf("dispatch attempts sum to %d, want %d", dispatches, want)
 	}
 	if stats.HTTPAttempts == 0 || stats.HTTPRetries != 0 {
@@ -277,17 +277,17 @@ func TestChunkAssignmentFleetSizeIndependent(t *testing.T) {
 		return all
 	}
 	one, three := runWith(1), runWith(3)
-	want := Partition(b.Ns, b.Seeds, b.Topos, 0)
+	want := Partition(b.Ns, b.Seeds, b.Topos)
 	if len(want) < 3 {
-		t.Fatalf("the default partition has %d chunks; the test needs several", len(want))
+		t.Fatalf("the partition has %d chunks; the test needs several", len(want))
 	}
 	assertChunkSet(t, one, want)
 	assertChunkSet(t, three, want)
 }
 
 // multiChunkGrid is testGrid with its larger size raised to n = 256, whose
-// cells weigh half the chunk budget each: the default partition shards it
-// into several chunks.
+// cells weigh half the chunk budget each: the partition shards it into four
+// chunks, so both workers of a two-worker fleet take some.
 func multiChunkGrid() (elect.Batch, client.Options) {
 	b, wire := testGrid()
 	b.Ns = []int{16, 256}
@@ -326,7 +326,7 @@ func TestFleetFailoverDefaultPartition(t *testing.T) {
 		served = append(served, h.served()...)
 	}
 	// Every chunk the partition names was asked for, and nothing else.
-	want := Partition(b.Ns, b.Seeds, b.Topos, 0)
+	want := Partition(b.Ns, b.Seeds, b.Topos)
 	for _, c := range served {
 		if !slices.Contains(want, c) {
 			t.Fatalf("served chunk %+v is not in the default partition %v", c, want)
@@ -342,7 +342,7 @@ func TestFleetFailoverDefaultPartition(t *testing.T) {
 // TestFleetFailover: a worker killed mid-sweep loses its remaining chunks
 // to the survivor, and the merged grid stays byte-identical to local.
 func TestFleetFailover(t *testing.T) {
-	b, wire := testGrid()
+	b, wire := multiChunkGrid()
 	spec := mustSpec(t, "tradeoff")
 	local, err := elect.RunMany(spec, b)
 	if err != nil {
@@ -351,7 +351,7 @@ func TestFleetFailover(t *testing.T) {
 
 	survivor, victim := newHarness(t), newHarness(t)
 	victim.failAfter.Store(1) // one chunk completes, then the daemon "dies"
-	fleet := newFleet(t, Config{ChunkSize: 2}, survivor, victim)
+	fleet := newFleet(t, Config{}, survivor, victim)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	got, err := elect.RunMany(spec, remote)
@@ -382,7 +382,7 @@ func TestFleetFailover(t *testing.T) {
 // TestFleetAllDeadFallsBackLocally: when every worker dies mid-sweep the
 // leftover chunks run in-process and the grid still matches local bytes.
 func TestFleetAllDeadFallsBackLocally(t *testing.T) {
-	b, wire := testGrid()
+	b, wire := multiChunkGrid()
 	spec := mustSpec(t, "tradeoff")
 	local, err := elect.RunMany(spec, b)
 	if err != nil {
@@ -391,7 +391,7 @@ func TestFleetAllDeadFallsBackLocally(t *testing.T) {
 
 	only := newHarness(t)
 	only.failAfter.Store(2)
-	fleet := newFleet(t, Config{ChunkSize: 2}, only)
+	fleet := newFleet(t, Config{}, only)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	got, err := elect.RunMany(spec, remote)
@@ -446,21 +446,12 @@ func TestFleetUnreachableFallsBackToRunMany(t *testing.T) {
 // only worker is dead journals one chunk.local per chunk, and a chunk that
 // fails on a worker journals chunk.failover with the error.
 func TestFleetJournal(t *testing.T) {
-	b, wire := testGrid()
+	b, wire := multiChunkGrid()
 	spec := mustSpec(t, "tradeoff")
-	byKind := func(log *obs.EventLog, kind string) []obs.Event {
-		var out []obs.Event
-		for _, e := range log.Events(0, 0) {
-			if e.Kind == kind {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
 
 	dead := newHarness(t)
 	dead.ts.Close()
-	fleet := newFleet(t, Config{ChunkSize: 4}, dead)
+	fleet := newFleet(t, Config{}, dead)
 	log := obs.NewEventLog(0, "coordinator")
 	fleet.SetEvents(log)
 	remote := b
@@ -474,14 +465,14 @@ func TestFleetJournal(t *testing.T) {
 		count, _ := strconv.Atoi(e.Fields["count"])
 		got = append(got, Chunk{Start: start, Count: count})
 	}
-	want := Partition(b.Ns, b.Seeds, b.Topos, 4)
+	want := Partition(b.Ns, b.Seeds, b.Topos)
 	if !slices.Equal(got, want) {
 		t.Fatalf("chunk.local events cover %v, want one per chunk %v", got, want)
 	}
 
 	survivor, victim := newHarness(t), newHarness(t)
 	victim.failAfter.Store(1)
-	fleet = newFleet(t, Config{ChunkSize: 2}, survivor, victim)
+	fleet = newFleet(t, Config{}, survivor, victim)
 	log = obs.NewEventLog(0, "coordinator")
 	fleet.SetEvents(log)
 	remote.Remote = fleet.Runner(wire)
@@ -499,15 +490,140 @@ func TestFleetJournal(t *testing.T) {
 	}
 }
 
+// byKind returns the journal's events of one kind, in order.
+func byKind(log *obs.EventLog, kind string) []obs.Event {
+	var out []obs.Event
+	for _, e := range log.Events(0, 0) {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// workerStats returns h's entry in the fleet's accounting.
+func workerStats(t *testing.T, f *Fleet, h *harness) WorkerStats {
+	t.Helper()
+	for _, ws := range f.Stats().Workers {
+		if ws.URL == NormalizeURL(h.ts.URL) {
+			return ws
+		}
+	}
+	t.Fatalf("worker %s not in the fleet", h.ts.URL)
+	return WorkerStats{}
+}
+
+// TestFleetProbesOnlyFirstGrid: a worker is up from a successful probe
+// until a chunk to it fails, and a grid probes only the workers marked
+// down. Over three grids on two healthy workers, only the first grid
+// probes.
+func TestFleetProbesOnlyFirstGrid(t *testing.T) {
+	b, wire := multiChunkGrid()
+	spec := mustSpec(t, "tradeoff")
+	w1, w2 := newHarness(t), newHarness(t)
+	fleet := newFleet(t, Config{}, w1, w2)
+	remote := b
+	remote.Remote = fleet.Runner(wire)
+	for grid := 1; grid <= 3; grid++ {
+		if _, err := elect.RunMany(spec, remote); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []*harness{w1, w2} {
+			if got := h.probes.Load(); got != 1 {
+				t.Fatalf("after grid %d, %s saw %d /healthz requests, want 1", grid, h.ts.URL, got)
+			}
+		}
+	}
+}
+
+// TestFleetRevivesFailedWorker: a worker marked down by a failed chunk in
+// one grid is probed at the next grid's start and, once it answers, is
+// journaled up and takes chunks again. The healthy worker is not probed.
+func TestFleetRevivesFailedWorker(t *testing.T) {
+	b, wire := multiChunkGrid()
+	spec := mustSpec(t, "tradeoff")
+	survivor, flaky := newHarness(t), newHarness(t)
+	flaky.failAfter.Store(1)
+	fleet := newFleet(t, Config{}, survivor, flaky)
+	remote := b
+	remote.Remote = fleet.Runner(wire)
+	if _, err := elect.RunMany(spec, remote); err != nil {
+		t.Fatal(err)
+	}
+	if ws := workerStats(t, fleet, flaky); ws.Alive || ws.Failures == 0 {
+		t.Fatalf("a worker that failed a chunk is still up: %+v", ws)
+	}
+
+	flaky.failAfter.Store(-1) // the daemon recovers
+	log := obs.NewEventLog(0, "coordinator")
+	fleet.SetEvents(log)
+	flakyProbes, survivorProbes := flaky.probes.Load(), survivor.probes.Load()
+	served := len(flaky.served())
+	if _, err := elect.RunMany(spec, remote); err != nil {
+		t.Fatal(err)
+	}
+	if got := flaky.probes.Load() - flakyProbes; got != 1 {
+		t.Fatalf("the failed worker was probed %d times at grid 2, want 1", got)
+	}
+	if got := survivor.probes.Load() - survivorProbes; got != 0 {
+		t.Fatalf("the healthy worker was probed %d times at grid 2, want 0", got)
+	}
+	ups := byKind(log, "worker.up")
+	if len(ups) != 1 || ups[0].Fields["url"] != NormalizeURL(flaky.ts.URL) {
+		t.Fatalf("grid 2 journaled worker.up %v, want the revived worker once", ups)
+	}
+	if len(flaky.served()) == served || !workerStats(t, fleet, flaky).Alive {
+		t.Fatal("the revived worker took no chunks in grid 2")
+	}
+}
+
+// TestFleetWorkerDiesBetweenGrids: a worker that dies between grids is
+// still marked up, since no probe runs, so the next grid finds it by its
+// first chunk: the chunk fails over, the worker is journaled down once,
+// and the grid stays byte-identical to a local RunMany.
+func TestFleetWorkerDiesBetweenGrids(t *testing.T) {
+	b, wire := multiChunkGrid()
+	spec := mustSpec(t, "tradeoff")
+	local, err := elect.RunMany(spec, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivor, victim := newHarness(t), newHarness(t)
+	fleet := newFleet(t, Config{}, survivor, victim)
+	remote := b
+	remote.Remote = fleet.Runner(wire)
+	if _, err := elect.RunMany(spec, remote); err != nil {
+		t.Fatal(err)
+	}
+
+	victim.ts.Close()
+	log := obs.NewEventLog(0, "coordinator")
+	fleet.SetEvents(log)
+	got, err := elect.RunMany(spec, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBatch(t, local), encodeBatch(t, got)) {
+		t.Fatal("grid after a worker died differs from local RunMany")
+	}
+	if stats := fleet.Stats(); stats.ChunksRetried < 1 {
+		t.Fatalf("no chunk failed over off the dead worker: %+v", stats)
+	}
+	downs := byKind(log, "worker.down")
+	if len(downs) != 1 || downs[0].Fields["url"] != NormalizeURL(victim.ts.URL) {
+		t.Fatalf("journaled worker.down %v, want the dead worker once", downs)
+	}
+}
+
 // TestFleetCacheReuse: the merger reads and writes the fingerprint cache —
 // a warm sweep dispatches nothing at all.
 func TestFleetCacheReuse(t *testing.T) {
-	b, wire := testGrid()
+	b, wire := multiChunkGrid()
 	b.Cache = resultcache.New()
 	spec := mustSpec(t, "tradeoff")
 
 	w := newHarness(t)
-	fleet := newFleet(t, Config{ChunkSize: 4}, w)
+	fleet := newFleet(t, Config{}, w)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	cold, err := elect.RunMany(spec, remote)
@@ -539,7 +655,7 @@ func TestFleetCacheReuse(t *testing.T) {
 // fails like a short answer does, and the grid completes byte-identical to
 // a local RunMany.
 func TestFleetRejectsWrongCells(t *testing.T) {
-	b, wire := testGrid()
+	b, wire := multiChunkGrid()
 	spec := mustSpec(t, "tradeoff")
 	local, err := elect.RunMany(spec, b)
 	if err != nil {
@@ -578,7 +694,6 @@ func TestFleetRejectsWrongCells(t *testing.T) {
 	cache := resultcache.New()
 	fleet, err := New(Config{
 		Workers:        []string{liar.URL},
-		ChunkSize:      4,
 		StragglerAfter: time.Hour,
 		ClientOptions:  []client.ClientOption{client.WithRetry(1, time.Millisecond)},
 	})
@@ -626,7 +741,7 @@ func TestFleetRejectsWrongCells(t *testing.T) {
 func TestFleetTopoOption(t *testing.T) {
 	spec := mustSpec(t, "kuttenmoses")
 	b := elect.Batch{
-		Ns:      []int{16, 32},
+		Ns:      []int{16, 256},
 		Seeds:   elect.Seeds(1, 4),
 		Options: []elect.Option{elect.WithTopology("ring")},
 	}
@@ -637,7 +752,7 @@ func TestFleetTopoOption(t *testing.T) {
 	}
 
 	w1, w2 := newHarness(t), newHarness(t)
-	fleet := newFleet(t, Config{ChunkSize: 3}, w1, w2)
+	fleet := newFleet(t, Config{}, w1, w2)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	got, err := elect.RunMany(spec, remote)
@@ -672,7 +787,7 @@ func TestStragglerRedispatch(t *testing.T) {
 	slow, fast := newHarness(t), newHarness(t)
 	const stall = 600 * time.Millisecond
 	slow.delay.Store(int64(stall))
-	fleet := newFleet(t, Config{ChunkSize: 2, StragglerAfter: 50 * time.Millisecond}, slow, fast)
+	fleet := newFleet(t, Config{StragglerAfter: 50 * time.Millisecond}, slow, fast)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	start := time.Now()

@@ -19,8 +19,8 @@ func MinChunkCells(total int) int { return minChunkCells(total) }
 // PartitionUniform runs the partitioner over total cells of one weight
 // each: the degenerate-grid tests reach the core with totals (zero,
 // negative) that no grid axes spell.
-func PartitionUniform(total, size, weight int) []Chunk {
-	return partition(total, size, func(int) int { return weight })
+func PartitionUniform(total, weight int) []Chunk {
+	return partition(total, func(int) int { return weight })
 }
 
 // ConfiguredSpans exposes the fleet's span collector for the untraced-path

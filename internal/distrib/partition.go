@@ -60,15 +60,13 @@ func minChunkCells(total int) int {
 // Partition splits the canonical grid over (ns, seeds, topos) — the axes
 // elect.RunMany hands a RemoteRunner, counted as elect.GridSize counts
 // them — into contiguous chunks that cover [0, total) exactly once, in
-// order. size > 0 fixes the chunk size (the last chunk keeps the
-// remainder). size <= 0 shapes chunks by cost: consecutive cells join a
-// chunk until their summed cellWeight reaches chunkWeight, a cell that
-// reaches it alone starts a chunk of its own, and every chunk holds at
-// least minChunkCells(total) cells (bar the last) and at most
-// maxChunkCells. An empty ns weighs each cell as 1.
-func Partition(ns []int, seeds []uint64, topos []string, size int) []Chunk {
+// order, shaped by cost: consecutive cells join a chunk until their summed
+// cellWeight reaches chunkWeight, a cell that reaches it alone starts a
+// chunk of its own, and every chunk holds at least minChunkCells(total)
+// cells (bar the last) and at most maxChunkCells. An empty ns weighs each cell as 1.
+func Partition(ns []int, seeds []uint64, topos []string) []Chunk {
 	perSize := max(len(seeds), 1)
-	return partition(elect.GridSize(ns, seeds, topos), size, func(idx int) int {
+	return partition(elect.GridSize(ns, seeds, topos), func(idx int) int {
 		if len(ns) == 0 {
 			return 1
 		}
@@ -77,14 +75,8 @@ func Partition(ns []int, seeds []uint64, topos []string, size int) []Chunk {
 }
 
 // partition is Partition over total cells, cell idx weighing weight(idx).
-func partition(total, size int, weight func(idx int) int) []Chunk {
+func partition(total int, weight func(idx int) int) []Chunk {
 	var chunks []Chunk
-	if size > 0 {
-		for start := 0; start < total; start += size {
-			chunks = append(chunks, Chunk{Start: start, Count: min(size, total-start)})
-		}
-		return chunks
-	}
 	floor := minChunkCells(total)
 	start, sum := 0, 0
 	for idx := range total {

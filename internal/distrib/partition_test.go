@@ -12,29 +12,27 @@ import (
 )
 
 // TestPartitionEdgeCases is the degenerate-grid table: empty and single-cell
-// grids and hostile sizes must neither panic nor produce a chunk outside
-// [0, total). Every cell weighs the whole chunk budget, so the default
-// partition is one cell per chunk.
+// grids and hostile weights must neither panic nor produce a chunk outside
+// [0, total). A cell that weighs the whole chunk budget travels alone, and
+// cells of a quarter budget travel four to a chunk.
 func TestPartitionEdgeCases(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		total, size int
-		chunks      int
+		name          string
+		total, weight int
+		chunks        int
 	}{
-		{"empty grid", 0, 5, 0},
-		{"empty grid default size", 0, 0, 0},
-		{"negative total", -3, 4, 0},
-		{"single cell", 1, 0, 1},
+		{"empty grid", 0, ChunkWeight, 0},
+		{"negative total", -3, ChunkWeight, 0},
+		{"single cell", 1, ChunkWeight, 1},
 		{"single cell huge size", 1, 1 << 20, 1},
-		{"negative size means default", 10, -1, 10},
-		{"size one", 5, 1, 5},
-		{"remainder chunk", 10, 4, 3},
-		{"exact multiple", 12, 4, 3},
+		{"size one", 5, ChunkWeight, 5},
+		{"remainder chunk", 10, ChunkWeight / 4, 3},
+		{"exact multiple", 12, ChunkWeight / 4, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := PartitionUniform(tc.total, tc.size, ChunkWeight)
+			got := PartitionUniform(tc.total, tc.weight)
 			if len(got) != tc.chunks {
-				t.Fatalf("partition(%d, %d) = %d chunks, want %d", tc.total, tc.size, len(got), tc.chunks)
+				t.Fatalf("partition(%d) at weight %d = %d chunks, want %d", tc.total, tc.weight, len(got), tc.chunks)
 			}
 			checkCover(t, got, max(tc.total, 0))
 		})
@@ -58,7 +56,7 @@ func checkCover(t *testing.T, chunks []Chunk, total int) {
 
 // TestPartitionTopoGrids pins the partitioner against real topology-swept
 // grids: a topology axis repeats the size axis, so the chunks cover every
-// repetition, at a fixed size and at the default one.
+// repetition.
 func TestPartitionTopoGrids(t *testing.T) {
 	ns := []int{64, 128}
 	seeds := []uint64{1, 2, 3}
@@ -68,9 +66,7 @@ func TestPartitionTopoGrids(t *testing.T) {
 		if total != want {
 			t.Fatalf("GridSize(%v) = %d, want %d", topos, total, want)
 		}
-		for _, size := range []int{4, 0} {
-			checkCover(t, Partition(ns, seeds, topos, size), total)
-		}
+		checkCover(t, Partition(ns, seeds, topos), total)
 	}
 }
 
@@ -117,13 +113,12 @@ func propertyGrids() []partitionGrid {
 	return grids
 }
 
-// TestPartitionProperties checks the default, weight-shaped partition on
+// TestPartitionProperties checks the weight-shaped partition on
 // every property grid: exact in-order cover, the maxChunkCells cap and
 // the chunk-count bound, the minChunkCells floor, that a chunk closes as
 // soon as its weight reaches the budget (and not before, unless the next
 // cell is heavy or the cap is reached), that a cell whose weight alone
-// reaches the budget runs alone unless the floor applies, determinism, and
-// that a fixed size overrides it all.
+// reaches the budget runs alone unless the floor applies, and determinism.
 func TestPartitionProperties(t *testing.T) {
 	for _, g := range propertyGrids() {
 		seeds := elect.Seeds(1, g.seeds)
@@ -132,7 +127,7 @@ func TestPartitionProperties(t *testing.T) {
 		weight := func(idx int) int { return CellWeight(g.ns[idx%inner/len(seeds)]) }
 		floor := MinChunkCells(total)
 
-		chunks := Partition(g.ns, seeds, g.topos, 0)
+		chunks := Partition(g.ns, seeds, g.topos)
 		checkCover(t, chunks, total)
 		if bound := max(64, (total+MaxChunkCells-1)/MaxChunkCells); len(chunks) > bound {
 			t.Fatalf("%v: %d chunks, bound %d", g, len(chunks), bound)
@@ -157,17 +152,8 @@ func TestPartitionProperties(t *testing.T) {
 				t.Fatalf("%v: chunk %+v closed at weight %d, under the budget", g, c, sum)
 			}
 		}
-		if again := Partition(g.ns, seeds, g.topos, 0); !slices.Equal(chunks, again) {
+		if again := Partition(g.ns, seeds, g.topos); !slices.Equal(chunks, again) {
 			t.Fatalf("%v: partition not deterministic", g)
-		}
-		for _, size := range []int{1, 7, MaxChunkCells} {
-			fixed := Partition(g.ns, seeds, g.topos, size)
-			checkCover(t, fixed, total)
-			for i, c := range fixed {
-				if c.Count != size && i != len(fixed)-1 {
-					t.Fatalf("%v: size %d gave chunk %+v", g, size, c)
-				}
-			}
 		}
 	}
 }
@@ -176,7 +162,7 @@ func TestPartitionProperties(t *testing.T) {
 // `sweep -algo tradeoff -k 3 -ns 64,128 -seeds 32 -workers …` sends: its 64
 // cheap cells travel in a handful of chunks, not one per cell.
 func TestPartitionFleetSweepShape(t *testing.T) {
-	chunks := Partition([]int{64, 128}, elect.Seeds(1, 32), nil, 0)
+	chunks := Partition([]int{64, 128}, elect.Seeds(1, 32), nil)
 	if len(chunks) < 6 || len(chunks) > 16 {
 		t.Fatalf("64-cell grid shards into %d chunks, want 6..16: %v", len(chunks), chunks)
 	}

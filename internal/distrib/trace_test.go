@@ -18,29 +18,32 @@ import (
 // one trace may use the whole buffer, so every chunk's spans survive.
 func TestFleetTraceSingleTraceID(t *testing.T) {
 	for _, tc := range []struct {
-		name                string
-		capacity, chunkSize int
-		chunks              int  // chunk.dispatch and chunk.serve spans expected
-		exact               bool // exactly chunks, not at least
+		name          string
+		capacity      int
+		ns            []int
+		seeds, chunks int  // chunks: chunk.dispatch and chunk.serve spans expected
+		exact         bool // exactly chunks, not at least
 	}{
-		// 16 cells at chunk size 3 → 6 chunks.
-		{"default-capacity", 0, 3, 6, false},
-		{"one-cell-chunks", 256, 1, 16, true},
+		// multiChunkGrid's 16 cells → 4 chunks.
+		{"default-capacity", 0, []int{16, 256}, 8, 4, false},
+		// 16 cells at n = 512, each past the weight budget → 16 chunks.
+		{"one-cell-chunks", 256, []int{512}, 16, 16, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testFleetTrace(t, tc.capacity, tc.chunkSize, tc.chunks, tc.exact)
+			testFleetTrace(t, tc.capacity, tc.ns, tc.seeds, tc.chunks, tc.exact)
 		})
 	}
 }
 
-func testFleetTrace(t *testing.T, capacity, chunkSize, chunks int, exact bool) {
+func testFleetTrace(t *testing.T, capacity int, ns []int, seeds, chunks int, exact bool) {
 	b, wire := testGrid()
+	b.Ns, b.Seeds = ns, elect.Seeds(1, seeds)
 	spec := mustSpec(t, "tradeoff")
 
 	col := obs.NewSpanCollector(capacity)
 	root := obs.NewSpanContext()
 	w1, w2 := newHarness(t), newHarness(t)
-	fleet := newFleet(t, Config{ChunkSize: chunkSize, Spans: col, Root: root}, w1, w2)
+	fleet := newFleet(t, Config{Spans: col, Root: root}, w1, w2)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	if _, err := elect.RunMany(spec, remote); err != nil {
@@ -111,7 +114,7 @@ func TestFleetUntracedByDefault(t *testing.T) {
 	b, wire := testGrid()
 	spec := mustSpec(t, "tradeoff")
 	w1 := newHarness(t)
-	fleet := newFleet(t, Config{ChunkSize: 4}, w1)
+	fleet := newFleet(t, Config{}, w1)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	if _, err := elect.RunMany(spec, remote); err != nil {
