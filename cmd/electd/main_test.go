@@ -56,8 +56,8 @@ func TestElectdEndToEnd(t *testing.T) {
 	if h, err := c.Health(ctx); err != nil || !h.OK {
 		t.Fatalf("healthz: %+v err=%v", h, err)
 	} else if h.BatchWorkers < 1 || h.QueueDepth != 0 || h.ActiveJobs != 0 {
-		// The load gauges fleet schedulers balance on must be present (an
-		// idle daemon reports its effective parallelism and empty queues).
+		// The load gauges /healthz reports must be present (an idle daemon
+		// reports its effective parallelism and empty queues).
 		t.Fatalf("healthz load gauges: %+v", h)
 	}
 	specs, err := c.Specs(ctx)

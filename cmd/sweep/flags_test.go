@@ -1,4 +1,4 @@
-package cliutil
+package main
 
 import (
 	"slices"
@@ -6,21 +6,21 @@ import (
 )
 
 func TestParseInts(t *testing.T) {
-	got, err := ParseInts(" 1, 2,3 ")
+	got, err := parseInts(" 1, 2,3 ")
 	if err != nil || len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	if _, err := ParseInts("1,x"); err == nil {
+	if _, err := parseInts("1,x"); err == nil {
 		t.Fatal("bad list accepted")
 	}
 }
 
 func TestParseFloats(t *testing.T) {
-	got, err := ParseFloats("0, 0.5 ,1")
+	got, err := parseFloats("0, 0.5 ,1")
 	if err != nil || len(got) != 3 || got[1] != 0.5 {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	if _, err := ParseFloats("0,y"); err == nil {
+	if _, err := parseFloats("0,y"); err == nil {
 		t.Fatal("bad list accepted")
 	}
 }
@@ -50,21 +50,21 @@ func TestParseWorkers(t *testing.T) {
 		// Same host on different ports is two daemons, not a duplicate.
 		{"h1:1,h1:2", 0, []string{"h1:1", "h1:2"}, true},
 	} {
-		local, fleet, err := ParseWorkers(tc.in)
+		local, fleet, err := parseWorkers(tc.in)
 		if (err == nil) != tc.ok {
-			t.Errorf("ParseWorkers(%q) err = %v, ok = %v", tc.in, err, tc.ok)
+			t.Errorf("parseWorkers(%q) err = %v, ok = %v", tc.in, err, tc.ok)
 			continue
 		}
 		if !tc.ok {
 			continue
 		}
 		if local != tc.local || len(fleet) != len(tc.fleet) {
-			t.Errorf("ParseWorkers(%q) = %d, %v", tc.in, local, fleet)
+			t.Errorf("parseWorkers(%q) = %d, %v", tc.in, local, fleet)
 			continue
 		}
 		for i := range fleet {
 			if fleet[i] != tc.fleet[i] {
-				t.Errorf("ParseWorkers(%q)[%d] = %q, want %q", tc.in, i, fleet[i], tc.fleet[i])
+				t.Errorf("parseWorkers(%q)[%d] = %q, want %q", tc.in, i, fleet[i], tc.fleet[i])
 			}
 		}
 	}
@@ -79,8 +79,8 @@ func TestSplitTopos(t *testing.T) {
 		{" ring, torus ,,rreg:d=8", []string{"ring", "torus", "rreg:d=8"}},
 		{"edges:0-1,1-2,2-0", []string{"edges:0-1,1-2,2-0"}},
 	} {
-		if got := SplitTopos(tc.in); !slices.Equal(got, tc.want) {
-			t.Errorf("SplitTopos(%q) = %q, want %q", tc.in, got, tc.want)
+		if got := splitTopos(tc.in); !slices.Equal(got, tc.want) {
+			t.Errorf("splitTopos(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }

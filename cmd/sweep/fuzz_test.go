@@ -1,4 +1,4 @@
-package cliutil
+package main
 
 import (
 	"strconv"
@@ -8,30 +8,30 @@ import (
 	"cliquelect/internal/distrib"
 )
 
-// FuzzParseWorkers drives the sweep CLIs' -workers flag through the parser
-// and, for a host list, through the fleet constructor that consumes it. An
-// accepted value is either a count ≥ 0 with no hosts, or a non-empty host
-// list with no empty or numeric entry; distrib.New on that list either
-// fails or registers one worker per entry, with distinct URLs. Seeds live
-// in testdata/fuzz/FuzzParseWorkers.
+// FuzzParseWorkers drives the -workers flag through the parser and, for a
+// host list, through the fleet constructor that consumes it. An accepted
+// value is either a count ≥ 0 with no hosts, or a non-empty host list with
+// no empty or numeric entry; distrib.New on that list either fails or
+// registers one worker per entry, with distinct URLs. Seeds live in
+// testdata/fuzz/FuzzParseWorkers.
 func FuzzParseWorkers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
-		local, fleet, err := ParseWorkers(s)
+		local, fleet, err := parseWorkers(s)
 		if err != nil {
 			return
 		}
 		if fleet == nil {
 			if local < 0 {
-				t.Fatalf("ParseWorkers(%q) = count %d", s, local)
+				t.Fatalf("parseWorkers(%q) = count %d", s, local)
 			}
 			return
 		}
 		if local != 0 || len(fleet) == 0 {
-			t.Fatalf("ParseWorkers(%q) = count %d with hosts %q", s, local, fleet)
+			t.Fatalf("parseWorkers(%q) = count %d with hosts %q", s, local, fleet)
 		}
 		for _, h := range fleet {
 			if _, aerr := strconv.Atoi(h); strings.TrimSpace(h) == "" || aerr == nil {
-				t.Fatalf("ParseWorkers(%q) accepted entry %q", s, h)
+				t.Fatalf("parseWorkers(%q) accepted entry %q", s, h)
 			}
 		}
 		fl, err := distrib.New(distrib.Config{Workers: fleet})

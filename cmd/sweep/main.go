@@ -1,15 +1,23 @@
-// Command sweep measures one algorithm across network sizes and parameter
-// values, printing a table (or CSV) with mean messages, rounds/time, and a
-// fitted message-complexity exponent. Runs fan out over a worker pool
-// (elect.RunMany), so wide sweeps use every core.
+// Command sweep measures algorithms across network sizes, parameter values
+// and injected faults, printing a table (or CSV) with mean messages,
+// rounds/time, the success count and a fitted message-complexity exponent.
+// Runs fan out over a worker pool (elect.RunMany), so wide sweeps use every
+// core.
+//
+// The -algo flag takes one spec, a comma-separated list, or "all" for every
+// fault-tolerant spec. The grid is spec × k × crash × drop × topo × n, and
+// the table grows one column per swept axis: algo with several specs, topo
+// with -topo, and the crash/drop rates plus the mean crashed/dropped/
+// duplicated counters in fault mode (a non-zero -crash or -drop rate, or a
+// -faults base plan). A fault-free sweep prints no fault columns.
 //
 // The -json flag additionally writes the rows as machine-readable benchmark
 // output ("auto" names the file BENCH_<date>.json), so perf trajectories can
 // be tracked across commits; -compare diffs the fresh rows against such a
-// prior file and fails on >10% regressions. The -cache flag stores every
-// run's result in a persistent content-addressed cache (shared with electd
-// and any other elect.Cache consumer), so repeated sweeps replay instead of
-// recompute.
+// prior file and fails on >10% regressions. Both describe fault-free sweeps
+// only. The -cache flag stores every run's result in a persistent
+// content-addressed cache (shared with electd and any other elect.Cache
+// consumer), so repeated sweeps replay instead of recompute.
 //
 // The -workers flag is dual-mode: an integer bounds the local worker pool,
 // while a comma-separated host list shards the sweep across that fleet of
@@ -33,19 +41,24 @@
 //	sweep -algo tradeoff -ns 4096,8192 -seeds 50 -workers host1:8090,host2:8090
 //	sweep -algo tradeoff -ns 1024 -seeds 20 -workers host1:8090,host2:8090 -trace-out sweep.trace.json
 //	sweep -algo kuttenmoses -topo ring,torus,rreg:d=8 -ns 256,1024,4096
+//	sweep -algo tradeoff,asynctradeoff -ns 64,128 -drop 0,0.05,0.1,0.2
+//	sweep -algo all -ns 128 -crash 0,0.1,0.3 -faults dup=0.02,adaptive=1 -csv
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"cliquelect/elect"
 	"cliquelect/elect/client"
-	"cliquelect/internal/cliutil"
 	"cliquelect/internal/distrib"
 	"cliquelect/internal/obs"
 	"cliquelect/internal/resultcache"
@@ -53,57 +66,84 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		algo     = fs.String("algo", "tradeoff", "algorithm name")
-		nsFlag   = fs.String("ns", "256,512,1024,2048", "comma-separated network sizes")
-		kFlag    = fs.String("k", "3", "comma-separated k values (tradeoff-family algorithms)")
-		d        = fs.Int("d", 2, "smallid d")
-		g        = fs.Int("g", 1, "smallid g")
-		eps      = fs.Float64("eps", 1.0/16, "advwake epsilon")
-		seeds    = fs.Int("seeds", 10, "runs per configuration")
-		seed     = fs.Uint64("seed", 1, "master seed")
-		wake     = fs.Int("wake", 0, "adversarial wake-up set size (0 = simultaneous)")
-		policy   = fs.String("policy", "unit", "async delay policy")
-		workers  = fs.String("workers", "0", "parallel runs (0 = GOMAXPROCS), or a comma-separated electd host list for fleet dispatch")
-		csv      = fs.Bool("csv", false, "emit CSV instead of an aligned table")
-		jsonOut  = fs.String("json", "", `also write machine-readable benchmark JSON to this path ("auto" = BENCH_<date>.json)`)
-		compare  = fs.String("compare", "", "diff the new rows against this prior BENCH_*.json and fail on >10% regressions")
-		cacheDir = fs.String("cache", "", "persistent result-cache directory; repeated sweeps replay cached runs")
-		topoFlag = fs.String("topo", "", "comma-separated topology specs swept as an extra axis, e.g. ring,torus,rreg:d=8 (empty = clique)")
-		traceOut = fs.String("trace-out", "", "trace the sweep and write Chrome trace-event JSON (about:tracing / Perfetto) to this path")
+		algo      = fs.String("algo", "tradeoff", `algorithm names (comma-separated), or "all" for every fault-tolerant spec`)
+		nsFlag    = fs.String("ns", "256,512,1024,2048", "comma-separated network sizes")
+		kFlag     = fs.String("k", "3", "comma-separated k values (tradeoff-family algorithms)")
+		crashFlag = fs.String("crash", "0", "comma-separated node-crash rates")
+		dropFlag  = fs.String("drop", "0", "comma-separated message-drop rates")
+		base      = fs.String("faults", "", "base fault plan applied to every cell, elect.ParseFaults syntax (e.g. dup=0.02,dropfirst=4,adaptive=1); crash/drop belong to the sweep axes")
+		d         = fs.Int("d", 2, "smallid d")
+		g         = fs.Int("g", 1, "smallid g")
+		eps       = fs.Float64("eps", 1.0/16, "advwake epsilon")
+		seeds     = fs.Int("seeds", 10, "runs per configuration")
+		seed      = fs.Uint64("seed", 1, "master seed")
+		wake      = fs.Int("wake", 0, "adversarial wake-up set size (0 = simultaneous)")
+		policy    = fs.String("policy", "unit", "async delay policy")
+		workers   = fs.String("workers", "0", "parallel runs (0 = GOMAXPROCS), or a comma-separated electd host list for fleet dispatch")
+		csv       = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		jsonOut   = fs.String("json", "", `also write machine-readable benchmark JSON to this path ("auto" = BENCH_<date>.json); fault-free sweeps only`)
+		compare   = fs.String("compare", "", "diff the new rows against this prior BENCH_*.json and fail on >10% regressions; fault-free sweeps only")
+		cacheDir  = fs.String("cache", "", "persistent result-cache directory; repeated sweeps replay cached runs (adaptive fault plans always re-execute)")
+		topoFlag  = fs.String("topo", "", "comma-separated topology specs swept as an extra axis, e.g. ring,torus,rreg:d=8 (empty = clique)")
+		traceOut  = fs.String("trace-out", "", "trace the sweep and write Chrome trace-event JSON (about:tracing / Perfetto) to this path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := elect.Lookup(*algo)
+	specs, err := resolveSpecs(*algo)
 	if err != nil {
 		return err
 	}
 	if _, err := elect.ParseDelays(*policy); err != nil {
 		return err
 	}
-	ns, err := cliutil.ParseInts(*nsFlag)
+	ns, err := parseInts(*nsFlag)
 	if err != nil {
 		return err
 	}
-	ks, err := cliutil.ParseInts(*kFlag)
+	ks, err := parseInts(*kFlag)
 	if err != nil {
 		return err
 	}
-	localWorkers, fleetHosts, err := cliutil.ParseWorkers(*workers)
+	crashes, err := parseFloats(*crashFlag)
 	if err != nil {
 		return err
 	}
-	// -trace-out roots one trace over the whole invocation: every per-k
-	// batch (local) or grid (fleet) rides under the same sweep span, so the
+	drops, err := parseFloats(*dropFlag)
+	if err != nil {
+		return err
+	}
+	basePlan, err := elect.ParseFaults(*base)
+	if err != nil {
+		return err
+	}
+	// The sweep axes own the crash and drop rates; a base plan that also sets
+	// them would be silently overwritten per cell, so reject the conflict.
+	if basePlan.CrashRate != 0 || basePlan.DropRate != 0 {
+		return errors.New("set crash/drop rates via the -crash/-drop sweep axes, not -faults")
+	}
+	faultMode := strings.TrimSpace(*base) != ""
+	for _, rate := range slices.Concat(crashes, drops) {
+		faultMode = faultMode || rate != 0
+	}
+	if faultMode && (*jsonOut != "" || *compare != "") {
+		return errors.New("-json and -compare describe fault-free sweeps; drop -crash, -drop and -faults")
+	}
+	localWorkers, fleetHosts, err := parseWorkers(*workers)
+	if err != nil {
+		return err
+	}
+	// -trace-out roots one trace over the whole invocation: every batch
+	// (local) or grid (fleet) rides under the same sweep span, so the
 	// exported file shows the full client→coordinator→worker waterfall.
 	var spanCol *obs.SpanCollector
 	var traceRoot obs.SpanContext
@@ -124,25 +164,39 @@ func run(args []string) error {
 	if *cacheDir != "" {
 		cache = resultcache.New(resultcache.WithDir(*cacheDir))
 	}
-	topos := cliutil.SplitTopos(*topoFlag)
+	topos := splitTopos(*topoFlag)
 
-	var table *stats.Table
-	if len(topos) > 0 {
-		table = stats.NewTable("topo", "k", "n", "mean msgs", "std", "mean time", "success")
-	} else {
-		table = stats.NewTable("k", "n", "mean msgs", "std", "mean time", "success")
+	// One optional column per swept axis, so a single-spec fault-free sweep
+	// prints the table it always has.
+	multi := len(specs) > 1
+	var header []string
+	if multi {
+		header = append(header, "algo")
 	}
+	if len(topos) > 0 {
+		header = append(header, "topo")
+	}
+	header = append(header, "k", "n")
+	if faultMode {
+		header = append(header, "crash", "drop")
+	}
+	header = append(header, "mean msgs", "std", "mean time", "success")
+	if faultMode {
+		header = append(header, "crashed", "dropped", "dup'd")
+	}
+	table := stats.NewTable(header...)
 	bench := benchFile{
 		Date: time.Now().UTC().Format("2006-01-02"), Algo: *algo, Seeds: *seeds,
 	}
 	cells := 0
-	start := time.Now()
-	for _, k := range ks {
+	// runBatch runs one (spec, k, crash, drop) batch over every topo × n and
+	// adds its rows and fit lines.
+	runBatch := func(spec elect.Spec, k int, crash, drop float64) error {
 		// One request drives both paths: its resolved batch runs locally,
 		// and its options reach fleet workers verbatim, so a remote cell is
 		// byte-identical to a local one.
 		req := client.BatchRequest{
-			Spec:    *algo,
+			Spec:    spec.Name,
 			Ns:      ns,
 			Seeds:   elect.Seeds(*seed+uint64(k)*104729, *seeds),
 			Topos:   topos,
@@ -150,6 +204,7 @@ func run(args []string) error {
 			Options: client.Options{
 				Params: &client.ParamSpec{K: &k, D: d, G: g, Eps: eps},
 				Wake:   *wake,
+				Faults: wireFaults(*base, crash, drop),
 			},
 		}
 		if spec.Model == elect.Async {
@@ -165,16 +220,16 @@ func run(args []string) error {
 		if fleet != nil {
 			b.Remote = fleet.Runner(req.Options)
 		}
-		kStart := time.Now()
+		bStart := time.Now()
 		batch, err := elect.RunMany(spec, b)
 		if err != nil {
 			return err
 		}
 		if spanCol != nil && fleet == nil {
-			// Local mode has no grid spans, so give each k iteration its own
-			// span under the sweep root (fleet mode gets them from distrib).
+			// Local mode has no grid spans, so give each batch its own span
+			// under the sweep root (fleet mode gets them from distrib).
 			spanCol.Add(obs.NewSpan(traceRoot.Child(), traceRoot.Span, "batch", "sweep",
-				kStart, time.Since(kStart),
+				bStart, time.Since(bStart),
 				map[string]string{"k": strconv.Itoa(k), "cells": strconv.Itoa(len(batch.Runs))}))
 		}
 		cells += len(batch.Runs)
@@ -189,30 +244,67 @@ func run(args []string) error {
 			}
 			fitXs[agg.Topo] = append(fitXs[agg.Topo], float64(agg.N))
 			fitYs[agg.Topo] = append(fitYs[agg.Topo], agg.Messages.Mean)
-			success := fmt.Sprintf("%d/%d", agg.Successes, agg.Runs)
-			if len(topos) > 0 {
-				table.AddRow(agg.Topo, k, agg.N, agg.Messages.Mean, agg.Messages.Std, agg.Time.Mean, success)
-			} else {
-				table.AddRow(k, agg.N, agg.Messages.Mean, agg.Messages.Std, agg.Time.Mean, success)
+			var row []any
+			if multi {
+				row = append(row, spec.Name)
 			}
+			if len(topos) > 0 {
+				row = append(row, agg.Topo)
+			}
+			row = append(row, k, agg.N)
+			if faultMode {
+				row = append(row, crash, drop)
+			}
+			row = append(row, agg.Messages.Mean, agg.Messages.Std, agg.Time.Mean,
+				fmt.Sprintf("%d/%d", agg.Successes, agg.Runs))
+			if faultMode {
+				row = append(row, agg.MeanCrashed, agg.MeanDropped, agg.MeanDuplicated)
+			}
+			table.AddRow(row...)
 			bench.Rows = append(bench.Rows, benchRow{
-				Algo: *algo, Topo: agg.Topo, K: k, N: agg.N,
+				Algo: spec.Name, Topo: agg.Topo, K: k, N: agg.N,
 				MeanMsgs: agg.Messages.Mean, StdMsgs: agg.Messages.Std,
 				MeanTime: agg.Time.Mean, SuccessRate: agg.SuccessRate,
 			})
 		}
-		if len(ns) >= 2 {
-			for _, topoName := range fitOrder {
-				fit, err := stats.FitPower(fitXs[topoName], fitYs[topoName])
-				if err != nil {
-					continue
+		if len(ns) < 2 {
+			return nil
+		}
+		// A fit line names every swept axis but n.
+		label := fmt.Sprintf("k=%d", k)
+		if multi {
+			label = "algo=" + spec.Name + " " + label
+		}
+		if faultMode {
+			label += fmt.Sprintf(" crash=%g drop=%g", crash, drop)
+		}
+		for _, topoName := range fitOrder {
+			fit, err := stats.FitPower(fitXs[topoName], fitYs[topoName])
+			if err != nil {
+				continue
+			}
+			if topoName != "" {
+				fmt.Fprintf(w, "# %s topo=%s: %s\n", label, topoName, fit)
+			} else {
+				fmt.Fprintf(w, "# %s: %s\n", label, fit)
+			}
+			fitFor := benchFit{K: k, Topo: topoName, Fit: fit.String()}
+			if multi {
+				fitFor.Algo = spec.Name
+			}
+			bench.Fits = append(bench.Fits, fitFor)
+		}
+		return nil
+	}
+	start := time.Now()
+	for _, spec := range specs {
+		for _, k := range ks {
+			for _, crash := range crashes {
+				for _, drop := range drops {
+					if err := runBatch(spec, k, crash, drop); err != nil {
+						return err
+					}
 				}
-				if topoName != "" {
-					fmt.Printf("# k=%d topo=%s: %s\n", k, topoName, fit)
-				} else {
-					fmt.Printf("# k=%d: %s\n", k, fit)
-				}
-				bench.Fits = append(bench.Fits, benchFit{K: k, Topo: topoName, Fit: fit.String()})
 			}
 		}
 	}
@@ -220,18 +312,18 @@ func run(args []string) error {
 	if *csv {
 		// CSV output stays a pure function of the flags (no timing line), so
 		// it can be diffed and machine-consumed.
-		fmt.Print(table.CSV())
+		fmt.Fprint(w, table.CSV())
 	} else {
-		fmt.Print(table.String())
-		fmt.Printf("# %d cells in %v (%.0f cells/s)\n",
+		fmt.Fprint(w, table.String())
+		fmt.Fprintf(w, "# %d cells in %v (%.0f cells/s)\n",
 			cells, elapsed.Round(time.Millisecond), float64(cells)/elapsed.Seconds())
 	}
 	if fleet != nil && !*csv {
-		fmt.Print(fleet.Stats())
+		fmt.Fprint(w, fleet.Stats())
 	}
 	if cache != nil {
 		s := cache.Stats()
-		fmt.Printf("# cache: %d hits (%d from disk), %d misses\n", s.Hits, s.DiskHits, s.Misses)
+		fmt.Fprintf(w, "# cache: %d hits (%d from disk), %d misses\n", s.Hits, s.DiskHits, s.Misses)
 	}
 	if *jsonOut != "" {
 		path := *jsonOut
@@ -241,21 +333,21 @@ func run(args []string) error {
 		if err := writeBenchJSON(path, bench); err != nil {
 			return err
 		}
-		fmt.Printf("# wrote %s\n", path)
+		fmt.Fprintf(w, "# wrote %s\n", path)
 	}
 	if *compare != "" {
-		if err := compareBench(*compare, bench); err != nil {
+		if err := compareBench(w, *compare, bench); err != nil {
 			return err
 		}
 	}
 	if spanCol != nil {
 		spanCol.Add(obs.NewSpan(traceRoot, obs.SpanID{}, "sweep", "sweep", start, elapsed,
 			map[string]string{"algo": *algo, "cells": strconv.Itoa(cells)}))
-		if err := writeTrace(*traceOut, spanCol.Trace(traceRoot.Trace), !*csv); err != nil {
+		if err := writeTrace(w, *traceOut, spanCol.Trace(traceRoot.Trace), !*csv); err != nil {
 			return err
 		}
 		if !*csv {
-			fmt.Printf("# wrote %s (trace %s, %d spans)\n",
+			fmt.Fprintf(w, "# wrote %s (trace %s, %d spans)\n",
 				*traceOut, traceRoot.Trace, spanCol.Len())
 		}
 	}
@@ -265,7 +357,7 @@ func run(args []string) error {
 // writeTrace exports the sweep's spans as Chrome trace-event JSON and, when
 // verbose, prints an ASCII waterfall of the slowest chunk dispatch — the
 // at-a-glance answer to "where did the time go".
-func writeTrace(path string, spans []obs.Span, verbose bool) error {
+func writeTrace(w io.Writer, path string, spans []obs.Span, verbose bool) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -290,9 +382,9 @@ func writeTrace(path string, spans []obs.Span, verbose bool) error {
 		}
 	}
 	if slowest != nil {
-		fmt.Printf("# slowest chunk dispatch (%s cells [%s, +%s)):\n",
+		fmt.Fprintf(w, "# slowest chunk dispatch (%s cells [%s, +%s)):\n",
 			slowest.Attrs["worker"], slowest.Attrs["start"], slowest.Attrs["count"])
-		obs.Waterfall(os.Stdout, "# ", *slowest, spans, 48)
+		obs.Waterfall(w, "# ", *slowest, spans, 48)
 	}
 	return nil
 }
@@ -305,7 +397,7 @@ const regressionThreshold = 0.10
 // (algo, k, n): mean messages or mean time more than 10% above the prior
 // value — or a success rate more than 10% below it — is a regression, and
 // any regression makes the sweep exit non-zero so CI can gate on it.
-func compareBench(path string, fresh benchFile) error {
+func compareBench(w io.Writer, path string, fresh benchFile) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -329,7 +421,7 @@ func compareBench(path string, fresh benchFile) error {
 		if r.Topo != "" {
 			label += " topo=" + r.Topo
 		}
-		fmt.Printf("# REGRESSION %s k=%d n=%d %s: %.4g -> %.4g (%+.1f%%)\n",
+		fmt.Fprintf(w, "# REGRESSION %s k=%d n=%d %s: %.4g -> %.4g (%+.1f%%)\n",
 			label, r.K, r.N, metric, was, is, 100*(is-was)/was)
 	}
 	for _, r := range fresh.Rows {
@@ -348,7 +440,7 @@ func compareBench(path string, fresh benchFile) error {
 			flag(r, "success_rate", o.SuccessRate, r.SuccessRate)
 		}
 	}
-	fmt.Printf("# compare: %d/%d rows matched against %s, %d regressions\n",
+	fmt.Fprintf(w, "# compare: %d/%d rows matched against %s, %d regressions\n",
 		matched, len(fresh.Rows), path, regressions)
 	if matched == 0 {
 		return fmt.Errorf("no rows of this sweep match %s (algo/k/n differ)", path)
@@ -383,6 +475,7 @@ type benchRow struct {
 }
 
 type benchFit struct {
+	Algo string `json:"algo,omitempty"` // set only when several specs are swept
 	K    int    `json:"k"`
 	Topo string `json:"topo,omitempty"`
 	Fit  string `json:"fit"`

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,27 +17,42 @@ import (
 )
 
 func TestSweepTradeoff(t *testing.T) {
-	if err := run([]string{"-algo", "tradeoff", "-k", "3,4", "-ns", "32,64", "-seeds", "2"}); err != nil {
+	if err := run([]string{"-algo", "tradeoff", "-k", "3,4", "-ns", "32,64", "-seeds", "2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSweepAsyncCSV(t *testing.T) {
 	if err := run([]string{"-algo", "asynctradeoff", "-k", "2", "-ns", "32,64",
-		"-seeds", "2", "-wake", "1", "-csv"}); err != nil {
+		"-seeds", "2", "-wake", "1", "-csv"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSweepErrors(t *testing.T) {
-	if err := run([]string{"-algo", "bogus"}); err == nil {
+	if err := run([]string{"-algo", "bogus"}, io.Discard); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if err := run([]string{"-ns", "12,abc"}); err == nil {
+	if err := run([]string{"-ns", "12,abc"}, io.Discard); err == nil {
 		t.Fatal("bad ns accepted")
 	}
-	if err := run([]string{"-k", "x"}); err == nil {
+	if err := run([]string{"-k", "x"}, io.Discard); err == nil {
 		t.Fatal("bad k accepted")
+	}
+	for _, args := range [][]string{
+		{"-drop", "0,x"},
+		{"-crash", "y"},
+		{"-faults", "bogus=1"},
+		{"-faults", "drop=0.3"}, // the sweep axes own crash/drop rates
+		{"-faults", "crash=0.3"},
+		{"-policy", "bogus"},
+		// BENCH files describe fault-free sweeps only.
+		{"-drop", "0.1", "-json", filepath.Join(t.TempDir(), "bench.json")},
+		{"-faults", "dup=0.02", "-compare", "BENCH_2026-07-30.json"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
 }
 
@@ -42,7 +60,7 @@ func TestSweepJSON(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")
 	if err := run([]string{"-algo", "tradeoff", "-k", "3", "-ns", "32,64",
-		"-seeds", "2", "-json", path}); err != nil {
+		"-seeds", "2", "-json", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -77,11 +95,11 @@ func TestSweepCompare(t *testing.T) {
 	dir := t.TempDir()
 	prior := filepath.Join(dir, "prior.json")
 	args := []string{"-algo", "tradeoff", "-k", "3", "-ns", "32,64", "-seeds", "2"}
-	if err := run(append(args, "-json", prior)); err != nil {
+	if err := run(append(args, "-json", prior), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// Same sweep, same seeds: byte-deterministic rows, zero regressions.
-	if err := run(append(args, "-compare", prior)); err != nil {
+	if err := run(append(args, "-compare", prior), io.Discard); err != nil {
 		t.Fatalf("self-comparison flagged regressions: %v", err)
 	}
 
@@ -103,7 +121,7 @@ func TestSweepCompare(t *testing.T) {
 	if err := writeBenchJSON(cheap, doctored); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-compare", cheap)); err == nil {
+	if err := run(append(args, "-compare", cheap), io.Discard); err == nil {
 		t.Fatal("regressions not flagged")
 	}
 
@@ -115,10 +133,10 @@ func TestSweepCompare(t *testing.T) {
 	if err := writeBenchJSON(unmatched, doctored); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-compare", unmatched)); err == nil {
+	if err := run(append(args, "-compare", unmatched), io.Discard); err == nil {
 		t.Fatal("unmatched comparison accepted")
 	}
-	if err := run(append(args, "-compare", filepath.Join(dir, "missing.json"))); err == nil {
+	if err := run(append(args, "-compare", filepath.Join(dir, "missing.json")), io.Discard); err == nil {
 		t.Fatal("missing compare file accepted")
 	}
 }
@@ -128,7 +146,7 @@ func TestSweepCompare(t *testing.T) {
 func TestSweepCacheFlag(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-algo", "tradeoff", "-k", "3", "-ns", "32", "-seeds", "2", "-cache", dir}
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
@@ -136,7 +154,7 @@ func TestSweepCacheFlag(t *testing.T) {
 		t.Fatalf("cache dir holds %d entries (err %v), want 2", len(entries), err)
 	}
 	// Second invocation replays from the same cache without error.
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,10 +187,10 @@ func TestSweepFleetMatchesLocal(t *testing.T) {
 	} {
 		localPath := filepath.Join(dir, name+"-local.json")
 		fleetPath := filepath.Join(dir, name+"-fleet.json")
-		if err := run(append(args, "-json", localPath)); err != nil {
+		if err := run(append(args, "-json", localPath), io.Discard); err != nil {
 			t.Fatalf("%s local: %v", name, err)
 		}
-		if err := run(append(args, "-json", fleetPath, "-workers", fleet)); err != nil {
+		if err := run(append(args, "-json", fleetPath, "-workers", fleet), io.Discard); err != nil {
 			t.Fatalf("%s fleet: %v", name, err)
 		}
 		local, err := os.ReadFile(localPath)
@@ -197,10 +215,10 @@ func TestSweepFleetCacheBytes(t *testing.T) {
 	fleet := startWorkers(t, 2)
 	args := []string{"-algo", "tradeoff", "-k", "3", "-ns", "32,64", "-seeds", "4"}
 	localDir, fleetDir := t.TempDir(), t.TempDir()
-	if err := run(append(args, "-cache", localDir)); err != nil {
+	if err := run(append(args, "-cache", localDir), io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-cache", fleetDir, "-workers", fleet)); err != nil {
+	if err := run(append(args, "-cache", fleetDir, "-workers", fleet), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := filepath.Glob(filepath.Join(fleetDir, "*", "*.json"))
@@ -232,10 +250,10 @@ func TestSweepFleetCacheBytes(t *testing.T) {
 }
 
 func TestSweepWorkersFlagErrors(t *testing.T) {
-	if err := run([]string{"-algo", "tradeoff", "-ns", "32", "-seeds", "1", "-workers", "-2"}); err == nil {
+	if err := run([]string{"-algo", "tradeoff", "-ns", "32", "-seeds", "1", "-workers", "-2"}, io.Discard); err == nil {
 		t.Fatal("negative worker count accepted")
 	}
-	if err := run([]string{"-algo", "tradeoff", "-ns", "32", "-seeds", "1", "-workers", "h1,,h2"}); err == nil {
+	if err := run([]string{"-algo", "tradeoff", "-ns", "32", "-seeds", "1", "-workers", "h1,,h2"}, io.Discard); err == nil {
 		t.Fatal("malformed host list accepted")
 	}
 }
@@ -247,7 +265,7 @@ func TestSweepTraceOut(t *testing.T) {
 	fleet := startWorkers(t, 2)
 	path := filepath.Join(t.TempDir(), "sweep.trace.json")
 	if err := run([]string{"-algo", "tradeoff", "-k", "3", "-ns", "32,64",
-		"-seeds", "4", "-workers", fleet, "-trace-out", path}); err != nil {
+		"-seeds", "4", "-workers", fleet, "-trace-out", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -296,7 +314,7 @@ func TestSweepTraceOut(t *testing.T) {
 func TestSweepLocalTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "local.trace.json")
 	if err := run([]string{"-algo", "tradeoff", "-k", "3,4", "-ns", "32",
-		"-seeds", "2", "-trace-out", path}); err != nil {
+		"-seeds", "2", "-trace-out", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -306,6 +324,202 @@ func TestSweepLocalTraceOut(t *testing.T) {
 	for _, want := range []string{`"name":"sweep"`, `"name":"batch"`, `"k":"3"`, `"k":"4"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("local trace missing %s:\n%s", want, data)
+		}
+	}
+}
+
+func sweepCSV(t *testing.T, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(append(args, "-csv"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// successColumn extracts the per-row success rates (the "a/b" success
+// column) from the CSV output, skipping the fit lines.
+func successColumn(t *testing.T, csv string) []float64 {
+	t.Helper()
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(csv), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			rows = append(rows, strings.Split(line, ","))
+		}
+	}
+	col := slices.Index(rows[0], "success")
+	if col < 0 {
+		t.Fatalf("no success column in %q", rows[0])
+	}
+	var out []float64
+	for _, row := range rows[1:] {
+		var ok, runs int
+		if _, err := fmt.Sscanf(row[col], "%d/%d", &ok, &runs); err != nil || runs == 0 {
+			t.Fatalf("bad success cell in %q: %v", row, err)
+		}
+		out = append(out, float64(ok)/float64(runs))
+	}
+	return out
+}
+
+// TestResilienceCurves is the fault axes' acceptance criterion: for the
+// paper's headline sync spec and one async spec, the election-success rate
+// is 1.0 at drop rate 0 and degrades monotonically (within noise) as the
+// rate rises — on both simulators.
+func TestResilienceCurves(t *testing.T) {
+	cases := []struct {
+		algo  string
+		drops string
+	}{
+		{"tradeoff", "0,0.02,0.08,0.3"},
+		{"asynctradeoff", "0,0.002,0.01,0.05"},
+	}
+	for _, tc := range cases {
+		rates := successColumn(t, sweepCSV(t,
+			"-algo", tc.algo, "-ns", "48", "-drop", tc.drops, "-seeds", "16"))
+		if len(rates) != 4 {
+			t.Fatalf("%s: %d rows, want 4", tc.algo, len(rates))
+		}
+		if rates[0] != 1 {
+			t.Errorf("%s: success %v at drop rate 0, want 1.0", tc.algo, rates[0])
+		}
+		const noise = 0.1
+		for i := 1; i < len(rates); i++ {
+			if rates[i] > rates[i-1]+noise {
+				t.Errorf("%s: success rose from %v to %v between drop rates (rows %d→%d)",
+					tc.algo, rates[i-1], rates[i], i-1, i)
+			}
+		}
+		if last := rates[len(rates)-1]; last >= rates[0] {
+			t.Errorf("%s: success did not degrade across the sweep: %v", tc.algo, rates)
+		}
+	}
+}
+
+// TestSweepDeterministic: a fault-mode table is a pure function of its
+// flags — two invocations emit identical bytes.
+func TestSweepDeterministic(t *testing.T) {
+	args := []string{"-algo", "tradeoff,asynctradeoff", "-ns", "32",
+		"-drop", "0,0.1", "-crash", "0,0.2", "-seeds", "6", "-faults", "dup=0.02"}
+	if a, b := sweepCSV(t, args...), sweepCSV(t, args...); a != b {
+		t.Fatalf("same flags, different tables:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestSweepColumns: each swept axis adds its column only when it is swept,
+// so a single-spec fault-free sweep keeps its historical header.
+func TestSweepColumns(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "tradeoff"},
+			"k,n,mean msgs,std,mean time,success"},
+		{[]string{"-algo", "tradeoff,afekgafni"},
+			"algo,k,n,mean msgs,std,mean time,success"},
+		{[]string{"-algo", "kpprt", "-topo", "ring"},
+			"topo,k,n,mean msgs,std,mean time,success"},
+		{[]string{"-algo", "tradeoff", "-faults", "dup=0.02"},
+			"k,n,crash,drop,mean msgs,std,mean time,success,crashed,dropped,dup'd"},
+		{[]string{"-algo", "kpprt,kuttenmoses", "-topo", "ring", "-crash", "0,0.1"},
+			"algo,topo,k,n,crash,drop,mean msgs,std,mean time,success,crashed,dropped,dup'd"},
+	} {
+		csv := sweepCSV(t, append(tc.args, "-ns", "16", "-seeds", "1")...)
+		if got, _, _ := strings.Cut(csv, "\n"); got != tc.want {
+			t.Errorf("%v: header %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+func TestSweepAllSelectsQualifiedSpecs(t *testing.T) {
+	specs, err := resolveSpecs("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) == 0 {
+		t.Fatal("no fault-qualified specs")
+	}
+	for _, s := range specs {
+		if !s.FaultTolerant {
+			t.Errorf("%s selected by \"all\" without FaultTolerant", s.Name)
+		}
+		if s.Name == "lasvegas" {
+			t.Error("lasvegas selected despite wedging under faults")
+		}
+	}
+}
+
+func TestSweepAdaptive(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-algo", "tradeoff", "-ns", "24", "-drop", "0",
+		"-seeds", "4", "-faults", "adaptive=1"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "dup'd") {
+		t.Fatalf("adaptive plan did not select fault mode:\n%s", buf.String())
+	}
+}
+
+// TestSweepCacheReplay: -cache leaves a fault-mode table untouched (cold or
+// warm) and the warm pass is all hits.
+func TestSweepCacheReplay(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-algo", "tradeoff", "-ns", "32", "-drop", "0,0.1", "-seeds", "4"}
+	table := func(csv string) string {
+		var rows []string
+		for _, line := range strings.Split(csv, "\n") {
+			if !strings.HasPrefix(line, "#") {
+				rows = append(rows, line)
+			}
+		}
+		return strings.Join(rows, "\n")
+	}
+	plain := sweepCSV(t, args...)
+	cold := sweepCSV(t, append(args, "-cache", dir)...)
+	warm := sweepCSV(t, append(args, "-cache", dir)...)
+	if table(plain) != table(cold) || table(cold) != table(warm) {
+		t.Fatalf("cache changed the table:\n%s\n---\n%s\n---\n%s", plain, cold, warm)
+	}
+	if !strings.Contains(warm, ", 0 misses") {
+		t.Fatalf("warm pass was not all hits:\n%s", warm)
+	}
+}
+
+// TestSweepFaultsFleetMatchesLocal: a fault-mode sweep across two electd
+// workers emits byte-identical CSV to the local run — the crash/drop axes
+// ride the wire as fault-plan strings and round-trip exactly.
+func TestSweepFaultsFleetMatchesLocal(t *testing.T) {
+	fleet := startWorkers(t, 2)
+	args := []string{"-algo", "tradeoff", "-k", "3,4", "-ns", "32,64", "-seeds", "4",
+		"-drop", "0,0.1", "-crash", "0,0.25", "-faults", "dup=0.05"}
+	local := sweepCSV(t, args...)
+	if remote := sweepCSV(t, append(args, "-workers", fleet)...); remote != local {
+		t.Fatalf("fleet CSV differs from local:\n%s\nvs\n%s", remote, local)
+	}
+}
+
+func TestWireFaults(t *testing.T) {
+	for _, tc := range []struct {
+		base        string
+		crash, drop float64
+		want        string
+	}{
+		{"", 0, 0, ""},
+		{"", 0.25, 0, "crash=0.25"},
+		{"", 0, 0.1, "drop=0.1"},
+		{"dup=0.05", 0.1, 0.2, "dup=0.05,crash=0.1,drop=0.2"},
+		{" dup=0.05 ", 0, 0.1, "dup=0.05,drop=0.1"},
+	} {
+		if got := wireFaults(tc.base, tc.crash, tc.drop); got != tc.want {
+			t.Errorf("wireFaults(%q, %v, %v) = %q, want %q", tc.base, tc.crash, tc.drop, got, tc.want)
+		}
+		// Whatever we emit must parse back to the plan the local path builds.
+		plan, err := elect.ParseFaults(wireFaults(tc.base, tc.crash, tc.drop))
+		if err != nil {
+			t.Fatalf("wireFaults(%q, %v, %v) unparseable: %v", tc.base, tc.crash, tc.drop, err)
+		}
+		if plan.CrashRate != tc.crash || plan.DropRate != tc.drop {
+			t.Errorf("round trip lost rates: %+v", plan)
 		}
 	}
 }

@@ -36,10 +36,10 @@
 // optional on-disk tier); repeated runs — the dominant shape of sweep
 // traffic — are replayed byte-for-byte instead of re-executed. Live-engine
 // runs and adaptive-adversary plans are uncacheable and bypass the cache.
-// cmd/sweep and cmd/faultsweep share the same cache via -cache DIR.
+// cmd/sweep shares the same cache via -cache DIR.
 //
 // The same contract powers distributed dispatch (internal/distrib): the
-// sweep CLIs' -workers flag shards a batch grid into deterministic chunks
+// sweep CLI's -workers flag shards a batch grid into deterministic chunks
 // across a fleet of electd daemons (POST /v1/chunk), with in-flight load
 // balancing, failover off dead workers and straggler re-dispatch —
 // merging a BatchResult byte-identical to a purely local RunMany.
@@ -68,12 +68,12 @@
 //     machinery, while internal/obs traces serving-stack requests.
 //   - internal/distrib — the distributed dispatch fabric: chunk
 //     partitioner, worker registry, failover/straggler scheduler, merger.
-//   - cmd/elect, cmd/sweep, cmd/faultsweep, cmd/experiments,
-//     cmd/lowerbound, cmd/electd — CLIs; cmd/faultsweep prints resilience
-//     tables (election-success rate under swept crash/drop rates) and
-//     cmd/sweep -json writes BENCH_<date>.json perf artifacts, diffable
-//     against a prior file with -compare (exits non-zero on >10%
-//     regressions).
+//   - cmd/elect, cmd/sweep, cmd/experiments, cmd/lowerbound, cmd/electd —
+//     CLIs; cmd/sweep prints message/time tables over k and, with -crash
+//     and -drop, resilience tables (election-success count under swept
+//     crash/drop rates), and its -json writes BENCH_<date>.json perf
+//     artifacts, diffable against a prior file with -compare (exits
+//     non-zero on >10% regressions).
 //   - examples/ — runnable scenarios, each with a smoke test.
 //
 // # Performance

@@ -366,9 +366,10 @@ type SpecsResponse struct {
 // them: the cache's own Stats snapshot, tags and all.
 type CacheStats = resultcache.Stats
 
-// Health is the body of GET /healthz. Beyond liveness it carries the load
-// gauges a fleet scheduler (internal/distrib) balances on: how much work is
-// waiting, how much is executing, and how parallel each job may run.
+// Health is the body of GET /healthz. A fleet coordinator (internal/distrib)
+// reads only OK, to revive a worker it marked down; the load gauges (how
+// much work is waiting, how much is executing, and how parallel each job may
+// run) are for operators and monitoring.
 type Health struct {
 	OK bool `json:"ok"`
 	// Version is the daemon's service version (service.Version).
@@ -388,7 +389,7 @@ type Health struct {
 	// Role and Epoch surface the control plane (internal/control) on
 	// fleet-managed daemons: "coordinator" or "worker", and the highest
 	// election epoch the daemon has seen. Both empty/zero on standalone
-	// daemons, so probes and the fleet footer can tell who is leading.
+	// daemons, so an operator's probe can tell who is leading.
 	Role  string `json:"role,omitempty"`
 	Epoch uint64 `json:"epoch,omitempty"`
 }

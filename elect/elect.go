@@ -117,7 +117,7 @@ type Spec struct {
 	// keeps terminating within the engine caps and fails gracefully — the
 	// election-success rate degrades with the fault rate instead of the run
 	// wedging or panicking. Informational: Run does not enforce it, but
-	// cmd/faultsweep's "all" selector sweeps exactly these specs.
+	// cmd/sweep's "-algo all" sweeps exactly these specs.
 	FaultTolerant bool
 	// Topologies lists the non-clique topology families (internal/topo
 	// generator names: "ring", "torus", "rreg", "power", "edges") the

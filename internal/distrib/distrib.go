@@ -717,7 +717,7 @@ func (s WorkerStats) CellsPerSec() float64 {
 	return float64(s.Cells) / s.Busy.Seconds()
 }
 
-// Stats is the fleet-wide accounting the sweep CLIs print.
+// Stats is the fleet-wide accounting cmd/sweep prints.
 type Stats struct {
 	Workers []WorkerStats
 	// ChunksRetried counts re-dispatches: failovers off dead workers plus
@@ -736,9 +736,9 @@ type Stats struct {
 	RetryBackoff time.Duration
 }
 
-// String renders the breakdown the sweep CLIs print at end of run: the
+// String renders the breakdown cmd/sweep prints at end of run: the
 // retry/local/cache counters plus one cells/s line per worker, in "# "
-// comment form matching their other footers.
+// comment form matching its other footers.
 func (s Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# fleet: %d chunks retried, %d cells run locally, %d cells from cache\n",

@@ -294,10 +294,10 @@ func multiChunkGrid() (elect.Batch, client.Options) {
 	return b, wire
 }
 
-// TestFleetFailoverDefaultPartition: a worker killed mid-sweep on the
-// default, weight-shaped partition loses its remaining chunks to the
-// survivor, and the merged grid stays byte-identical to a local RunMany.
-func TestFleetFailoverDefaultPartition(t *testing.T) {
+// TestFleetFailover: a worker killed mid-sweep loses its remaining chunks
+// to the survivor, the merged grid stays byte-identical to a local RunMany,
+// and the chunks asked for are exactly the partition's.
+func TestFleetFailover(t *testing.T) {
 	b, wire := multiChunkGrid()
 	spec := mustSpec(t, "tradeoff")
 	local, err := elect.RunMany(spec, b)
@@ -321,60 +321,24 @@ func TestFleetFailoverDefaultPartition(t *testing.T) {
 	if stats.ChunksRetried < 1 || stats.LocalCells != 0 {
 		t.Fatalf("want a failover onto the survivor and no local cells: %+v", stats)
 	}
-	var served []Chunk
-	for _, h := range []*harness{survivor, victim} {
-		served = append(served, h.served()...)
+	if ws := workerStats(t, fleet, survivor); !ws.Alive || ws.Cells < 1 {
+		t.Fatalf("survivor stats %+v", ws)
 	}
-	// Every chunk the partition names was asked for, and nothing else.
+	if ws := workerStats(t, fleet, victim); ws.Alive {
+		t.Fatalf("victim still marked alive: %+v", ws)
+	}
+	// Every chunk the partition names was asked for, and nothing else; the
+	// victim's failed chunk is asked for twice.
+	served := append(survivor.served(), victim.served()...)
 	want := Partition(b.Ns, b.Seeds, b.Topos)
 	for _, c := range served {
 		if !slices.Contains(want, c) {
-			t.Fatalf("served chunk %+v is not in the default partition %v", c, want)
+			t.Fatalf("served chunk %+v is not in the partition %v", c, want)
 		}
 	}
 	for _, c := range want {
 		if !slices.Contains(served, c) {
-			t.Fatalf("chunk %+v of the default partition was never dispatched", c)
-		}
-	}
-}
-
-// TestFleetFailover: a worker killed mid-sweep loses its remaining chunks
-// to the survivor, and the merged grid stays byte-identical to local.
-func TestFleetFailover(t *testing.T) {
-	b, wire := multiChunkGrid()
-	spec := mustSpec(t, "tradeoff")
-	local, err := elect.RunMany(spec, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	survivor, victim := newHarness(t), newHarness(t)
-	victim.failAfter.Store(1) // one chunk completes, then the daemon "dies"
-	fleet := newFleet(t, Config{}, survivor, victim)
-	remote := b
-	remote.Remote = fleet.Runner(wire)
-	got, err := elect.RunMany(spec, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeBatch(t, local), encodeBatch(t, got)) {
-		t.Fatal("failover grid differs from local RunMany")
-	}
-	stats := fleet.Stats()
-	if stats.ChunksRetried < 1 {
-		t.Fatalf("no chunk retried despite a dead worker: %+v", stats)
-	}
-	for _, ws := range stats.Workers {
-		switch ws.URL {
-		case NormalizeURL(survivor.ts.URL):
-			if !ws.Alive || ws.Cells < 1 {
-				t.Fatalf("survivor stats %+v", ws)
-			}
-		case NormalizeURL(victim.ts.URL):
-			if ws.Alive {
-				t.Fatalf("victim still marked alive: %+v", ws)
-			}
+			t.Fatalf("chunk %+v of the partition was never dispatched", c)
 		}
 	}
 }

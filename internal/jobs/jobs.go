@@ -45,9 +45,9 @@ const (
 	KindRun   Kind = "run"
 	KindBatch Kind = "batch"
 	// KindChunk is a contiguous cell range of a batch grid, dispatched to
-	// this daemon by a fleet scheduler (see internal/distrib). Chunks run
+	// this daemon by a fleet coordinator (see internal/distrib). Chunks run
 	// through the same queue and worker pool as everything else, so
-	// /healthz's queue gauges reflect fleet load too.
+	// /healthz's queue gauges count fleet load too.
 	KindChunk Kind = "chunk"
 )
 
@@ -219,7 +219,7 @@ func (m *Manager) SubmitChunk(spec elect.Spec, batch elect.Batch, start, count i
 }
 
 // QueueDepth is the number of accepted jobs not yet picked up by a worker —
-// the back-pressure gauge /healthz exports for fleet schedulers.
+// the back-pressure gauge /healthz exports for operators.
 func (m *Manager) QueueDepth() int { return len(m.queue) }
 
 func (m *Manager) submit(j *Job, sopts []SubmitOption) (*Job, error) {

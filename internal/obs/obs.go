@@ -6,7 +6,7 @@
 // SpanCollector, Chrome trace-event export — see span.go and
 // tracecollect.go). electd mounts a registry on GET /metrics and a span
 // collector on GET /v1/traces; internal/distrib and elect/client feed
-// their own counters into the sweep CLIs' fleet summaries.
+// their own counters into cmd/sweep's fleet summary.
 //
 // Naming note: request tracing here is unrelated to internal/trace, which
 // records the communication graph of a clique execution for the paper's

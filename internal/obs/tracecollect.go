@@ -253,8 +253,8 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 // Waterfall renders an ASCII timeline of root and its descendants among
 // spans: one line per span, indented by tree depth, with a bar scaled to
 // the subtree's wall-clock window and the duration and attributes printed
-// after it. Each line is prefixed with prefix (the sweep CLIs pass "# " to
-// match their comment footers). Children sort by start time, then span id.
+// after it. Each line is prefixed with prefix (cmd/sweep passes "# " to
+// match its comment footers). Children sort by start time, then span id.
 func Waterfall(w io.Writer, prefix string, root Span, spans []Span, width int) {
 	if width <= 0 {
 		width = 40

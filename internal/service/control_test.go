@@ -1,7 +1,10 @@
 package service
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -10,6 +13,7 @@ import (
 	"time"
 
 	"cliquelect/elect/client"
+	"cliquelect/internal/control"
 	"cliquelect/internal/control/chaostest"
 )
 
@@ -215,4 +219,90 @@ func assertMetric(t *testing.T, body, name, want string) {
 		}
 	}
 	t.Fatalf("metric %s not exposed", name)
+}
+
+// stepClock is a control.Clock a test moves by hand.
+type stepClock struct{ now time.Time }
+
+func (c *stepClock) Now() time.Time { return c.now }
+
+// noTransport is a control.Transport with no peers reachable: a lone node
+// that only answers lease requests never sends one.
+type noTransport struct{}
+
+func (noTransport) Probe(context.Context, string) error { return errors.New("no network") }
+
+func (noTransport) Lease(context.Context, string, client.LeaseRequest) (*client.LeaseResponse, error) {
+	return nil, errors.New("no network")
+}
+
+// FuzzLeaseBodies posts each line of the input as a POST /v1/lease body to
+// one daemon whose control node is alone in its fleet and past its startup
+// grace. Whatever the bodies, every answer is a 200 or a 400, no epoch is
+// ever granted to two holders, granted epochs never go back, and the
+// node's vote record (Node.Grants) and grant counter (Stats.Grants) match
+// the fresh grants observed. A granted answer is a fresh grant the first
+// time its epoch is seen and a renewal after, so a renewal the node counted
+// as a fresh grant shows up in the counter.
+func FuzzLeaseBodies(f *testing.F) {
+	for _, bodies := range [][]string{
+		{`{"epoch":1,"holder":"http://a"}`},                                    // grant
+		{`{"epoch":1,"holder":"http://a"}`, `{"epoch":1,"holder":"http://a"}`}, // renewal
+		{`{"epoch":5,"holder":"http://a"}`, `{"epoch":3,"holder":"http://b"}`}, // stale epoch
+		{`{"epoch":2,"holder":"http://a"}`, `{"epoch":2,"holder":"http://b"}`}, // conflicting holder
+		{`{"epoch":1,"holder":""}`},
+		{`{"epoch":0,"holder":"http://a"}`},
+		{`{"epoch":18446744073709551615,"holder":"http://a"}`, `{"epoch":18446744073709551615,"holder":"http://b"}`},
+		{`not json`, `{"epoch":-1}`, `{"epoch":1.5,"holder":"http://a"}`},
+	} {
+		f.Add(strings.Join(bodies, "\n"))
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		const ttl = time.Second
+		clock := &stepClock{now: time.Unix(1e9, 0)}
+		node, err := control.New(control.Config{
+			Self: "http://self", LeaseTTL: ttl, Transport: noTransport{}, Clock: clock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock.now = clock.now.Add(ttl) // past the storeless startup grace
+		srv := New(Config{Control: node})
+		defer srv.Close()
+		h := srv.Handler()
+
+		granted := map[uint64]string{}
+		var last uint64 // the latest granted epoch
+		for _, body := range strings.Split(input, "\n") {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/lease", strings.NewReader(body)))
+			switch rec.Code {
+			case http.StatusBadRequest:
+				continue
+			case http.StatusOK:
+			default:
+				t.Fatalf("body %q answered %d: %s", body, rec.Code, rec.Body)
+			}
+			var resp client.LeaseResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("body %q: undecodable answer %q: %v", body, rec.Body, err)
+			}
+			if !resp.Granted {
+				continue
+			}
+			if prev, ok := granted[resp.Epoch]; ok && prev != resp.Holder {
+				t.Fatalf("epoch %d granted to %q and then to %q", resp.Epoch, prev, resp.Holder)
+			}
+			if resp.Epoch < last {
+				t.Fatalf("epoch %d granted after epoch %d", resp.Epoch, last)
+			}
+			granted[resp.Epoch], last = resp.Holder, resp.Epoch
+		}
+		if got := node.Grants(); !maps.Equal(got, granted) {
+			t.Fatalf("vote record %v, fresh grants observed %v", got, granted)
+		}
+		if got := node.Status().Grants; got != int64(len(granted)) {
+			t.Fatalf("node counted %d grants, %d fresh grants observed", got, len(granted))
+		}
+	})
 }

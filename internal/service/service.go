@@ -383,7 +383,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // handleChunk executes a cell range of a batch grid synchronously — the
 // worker side of distributed dispatch. Chunks ride the normal job queue and
 // worker pool, so they contend fairly with local jobs and show up in the
-// /healthz load gauges a fleet scheduler balances on.
+// /healthz load gauges.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	var req client.ChunkRequest
 	if err := decodeBody(r, &req); err != nil {
