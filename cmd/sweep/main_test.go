@@ -39,7 +39,14 @@ func TestSweepErrors(t *testing.T) {
 	if err := run([]string{"-k", "x"}, io.Discard); err == nil {
 		t.Fatal("bad k accepted")
 	}
+}
+
+// TestSweepFaultErrors: malformed fault axes and plans are rejected, and
+// fault mode refuses the fault-free BENCH flags.
+func TestSweepFaultErrors(t *testing.T) {
 	for _, args := range [][]string{
+		{"-algo", "bogus", "-drop", "0.1"},
+		{"-ns", "12,abc", "-drop", "0.1"},
 		{"-drop", "0,x"},
 		{"-crash", "y"},
 		{"-faults", "bogus=1"},

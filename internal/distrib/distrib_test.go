@@ -294,10 +294,11 @@ func multiChunkGrid() (elect.Batch, client.Options) {
 	return b, wire
 }
 
-// TestFleetFailover: a worker killed mid-sweep loses its remaining chunks
-// to the survivor, the merged grid stays byte-identical to a local RunMany,
-// and the chunks asked for are exactly the partition's.
-func TestFleetFailover(t *testing.T) {
+// runFailover runs multiChunkGrid over a two-worker fleet whose victim
+// dies after one chunk, and checks that the merged grid is byte-identical to
+// a local RunMany with the victim's chunks failed over to the survivor.
+func runFailover(t *testing.T) (b elect.Batch, fleet *Fleet, survivor, victim *harness) {
+	t.Helper()
 	b, wire := multiChunkGrid()
 	spec := mustSpec(t, "tradeoff")
 	local, err := elect.RunMany(spec, b)
@@ -305,9 +306,9 @@ func TestFleetFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	survivor, victim := newHarness(t), newHarness(t)
+	survivor, victim = newHarness(t), newHarness(t)
 	victim.failAfter.Store(1) // one chunk completes, then the daemon "dies"
-	fleet := newFleet(t, Config{}, survivor, victim)
+	fleet = newFleet(t, Config{}, survivor, victim)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	got, err := elect.RunMany(spec, remote)
@@ -321,24 +322,39 @@ func TestFleetFailover(t *testing.T) {
 	if stats.ChunksRetried < 1 || stats.LocalCells != 0 {
 		t.Fatalf("want a failover onto the survivor and no local cells: %+v", stats)
 	}
+	return b, fleet, survivor, victim
+}
+
+// TestFleetFailover: a worker killed mid-sweep loses its remaining chunks
+// to the survivor, the merged grid stays byte-identical to a local RunMany,
+// and only the survivor is left marked alive.
+func TestFleetFailover(t *testing.T) {
+	_, fleet, survivor, victim := runFailover(t)
 	if ws := workerStats(t, fleet, survivor); !ws.Alive || ws.Cells < 1 {
 		t.Fatalf("survivor stats %+v", ws)
 	}
 	if ws := workerStats(t, fleet, victim); ws.Alive {
 		t.Fatalf("victim still marked alive: %+v", ws)
 	}
+}
+
+// TestFleetFailoverDefaultPartition: on the default, weight-shaped
+// partition, the chunks asked for across a failover are exactly the
+// partition's.
+func TestFleetFailoverDefaultPartition(t *testing.T) {
+	b, _, survivor, victim := runFailover(t)
 	// Every chunk the partition names was asked for, and nothing else; the
 	// victim's failed chunk is asked for twice.
 	served := append(survivor.served(), victim.served()...)
 	want := Partition(b.Ns, b.Seeds, b.Topos)
 	for _, c := range served {
 		if !slices.Contains(want, c) {
-			t.Fatalf("served chunk %+v is not in the partition %v", c, want)
+			t.Fatalf("served chunk %+v is not in the default partition %v", c, want)
 		}
 	}
 	for _, c := range want {
 		if !slices.Contains(served, c) {
-			t.Fatalf("chunk %+v of the partition was never dispatched", c)
+			t.Fatalf("chunk %+v of the default partition was never dispatched", c)
 		}
 	}
 }
