@@ -172,6 +172,29 @@ func TestAsyncTradeoffSoloNode(t *testing.T) {
 	}
 }
 
+// TestAsyncTradeoffAllocBudget bounds a warm-pool Algorithm 2 run under
+// simultaneous wake-up at the default k = 3, as elect runs it, to 8
+// allocations per node. Each node costs its protocol instance, its
+// wake-up Sample, one send buffer sized for the wake fan-out and its share
+// of the engine's per-run slices; a candidate adds its referee Sample and
+// one buffer growth. A buffer regrown append by append would cost ~5 more.
+func TestAsyncTradeoffAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budget is enforced in the non-race build")
+	}
+	for _, n := range []int{256, 2048} {
+		cfg := simasync.Config{
+			N: n, IDs: ids.Random(ids.LogUniverse(n), n, xrand.New(7)), Seed: 3,
+			Wake: simasync.AllAtZero(n),
+		}
+		runAsync(t, cfg, NewAsyncTradeoff(3)) // warm the engine's pools
+		allocs := testing.AllocsPerRun(3, func() { runAsync(t, cfg, NewAsyncTradeoff(3)) })
+		if perNode := allocs / float64(n); perNode > 8 {
+			t.Fatalf("n=%d: a warm run allocated %.1f times per node, budget 8", n, perNode)
+		}
+	}
+}
+
 func TestValidateAsyncK(t *testing.T) {
 	if err := ValidateAsyncK(1); err == nil {
 		t.Fatal("k=1 accepted")

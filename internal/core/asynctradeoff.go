@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cliquelect/internal/proto"
 	"cliquelect/internal/simasync"
@@ -135,7 +136,9 @@ func (a *AsyncTradeoff) Wake(env proto.Env) []proto.Send {
 		a.dec = proto.Leader
 		return nil
 	}
-	for _, p := range env.RNG.Sample(env.Ports(), WakeFanout(env.N, a.k)) {
+	fan := WakeFanout(env.N, a.k)
+	a.out = slices.Grow(a.out, fan)
+	for _, p := range env.RNG.Sample(env.Ports(), fan) {
 		a.send(p, proto.Message{Kind: KindWakeup})
 	}
 	if env.RNG.Bernoulli(AsyncCandidateProb(env.N)) {
@@ -144,6 +147,7 @@ func (a *AsyncTradeoff) Wake(env proto.Env) []proto.Send {
 		a.winnerRank = a.rank // line 7: store own rank in rho_winner
 		a.winnerSelf = true
 		a.refPorts = env.RNG.Sample(env.Ports(), AsyncRefCount(env.N))
+		a.out = slices.Grow(a.out, len(a.refPorts))
 		for _, p := range a.refPorts {
 			a.send(p, proto.Message{Kind: KindCompeteAsync, A: a.rank})
 		}

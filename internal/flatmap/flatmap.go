@@ -8,10 +8,11 @@
 // and Reset reuses grown capacity so pooled consumers reach steady-state
 // zero allocation across runs.
 //
-// Consumers: U64Map holds portmap's lazy wiring (endpoint -> endpoint) and
-// simasync's per-link FIFO clamp. U64Set holds portmap's wired links only
-// above its dense cutoff (n > 4096); below it portmap answers membership
-// from bitsets, so serve-sized runs never touch a U64Set.
+// Consumers: U64Map holds simasync's per-link FIFO clamp and portmap's lazy
+// wiring (endpoint -> endpoint) only above its far-table cutoff
+// (n > 2048). U64Set holds portmap's wired links only above its dense
+// cutoff (n > 4096). Below the cutoffs portmap answers from dense tables
+// and bitsets, so serve-sized runs never touch either for wiring.
 //
 // Keys are stored shifted by +1 so the zero word can mean "empty slot";
 // callers' keys must therefore fit in 63 bits. Every consumer packs two

@@ -2,28 +2,55 @@ package portmap
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"cliquelect/internal/xrand"
 )
 
-// newLazyRepr builds a LazyRandom with its membership representation fixed
-// by the caller instead of by n.
-func newLazyRepr(n int, seed uint64, dense bool) *LazyRandom {
-	m := new(LazyRandom)
-	m.s.initRepr(n, xrand.New(seed), dense)
-	return m
+// repr selects initRepr's representations: membership in bitsets or
+// hashed, far ends in the dense far table or the endpoint map.
+type repr struct{ dense, far bool }
+
+var reprs = []struct {
+	name string
+	r    repr
+}{
+	{"hashed", repr{}}, // the reference: the representation above both cutoffs
+	{"dense", repr{dense: true}},
+	{"far", repr{dense: true, far: true}},
 }
 
-// newAdaptiveRepr builds an Adaptive with a fixed representation. Its
-// chooser names out-of-range nodes, u itself and already-linked nodes often
-// enough to exercise the uniform fallback; its arrival chooser, when
-// installed, picks the lowest unwired port of even nodes (the component
-// game's strategy, read through Wired) and an arbitrary, often wired or
+// initWith initializes s with representation r. A far table starts
+// poisoned, every entry 0xFFFFFFFF as a pooled run leaves the entries it
+// wired: initRepr reuses the table uncleared, so a read of an entry the
+// ports bitset does not cover answers node 65535 and fails the comparison.
+func initWith(t *testing.T, s *lazyState, n int, seed uint64, r repr) {
+	t.Helper()
+	if r.far {
+		s.far = make([]uint32, n*(n-1))
+		for i := range s.far {
+			s.far[i] = 0xFFFFFFFF
+		}
+	}
+	s.initRepr(n, xrand.New(seed), r.dense, r.far)
+	if s.dense != r.dense || (s.far != nil) != r.far {
+		t.Fatalf("n=%d: representation %+v not as selected", n, r)
+	}
+	if r.far && s.far[len(s.far)-1] != 0xFFFFFFFF {
+		t.Fatalf("n=%d: initRepr cleared or reallocated a far table that fits", n)
+	}
+}
+
+// newAdaptive builds an uninitialized Adaptive for initWith. Its chooser
+// names out-of-range nodes, u itself and already-linked nodes often enough
+// to exercise the uniform fallback; its arrival chooser, when installed,
+// picks the lowest unwired port of even nodes (the component game's
+// strategy, read through Wired) and an arbitrary, often wired or
 // out-of-range, port of odd ones.
-func newAdaptiveRepr(n int, seed uint64, dense, arrival bool) *Adaptive {
+func newAdaptive(n int, arrival bool) *Adaptive {
 	a := &Adaptive{choose: func(u, p int) int { return (u*7+p*13)%(n+2) - 1 }}
-	a.s.initRepr(n, xrand.New(seed), dense)
 	if arrival {
 		a.SetArrivalChooser(func(v int) int {
 			if v%2 == 1 {
@@ -40,10 +67,11 @@ func newAdaptiveRepr(n int, seed uint64, dense, arrival bool) *Adaptive {
 	return a
 }
 
-// TestDenseHashedAgree drives the dense and hashed representations through
-// the same query sequence from the same seed: every Dest answer, every
-// membership answer and the generator's state afterwards must agree, since
-// the representation may not move a single random draw.
+// TestDenseHashedAgree drives every representation through the same query
+// sequence from the same seed and compares it with the hashed one: every
+// Dest answer, every membership answer, every port's far end afterwards
+// and the generator's state must agree, since the representation may not
+// move a single random draw.
 func TestDenseHashedAgree(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 17, 64, 300} {
 		steps := 4 * n * n
@@ -51,53 +79,83 @@ func TestDenseHashedAgree(t *testing.T) {
 			steps = n * n / 3 // wires about a third of the ports
 		}
 		for _, variant := range []string{"lazy", "adaptive", "adaptive+arrival"} {
-			var dense, hashed Map
-			var dr, hr *lazyState
-			switch variant {
-			case "lazy":
-				d, h := newLazyRepr(n, 11, true), newLazyRepr(n, 11, false)
-				dense, hashed, dr, hr = d, h, &d.s, &h.s
-			default:
-				arrival := variant == "adaptive+arrival"
-				d, h := newAdaptiveRepr(n, 11, true, arrival), newAdaptiveRepr(n, 11, false, arrival)
-				dense, hashed, dr, hr = d, h, &d.s, &h.s
-			}
-			if !dr.dense || hr.dense {
-				t.Fatalf("%s n=%d: representations not as selected", variant, n)
+			maps := make([]Map, len(reprs))
+			states := make([]*lazyState, len(reprs))
+			for i, rp := range reprs {
+				if variant == "lazy" {
+					m := new(LazyRandom)
+					maps[i], states[i] = m, &m.s
+				} else {
+					a := newAdaptive(n, variant == "adaptive+arrival")
+					maps[i], states[i] = a, &a.s
+				}
+				initWith(t, states[i], n, 11, rp.r)
 			}
 			drive := xrand.New(uint64(n))
-			for i := 0; i < steps; i++ {
+			for step := 0; step < steps; step++ {
 				u, p := drive.Intn(n), drive.Intn(n-1)
-				dv, dq := dense.Dest(u, p)
-				hv, hq := hashed.Dest(u, p)
-				if dv != hv || dq != hq {
-					t.Fatalf("%s n=%d step %d: Dest(%d,%d) dense (%d,%d), hashed (%d,%d)", variant, n, i, u, p, dv, dq, hv, hq)
-				}
 				w, x, q := drive.Intn(n), drive.Intn(n), drive.Intn(n-1)
-				if w != x && dr.connected(w, x) != hr.connected(w, x) {
-					t.Fatalf("%s n=%d step %d: connected(%d,%d) disagrees", variant, n, i, w, x)
-				}
-				if dr.portWired(w, q) != hr.portWired(w, q) {
-					t.Fatalf("%s n=%d step %d: portWired(%d,%d) disagrees", variant, n, i, w, q)
+				hv, hq := maps[0].Dest(u, p)
+				for i := 1; i < len(maps); i++ {
+					if v, q := maps[i].Dest(u, p); v != hv || q != hq {
+						t.Fatalf("%s n=%d step %d: Dest(%d,%d) %s (%d,%d), hashed (%d,%d)", variant, n, step, u, p, reprs[i].name, v, q, hv, hq)
+					}
+					if w != x && states[i].connected(w, x) != states[0].connected(w, x) {
+						t.Fatalf("%s n=%d step %d: %s connected(%d,%d) disagrees", variant, n, step, reprs[i].name, w, x)
+					}
+					if states[i].portWired(w, q) != states[0].portWired(w, q) {
+						t.Fatalf("%s n=%d step %d: %s portWired(%d,%d) disagrees", variant, n, step, reprs[i].name, w, q)
+					}
 				}
 			}
-			if d, h := dr.rng.Uint64(), hr.rng.Uint64(); d != h {
-				t.Fatalf("%s n=%d: generator state diverged", variant, n)
+			for u := 0; u < n; u++ {
+				for p := 0; p < n-1; p++ {
+					hv, hq, hok := states[0].resolve(u, p)
+					for i := 1; i < len(states); i++ {
+						if v, q, ok := states[i].resolve(u, p); v != hv || q != hq || ok != hok {
+							t.Fatalf("%s n=%d: resolve(%d,%d) %s (%d,%d,%v), hashed (%d,%d,%v)", variant, n, u, p, reprs[i].name, v, q, ok, hv, hq, hok)
+						}
+					}
+				}
 			}
-			checkInvolution(t, dense)
-			checkInvolution(t, hashed)
+			want := states[0].rng.Uint64()
+			for i := 1; i < len(states); i++ {
+				if states[i].rng.Uint64() != want {
+					t.Fatalf("%s n=%d: %s generator state diverged", variant, n, reprs[i].name)
+				}
+			}
+			for _, m := range maps {
+				checkInvolution(t, m)
+			}
 		}
 	}
 }
 
-// TestDenseCutoff pins the representation choice at denseBudget and checks
-// the hashed wiring the public constructor selects just above it.
+// TestDenseCutoff pins the representation choices at denseBudget and
+// farBudget, and checks the hashed wiring the public constructor selects
+// just above the dense cutoff.
 func TestDenseCutoff(t *testing.T) {
 	if !denseFits(4096) || denseFits(4097) {
 		t.Fatalf("dense cutoff moved: fits(4096)=%v fits(4097)=%v", denseFits(4096), denseFits(4097))
 	}
-	if m := NewLazyRandom(4096, xrand.New(1)); !m.s.dense {
-		t.Fatal("n=4096 mapping is not dense")
+	if !farFits(2048) || farFits(2049) {
+		t.Fatalf("far cutoff moved: fits(2048)=%v fits(2049)=%v", farFits(2048), farFits(2049))
+	}
+	for _, c := range []struct {
+		n          int
+		dense, far bool
+	}{{2048, true, true}, {2049, true, false}, {4096, true, false}} {
+		if m := NewLazyRandom(c.n, xrand.New(1)); m.s.dense != c.dense || (m.s.far != nil) != c.far {
+			t.Fatalf("n=%d mapping: dense=%v far=%v, want %v %v", c.n, m.s.dense, m.s.far != nil, c.dense, c.far)
+		}
+	}
+	// n = 2048 and 3000 share a pool class: a mapping above the far cutoff
+	// must not keep the 16 MiB table of an earlier n = 2048 run alive.
+	var s lazyState
+	s.init(2048, xrand.New(1))
+	s.init(3000, xrand.New(1))
+	if s.far != nil {
+		t.Fatal("an n=3000 mapping kept an n=2048 run's far table")
 	}
 	m := NewLazyRandom(4097, xrand.New(1))
 	if m.s.dense {
@@ -112,8 +170,8 @@ func TestDenseCutoff(t *testing.T) {
 // at n=256: the pools are classed by n, so the small run's tables are never
 // larger than a fresh n=256 run's, at the draw or after wiring every port.
 func TestLazyPoolSizeClasses(t *testing.T) {
-	capacity := func(m *LazyRandom) [4]int {
-		return [4]int{m.s.wired.Cap(), cap(m.s.ports), cap(m.s.pairs), cap(m.s.deg)}
+	capacity := func(m *LazyRandom) [5]int {
+		return [5]int{m.s.wired.Cap(), cap(m.s.far), cap(m.s.ports), cap(m.s.pairs), cap(m.s.deg)}
 	}
 	wireAll := func(m *LazyRandom) {
 		for u := 0; u < m.N(); u++ {
@@ -196,10 +254,49 @@ func TestLazyWiringAllocBudget(t *testing.T) {
 	}
 }
 
+// TestLazyWiringColdAllocs pins the cold path serve-cold takes: a GC
+// empties the pools, so a run builds its tables from nothing. At n = 2048
+// that must cost the same allocations whether each node wires 8 ports or
+// 64, i.e. the tables are sized once and never regrown.
+func TestLazyWiringColdAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budget is enforced in the non-race build")
+	}
+	const n = 2048
+	// cold returns the fewest allocations of three cold runs: one run's
+	// count now and then includes an allocation the runtime made itself.
+	cold := func(fan [][]int) uint64 {
+		fewest := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC() // the second collection drops the pools' victim caches
+			runtime.ReadMemStats(&before)
+			m := NewLazyRandom(n, xrand.New(5))
+			exchange(m, fan)
+			m.Release()
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	narrow, wide := fanouts(n, 8, 1), fanouts(n, 64, 1)
+	if a8, a64 := cold(narrow), cold(wide); a8 != a64 {
+		t.Fatalf("a cold n=%d run allocated %d times at fan 8 and %d at fan 64: the tables grew", n, a8, a64)
+	}
+}
+
 // BenchmarkLazyRandomDest times the lazy wiring on its own: every node
 // sends over 16 Sample-drawn ports and each send is answered over its
 // arrival port, on a pooled mapping (the engines' steady state).
-func BenchmarkLazyRandomDest(b *testing.B) {
+func BenchmarkLazyRandomDest(b *testing.B) { benchmarkLazyRandomDest(b, false) }
+
+// BenchmarkLazyRandomDestCold is BenchmarkLazyRandomDest with the pools
+// emptied by two collections, outside the timer, before every run: the
+// path serve-cold takes when a GC lands between runs of a size class.
+func BenchmarkLazyRandomDestCold(b *testing.B) { benchmarkLazyRandomDest(b, true) }
+
+func benchmarkLazyRandomDest(b *testing.B, cold bool) {
 	for _, n := range []int{256, 2048} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			fan := fanouts(n, 16, 1)
@@ -208,6 +305,12 @@ func BenchmarkLazyRandomDest(b *testing.B) {
 			b.ResetTimer()
 			calls := 0
 			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					runtime.GC()
+					runtime.GC()
+					b.StartTimer()
+				}
 				*rng = *xrand.New(uint64(i))
 				m := NewLazyRandom(n, rng)
 				calls = exchange(m, fan)

@@ -15,7 +15,9 @@
 //     nodes linked?") lives in two dense bitsets of ~n²/4 bytes while they
 //     fit in denseBudget (n <= 4096); above that it is hashed and memory is
 //     O(#used links), so uniformly-random wiring scales to cliques whose
-//     full mapping would not fit in memory.
+//     full mapping would not fit in memory. Far ends live in a dense table
+//     of one uint32 per port while it fits in farBudget (n <= 2048), and in
+//     a flatmap.U64Map above.
 //   - Adaptive: the lower-bound adversary's mapping (Lemma 3.3): unused
 //     ports are wired at first use by a caller-supplied strategy, subject to
 //     feasibility. This is admissible against deterministic algorithms
@@ -136,19 +138,34 @@ func denseFits(n int) bool {
 	return 8*(ports+pairs) <= denseBudget
 }
 
+// farBudget caps a lazy mapping's dense far-end table, in bytes. Below it
+// (n <= 2048) the far end of port (u,p) is one uint32 at u*(n-1)+p, packed
+// v<<16 | q: wiring is two stores and resolving one load, with no hashing,
+// probing or growth, and a cold table is a single allocation. The ports
+// bitset says which entries are valid, so the table is never cleared and a
+// pooled one costs nothing to reuse. Above it the endpoint table is hashed:
+// a run wires a shrinking fraction of the ports as n grows, and the packed
+// form runs out of 16-bit fields past n = 65536 anyway.
+const farBudget = 16 << 20
+
+// farFits reports whether an n-node mapping's far-end table fits in
+// farBudget. It implies denseFits, which the table relies on.
+func farFits(n int) bool { return 4*n*(n-1) <= farBudget }
+
 // lazyState is the shared machinery of LazyRandom and Adaptive: consistent
-// lazy wiring with feasibility bookkeeping. The wiring lives in flatmap's
-// open-addressing tables and the membership questions in dense bitsets (or,
-// above denseBudget, a hashed link set) — the lazy mappings are the
-// engines' single hottest data structure — but lazyState consumes
-// randomness only through those membership questions, so the RNG draw
-// sequence (and hence every execution) is identical whichever
-// representation answers them, and identical to the map-backed one they
-// replaced.
+// lazy wiring with feasibility bookkeeping. The far ends live in a dense
+// table (or, above farBudget, flatmap's open-addressing map) and the
+// membership questions in dense bitsets (or, above denseBudget, a hashed
+// link set) — the lazy mappings are the engines' single hottest data
+// structure — but lazyState consumes randomness only through those
+// membership questions, so the RNG draw sequence (and hence every
+// execution) is identical whichever representation answers them, and
+// identical to the map-backed one they replaced.
 type lazyState struct {
 	n     int
 	rng   *xrand.RNG
-	wired flatmap.U64Map // endpoint -> endpoint (both directions)
+	far   []uint32       // far table: entry u*(n-1)+p is v<<16|q, valid iff ports has the bit
+	wired flatmap.U64Map // without far: endpoint -> endpoint (both directions)
 	deg   []int          // wired links per node
 
 	dense bool
@@ -158,19 +175,29 @@ type lazyState struct {
 }
 
 func (s *lazyState) init(n int, rng *xrand.RNG) {
-	s.initRepr(n, rng, denseFits(n))
+	s.initRepr(n, rng, denseFits(n), farFits(n))
 }
 
-// initRepr is init with the membership representation chosen by the
-// caller; the tests drive both representations at one n through it.
-func (s *lazyState) initRepr(n int, rng *xrand.RNG, dense bool) {
+// initRepr is init with the representations chosen by the caller; the
+// tests drive every combination at one n through it. far requires dense:
+// the ports bitset is the far table's only validity mask.
+func (s *lazyState) initRepr(n int, rng *xrand.RNG, dense, far bool) {
 	if n < 2 {
 		panic(fmt.Sprintf("portmap: need n >= 2, got %d", n))
 	}
 	s.n = n
 	s.rng = rng
 	s.dense = dense
-	s.wired.Reset()
+	if far {
+		if size := n * (n - 1); cap(s.far) < size {
+			s.far = make([]uint32, size)
+		} else {
+			s.far = s.far[:size] // stale entries stay: ports masks them
+		}
+	} else {
+		s.far = nil // an n = 2048 run of this pool class may have grown one
+		s.wired.Reset()
+	}
 	if dense {
 		ports, pairs := denseWords(n)
 		s.ports = resize(s.ports, ports)
@@ -229,8 +256,13 @@ func (s *lazyState) freePort(v int) int {
 
 // wire connects (u,p) <-> (v,q).
 func (s *lazyState) wire(u, p, v, q int) {
-	s.wired.Put(endpoint(u, p), endpoint(v, q))
-	s.wired.Put(endpoint(v, q), endpoint(u, p))
+	if s.far != nil {
+		s.far[u*(s.n-1)+p] = uint32(v<<16 | q)
+		s.far[v*(s.n-1)+q] = uint32(u<<16 | p)
+	} else {
+		s.wired.Put(endpoint(u, p), endpoint(v, q))
+		s.wired.Put(endpoint(v, q), endpoint(u, p))
+	}
 	if s.dense {
 		setBit(s.ports, u*(s.n-1)+p)
 		setBit(s.ports, v*(s.n-1)+q)
@@ -246,8 +278,15 @@ func (s *lazyState) wire(u, p, v, q int) {
 // resolve returns the wired far end of (u,p) if present. A dense mapping
 // asks the table only for ports its bitset says are wired.
 func (s *lazyState) resolve(u, p int) (int, int, bool) {
-	if s.dense && !hasBit(s.ports, u*(s.n-1)+p) {
-		return 0, 0, false
+	if s.dense {
+		i := u*(s.n-1) + p
+		if !hasBit(s.ports, i) {
+			return 0, 0, false
+		}
+		if s.far != nil {
+			e := s.far[i]
+			return int(e >> 16), int(e & 0xffff), true
+		}
 	}
 	e, ok := s.wired.Get(endpoint(u, p))
 	if !ok {
