@@ -8,11 +8,11 @@
 // and Reset reuses grown capacity so pooled consumers reach steady-state
 // zero allocation across runs.
 //
-// Consumers: U64Map holds simasync's per-link FIFO clamp and portmap's lazy
-// wiring (endpoint -> endpoint) only above its far-table cutoff
-// (n > 2048). U64Set holds portmap's wired links only above its dense
-// cutoff (n > 4096). Below the cutoffs portmap answers from dense tables
-// and bitsets, so serve-sized runs never touch either for wiring.
+// Consumers: U64Map holds simasync's per-link FIFO clamp and, above
+// portmap's dense cutoff (n > 2048), its lazy wiring (endpoint -> endpoint);
+// U64Set holds portmap's wired links above the same cutoff. Below it
+// portmap answers from a dense far-end table and bitsets, so serve-sized
+// runs never touch either for wiring.
 //
 // Keys are stored shifted by +1 so the zero word can mean "empty slot";
 // callers' keys must therefore fit in 63 bits. Every consumer packs two
@@ -128,6 +128,9 @@ type U64Set struct {
 
 // Len returns the number of members.
 func (s *U64Set) Len() int { return s.n }
+
+// Cap returns the number of slots the set holds, live or empty.
+func (s *U64Set) Cap() int { return len(s.keys) }
 
 // Has reports membership.
 func (s *U64Set) Has(key uint64) bool {

@@ -9,36 +9,30 @@ import (
 	"cliquelect/internal/xrand"
 )
 
-// repr selects initRepr's representations: membership in bitsets or
-// hashed, far ends in the dense far table or the endpoint map.
-type repr struct{ dense, far bool }
-
+// reprs names initRepr's two representations; the hashed one, the
+// representation above the dense cutoff, is the reference.
 var reprs = []struct {
-	name string
-	r    repr
-}{
-	{"hashed", repr{}}, // the reference: the representation above both cutoffs
-	{"dense", repr{dense: true}},
-	{"far", repr{dense: true, far: true}},
-}
+	name  string
+	dense bool
+}{{"hashed", false}, {"dense", true}}
 
-// initWith initializes s with representation r. A far table starts
-// poisoned, every entry 0xFFFFFFFF as a pooled run leaves the entries it
-// wired: initRepr reuses the table uncleared, so a read of an entry the
+// initWith initializes s densely or hashed. A dense mapping's far table
+// starts poisoned, every entry 0xFFFFFFFF as a pooled run leaves the entries
+// it wired: initRepr reuses the table uncleared, so a read of an entry the
 // ports bitset does not cover answers node 65535 and fails the comparison.
-func initWith(t *testing.T, s *lazyState, n int, seed uint64, r repr) {
+func initWith(t *testing.T, s *lazyState, n int, seed uint64, dense bool) {
 	t.Helper()
-	if r.far {
+	if dense {
 		s.far = make([]uint32, n*(n-1))
 		for i := range s.far {
 			s.far[i] = 0xFFFFFFFF
 		}
 	}
-	s.initRepr(n, xrand.New(seed), r.dense, r.far)
-	if s.dense != r.dense || (s.far != nil) != r.far {
-		t.Fatalf("n=%d: representation %+v not as selected", n, r)
+	s.initRepr(n, xrand.New(seed), dense)
+	if s.dense != dense {
+		t.Fatalf("n=%d: dense=%v, selected %v", n, s.dense, dense)
 	}
-	if r.far && s.far[len(s.far)-1] != 0xFFFFFFFF {
+	if dense && s.far[len(s.far)-1] != 0xFFFFFFFF {
 		t.Fatalf("n=%d: initRepr cleared or reallocated a far table that fits", n)
 	}
 }
@@ -67,11 +61,11 @@ func newAdaptive(n int, arrival bool) *Adaptive {
 	return a
 }
 
-// TestDenseHashedAgree drives every representation through the same query
-// sequence from the same seed and compares it with the hashed one: every
-// Dest answer, every membership answer, every port's far end afterwards
-// and the generator's state must agree, since the representation may not
-// move a single random draw.
+// TestDenseHashedAgree drives both representations through the same query
+// sequence from the same seed and compares the dense one with the hashed
+// one: every Dest answer, every membership answer, every port's far end
+// afterwards and the generator's state must agree, since the representation
+// may not move a single random draw.
 func TestDenseHashedAgree(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 17, 64, 300} {
 		steps := 4 * n * n
@@ -89,7 +83,7 @@ func TestDenseHashedAgree(t *testing.T) {
 					a := newAdaptive(n, variant == "adaptive+arrival")
 					maps[i], states[i] = a, &a.s
 				}
-				initWith(t, states[i], n, 11, rp.r)
+				initWith(t, states[i], n, 11, rp.dense)
 			}
 			drive := xrand.New(uint64(n))
 			for step := 0; step < steps; step++ {
@@ -131,39 +125,39 @@ func TestDenseHashedAgree(t *testing.T) {
 	}
 }
 
-// TestDenseCutoff pins the representation choices at denseBudget and
-// farBudget, and checks the hashed wiring the public constructor selects
-// just above the dense cutoff.
+// TestDenseCutoff pins the representation choice at denseBudget, checks
+// that a mapping drops the tables an earlier run of its pool class grew in
+// the other representation, and checks the hashed wiring the public
+// constructor selects just above the cutoff.
 func TestDenseCutoff(t *testing.T) {
-	if !denseFits(4096) || denseFits(4097) {
-		t.Fatalf("dense cutoff moved: fits(4096)=%v fits(4097)=%v", denseFits(4096), denseFits(4097))
+	if !denseFits(2048) || denseFits(2049) {
+		t.Fatalf("dense cutoff moved: fits(2048)=%v fits(2049)=%v", denseFits(2048), denseFits(2049))
 	}
-	if !farFits(2048) || farFits(2049) {
-		t.Fatalf("far cutoff moved: fits(2048)=%v fits(2049)=%v", farFits(2048), farFits(2049))
-	}
-	for _, c := range []struct {
-		n          int
-		dense, far bool
-	}{{2048, true, true}, {2049, true, false}, {4096, true, false}} {
-		if m := NewLazyRandom(c.n, xrand.New(1)); m.s.dense != c.dense || (m.s.far != nil) != c.far {
-			t.Fatalf("n=%d mapping: dense=%v far=%v, want %v %v", c.n, m.s.dense, m.s.far != nil, c.dense, c.far)
-		}
-	}
-	// n = 2048 and 3000 share a pool class: a mapping above the far cutoff
-	// must not keep the 16 MiB table of an earlier n = 2048 run alive.
-	var s lazyState
+	// n = 2048 and 3000 share a pool class: neither may keep the other's
+	// tables alive, in either order.
+	m := new(LazyRandom)
+	s := &m.s
 	s.init(2048, xrand.New(1))
+	checkInvolutionAt(t, m, []int{0, 2047})
 	s.init(3000, xrand.New(1))
-	if s.far != nil {
-		t.Fatal("an n=3000 mapping kept an n=2048 run's far table")
+	if s.dense || s.far != nil || s.ports != nil || s.pairs != nil {
+		t.Fatal("an n=3000 mapping is dense or kept an n=2048 run's tables")
 	}
-	m := NewLazyRandom(4097, xrand.New(1))
+	checkInvolutionAt(t, m, []int{0, 2999})
+	if s.wired.Cap() == 0 || s.links.Cap() == 0 {
+		t.Fatal("the n=3000 run wired nothing")
+	}
+	s.init(2048, xrand.New(1))
+	if !s.dense || s.wired.Cap() != 0 || s.links.Cap() != 0 {
+		t.Fatalf("an n=2048 mapping kept an n=3000 run's tables: wired %d, links %d slots", s.wired.Cap(), s.links.Cap())
+	}
+	m = NewLazyRandom(2049, xrand.New(1))
 	if m.s.dense {
-		t.Fatal("n=4097 mapping is dense")
+		t.Fatal("n=2049 mapping is dense")
 	}
-	// Wiring all 4097·4096 ports would take ~0.7 GB of tables; every port of
-	// a few nodes exercises the same code.
-	checkInvolutionAt(t, m, []int{0, 1, 2048, 4095, 4096})
+	// Wiring all 2049·2048 ports would take ~200 MB of hashed tables; every
+	// port of a few nodes exercises the same code.
+	checkInvolutionAt(t, m, []int{0, 1, 1024, 2047, 2048})
 }
 
 // TestLazyPoolSizeClasses releases a mapping grown at n=2048 and draws one

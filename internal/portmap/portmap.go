@@ -11,13 +11,12 @@
 //     by all nodes. O(n) memory; scrambles deterministic protocols' port
 //     choices while remaining cheap at large n.
 //   - LazyRandom: a uniformly random port mapping materialized lazily, port
-//     by port, on first use. Membership ("is this port wired?", "are these
-//     nodes linked?") lives in two dense bitsets of ~n²/4 bytes while they
-//     fit in denseBudget (n <= 4096); above that it is hashed and memory is
-//     O(#used links), so uniformly-random wiring scales to cliques whose
-//     full mapping would not fit in memory. Far ends live in a dense table
-//     of one uint32 per port while it fits in farBudget (n <= 2048), and in
-//     a flatmap.U64Map above.
+//     by port, on first use. While its dense tables fit in denseBudget
+//     (n <= 2048), membership ("is this port wired?", "are these nodes
+//     linked?") lives in two bitsets and far ends in one uint32 per port;
+//     above that both are hashed and memory is O(#used links), so
+//     uniformly-random wiring scales to cliques whose full mapping would
+//     not fit in memory.
 //   - Adaptive: the lower-bound adversary's mapping (Lemma 3.3): unused
 //     ports are wired at first use by a caller-supplied strategy, subject to
 //     feasibility. This is admissible against deterministic algorithms
@@ -117,14 +116,18 @@ func link(u, v int) uint64 {
 	return uint64(u)<<32 | uint64(uint32(v))
 }
 
-// denseBudget caps the two membership bitsets of a lazy mapping, in bytes.
-// Below it, membership is one bit per port and one per ordered node pair
-// (~n²/4 bytes, 1 MiB at n = 2048): each question costs one load from a
-// table a quarter the size of the hashed set it replaces, and never probes.
-// Above it (n > 4096) the bitsets would grow quadratically while a run
-// touches only a sparse fraction of the clique, so membership is hashed and
-// memory stays O(#used links) for the million-node sweeps.
-const denseBudget = 4 << 20
+// denseBudget caps the largest of a lazy mapping's dense tables, the far-end
+// table, in bytes; the two membership bitsets add a sixteenth of it. Below
+// it (n <= 2048) the far end of port (u,p) is one uint32 at u*(n-1)+p,
+// packed v<<16 | q, and membership is one bit per port and one per ordered
+// node pair: wiring is two stores, resolving and each membership question
+// one load, with no hashing, probing or growth, and a cold table is a
+// single allocation. The ports bitset says which far-table entries are
+// valid, so the far table is never cleared and a pooled one costs nothing
+// to reuse. Above it the tables would grow quadratically while a run
+// touches only a sparse fraction of the clique, so membership and far ends
+// are hashed and memory stays O(#used links) for the million-node sweeps.
+const denseBudget = 16 << 20
 
 // denseWords returns the lengths in words of the ports and pairs bitsets of
 // an n-node mapping.
@@ -132,77 +135,59 @@ func denseWords(n int) (ports, pairs int) {
 	return (n*(n-1) + 63) / 64, (n*n + 63) / 64
 }
 
-// denseFits reports whether an n-node mapping's bitsets fit in denseBudget.
-func denseFits(n int) bool {
-	ports, pairs := denseWords(n)
-	return 8*(ports+pairs) <= denseBudget
-}
-
-// farBudget caps a lazy mapping's dense far-end table, in bytes. Below it
-// (n <= 2048) the far end of port (u,p) is one uint32 at u*(n-1)+p, packed
-// v<<16 | q: wiring is two stores and resolving one load, with no hashing,
-// probing or growth, and a cold table is a single allocation. The ports
-// bitset says which entries are valid, so the table is never cleared and a
-// pooled one costs nothing to reuse. Above it the endpoint table is hashed:
-// a run wires a shrinking fraction of the ports as n grows, and the packed
-// form runs out of 16-bit fields past n = 65536 anyway.
-const farBudget = 16 << 20
-
-// farFits reports whether an n-node mapping's far-end table fits in
-// farBudget. It implies denseFits, which the table relies on.
-func farFits(n int) bool { return 4*n*(n-1) <= farBudget }
+// denseFits reports whether an n-node mapping's far-end table fits in
+// denseBudget.
+func denseFits(n int) bool { return 4*n*(n-1) <= denseBudget }
 
 // lazyState is the shared machinery of LazyRandom and Adaptive: consistent
-// lazy wiring with feasibility bookkeeping. The far ends live in a dense
-// table (or, above farBudget, flatmap's open-addressing map) and the
-// membership questions in dense bitsets (or, above denseBudget, a hashed
-// link set) — the lazy mappings are the engines' single hottest data
-// structure — but lazyState consumes randomness only through those
-// membership questions, so the RNG draw sequence (and hence every
+// lazy wiring with feasibility bookkeeping. The far ends and the membership
+// questions live in dense tables (or, above denseBudget, in flatmap's
+// open-addressing map and set) — the lazy mappings are the engines' single
+// hottest data structure — but lazyState consumes randomness only through
+// the membership questions, so the RNG draw sequence (and hence every
 // execution) is identical whichever representation answers them, and
 // identical to the map-backed one they replaced.
 type lazyState struct {
-	n     int
-	rng   *xrand.RNG
-	far   []uint32       // far table: entry u*(n-1)+p is v<<16|q, valid iff ports has the bit
-	wired flatmap.U64Map // without far: endpoint -> endpoint (both directions)
-	deg   []int          // wired links per node
+	n   int
+	rng *xrand.RNG
+	deg []int // wired links per node
 
 	dense bool
+	far   []uint32       // dense: entry u*(n-1)+p is v<<16|q, valid iff ports has the bit
 	ports []uint64       // dense: bit u*(n-1)+p set when port (u,p) is wired
 	pairs []uint64       // dense: bit u*n+v set when link {u,v} is wired, both orders
+	wired flatmap.U64Map // hashed: endpoint -> endpoint (both directions)
 	links flatmap.U64Set // hashed: unordered pairs already wired
 }
 
 func (s *lazyState) init(n int, rng *xrand.RNG) {
-	s.initRepr(n, rng, denseFits(n), farFits(n))
+	s.initRepr(n, rng, denseFits(n))
 }
 
-// initRepr is init with the representations chosen by the caller; the
-// tests drive every combination at one n through it. far requires dense:
-// the ports bitset is the far table's only validity mask.
-func (s *lazyState) initRepr(n int, rng *xrand.RNG, dense, far bool) {
+// initRepr is init with the representation chosen by the caller; the tests
+// drive both at one n through it. Each representation drops the other's
+// tables, so a mapping never keeps alive what an earlier run of its pool
+// class (n = 2048 and 3000 share one) grew in the other.
+func (s *lazyState) initRepr(n int, rng *xrand.RNG, dense bool) {
 	if n < 2 {
 		panic(fmt.Sprintf("portmap: need n >= 2, got %d", n))
 	}
 	s.n = n
 	s.rng = rng
 	s.dense = dense
-	if far {
+	if dense {
 		if size := n * (n - 1); cap(s.far) < size {
 			s.far = make([]uint32, size)
 		} else {
 			s.far = s.far[:size] // stale entries stay: ports masks them
 		}
-	} else {
-		s.far = nil // an n = 2048 run of this pool class may have grown one
-		s.wired.Reset()
-	}
-	if dense {
 		ports, pairs := denseWords(n)
 		s.ports = resize(s.ports, ports)
 		s.pairs = resize(s.pairs, pairs)
+		s.wired, s.links = flatmap.U64Map{}, flatmap.U64Set{}
 	} else {
+		s.far, s.ports, s.pairs = nil, nil, nil
+		s.wired.Reset()
 		s.links.Reset()
 	}
 	s.deg = resize(s.deg, n)
@@ -256,19 +241,17 @@ func (s *lazyState) freePort(v int) int {
 
 // wire connects (u,p) <-> (v,q).
 func (s *lazyState) wire(u, p, v, q int) {
-	if s.far != nil {
-		s.far[u*(s.n-1)+p] = uint32(v<<16 | q)
-		s.far[v*(s.n-1)+q] = uint32(u<<16 | p)
-	} else {
-		s.wired.Put(endpoint(u, p), endpoint(v, q))
-		s.wired.Put(endpoint(v, q), endpoint(u, p))
-	}
 	if s.dense {
-		setBit(s.ports, u*(s.n-1)+p)
-		setBit(s.ports, v*(s.n-1)+q)
+		i, j := u*(s.n-1)+p, v*(s.n-1)+q
+		s.far[i] = uint32(v<<16 | q)
+		s.far[j] = uint32(u<<16 | p)
+		setBit(s.ports, i)
+		setBit(s.ports, j)
 		setBit(s.pairs, u*s.n+v)
 		setBit(s.pairs, v*s.n+u)
 	} else {
+		s.wired.Put(endpoint(u, p), endpoint(v, q))
+		s.wired.Put(endpoint(v, q), endpoint(u, p))
 		s.links.Add(link(u, v))
 	}
 	s.deg[u]++
@@ -276,17 +259,15 @@ func (s *lazyState) wire(u, p, v, q int) {
 }
 
 // resolve returns the wired far end of (u,p) if present. A dense mapping
-// asks the table only for ports its bitset says are wired.
+// reads the far table only for ports its bitset says are wired.
 func (s *lazyState) resolve(u, p int) (int, int, bool) {
 	if s.dense {
 		i := u*(s.n-1) + p
 		if !hasBit(s.ports, i) {
 			return 0, 0, false
 		}
-		if s.far != nil {
-			e := s.far[i]
-			return int(e >> 16), int(e & 0xffff), true
-		}
+		e := s.far[i]
+		return int(e >> 16), int(e & 0xffff), true
 	}
 	e, ok := s.wired.Get(endpoint(u, p))
 	if !ok {
