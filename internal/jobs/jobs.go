@@ -91,7 +91,7 @@ type Config struct {
 	// such a job) and execution time Finished-Started. Observe is called
 	// synchronously with the job lock held (and, for Queued, the manager
 	// lock): it must be fast, non-blocking, and must not call back into the
-	// job or manager. The service layer feeds its journal, metrics and trace
+	// job or manager. The service layer feeds its job metrics and trace
 	// spans from it, keeping jobs free of any obs dependency.
 	Observe func(s Snapshot)
 	// CheckFence, when non-nil, re-validates a chunk job's fencing token

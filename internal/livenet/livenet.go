@@ -134,6 +134,11 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 	if len(cfg.Wake) == 0 {
 		return nil, fmt.Errorf("livenet: empty wake set")
 	}
+	for _, u := range cfg.Wake {
+		if u < 0 || u >= n {
+			return nil, fmt.Errorf("livenet: wake of invalid node %d", u)
+		}
+	}
 	master := xrand.New(cfg.Seed)
 	pm := cfg.Ports
 	if pm == nil && n >= 2 {
@@ -207,9 +212,6 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 	}
 
 	for _, u := range cfg.Wake {
-		if u < 0 || u >= n {
-			return nil, fmt.Errorf("livenet: wake of invalid node %d", u)
-		}
 		pending.Add(1)
 		boxes[u].put(item{kind: itemWake})
 	}

@@ -1,7 +1,10 @@
 package livenet
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"cliquelect/internal/core"
 	"cliquelect/internal/ids"
@@ -112,6 +115,25 @@ func TestLiveConfigErrors(t *testing.T) {
 	}
 	if _, err := Run(Config{N: 2, IDs: ids.Assignment{1, 2}, Wake: []int{5}}, mk); err == nil {
 		t.Fatal("bad wake node accepted")
+	}
+}
+
+// TestLiveInvalidWakeNoLeak: a wake set naming a node outside [0, n) is
+// rejected before any node goroutine starts, even after valid wakes.
+func TestLiveInvalidWakeNoLeak(t *testing.T) {
+	const n = 16
+	base := runtime.NumGoroutine()
+	_, err := Run(Config{N: n, IDs: ids.Random(ids.LogUniverse(n), n, xrand.New(1)), Wake: []int{0, n}},
+		core.NewAsyncTradeoff(2))
+	if err == nil || !strings.Contains(err.Error(), "wake of invalid node 16") {
+		t.Fatalf("err = %v, want the invalid wake named", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the rejected run, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -5,7 +5,9 @@ package obs
 // span collector. Where metrics answer "how much" and
 // traces answer "how long", the journal answers "what happened when": a
 // campaign won, a lease granted, a fence rejected, a worker died, a chunk
-// failed over, a cache entry evicted. One log sits in every electd daemon
+// failed over. It holds decisions, not requests: per-request facts belong
+// in metrics and spans, where they cannot push a decision out of the ring.
+// One log sits in every electd daemon
 // (backing GET /v1/events and the /v1/events/stream SSE feed), and
 // GET /v1/fleetz merges every node's recent events into one fleet-wide
 // timeline.

@@ -15,8 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"cliquelect/internal/obs"
 )
 
 // DefaultMaxEntries bounds the in-memory tier when WithMaxEntries is not
@@ -33,7 +31,6 @@ type Cache struct {
 	max     int        // in-memory entry bound; <= 0 means unbounded
 	dir     string     // on-disk tier root; "" disables it
 	stats   Stats
-	events  *obs.EventLog // nil means no journaling (Emit is a no-op)
 }
 
 type entry struct {
@@ -169,16 +166,7 @@ func (c *Cache) storeLocked(key string, value []byte) {
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*entry).key)
 		c.stats.Evictions++
-		c.events.Emit("cache.evict", "key", oldest.Value.(*entry).key)
 	}
-}
-
-// SetEvents directs eviction events into log (the service layer wires the
-// daemon's journal in). Call before concurrent use begins.
-func (c *Cache) SetEvents(log *obs.EventLog) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = log
 }
 
 // path shards entries across 256 subdirectories by hash prefix so huge

@@ -25,7 +25,12 @@ func runOnce(t *testing.T, c *client.Client) {
 
 func TestEventsEndpoint(t *testing.T) {
 	c, srv := newTestDaemon(t, Config{Instance: "n1"})
+	if srv.Events() == nil {
+		t.Fatal("journal should be on by default")
+	}
+	srv.Events().Emit("campaign.won", "epoch", "3")
 	runOnce(t, c)
+	srv.Events().Emit("lease.grant", "epoch", "3")
 
 	resp, err := c.Events(ctx(t), 0, 0)
 	if err != nil {
@@ -34,33 +39,17 @@ func TestEventsEndpoint(t *testing.T) {
 	if resp.Node != "n1" {
 		t.Fatalf("node = %q, want n1", resp.Node)
 	}
-	kinds := map[string]bool{}
-	for _, e := range resp.Events {
-		kinds[e.Kind] = true
+	// The journal holds the decisions in emission order; the job between
+	// them journals nothing.
+	var kinds []string
+	for i, e := range resp.Events {
+		if i > 0 && e.Seq <= resp.Events[i-1].Seq {
+			t.Fatalf("%s seq %d not after %d", e.Kind, e.Seq, resp.Events[i-1].Seq)
+		}
+		kinds = append(kinds, e.Kind)
 	}
-	for _, want := range []string{"job.enqueue", "job.start", "job.done"} {
-		if !kinds[want] {
-			t.Fatalf("journal %v missing %q", kinds, want)
-		}
-	}
-	// Each job's lifecycle is journaled in order: enqueue, start, done.
-	jobSeqs := map[string][]string{}
-	lastSeq := map[string]uint64{}
-	for _, e := range resp.Events {
-		id := e.Fields["job"]
-		if id == "" {
-			continue
-		}
-		if prev, ok := lastSeq[id]; ok && e.Seq <= prev {
-			t.Fatalf("job %s: %s seq %d not after %d", id, e.Kind, e.Seq, prev)
-		}
-		lastSeq[id] = e.Seq
-		jobSeqs[id] = append(jobSeqs[id], e.Kind)
-	}
-	for id, seq := range jobSeqs {
-		if strings.Join(seq, ",") != "job.enqueue,job.start,job.done" {
-			t.Fatalf("job %s journaled as %v", id, seq)
-		}
+	if strings.Join(kinds, ",") != "campaign.won,lease.grant" {
+		t.Fatalf("journal = %v, want [campaign.won lease.grant]", kinds)
 	}
 
 	// Paging: since the last seq → empty; limit=1 → exactly the newest.
@@ -79,8 +68,49 @@ func TestEventsEndpoint(t *testing.T) {
 	if len(one.Events) != 1 || one.Events[0].Seq != last {
 		t.Fatalf("limit=1 = %+v, want the newest event", one.Events)
 	}
-	if srv.Events() == nil {
-		t.Fatal("journal should be on by default")
+}
+
+// TestJournalKeepsDecisions: request traffic never journals, so a decision
+// survives any number of jobs and cache evictions. 2,000 requests (cached
+// and evicting /v1/run, one /v1/batch, one /v1/chunk) leave the journal
+// exactly as they found it.
+func TestJournalKeepsDecisions(t *testing.T) {
+	cache := resultcache.New(resultcache.WithMaxEntries(8))
+	c, srv := newTestDaemon(t, Config{Cache: cache})
+	srv.Events().Emit("campaign.won", "epoch", "7")
+	before := srv.Events().Len()
+
+	const requests = 2000
+	for i := range requests - 2 {
+		// Even requests repeat one seed (cache hits); odd ones draw a
+		// fresh seed, so each is a Put that evicts.
+		seed := uint64(1)
+		if i%2 == 1 {
+			seed = uint64(i)
+		}
+		if _, err := c.Run(ctx(t), client.RunRequest{Spec: "tradeoff", N: 32, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Batch(ctx(t), client.BatchRequest{Spec: "tradeoff", Ns: []int{32}, SeedCount: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Chunk(ctx(t), client.ChunkRequest{Spec: "tradeoff", Ns: []int{32}, Seeds: []uint64{1, 2}, Start: 0, Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("cache stats %+v: want both hits and evictions", st)
+	}
+
+	if got := srv.Events().Len(); got != before {
+		t.Fatalf("journal length %d after %d requests, want %d", got, requests, before)
+	}
+	resp, err := c.Events(ctx(t), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Events) != 1 || resp.Events[0].Kind != "campaign.won" {
+		t.Fatalf("journal = %+v, want only the campaign.won decision", resp.Events)
 	}
 }
 
@@ -166,7 +196,8 @@ func TestEventsStream(t *testing.T) {
 
 func TestFleetzStandalone(t *testing.T) {
 	cache := resultcache.New()
-	c, _ := newTestDaemon(t, Config{Instance: "solo", Cache: cache})
+	c, srv := newTestDaemon(t, Config{Instance: "solo", Cache: cache})
+	srv.Events().Emit("campaign.won", "epoch", "1")
 	runOnce(t, c)
 
 	fz, err := c.Fleetz(ctx(t))
@@ -204,8 +235,8 @@ func TestFleetzStandalone(t *testing.T) {
 	if !sawRun {
 		t.Fatalf("routes %+v missing /v1/run", n.Routes)
 	}
-	if len(fz.Events) == 0 {
-		t.Fatal("fleet snapshot carries no events")
+	if len(fz.Events) != 1 || fz.Events[0].Kind != "campaign.won" {
+		t.Fatalf("fleet snapshot events = %+v, want the campaign.won decision", fz.Events)
 	}
 	// FleetzSelf is the peer-probe form: one node, no recursion.
 	self, err := c.FleetzSelf(ctx(t))

@@ -90,7 +90,11 @@ type Config struct {
 	// Events caps the daemon's event journal behind /v1/events; 0 means
 	// obs.DefaultEventCapacity, negative disables journaling entirely (the
 	// event routes then 404 and every Emit in the stack pays one nil
-	// check).
+	// check). The journal keeps decisions: the control plane's elections,
+	// leases and fence rejects, and the fleet's worker and chunk
+	// scheduling. Jobs and cache evictions are not journaled (their facts
+	// live in /metrics, the spans and /v1/jobs), so a daemon without
+	// Control journals nothing.
 	Events int
 }
 
@@ -130,7 +134,6 @@ func New(cfg Config) *Server {
 	s.met = newMetrics(s)
 	var cache elect.Cache
 	if cfg.Cache != nil {
-		cfg.Cache.SetEvents(s.events)
 		cache = cfg.Cache
 	}
 	var checkFence func(uint64) error
@@ -560,23 +563,22 @@ func submitOpts(r *http.Request, noCache bool) []jobs.SubmitOption {
 }
 
 // observeJob is the jobs.Config.Observe hook, called once per job state
-// change. Every change is journaled; a terminal one also feeds the job
-// metrics. Traced run and batch jobs get a queue.wait span when they start
-// and a job.exec span when they end — or, canceled while still queued, a
-// queue.wait span covering their whole lifetime. Chunk jobs get no spans
-// here: handleChunk rebuilds theirs after completion so the identical set
-// can also ride back in the chunk response. It runs under the job lock, so
-// it only touches the journal, the span collector and lock-free metric
+// change. A terminal change feeds the job metrics. Traced run and batch jobs
+// get a queue.wait span when they start and a job.exec span when they end —
+// or, canceled while still queued, a queue.wait span covering their whole
+// lifetime. Chunk jobs get no spans here: handleChunk rebuilds theirs after
+// completion so the identical set can also ride back in the chunk response.
+// Job changes are not journaled: /v1/events keeps decisions, and a job's
+// facts already live in these metrics, its spans and /v1/jobs. It runs under
+// the job lock, so it only touches the span collector and lock-free metric
 // atomics (vector lookups allocate at most once per label set).
 func (s *Server) observeJob(snap jobs.Snapshot) {
-	kind := string(snap.Kind)
 	switch snap.State {
 	case jobs.Queued:
-		s.events.Emit("job.enqueue", "job", snap.ID, "kind", kind)
 		return
 	case jobs.Running:
-		s.events.Emit("job.start", "job", snap.ID, "kind", kind)
 	default:
+		kind := string(snap.Kind)
 		s.met.jobsDone.With(kind, string(snap.State)).Inc()
 		wait := snap.Started.Sub(snap.Created)
 		if snap.Started.IsZero() {
@@ -586,7 +588,6 @@ func (s *Server) observeJob(snap jobs.Snapshot) {
 		if !snap.Started.IsZero() {
 			s.met.jobExec.With(kind).Observe(snap.Finished.Sub(snap.Started).Seconds())
 		}
-		s.events.Emit("job.done", "job", snap.ID, "kind", kind, "state", string(snap.State))
 	}
 	if snap.Kind == jobs.KindChunk {
 		return

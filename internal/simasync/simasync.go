@@ -60,21 +60,15 @@ type Protocol interface {
 type Factory func(node int) Protocol
 
 // DelayPolicy is the adversary's scheduler: it assigns each message a
-// transmission delay. Results are clamped to (0, 1] by the engine (one time
-// unit is, by definition, the maximum transmission time).
-type DelayPolicy interface {
-	Delay(src, port int, now float64, rng *xrand.RNG) float64
-}
-
-// KindAwareDelayPolicy is an optional extension: a scheduler that inspects
-// message kinds. Section 5's adversary is adaptive (it sees the nodes'
-// random bits before scheduling), so content-aware scheduling is admissible;
-// the stress tests use it to slow down exactly the messages whose late
+// transmission delay, given its sender, port and message kind. Results are
+// clamped to (0, 1] by the engine (one time unit is, by definition, the
+// maximum transmission time). Section 5's adversary is adaptive (it sees
+// the nodes' random bits before scheduling), so content-aware scheduling is
+// admissible: the stress tests slow down exactly the messages whose late
 // arrival exercises an algorithm's hardest code path (e.g. Algorithm 2's
 // winner revocation).
-type KindAwareDelayPolicy interface {
-	DelayPolicy
-	DelayKind(src, port int, kind uint8, now float64, rng *xrand.RNG) float64
+type DelayPolicy interface {
+	Delay(src, port int, kind uint8, now float64, rng *xrand.RNG) float64
 }
 
 // KindDelay slows messages of the designated kinds to a full time unit and
@@ -84,12 +78,8 @@ type KindDelay struct {
 	Fast float64 // delay for all other kinds; <= 0 means 0.05
 }
 
-// Delay implements DelayPolicy (used when the engine has no kind, e.g. by
-// other tooling); it returns the fast delay.
-func (k KindDelay) Delay(int, int, float64, *xrand.RNG) float64 { return k.fast() }
-
-// DelayKind implements KindAwareDelayPolicy.
-func (k KindDelay) DelayKind(_, _ int, kind uint8, _ float64, _ *xrand.RNG) float64 {
+// Delay implements DelayPolicy.
+func (k KindDelay) Delay(_, _ int, kind uint8, _ float64, _ *xrand.RNG) float64 {
 	for _, s := range k.Slow {
 		if s == kind {
 			return 1
@@ -110,7 +100,7 @@ func (k KindDelay) fast() float64 {
 type UnitDelay struct{}
 
 // Delay implements DelayPolicy.
-func (UnitDelay) Delay(int, int, float64, *xrand.RNG) float64 { return 1 }
+func (UnitDelay) Delay(int, int, uint8, float64, *xrand.RNG) float64 { return 1 }
 
 // UniformDelay draws each delay uniformly from [Lo, 1]. Lo <= 0 is treated
 // as a small positive floor.
@@ -119,7 +109,7 @@ type UniformDelay struct {
 }
 
 // Delay implements DelayPolicy.
-func (u UniformDelay) Delay(_, _ int, _ float64, rng *xrand.RNG) float64 {
+func (u UniformDelay) Delay(_, _ int, _ uint8, _ float64, rng *xrand.RNG) float64 {
 	lo := u.Lo
 	if lo <= 0 {
 		lo = 1e-6
@@ -141,7 +131,7 @@ type SkewDelay struct {
 }
 
 // Delay implements DelayPolicy.
-func (s SkewDelay) Delay(src, _ int, _ float64, _ *xrand.RNG) float64 {
+func (s SkewDelay) Delay(src, _ int, _ uint8, _ float64, _ *xrand.RNG) float64 {
 	if s.Mod <= 1 || src%s.Mod == 0 {
 		return 1
 	}
@@ -499,7 +489,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	window := func(at float64) int { return int(at - firstWake) }
 
 	inj := cfg.Faults
-	kindAware, _ := delays.(KindAwareDelayPolicy)
 	// Under UnitDelay each delivery is due at now+1 and now never
 	// decreases, so no message can overtake an earlier one on its link and
 	// the FIFO clamp below could never move an event.
@@ -541,12 +530,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 				}
 			}
 			for c := 0; c < copies; c++ {
-				var d float64
-				if kindAware != nil {
-					d = kindAware.DelayKind(u, s.Port, s.Msg.Kind, now, delayRNG)
-				} else {
-					d = delays.Delay(u, s.Port, now, delayRNG)
-				}
+				d := delays.Delay(u, s.Port, s.Msg.Kind, now, delayRNG)
 				if !(d > 0) { // NaN too: it would void the queue's order
 					d = 1e-9
 				}
@@ -661,4 +645,5 @@ var (
 	_ DelayPolicy = UnitDelay{}
 	_ DelayPolicy = UniformDelay{}
 	_ DelayPolicy = SkewDelay{}
+	_ DelayPolicy = KindDelay{}
 )

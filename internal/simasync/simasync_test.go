@@ -129,7 +129,7 @@ func (r *recorder) Decision() proto.Decision { return proto.NonLeader }
 // than the previous one, tempting the engine to reorder.
 type shrinkingDelay struct{ next float64 }
 
-func (s *shrinkingDelay) Delay(int, int, float64, *xrand.RNG) float64 {
+func (s *shrinkingDelay) Delay(int, int, uint8, float64, *xrand.RNG) float64 {
 	s.next /= 2
 	return s.next
 }
@@ -189,7 +189,7 @@ func TestDelayClamping(t *testing.T) {
 
 type delayFunc func() float64
 
-func (f delayFunc) Delay(int, int, float64, *xrand.RNG) float64 { return f() }
+func (f delayFunc) Delay(int, int, uint8, float64, *xrand.RNG) float64 { return f() }
 
 func TestWakeBeforeReceive(t *testing.T) {
 	// A message-woken node must see Wake before Receive of the waking
@@ -369,16 +369,16 @@ func TestSkewAndUniformPolicies(t *testing.T) {
 	rng := xrand.New(1)
 	u := UniformDelay{Lo: 0.25}
 	for i := 0; i < 1000; i++ {
-		d := u.Delay(0, 0, 0, rng)
+		d := u.Delay(0, 0, 0, 0, rng)
 		if d < 0.25 || d > 1 {
 			t.Fatalf("UniformDelay out of range: %v", d)
 		}
 	}
 	s := SkewDelay{Fast: 0.1, Mod: 2}
-	if s.Delay(0, 0, 0, rng) != 1 || s.Delay(1, 0, 0, rng) != 0.1 {
+	if s.Delay(0, 0, 0, 0, rng) != 1 || s.Delay(1, 0, 0, 0, rng) != 0.1 {
 		t.Fatal("SkewDelay routing wrong")
 	}
-	if (SkewDelay{}).Delay(5, 0, 0, rng) != 1 {
+	if (SkewDelay{}).Delay(5, 0, 0, 0, rng) != 1 {
 		t.Fatal("Mod<=1 should make everyone slow")
 	}
 }
@@ -386,17 +386,14 @@ func TestSkewAndUniformPolicies(t *testing.T) {
 func TestKindDelayPolicy(t *testing.T) {
 	p := KindDelay{Slow: []uint8{7}, Fast: 0.1}
 	rng := xrand.New(1)
-	if got := p.DelayKind(0, 0, 7, 0, rng); got != 1 {
+	if got := p.Delay(0, 0, 7, 0, rng); got != 1 {
 		t.Fatalf("slow kind delay = %v", got)
 	}
-	if got := p.DelayKind(0, 0, 8, 0, rng); got != 0.1 {
+	if got := p.Delay(0, 0, 8, 0, rng); got != 0.1 {
 		t.Fatalf("fast kind delay = %v", got)
 	}
-	if got := (KindDelay{Slow: []uint8{7}}).DelayKind(0, 0, 8, 0, rng); got != 0.05 {
+	if got := (KindDelay{Slow: []uint8{7}}).Delay(0, 0, 8, 0, rng); got != 0.05 {
 		t.Fatalf("default fast = %v", got)
-	}
-	if got := p.Delay(0, 0, 0, rng); got != 0.1 {
-		t.Fatalf("plain Delay = %v", got)
 	}
 }
 

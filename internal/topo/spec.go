@@ -151,7 +151,8 @@ func Family(spec string) (string, error) {
 
 // Build constructs the topology named by spec on n nodes. Seeded generators
 // (rreg, power) draw from an xrand stream seeded with seed; the fixed
-// topologies ignore it. ""/"clique" builds the implicit Clique.
+// topologies ignore it. ""/"clique" is an error: the clique is the engines'
+// own port wiring (internal/portmap), not an explicit topology.
 func Build(spec string, n int, seed uint64) (Topology, error) {
 	p, err := parse(spec)
 	if err != nil {
@@ -159,7 +160,7 @@ func Build(spec string, n int, seed uint64) (Topology, error) {
 	}
 	switch p.family {
 	case "":
-		return NewClique(n)
+		return nil, fmt.Errorf("topo: the clique is the engines' implicit wiring, not an explicit topology")
 	case "ring":
 		return Ring(n)
 	case "torus":

@@ -11,8 +11,8 @@
 // Explicit graphs are stored in compact CSR adjacency — flat []uint32 offset
 // and edge tables in the arena/flatmap style of the engine hot paths — so
 // million-node sparse graphs cost a few machine words per edge and zero
-// per-node allocations. The clique keeps its O(1)-memory implicit form
-// (Clique) and is never materialized.
+// per-node allocations. The clique has no Topology here: the engines wire
+// it themselves (internal/portmap), and it is never materialized.
 //
 // Determinism: every generator is a pure function of (n, parameters, seed).
 // The same spec string and seed produce the identical graph — edge order,
@@ -198,54 +198,5 @@ func (g *Graph) bfs(src uint32, dist []int32, queue []uint32) (far uint32, seen 
 	return far, seen
 }
 
-// Clique is the implicit complete graph: the paper's model, kept in O(1)
-// memory with the same algebraic involution as portmap.Canonical (port p of
-// node u leads to (u+p+1) mod n, arriving on port n-2-p), so a
-// topology-view of the clique and the engines' default clique wiring agree
-// port for port.
-type Clique struct {
-	n int
-}
-
-// NewClique returns the implicit clique on n >= 1 nodes.
-func NewClique(n int) (*Clique, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("topo: n = %d", n)
-	}
-	return &Clique{n: n}, nil
-}
-
-// N implements Topology.
-func (c *Clique) N() int { return c.n }
-
-// M implements Topology.
-func (c *Clique) M() int64 { return int64(c.n) * int64(c.n-1) / 2 }
-
-// Degree implements Topology.
-func (c *Clique) Degree(int) int { return c.n - 1 }
-
-// Neighbor implements Topology.
-func (c *Clique) Neighbor(u, p int) int { return (u + p + 1) % c.n }
-
-// Dest implements Topology.
-func (c *Clique) Dest(u, p int) (int, int) {
-	offset := p + 1
-	return (u + offset) % c.n, c.n - 1 - offset
-}
-
-// Diameter implements Topology.
-func (c *Clique) Diameter() int {
-	if c.n == 1 {
-		return 0
-	}
-	return 1
-}
-
-// Name implements Topology.
-func (c *Clique) Name() string { return "clique" }
-
 // Interface compliance checks.
-var (
-	_ Topology = (*Graph)(nil)
-	_ Topology = (*Clique)(nil)
-)
+var _ Topology = (*Graph)(nil)

@@ -3,7 +3,6 @@ package topo
 import (
 	"testing"
 
-	"cliquelect/internal/portmap"
 	"cliquelect/internal/xrand"
 )
 
@@ -142,30 +141,6 @@ func TestFromEdgesValidation(t *testing.T) {
 	}
 }
 
-func TestCliqueMatchesPortmapCanonical(t *testing.T) {
-	// The implicit clique must agree port-for-port with portmap.Canonical,
-	// so a topology view of the clique and the engines' default wiring
-	// describe the same network.
-	for _, n := range []int{2, 3, 5, 16} {
-		c, err := NewClique(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvolution(t, c)
-		pm := portmap.NewCanonical(n)
-		for u := 0; u < n; u++ {
-			for p := 0; p < n-1; p++ {
-				cv, cq := c.Dest(u, p)
-				pv, pq := pm.Dest(u, p)
-				if cv != pv || cq != pq {
-					t.Fatalf("n=%d: Clique.Dest(%d,%d) = (%d,%d), portmap.Canonical = (%d,%d)",
-						n, u, p, cv, cq, pv, pq)
-				}
-			}
-		}
-	}
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	for _, spec := range []string{"ring", "torus", "rreg:d=4", "power:m=3"} {
 		a, err := Build(spec, 64, 42)
@@ -249,15 +224,11 @@ func TestFamily(t *testing.T) {
 }
 
 func TestBuildCliqueAndTrivial(t *testing.T) {
-	c, err := Build("clique", 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.(*Clique); !ok {
-		t.Fatalf("Build(clique) returned %T, want *Clique", c)
-	}
-	if c.Diameter() != 1 || c.M() != 28 {
-		t.Errorf("clique(8): diameter %d edges %d, want 1 and 28", c.Diameter(), c.M())
+	// The clique is the engines' own wiring: Build has no graph for it.
+	for _, spec := range []string{"", "clique"} {
+		if g, err := Build(spec, 8, 1); err == nil {
+			t.Fatalf("Build(%q) = %T, want an error", spec, g)
+		}
 	}
 	one, err := Build("ring", 1, 1)
 	if err != nil {
