@@ -275,12 +275,12 @@ func BenchmarkCachedRun(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		cache := resultcache.New()
-		if _, hit, err := elect.RunCached(cache, spec, opts...); err != nil || hit {
+		if _, _, hit, err := elect.RunCached(cache, spec, opts...); err != nil || hit {
 			b.Fatalf("warmup: err=%v hit=%v", err, hit)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, hit, err := elect.RunCached(cache, spec, opts...)
+			res, _, hit, err := elect.RunCached(cache, spec, opts...)
 			if err != nil || !hit || !res.OK {
 				b.Fatalf("err=%v hit=%v ok=%v", err, hit, res.OK)
 			}

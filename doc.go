@@ -12,7 +12,8 @@
 //
 //   - elect — public API: Registry/Lookup, each Spec's paper bound
 //     (Spec.Bound, the one home of every theorem's explicit constant), Run
-//     with functional options, unified Result, RunMany worker-pool sweeps,
+//     with functional options, unified Result, RunMany and RunRange grid
+//     sweeps on one sharded executor with one range rule (ValidRange),
 //     and fault injection
 //     (WithFaults: deterministic crash-stop/drop/duplicate plans plus
 //     adaptive adversaries, with OK semantics restricted to survivors).

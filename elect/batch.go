@@ -144,11 +144,12 @@ type BatchResult struct {
 // whose randomness derives entirely from its own (n, seed) pair — the
 // per-shard claim order never feeds any RNG — so on the deterministic
 // engines the results are byte-identical whatever the worker count:
-// RunMany(…, Workers: 1) runs the plain serial loop and RunMany(…, Workers:
-// 8) produces the very same BatchResult, and a warm Batch.Cache replays the
-// very same bytes a cold one computes (the PR 3 cache fingerprints depend
-// on this, and TestRunManyParallelMatchesSerial asserts it). The first run
-// error aborts the batch.
+// RunMany(…, Workers: 1), which claims the cells in grid order, and
+// RunMany(…, Workers: 8) produce the very same BatchResult, and a warm
+// Batch.Cache replays the very same bytes a cold one computes (the cache
+// fingerprints depend on this, and TestRunManyParallelMatchesSerial
+// asserts it). A failed run fails the batch once every claimed cell has
+// finished; the error names the first failed cell in grid order.
 func RunMany(spec Spec, b Batch) (*BatchResult, error) {
 	ns, seeds := defaultAxes(b.Ns, b.Seeds)
 	total := GridSize(ns, seeds, b.Topos)
@@ -163,7 +164,7 @@ func RunMany(spec Spec, b Batch) (*BatchResult, error) {
 		}
 		return assembleBatch(ns, seeds, b.Topos, runs), nil
 	}
-	runs, _, err := runCells(spec, b, ns, seeds, 0, total, false)
+	runs, _, err := runCells(spec, b, ns, seeds, 0, total)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +186,7 @@ func defaultAxes(ns []int, seeds []uint64) ([]int, []uint64) {
 // given axes: len(topos)·len(ns)·len(seeds), with each empty axis counting
 // as one value — the implicit clique, and RunMany's {64} sizes and {1}
 // seeds. Distributed dispatch (internal/distrib), the jobs layer's batch
-// progress and electd's range validation all size grids with this.
+// progress and ValidRange all size grids with this.
 func GridSize(ns []int, seeds []uint64, topos []string) int {
 	return max(len(topos), 1) * max(len(ns), 1) * max(len(seeds), 1)
 }
@@ -197,14 +198,37 @@ func GridSize(ns []int, seeds []uint64, topos []string) int {
 // is exported so remote executors (internal/distrib) reproduce exactly the
 // cells a local RunMany would run.
 func CellOptions(b *Batch, ns []int, seeds []uint64, idx int) []Option {
-	inner := len(ns) * len(seeds)
+	topo, n, seed := cellAt(b, ns, seeds, idx)
 	opts := make([]Option, 0, len(b.Options)+3)
 	opts = append(opts, b.Options...)
-	opts = append(opts, WithN(ns[idx%inner/len(seeds)]), WithSeed(seeds[idx%len(seeds)]))
+	opts = append(opts, WithN(n), WithSeed(seed))
 	if len(b.Topos) > 0 {
-		opts = append(opts, WithTopology(b.Topos[idx/inner]))
+		opts = append(opts, WithTopology(topo))
 	}
 	return opts
+}
+
+// cellAt returns the topology (empty when the batch sweeps none), size and
+// seed of cell idx of the canonical grid over the defaulted ns and seeds.
+func cellAt(b *Batch, ns []int, seeds []uint64, idx int) (topo string, n int, seed uint64) {
+	inner := len(ns) * len(seeds)
+	if len(b.Topos) > 0 {
+		topo = b.Topos[idx/inner]
+	}
+	return topo, ns[idx%inner/len(seeds)], seeds[idx%len(seeds)]
+}
+
+// ValidRange reports whether [start, start+count) is a non-empty cell range
+// inside the batch's canonical grid, each empty axis counting as one value
+// as in GridSize. It is the one range rule: RunRange, the jobs layer's
+// chunk submission and electd's /v1/chunk all check ranges with it.
+func ValidRange(b *Batch, start, count int) error {
+	total := GridSize(b.Ns, b.Seeds, b.Topos)
+	if start < 0 || count < 1 || count > total-start {
+		return fmt.Errorf("elect: cell range [%d, %d) outside the %d-cell grid",
+			start, start+count, total)
+	}
+	return nil
 }
 
 // CheckRange reports whether results answer the cell range starting at
@@ -230,58 +254,40 @@ func CheckRange(spec Spec, b *Batch, ns []int, seeds []uint64, start int, result
 
 // RunRange executes the contiguous cell range [start, start+count) of the
 // batch's canonical grid — the same topo-major, size-major, seed-minor
-// order RunMany uses — and returns the per-cell Results in range order. It
-// is the worker-side half of distributed dispatch: a fleet scheduler
-// partitions the grid into ranges, each electd worker executes its ranges
-// with RunRange, and the merged grid is byte-identical to one local RunMany
-// because every cell is a pure function of its own (topo, n, seed).
-// Workers, Cache, OnResult and Cancel are honored as in RunMany (OnResult's
-// done/total are relative to the range); Remote is ignored — ranges always
-// execute locally.
-func RunRange(spec Spec, b Batch, start, count int) ([]Result, error) {
-	runs, _, err := RunRangeWire(spec, b, start, count)
-	return runs, err
-}
-
-// RunRangeWire is RunRange that also returns each cell's wire bytes as
-// RunCachedWire yields them through b.Cache: the bytes a miss stored or a
-// canonical hit read, and nil for a cell without them. The bytes must not
-// be modified.
-func RunRangeWire(spec Spec, b Batch, start, count int) ([]Result, [][]byte, error) {
-	ns, seeds := defaultAxes(b.Ns, b.Seeds)
-	total := GridSize(ns, seeds, b.Topos)
-	if start < 0 || count < 1 || count > total-start {
-		return nil, nil, fmt.Errorf("elect: cell range [%d, %d) outside the %d-cell grid",
-			start, start+count, total)
+// order RunMany uses — and returns the per-cell Results in range order,
+// with each cell's wire bytes as RunCached yields them through b.Cache: the
+// bytes a miss stored or a canonical hit read, and nil for a cell without
+// them. The bytes must not be modified. It is the worker-side half of
+// distributed dispatch: a fleet scheduler partitions the grid into ranges,
+// each electd worker executes its ranges with RunRange, and the merged
+// grid is byte-identical to one local RunMany because every cell is a pure
+// function of its own (topo, n, seed). Workers, Cache, OnResult and Cancel
+// are honored as in RunMany (OnResult's done/total are relative to the
+// range); Remote is ignored — ranges always execute locally. A range that
+// fails ValidRange is an error.
+func RunRange(spec Spec, b Batch, start, count int) ([]Result, [][]byte, error) {
+	if err := ValidRange(&b, start, count); err != nil {
+		return nil, nil, err
 	}
-	return runCells(spec, b, ns, seeds, start, count, true)
+	ns, seeds := defaultAxes(b.Ns, b.Seeds)
+	return runCells(spec, b, ns, seeds, start, count)
 }
 
 // runCells is the local executor shared by RunMany and RunRange: it runs
-// cells [start, start+count) of the ns × seeds grid and returns their
-// Results in cell order, and their RunCachedWire bytes too when keepWire
-// is set.
-func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int, keepWire bool) ([]Result, [][]byte, error) {
+// cells [start, start+count) of the ns × seeds grid through runSharded and
+// returns their Results and RunCached bytes in cell order.
+func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int) ([]Result, [][]byte, error) {
 	workers := b.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > count {
-		workers = count
-	}
+	workers = min(workers, count)
 
 	runs := make([]Result, count)
+	wires := make([][]byte, count)
 	errs := make([]error, count)
-	var wires [][]byte
-	if keepWire {
-		wires = make([][]byte, count)
-	}
 	runCell := func(i int) {
-		var wire []byte
-		runs[i], wire, _, errs[i] = RunCachedWire(b.Cache, spec, CellOptions(&b, ns, seeds, start+i)...)
-		if keepWire {
-			wires[i] = wire
-		}
+		runs[i], wires[i], _, errs[i] = RunCached(b.Cache, spec, CellOptions(&b, ns, seeds, start+i)...)
 	}
 	canceled := func() bool {
 		select {
@@ -291,46 +297,26 @@ func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int, ke
 			return false
 		}
 	}
-
-	var claimed int
-	if workers == 1 {
-		// Serial reference path: claim cells in grid order on the caller's
-		// goroutine.
-		for ; claimed < count; claimed++ {
-			if canceled() {
-				break
-			}
-			runCell(claimed)
-			if b.OnResult != nil {
-				b.OnResult(claimed+1, count)
-			}
-		}
-	} else {
-		claimed = runSharded(count, workers, runCell, canceled, b.OnResult)
-	}
-	if claimed < count {
+	if runSharded(count, workers, runCell, canceled, b.OnResult) < count {
 		return nil, nil, ErrCanceled
 	}
 
 	for i, err := range errs {
 		if err != nil {
-			idx := start + i
-			inner := len(ns) * len(seeds)
+			topo, n, seed := cellAt(&b, ns, seeds, start+i)
 			if len(b.Topos) > 0 {
-				return nil, nil, fmt.Errorf("elect: run topo=%q n=%d seed=%d: %w",
-					b.Topos[idx/inner], ns[idx%inner/len(seeds)], seeds[idx%len(seeds)], err)
+				return nil, nil, fmt.Errorf("elect: run topo=%q n=%d seed=%d: %w", topo, n, seed, err)
 			}
-			return nil, nil, fmt.Errorf("elect: run n=%d seed=%d: %w",
-				ns[idx/len(seeds)], seeds[idx%len(seeds)], err)
+			return nil, nil, fmt.Errorf("elect: run n=%d seed=%d: %w", n, seed, err)
 		}
 	}
 	return runs, wires, nil
 }
 
-// runSharded is RunMany's parallel executor: cells [0, total) are split
-// into one contiguous shard per worker, each worker drains its own shard
-// via an atomic claim counter and then steals from the other shards in
-// ring order. It returns the number of cells claimed — total unless the
+// runSharded is the cell executor: cells [0, total) are split into one
+// contiguous shard per worker, each worker drains its own shard via an
+// atomic claim counter and then steals from the other shards in ring
+// order; a single worker thus claims the cells in grid order. It returns the number of cells claimed — total unless the
 // cancel probe fired while cells were still unclaimed.
 func runSharded(total, workers int, runCell func(int), canceled func() bool, onResult func(done, total int)) int {
 	// bounds[w] .. bounds[w+1] is shard w; claim[w] is its next free cell.

@@ -11,9 +11,10 @@ import (
 // TestRunManyParallelMatchesSerial is the batch determinism contract the
 // result cache's fingerprints depend on: the same grid fanned across the
 // sharded work-stealing executor at any worker count must produce a
-// BatchResult byte-identical (encoded wire form) to the serial path.
-// Worker counts are chosen to exercise the shard shapes: even split, uneven
-// split with stealing, and more workers than cells per shard.
+// BatchResult byte-identical (encoded wire form) to a serial reference that
+// Runs each cell's CellOptions in grid order, outside the executor. Worker
+// counts are chosen to exercise the shard shapes: one shard, even split,
+// uneven split with stealing, and more workers than cells per shard.
 func TestRunManyParallelMatchesSerial(t *testing.T) {
 	for _, name := range []string{"tradeoff", "lasvegas", "asynctradeoff"} {
 		spec, err := Lookup(name)
@@ -27,20 +28,18 @@ func TestRunManyParallelMatchesSerial(t *testing.T) {
 				WithParams(DefaultParams()),
 			},
 		}
-		serial := batch
-		serial.Workers = 1
-		a, err := RunMany(spec, serial)
-		if err != nil {
-			t.Fatal(err)
+		runs := make([]Result, GridSize(batch.Ns, batch.Seeds, nil))
+		for idx := range runs {
+			if runs[idx], err = Run(spec, CellOptions(&batch, batch.Ns, batch.Seeds, idx)...); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if len(a.Runs) != 16 {
-			t.Fatalf("%s: %d serial runs, want 16", name, len(a.Runs))
-		}
+		a := assembleBatch(batch.Ns, batch.Seeds, nil, runs)
 		aBytes, err := EncodeBatchResult(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{3, 8, 16} {
+		for _, workers := range []int{1, 3, 8, 16} {
 			parallel := batch
 			parallel.Workers = workers
 			b, err := RunMany(spec, parallel)

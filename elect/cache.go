@@ -136,24 +136,19 @@ func fingerprint(spec Spec, c *runConfig) (string, error) {
 // what the original run produced — and reports hit=true. On a miss it runs,
 // stores the encoded Result, and reports hit=false.
 //
+// It also returns the Result's wire bytes when it holds them anyway: on a
+// miss, the EncodeResult bytes it stored; on a hit, the stored bytes when
+// they are canonical, that is exactly what EncodeResult writes for the
+// Result they decode to. Otherwise — an uncacheable run, or a hit on bytes
+// in any other layout — the bytes are nil. A hit is always decoded: a
+// Cache's bytes need not have been written by this process, and the decode
+// is what checks them. Callers must not modify the bytes.
+//
 // Uncacheable configurations (nil cache, EngineLive, adaptive adversaries)
 // fall through to a plain Run with hit=false; configuration errors surface
 // from that Run exactly as they would without a cache. A corrupted cache
 // entry is treated as a miss and overwritten.
-func RunCached(cache Cache, spec Spec, opts ...Option) (Result, bool, error) {
-	res, _, hit, err := RunCachedWire(cache, spec, opts...)
-	return res, hit, err
-}
-
-// RunCachedWire is RunCached that also returns the Result's wire bytes when
-// it holds them anyway: on a miss, the EncodeResult bytes it stored; on a
-// hit, the stored bytes when they are canonical, that is exactly what
-// EncodeResult writes for the Result they decode to. Otherwise — an
-// uncacheable run, or a hit on bytes in any other layout — the bytes are
-// nil. A hit is always decoded: a Cache's bytes need not have been written
-// by this process, and the decode is what checks them. Callers must not
-// modify the bytes.
-func RunCachedWire(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool, error) {
+func RunCached(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool, error) {
 	cfg, err := resolve(spec, opts)
 	if err != nil {
 		return rejected(spec, cfg), nil, false, err

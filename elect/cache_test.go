@@ -159,14 +159,14 @@ func TestRunCachedHitIsByteIdentical(t *testing.T) {
 	spec := mustSpec(t, "tradeoff")
 	opts := []Option{WithN(64), WithSeed(11), WithParams(Params{K: 4})}
 
-	cold, hit, err := RunCached(cache, spec, opts...)
+	cold, _, hit, err := RunCached(cache, spec, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("cold run reported a cache hit")
 	}
-	warm, hit, err := RunCached(cache, spec, opts...)
+	warm, _, hit, err := RunCached(cache, spec, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestRunCachedHitIsByteIdentical(t *testing.T) {
 	// The live engine bypasses the cache entirely.
 	async := mustSpec(t, "asynctradeoff")
 	liveOpts := []Option{WithN(16), WithSeed(1), WithParams(Params{K: 2}), WithEngine(EngineLive)}
-	if _, hit, err := RunCached(cache, async, liveOpts...); err != nil || hit {
+	if _, _, hit, err := RunCached(cache, async, liveOpts...); err != nil || hit {
 		t.Fatalf("live run: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := RunCached(cache, async, liveOpts...); err != nil || hit {
+	if _, _, hit, err := RunCached(cache, async, liveOpts...); err != nil || hit {
 		t.Fatalf("repeated live run: hit=%v err=%v, want bypass", hit, err)
 	}
 }
@@ -199,23 +199,23 @@ func TestRunCachedCorruptEntryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.Put(key, []byte("not json"))
-	res, hit, err := RunCached(cache, spec, opts...)
+	res, _, hit, err := RunCached(cache, spec, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit || !res.OK {
 		t.Fatalf("corrupt entry: hit=%v ok=%v, want recompute", hit, res.OK)
 	}
-	if _, hit, _ := RunCached(cache, spec, opts...); !hit {
+	if _, _, hit, _ := RunCached(cache, spec, opts...); !hit {
 		t.Error("recomputed entry was not stored back")
 	}
 }
 
-// TestRunCachedWireBytes: RunCachedWire returns the bytes it stored on a
+// TestRunCachedBytes: RunCached returns the bytes it stored on a
 // miss and the canonical bytes it read on a hit, no bytes for an uncached
 // run, and on a hit whose bytes decode but are not canonical (2.5E+3
 // where EncodeResult writes 2500) the decoded Result with no bytes.
-func TestRunCachedWireBytes(t *testing.T) {
+func TestRunCachedBytes(t *testing.T) {
 	cache := newMemCache()
 	spec := mustSpec(t, "tradeoff")
 	opts := []Option{WithN(32), WithSeed(6)}
@@ -223,7 +223,7 @@ func TestRunCachedWireBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, wire, hit, err := RunCachedWire(cache, spec, opts...)
+	res, wire, hit, err := RunCached(cache, spec, opts...)
 	if err != nil || hit {
 		t.Fatalf("miss: hit=%v err=%v", hit, err)
 	}
@@ -231,16 +231,16 @@ func TestRunCachedWireBytes(t *testing.T) {
 	if !bytes.Equal(wire, want) || !bytes.Equal(cache.m[key], want) {
 		t.Fatalf("miss bytes %s, stored %s, want %s", wire, cache.m[key], want)
 	}
-	if _, wire, hit, err := RunCachedWire(cache, spec, opts...); err != nil || !hit || !bytes.Equal(wire, want) {
+	if _, wire, hit, err := RunCached(cache, spec, opts...); err != nil || !hit || !bytes.Equal(wire, want) {
 		t.Fatalf("hit: hit=%v err=%v bytes %s, want %s", hit, err, wire, want)
 	}
-	if _, wire, _, err := RunCachedWire(nil, spec, opts...); err != nil || wire != nil {
+	if _, wire, _, err := RunCached(nil, spec, opts...); err != nil || wire != nil {
 		t.Fatalf("uncached run: bytes %s err=%v", wire, err)
 	}
 
 	planted := bytes.Replace(want, []byte(`"time_units":0,`), []byte(`"time_units":2.5E+3,`), 1)
 	cache.Put(key, planted)
-	got, wire, hit, err := RunCachedWire(cache, spec, opts...)
+	got, wire, hit, err := RunCached(cache, spec, opts...)
 	if err != nil || !hit || wire != nil {
 		t.Fatalf("planted hit: hit=%v err=%v bytes %s, want a hit with no bytes", hit, err, wire)
 	}
@@ -278,7 +278,7 @@ func TestFingerprintRunVsRunMany(t *testing.T) {
 			if _, ok := cache.m[key]; !ok {
 				t.Fatalf("single-run key for n=%d seed=%d not in batch-populated cache", n, seed)
 			}
-			res, hit, err := RunCached(cache, spec, opts...)
+			res, _, hit, err := RunCached(cache, spec, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,34 +320,68 @@ func TestRunManyCacheReplayIdentical(t *testing.T) {
 	}
 }
 
+// TestRunManyProgressAndCancel: progress counts every cell and a canceled
+// batch returns ErrCanceled, at the default worker count and with one
+// worker; one worker canceled mid-batch has run a prefix of the grid.
 func TestRunManyProgressAndCancel(t *testing.T) {
 	spec := mustSpec(t, "tradeoff")
-	var mu sync.Mutex
-	var calls, maxDone, total int
-	_, err := RunMany(spec, Batch{
-		Ns: []int{16, 32}, Seeds: Seeds(1, 3),
-		OnResult: func(done, tot int) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if done > maxDone {
-				maxDone = done
-			}
-			total = tot
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 6 || maxDone != 6 || total != 6 {
-		t.Errorf("progress: calls=%d maxDone=%d total=%d, want 6/6/6", calls, maxDone, total)
+	for _, workers := range []int{0, 1} {
+		var mu sync.Mutex
+		var calls, maxDone, total int
+		_, err := RunMany(spec, Batch{
+			Ns: []int{16, 32}, Seeds: Seeds(1, 3), Workers: workers,
+			OnResult: func(done, tot int) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				if done > maxDone {
+					maxDone = done
+				}
+				total = tot
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 6 || maxDone != 6 || total != 6 {
+			t.Errorf("workers=%d progress: calls=%d maxDone=%d total=%d, want 6/6/6",
+				workers, calls, maxDone, total)
+		}
+
+		cancel := make(chan struct{})
+		close(cancel)
+		if _, err := RunMany(spec, Batch{
+			Ns: []int{16, 32}, Seeds: Seeds(1, 8), Workers: workers, Cancel: cancel,
+		}); err != ErrCanceled {
+			t.Errorf("workers=%d pre-canceled batch returned %v, want ErrCanceled", workers, err)
+		}
 	}
 
+	// One worker claims cells in grid order and checks Cancel before each
+	// claim: canceled after two cells, exactly the first two ran, which the
+	// cache shows by the entries they stored.
+	b := Batch{Ns: []int{16, 32}, Seeds: Seeds(1, 4), Workers: 1, Cache: newMemCache()}
 	cancel := make(chan struct{})
-	close(cancel)
-	if _, err := RunMany(spec, Batch{
-		Ns: []int{16, 32}, Seeds: Seeds(1, 8), Cancel: cancel,
-	}); err != ErrCanceled {
-		t.Errorf("pre-canceled batch returned %v, want ErrCanceled", err)
+	b.Cancel = cancel
+	b.OnResult = func(done, _ int) {
+		if done == 2 {
+			close(cancel)
+		}
+	}
+	if _, err := RunMany(spec, b); err != ErrCanceled {
+		t.Fatalf("mid-batch cancel returned %v, want ErrCanceled", err)
+	}
+	ran := b.Cache.(*memCache).m
+	if len(ran) != 2 {
+		t.Fatalf("canceled single-worker batch ran %d cells, want 2", len(ran))
+	}
+	for idx := range 2 {
+		key, err := Fingerprint(spec, CellOptions(&b, b.Ns, b.Seeds, idx)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := ran[key]; !ok {
+			t.Fatalf("cell %d did not run: the canceled batch ran no grid prefix", idx)
+		}
 	}
 }

@@ -122,14 +122,6 @@ func WithSpanCollector(col *obs.SpanCollector) ClientOption {
 	return func(c *Client) { c.spans = col }
 }
 
-// WithRetryJitterSeed pins the seed of the backoff jitter stream, making
-// retry delays reproducible (tests; debugging a fleet schedule). Clients
-// default to a seed derived from the base URL, so distinct workers jitter
-// differently but a given client is deterministic.
-func WithRetryJitterSeed(seed uint64) ClientOption {
-	return func(c *Client) { c.jitterSeed = seed }
-}
-
 // New builds a client for the daemon at base, e.g. "http://localhost:8090".
 func New(base string, opts ...ClientOption) *Client {
 	c := &Client{

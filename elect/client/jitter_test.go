@@ -77,7 +77,8 @@ func TestRetrySleepsAreJittered(t *testing.T) {
 	defer srv.Close()
 
 	base := 20 * time.Millisecond
-	c := New(srv.URL, WithRetry(3, base), WithRetryJitterSeed(5))
+	c := New(srv.URL, WithRetry(3, base))
+	c.jitterSeed = 5
 	if _, err := c.Health(context.Background()); err == nil {
 		t.Fatal("expected the retries to exhaust")
 	}

@@ -66,11 +66,11 @@ func ExampleRunCached() {
 	cache := resultcache.New() // in-memory; WithDir adds a disk tier
 	opts := []elect.Option{elect.WithN(128), elect.WithSeed(3)}
 
-	first, hit1, err := elect.RunCached(cache, spec, opts...)
+	first, _, hit1, err := elect.RunCached(cache, spec, opts...)
 	if err != nil {
 		panic(err)
 	}
-	again, hit2, err := elect.RunCached(cache, spec, opts...)
+	again, _, hit2, err := elect.RunCached(cache, spec, opts...)
 	if err != nil {
 		panic(err)
 	}

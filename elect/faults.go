@@ -60,18 +60,6 @@ func CrashLowestSender(budget int) func() Adversary {
 	return func() Adversary { return faults.NewCrashLowestSender(budget) }
 }
 
-// ComposeAdversaries stacks several adversary factories into one: every
-// controller observes every message, and their crash verdicts are unioned.
-func ComposeAdversaries(mks ...func() Adversary) func() Adversary {
-	return func() Adversary {
-		advs := make([]faults.Adversary, len(mks))
-		for i, mk := range mks {
-			advs[i] = mk()
-		}
-		return faults.Compose(advs...)
-	}
-}
-
 // faultKnobs is the registry of CLI-facing fault-plan fields, sharing the
 // knobTable machinery (and error format) with the delay-profile registry:
 // all adversarial knob parsing lives in these tables.

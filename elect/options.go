@@ -86,7 +86,7 @@ func defaultRunConfig() runConfig {
 
 // resolve applies opts over the defaults and checks the configuration
 // against the spec. It is the one place options become a runConfig: Run,
-// Fingerprint, RunCachedWire and CheckRange all start here, so no
+// Fingerprint, RunCached and CheckRange all start here, so no
 // configuration Run rejects here has a fingerprint. It makes every check
 // Run makes before drawing from the seed, in Run's order; the checks that
 // need the run's parts built (protocol parameters, explicit IDs, wake set,

@@ -22,7 +22,8 @@ func (g *gridRunner) RunGrid(spec Spec, ns []int, seeds []uint64, b *Batch) ([]R
 	local := *b
 	local.Remote = nil
 	local.Ns, local.Seeds = ns, seeds
-	return RunRange(spec, local, 0, len(ns)*len(seeds))
+	runs, _, err := RunRange(spec, local, 0, len(ns)*len(seeds))
+	return runs, err
 }
 
 // TestRunRangeMatchesRunMany: any contiguous range of the grid returns
@@ -40,7 +41,7 @@ func TestRunRangeMatchesRunMany(t *testing.T) {
 	}
 	for _, rng := range [][2]int{{0, 12}, {0, 1}, {11, 1}, {3, 5}, {4, 8}} {
 		start, count := rng[0], rng[1]
-		part, err := RunRange(spec, b, start, count)
+		part, _, err := RunRange(spec, b, start, count)
 		if err != nil {
 			t.Fatalf("RunRange(%d, %d): %v", start, count, err)
 		}
@@ -57,26 +58,53 @@ func TestRunRangeMatchesRunMany(t *testing.T) {
 	}
 }
 
-func TestRunRangeValidation(t *testing.T) {
-	spec, err := Lookup("tradeoff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Batch{Ns: []int{32}, Seeds: Seeds(1, 4)}
-	for _, rng := range [][2]int{{-1, 2}, {0, 0}, {0, 5}, {4, 1}, {3, 2}} {
-		if _, err := RunRange(spec, b, rng[0], rng[1]); err == nil {
-			t.Errorf("range [%d, %d) accepted", rng[0], rng[0]+rng[1])
-		}
-	}
-	// A range whose end overflows int is outside the grid too; unchecked,
-	// its cell index would run past the topology axis.
+// TestValidRange: the one cell-range rule, checked directly and through
+// RunRange, which must reject exactly the ranges ValidRange rejects.
+func TestValidRange(t *testing.T) {
+	spec := mustSpec(t, "kuttenmoses")
+	grid := Batch{Ns: []int{32}, Seeds: Seeds(1, 4)}
 	ring := Batch{Ns: []int{16}, Seeds: Seeds(1, 1), Topos: []string{"ring"}}
-	if _, err := RunRange(mustSpec(t, "kuttenmoses"), ring, math.MaxInt, 1); err == nil {
-		t.Error("range starting at math.MaxInt accepted")
+	for _, tc := range []struct {
+		name         string
+		b            Batch
+		start, count int
+		ok           bool
+	}{
+		{"whole grid", grid, 0, 4, true},
+		{"last cell", grid, 3, 1, true},
+		{"negative start", grid, -1, 2, false},
+		{"zero count", grid, 0, 0, false},
+		{"negative count", grid, 1, -1, false},
+		{"past the end", grid, 0, 5, false},
+		{"start at the end", grid, 4, 1, false},
+		{"end past the end", grid, 3, 2, false},
+		// Unchecked, the end overflows int and the cell index runs past
+		// the topology axis.
+		{"start math.MaxInt", ring, math.MaxInt, 1, false},
+		{"topology axis", ring, 0, 1, true},
+		// Empty Ns and Seeds default like RunMany: a 1-cell grid.
+		{"empty axes", Batch{}, 0, 1, true},
+		{"empty axes past the end", Batch{}, 0, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := ValidRange(&tc.b, tc.start, tc.count)
+			if (err == nil) != tc.ok {
+				t.Fatalf("ValidRange(%d, %d) = %v, want ok=%v", tc.start, tc.count, err, tc.ok)
+			}
+			out, wires, rerr := RunRange(spec, tc.b, tc.start, tc.count)
+			if !tc.ok {
+				if rerr == nil || rerr.Error() != err.Error() {
+					t.Fatalf("RunRange error %v, want %v", rerr, err)
+				}
+				return
+			}
+			if rerr != nil || len(out) != tc.count || len(wires) != tc.count {
+				t.Fatalf("RunRange: %d results, %d wires, err=%v", len(out), len(wires), rerr)
+			}
+		})
 	}
-	// Empty Ns/Seeds default like RunMany: a 1-cell grid.
-	out, err := RunRange(spec, Batch{}, 0, 1)
-	if err != nil || len(out) != 1 || out[0].N != 64 || out[0].Seed != 1 {
+	out, _, err := RunRange(spec, Batch{}, 0, 1)
+	if err != nil || out[0].N != 64 || out[0].Seed != 1 {
 		t.Fatalf("defaulted range: %v err=%v", out, err)
 	}
 }

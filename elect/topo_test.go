@@ -199,7 +199,7 @@ func TestBatchToposGrid(t *testing.T) {
 		}
 	}
 	// RunRange over an arbitrary slice of the grid reproduces RunMany's cells.
-	part, err := RunRange(spec, b, 4, 5)
+	part, _, err := RunRange(spec, b, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBatchToposGrid(t *testing.T) {
 			t.Fatalf("RunRange cell %d differs from RunMany", 4+i)
 		}
 	}
-	if _, err := RunRange(spec, b, 11, 2); err == nil {
+	if _, _, err := RunRange(spec, b, 11, 2); err == nil {
 		t.Fatal("out-of-grid range accepted")
 	}
 }

@@ -390,9 +390,7 @@ func (n *Node) HandleLease(req client.LeaseRequest, now time.Time) client.LeaseR
 	case req.Epoch == n.epoch && req.Holder != "" && req.Holder == n.holder:
 		n.expires = now.Add(n.ttl)
 		n.suspect = 0
-		n.renewals++
-		n.events.Emit("lease.renew",
-			"epoch", strconv.FormatUint(req.Epoch, 10), "holder", req.Holder)
+		n.renewals++ // counted, not journaled: a heartbeat is not a decision
 		return client.LeaseResponse{Granted: true, Epoch: n.epoch, Holder: n.holder}
 	default:
 		n.rejects++

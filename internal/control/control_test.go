@@ -205,6 +205,36 @@ func TestLeaseExpiryDemotes(t *testing.T) {
 	}
 }
 
+// TestRenewalsStayOutOfJournal: a follower renews its lease every TTL/3,
+// so journaling renewals would push its lease.grant out of the ring within
+// the hour; renewals are only counted.
+func TestRenewalsStayOutOfJournal(t *testing.T) {
+	n, clock := newTestNode(t, "http://a", "http://b", "http://c")
+	events := obs.NewEventLog(obs.DefaultEventCapacity, "http://a")
+	n.SetEvents(events)
+	lease := client.LeaseRequest{Epoch: 1, Holder: "http://b"}
+	if !n.HandleLease(lease, clock.Now()).Granted {
+		t.Fatal("grant refused")
+	}
+	for i := 0; i < 2000; i++ {
+		clock.t = clock.t.Add(n.ttl / 3)
+		if !n.HandleLease(lease, clock.Now()).Granted {
+			t.Fatalf("renewal %d refused", i)
+		}
+	}
+	evs := events.Events(0, 0)
+	if len(evs) != 1 || evs[0].Kind != "lease.grant" {
+		kinds := make([]string, 0, min(len(evs), 4))
+		for _, ev := range evs[:min(len(evs), 4)] {
+			kinds = append(kinds, ev.Kind)
+		}
+		t.Fatalf("journal holds %d events starting %v, want exactly [lease.grant]", len(evs), kinds)
+	}
+	if got := n.Status().Renewals; got != 2000 {
+		t.Fatalf("Status().Renewals = %d, want 2000", got)
+	}
+}
+
 // TestWatchJournalsUnreachableHolder: a follower whose lease holder stops
 // answering journals holder.unreachable when it gives up and campaigns.
 func TestWatchJournalsUnreachableHolder(t *testing.T) {

@@ -57,9 +57,6 @@ type Config struct {
 	// Workers lists the electd base URLs; a bare "host:port" is given the
 	// http scheme. At least one is required.
 	Workers []string
-	// StragglerAfter is how long a chunk may be in flight before an idle
-	// worker is given a duplicate copy (first answer wins); 0 means 30s.
-	StragglerAfter time.Duration
 	// ClientOptions are applied to every worker's client (retry tuning,
 	// test transports).
 	ClientOptions []client.ClientOption
@@ -93,9 +90,10 @@ var ErrFenced = errors.New("distrib: dispatcher fenced off (coordinator deposed)
 // methods are safe for concurrent use, and one Fleet may serve many grids
 // (cmd/sweep reuses it across its parameter loop).
 type Fleet struct {
-	cfg     Config
-	workers []*worker
-	events  atomic.Pointer[obs.EventLog] // swappable journal; nil Load is a no-op Emit
+	cfg      Config
+	straggle time.Duration // straggleAfter; tests shorten it
+	workers  []*worker
+	events   atomic.Pointer[obs.EventLog] // swappable journal; nil Load is a no-op Emit
 
 	retried     atomic.Int64 // chunks re-dispatched (failover + stragglers)
 	localCells  atomic.Int64 // cells executed locally because no worker was alive
@@ -128,15 +126,16 @@ type worker struct {
 // probeTimeout bounds each health probe.
 const probeTimeout = 2 * time.Second
 
+// straggleAfter is how long a chunk may be in flight before an idle worker
+// is given a duplicate copy (first answer wins).
+const straggleAfter = 30 * time.Second
+
 // New builds a Fleet over the given worker URLs. No probing happens here:
 // every worker starts down, so the first RunGrid (or an explicit Probe)
 // probes them all.
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("distrib: no workers configured")
-	}
-	if cfg.StragglerAfter <= 0 {
-		cfg.StragglerAfter = 30 * time.Second
 	}
 	copts := cfg.ClientOptions
 	if cfg.Spans != nil {
@@ -145,7 +144,7 @@ func New(cfg Config) (*Fleet, error) {
 		// dispatch spans.
 		copts = append(copts[:len(copts):len(copts)], client.WithSpanCollector(cfg.Spans))
 	}
-	f := &Fleet{cfg: cfg}
+	f := &Fleet{cfg: cfg, straggle: straggleAfter}
 	for _, raw := range cfg.Workers {
 		url := NormalizeURL(raw)
 		if url == "" {
@@ -395,7 +394,7 @@ func (g *grid) fromCache(ch Chunk) ([]elect.Result, bool) {
 // the straggler tick.
 func (g *grid) schedule() error {
 	f, chunks := g.f, g.chunks
-	tick := time.NewTicker(max(f.cfg.StragglerAfter/4, 10*time.Millisecond))
+	tick := time.NewTicker(max(f.straggle/4, 10*time.Millisecond))
 	defer tick.Stop()
 	for g.merged < len(g.runs) {
 		if f.cfg.Fence != nil {
@@ -428,7 +427,7 @@ func (g *grid) schedule() error {
 			local := *g.b
 			local.Ns, local.Seeds = g.ns, g.seeds
 			local.Remote, local.OnResult = nil, nil
-			results, err := elect.RunRange(g.spec, local, ch.Start, ch.Count)
+			results, _, err := elect.RunRange(g.spec, local, ch.Start, ch.Count)
 			if err != nil {
 				return err
 			}
@@ -472,7 +471,7 @@ func (g *grid) schedule() error {
 		case <-tick.C:
 			for ci := range g.states {
 				st := &g.states[ci]
-				if st.done || len(st.on) != 1 || time.Since(st.since) < f.cfg.StragglerAfter {
+				if st.done || len(st.on) != 1 || time.Since(st.since) < f.straggle {
 					continue
 				}
 				if g.dispatch(ci) {

@@ -92,9 +92,6 @@ func newFleet(t *testing.T, cfg Config, hs ...*harness) *Fleet {
 	if cfg.ClientOptions == nil {
 		cfg.ClientOptions = []client.ClientOption{client.WithRetry(2, time.Millisecond)}
 	}
-	if cfg.StragglerAfter == 0 {
-		cfg.StragglerAfter = time.Hour // off unless a test wants it
-	}
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -658,7 +655,7 @@ func TestFleetRejectsWrongCells(t *testing.T) {
 			for _, s := range req.Seeds {
 				shifted.Seeds = append(shifted.Seeds, s+1000)
 			}
-			results, err := elect.RunRange(spec, shifted, req.Start, req.Count)
+			results, _, err := elect.RunRange(spec, shifted, req.Start, req.Count)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -673,9 +670,8 @@ func TestFleetRejectsWrongCells(t *testing.T) {
 
 	cache := resultcache.New()
 	fleet, err := New(Config{
-		Workers:        []string{liar.URL},
-		StragglerAfter: time.Hour,
-		ClientOptions:  []client.ClientOption{client.WithRetry(1, time.Millisecond)},
+		Workers:       []string{liar.URL},
+		ClientOptions: []client.ClientOption{client.WithRetry(1, time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -767,7 +763,8 @@ func TestStragglerRedispatch(t *testing.T) {
 	slow, fast := newHarness(t), newHarness(t)
 	const stall = 600 * time.Millisecond
 	slow.delay.Store(int64(stall))
-	fleet := newFleet(t, Config{StragglerAfter: 50 * time.Millisecond}, slow, fast)
+	fleet := newFleet(t, Config{}, slow, fast)
+	fleet.SetStraggle(50 * time.Millisecond)
 	remote := b
 	remote.Remote = fleet.Runner(wire)
 	start := time.Now()

@@ -1,6 +1,10 @@
 package distrib
 
-import "cliquelect/internal/obs"
+import (
+	"time"
+
+	"cliquelect/internal/obs"
+)
 
 // MaxChunkCells exposes the partitioner's chunk-size clamp to the external
 // test package (the tests moved out of package distrib when the service
@@ -22,6 +26,10 @@ func MinChunkCells(total int) int { return minChunkCells(total) }
 func PartitionUniform(total, weight int) []Chunk {
 	return partition(total, func(int) int { return weight })
 }
+
+// SetStraggle shortens the straggler re-dispatch delay before the fleet
+// runs its first grid.
+func (f *Fleet) SetStraggle(d time.Duration) { f.straggle = d }
 
 // ConfiguredSpans exposes the fleet's span collector for the untraced-path
 // assertion.

@@ -316,28 +316,5 @@ func (a *CrashLowestSender) Tick(float64) []int {
 	return []int{victim}
 }
 
-// Compose fans the adversary hooks out to several controllers, so orthogonal
-// adaptive strategies can be stacked in one plan.
-func Compose(advs ...Adversary) Adversary { return composite(advs) }
-
-type composite []Adversary
-
-func (c composite) Observe(src, dst int, kind uint8, a, b int64, at float64) {
-	for _, adv := range c {
-		adv.Observe(src, dst, kind, a, b, at)
-	}
-}
-
-func (c composite) Tick(at float64) []int {
-	var out []int
-	for _, adv := range c {
-		out = append(out, adv.Tick(at)...)
-	}
-	return out
-}
-
-// Interface compliance checks.
-var (
-	_ Adversary = (*CrashLowestSender)(nil)
-	_ Adversary = composite(nil)
-)
+// Interface compliance check.
+var _ Adversary = (*CrashLowestSender)(nil)

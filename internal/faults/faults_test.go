@@ -185,19 +185,6 @@ func TestAdversaryDrivesInjector(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	a := NewCrashLowestSender(1)
-	b := NewCrashLowestSender(1)
-	adv := Compose(a, b)
-	adv.Observe(2, 0, 1, 20, 0, 0)
-	adv.Observe(6, 0, 1, 60, 0, 0)
-	got := adv.Tick(1)
-	// Both components observed both messages, so both name node 2.
-	if !reflect.DeepEqual(got, []int{2, 2}) {
-		t.Fatalf("composed Tick = %v, want [2 2]", got)
-	}
-}
-
 func TestVerdictString(t *testing.T) {
 	for v, want := range map[Verdict]string{Deliver: "deliver", Drop: "drop", Duplicate: "duplicate"} {
 		if v.String() != want {

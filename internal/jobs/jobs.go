@@ -65,10 +65,10 @@ type Config struct {
 	// submissions past the bound fail fast with ErrQueueFull (the daemon
 	// turns that into 503). 0 means 256.
 	QueueDepth int
-	// Cache, when non-nil, is consulted by every job (see elect.RunCached;
-	// run jobs use elect.RunCachedWire and offer the bytes via TakeWire,
-	// chunk jobs elect.RunRangeWire and TakeChunk); jobs submitted with
-	// NoCache opt out individually.
+	// Cache, when non-nil, is consulted by every job: run jobs go through
+	// elect.RunCached and offer its bytes via TakeWire, chunk jobs through
+	// elect.RunRange and offer its bytes via TakeChunk, batch jobs through
+	// elect.RunMany. Jobs submitted with NoCache opt out individually.
 	Cache elect.Cache
 	// BatchWorkers caps the sharded RunMany executor of each batch job.
 	// Without a cap, every concurrent batch job spins up GOMAXPROCS workers
@@ -77,12 +77,6 @@ type Config struct {
 	// BatchWorkers so Workers*BatchWorkers matches the cores available.
 	// 0 means uncapped (each job defaults to GOMAXPROCS).
 	BatchWorkers int
-	// MaxJobs bounds the job table: once it grows past the bound, the
-	// oldest terminal jobs (and their retained results) are forgotten, so a
-	// long-lived daemon under sustained traffic does not accumulate every
-	// Result it ever served. Queued and running jobs are never evicted.
-	// 0 means 1024.
-	MaxJobs int
 	// Observe, when non-nil, sees every state change of every accepted job,
 	// exactly once each and in order: Queued when Submit* accepts the job,
 	// Running when a worker starts it, then its terminal state. A job
@@ -106,6 +100,12 @@ type Config struct {
 	// into the manager.
 	CheckFence func(fence uint64) error
 }
+
+// jobRetention bounds the job table: once it grows past the bound, the
+// oldest terminal jobs (and their retained results) are forgotten, so a
+// long-lived daemon under sustained traffic does not accumulate every
+// Result it ever served. Queued and running jobs are never evicted.
+const jobRetention = 1024
 
 // Manager owns the queue, the workers and the job table.
 type Manager struct {
@@ -133,13 +133,9 @@ func NewManager(cfg Config) *Manager {
 	if depth <= 0 {
 		depth = 256
 	}
-	maxJobs := cfg.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = 1024
-	}
 	m := &Manager{
 		cache:        cfg.Cache,
-		maxJobs:      maxJobs,
+		maxJobs:      jobRetention,
 		batchWorkers: cfg.BatchWorkers,
 		checkFence:   cfg.CheckFence,
 		observe:      cfg.Observe,
@@ -206,11 +202,12 @@ func (m *Manager) SubmitBatch(spec elect.Spec, batch elect.Batch, sopts ...Submi
 }
 
 // SubmitChunk enqueues cells [start, start+count) of the batch's canonical
-// grid (elect.RunRange). Range validation happens at execution; the batch's
-// Cache, OnResult and Cancel fields are owned by the job machinery.
+// grid (elect.RunRange). A range that fails elect.ValidRange is rejected
+// here, before it takes a queue slot; the batch's Cache, OnResult and
+// Cancel fields are owned by the job machinery.
 func (m *Manager) SubmitChunk(spec elect.Spec, batch elect.Batch, start, count int, sopts ...SubmitOption) (*Job, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("jobs: chunk of %d cells", count)
+	if err := elect.ValidRange(&batch, start, count); err != nil {
+		return nil, err
 	}
 	j := newJob(KindChunk, spec, count)
 	j.batch = batch
@@ -427,7 +424,7 @@ func (j *Job) Result() (elect.Result, bool) {
 }
 
 // TakeWire hands over the wire bytes of a Done KindRun job's Result, as
-// elect.RunCachedWire produced them, to one caller: the first call returns
+// elect.RunCached produced them, to one caller: the first call returns
 // them (nil when the run yielded none) and drops the job's reference, so
 // the job table keeps only the decoded Result. Every later call returns
 // nil, and so does a call before the job is done, after which the job
@@ -449,7 +446,7 @@ func (j *Job) BatchResult() (*elect.BatchResult, bool) {
 }
 
 // TakeChunk hands over a Done KindChunk job's per-cell Results, in cell
-// order, and their wire bytes as elect.RunRangeWire produced them (a nil
+// order, and their wire bytes as elect.RunRange produced them (a nil
 // entry for a cell without them), to one caller: the first call returns
 // them and drops the job's references, so the job table keeps neither.
 // Every later call reports false, and so does a call before the job is
@@ -584,7 +581,7 @@ func (j *Job) execute() {
 	}
 	switch j.Kind {
 	case KindRun:
-		res, wire, hit, err := elect.RunCachedWire(cache, j.spec, j.opts...)
+		res, wire, hit, err := elect.RunCached(cache, j.spec, j.opts...)
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		if err != nil {
@@ -622,7 +619,7 @@ func (j *Job) execute() {
 			err       error
 		)
 		if j.Kind == KindChunk {
-			chunkOut, chunkWire, err = elect.RunRangeWire(j.spec, b, j.start, j.count)
+			chunkOut, chunkWire, err = elect.RunRange(j.spec, b, j.start, j.count)
 		} else {
 			batchOut, err = elect.RunMany(j.spec, b)
 		}

@@ -380,10 +380,13 @@ func TestSubscribeAfterTerminal(t *testing.T) {
 }
 
 // TestJobRetentionBound: a long-lived manager forgets its oldest terminal
-// jobs past MaxJobs instead of accumulating every result it ever served.
+// jobs past its retention bound instead of accumulating every result it
+// ever served. The bound is lowered from jobRetention to 4 before any
+// submission.
 func TestJobRetentionBound(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxJobs: 4})
+	m := NewManager(Config{Workers: 1})
 	defer m.Close()
+	m.maxJobs = 4
 	spec := mustSpec(t, "tradeoff")
 	var all []*Job
 	for i := 0; i < 12; i++ {
@@ -395,7 +398,7 @@ func TestJobRetentionBound(t *testing.T) {
 		all = append(all, j)
 	}
 	if got := len(m.Jobs()); got > 5 {
-		t.Fatalf("job table holds %d jobs, want <= 5 (MaxJobs 4 + in-flight slack)", got)
+		t.Fatalf("job table holds %d jobs, want <= 5 (bound 4 + in-flight slack)", got)
 	}
 	if _, ok := m.Get(all[0].ID); ok {
 		t.Error("oldest terminal job survived pruning")
@@ -442,7 +445,7 @@ func TestChunkJob(t *testing.T) {
 	if !ok || len(got) != 3 {
 		t.Fatalf("chunk result %d ok=%v", len(got), ok)
 	}
-	want, err := elect.RunRange(spec, batch, 2, 3)
+	want, _, err := elect.RunRange(spec, batch, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,17 +457,12 @@ func TestChunkJob(t *testing.T) {
 		}
 	}
 
-	// A chunk over an out-of-grid range fails cleanly.
-	bad, err := m.SubmitChunk(spec, batch, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := wait(t, bad); s.State != Failed {
-		t.Fatalf("out-of-range chunk: %+v", s)
-	}
-	// A zero-cell chunk is rejected at submission.
-	if _, err := m.SubmitChunk(spec, batch, 0, 0); err == nil {
-		t.Fatal("empty chunk accepted")
+	// Out-of-grid and zero-cell chunks are rejected at submission, before
+	// they take a queue slot.
+	for _, r := range [][2]int{{5, 2}, {0, 0}} {
+		if j, err := m.SubmitChunk(spec, batch, r[0], r[1]); err == nil {
+			t.Fatalf("chunk [%d, +%d) accepted as %s", r[0], r[1], j.ID)
+		}
 	}
 }
 

@@ -289,7 +289,7 @@ func TestChunkReplyMatchesWriteJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := elect.RunRange(spec, batch, req.Start, req.Count)
+			results, _, err := elect.RunRange(spec, batch, req.Start, req.Count)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +352,7 @@ func BenchmarkChunkResponseEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	results, err := elect.RunRange(spec, elect.Batch{
+	results, _, err := elect.RunRange(spec, elect.Batch{
 		Ns: []int{128}, Seeds: elect.Seeds(1, 8),
 		Options: []elect.Option{elect.WithParams(elect.Params{K: 4, D: 2, G: 1, Eps: 1.0 / 16})},
 	}, 0, 8)

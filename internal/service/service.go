@@ -304,7 +304,7 @@ var (
 // RunResponse{Job: st, Result: <wire decoded>, CacheHit: st.CacheHit},
 // with the result's wire bytes spliced in unchanged instead of decoded,
 // re-encoded and compacted again. The bytes are the same:
-// elect.RunCachedWire yields only bytes that Result.MarshalJSON writes for
+// elect.RunCached yields only bytes that Result.MarshalJSON writes for
 // the Result they decode to, and those are compact JSON with HTML escaped,
 // which encoding/json copies as they are. It reports false, having written
 // nothing, when st does not encode.
@@ -395,10 +395,6 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, batch, err := req.Resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := validRange(batch, req.Start, req.Count); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -536,16 +532,6 @@ func writeNotDone(w http.ResponseWriter, st client.JobStatus) {
 		msg = st.Kind + " " + st.State
 	}
 	writeError(w, http.StatusUnprocessableEntity, errors.New(msg))
-}
-
-// validRange rejects malformed cell ranges before they consume a queue
-// slot. elect.RunRange re-validates at execution.
-func validRange(b elect.Batch, start, count int) error {
-	total := elect.GridSize(b.Ns, b.Seeds, b.Topos)
-	if start < 0 || count < 1 || count > total-start {
-		return fmt.Errorf("cell range [%d, %d) outside the %d-cell grid", start, start+count, total)
-	}
-	return nil
 }
 
 // submitOpts assembles the submit options a handler forwards to the jobs

@@ -356,7 +356,7 @@ func TestChunkEndpoint(t *testing.T) {
 		t.Fatalf("%d results, want 4", len(resp.Results))
 	}
 	spec, _ := elect.Lookup("tradeoff")
-	want, err := elect.RunRange(spec, elect.Batch{
+	want, _, err := elect.RunRange(spec, elect.Batch{
 		Ns: []int{32, 64}, Seeds: []uint64{1, 2, 3},
 		Options: []elect.Option{elect.WithParams(elect.Params{K: 4, D: 2, G: 1, Eps: 1.0 / 16})},
 	}, 1, 4)
@@ -384,8 +384,10 @@ func TestChunkEndpoint(t *testing.T) {
 	// Malformed ranges and bad options are 400, execution failures 422.
 	for _, bad := range []client.ChunkRequest{
 		{Spec: "tradeoff", Ns: []int{32}, Seeds: []uint64{1}, Start: 0, Count: 2},
+		{Spec: "tradeoff", Ns: []int{32}, Seeds: []uint64{1}, Start: 1, Count: 1},
 		{Spec: "tradeoff", Ns: []int{32}, Seeds: []uint64{1}, Start: -1, Count: 1},
 		{Spec: "tradeoff", Ns: []int{32}, Seeds: []uint64{1}, Start: 0, Count: 0},
+		{Spec: "tradeoff", Start: 0, Count: 2}, // empty axes: a 1-cell grid
 		{Spec: "bogus", Start: 0, Count: 1},
 		// start+count overflows int. Unchecked, a jobs worker indexed the
 		// topology axis out of range and took the daemon down; the request

@@ -252,17 +252,12 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		dest = cfg.Topo.Dest
 	}
 
-	epKey := func(u, p int) uint64 { return uint64(u)<<32 | uint64(uint32(p)) }
 	// The per-node inboxes come from the pooled arena: their capacity
 	// survives both the per-round reset and the run itself, so a steady
 	// sweep of same-shape runs delivers every message without allocating.
 	arena := proto.GetArena(n)
 	defer arena.Release()
 	inbox := arena.Inboxes()
-	var usedPort map[uint64]struct{} // ports that carried traffic (Trace only)
-	if cfg.Trace != nil {
-		usedPort = make(map[uint64]struct{})
-	}
 	var seenPort map[uint64]int // Strict only: port -> last round sent
 	if cfg.Strict {
 		seenPort = make(map[uint64]int)
@@ -305,8 +300,8 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 				if s.Port < 0 || s.Port >= degOf(u) {
 					return nil, fmt.Errorf("simsync: node %d round %d sent on invalid port %d (degree %d)", u, r, s.Port, degOf(u))
 				}
-				k := epKey(u, s.Port)
 				if cfg.Strict {
+					k := uint64(u)<<32 | uint64(uint32(s.Port))
 					if last, dup := seenPort[k]; dup && last == r {
 						return nil, fmt.Errorf("simsync: node %d round %d sent twice on port %d", u, r, s.Port)
 					}
@@ -314,10 +309,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 				}
 				v, q := dest(u, s.Port)
 				if cfg.Trace != nil {
-					_, used := usedPort[k]
-					cfg.Trace.RecordSend(r, u, v, !used)
-					usedPort[k] = struct{}{}
-					usedPort[epKey(v, q)] = struct{}{}
+					cfg.Trace.RecordSend(r, u, v)
 				}
 				res.Messages++
 				res.Words += int64(s.Msg.Words())

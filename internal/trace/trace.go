@@ -52,17 +52,20 @@ func NewRecorder(n int) *Recorder {
 func (r *Recorder) N() int { return r.n }
 
 // RecordSend records that src sent a message to dst in the given round.
-// opened reports whether this send was the first use of src's port to dst
-// (a "port open" in the paper's terminology).
-func (r *Recorder) RecordSend(round, src, dst int, opened bool) {
+// The send opens src's port to dst (a "port open" in the paper's
+// terminology) when the link between them has carried no message in either
+// direction before: a port is used once a message crossed its link, and in
+// a graph without self-loops or duplicate edges the pair {src, dst} names
+// that link.
+func (r *Recorder) RecordSend(round, src, dst int) {
 	for len(r.roundEdges) <= round {
 		r.roundEdges = append(r.roundEdges, 0)
 	}
-	if opened {
-		r.portOpens[src]++
-	}
 	key := [2]int{src, dst}
 	if _, dup := r.edges[key]; !dup {
+		if _, back := r.edges[[2]int{dst, src}]; !back {
+			r.portOpens[src]++
+		}
 		r.edges[key] = struct{}{}
 		r.roundEdges[round]++
 	}

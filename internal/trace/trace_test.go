@@ -20,12 +20,12 @@ func TestEmptyGraphSingletons(t *testing.T) {
 
 func TestMergeChain(t *testing.T) {
 	r := NewRecorder(5)
-	r.RecordSend(1, 0, 1, true)
-	r.RecordSend(1, 2, 3, true)
+	r.RecordSend(1, 0, 1)
+	r.RecordSend(1, 2, 3)
 	if r.NumComponents() != 3 {
 		t.Fatalf("components = %d", r.NumComponents())
 	}
-	r.RecordSend(2, 1, 2, true)
+	r.RecordSend(2, 1, 2)
 	if r.NumComponents() != 2 {
 		t.Fatalf("components = %d", r.NumComponents())
 	}
@@ -36,17 +36,17 @@ func TestMergeChain(t *testing.T) {
 
 func TestDirectedEdgesAndDuplicates(t *testing.T) {
 	r := NewRecorder(3)
-	r.RecordSend(1, 0, 1, true)
-	r.RecordSend(1, 0, 1, false) // resend over same port: no new edge
-	r.RecordSend(2, 1, 0, true)  // reverse direction: new directed edge
+	r.RecordSend(1, 0, 1)
+	r.RecordSend(1, 0, 1) // resend over same port: no new edge
+	r.RecordSend(2, 1, 0) // reply over the used link: new directed edge, no port open
 	if r.TotalEdges() != 2 {
 		t.Fatalf("edges = %d, want 2", r.TotalEdges())
 	}
 	if r.RoundEdges(1) != 1 || r.RoundEdges(2) != 1 {
 		t.Fatalf("round edges: r1=%d r2=%d", r.RoundEdges(1), r.RoundEdges(2))
 	}
-	if r.TotalPortOpens() != 2 {
-		t.Fatalf("port opens = %d", r.TotalPortOpens())
+	if r.TotalPortOpens() != 1 {
+		t.Fatalf("port opens = %d, want 1", r.TotalPortOpens())
 	}
 }
 
@@ -67,7 +67,7 @@ func TestComponentsMatchNaive(t *testing.T) {
 			if u == v {
 				continue
 			}
-			r.RecordSend(1, u, v, true)
+			r.RecordSend(1, u, v)
 			adj[u][v], adj[v][u] = true, true
 		}
 		// Naive BFS component labelling.
@@ -107,9 +107,9 @@ func TestComponentsMatchNaive(t *testing.T) {
 
 func TestRoundAccounting(t *testing.T) {
 	r := NewRecorder(10)
-	r.RecordSend(3, 0, 1, true)
-	r.RecordSend(3, 0, 2, true)
-	r.RecordSend(5, 4, 5, true)
+	r.RecordSend(3, 0, 1)
+	r.RecordSend(3, 0, 2)
+	r.RecordSend(5, 4, 5)
 	if r.RoundEdges(3) != 2 || r.RoundEdges(4) != 0 || r.RoundEdges(5) != 1 {
 		t.Fatal("round edges wrong")
 	}
@@ -120,9 +120,9 @@ func TestRoundAccounting(t *testing.T) {
 
 func TestPortOpensPerNode(t *testing.T) {
 	r := NewRecorder(4)
-	r.RecordSend(1, 0, 1, true)
-	r.RecordSend(1, 0, 2, true)
-	r.RecordSend(2, 0, 1, false)
+	r.RecordSend(1, 0, 1)
+	r.RecordSend(1, 0, 2)
+	r.RecordSend(2, 0, 1)
 	if r.PortOpens(0) != 2 || r.PortOpens(1) != 0 {
 		t.Fatalf("opens: %d, %d", r.PortOpens(0), r.PortOpens(1))
 	}
