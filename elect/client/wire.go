@@ -314,8 +314,8 @@ func (s JobStatus) Terminal() bool {
 	return s.State == "done" || s.State == "failed" || s.State == "canceled"
 }
 
-// RunResponse is the body answering POST /v1/run and GET /v1/jobs/{id} for
-// run jobs: the job view plus, once done, the result.
+// RunResponse is the body answering POST /v1/run: the job view plus, once
+// done, the result.
 type RunResponse struct {
 	Job      JobStatus     `json:"job"`
 	Result   *elect.Result `json:"result,omitempty"`
@@ -328,8 +328,11 @@ type BatchResponse struct {
 	Result *elect.BatchResult `json:"result,omitempty"`
 }
 
-// JobResponse is the body of GET /v1/jobs/{id}: the job plus whichever
-// result shape it produced (when terminal).
+// JobResponse is the body of GET /v1/jobs/{id}: the job plus the result a
+// done run (Result) or batch (Batch) still holds. An async job holds it
+// until the daemon's job table forgets the job. A synchronous job hands it
+// to its POST reply, so a GET afterwards carries the status only, and a
+// chunk job's results only ever ride its POST /v1/chunk reply.
 type JobResponse struct {
 	Job      JobStatus          `json:"job"`
 	Result   *elect.Result      `json:"result,omitempty"`

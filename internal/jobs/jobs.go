@@ -66,9 +66,11 @@ type Config struct {
 	// turns that into 503). 0 means 256.
 	QueueDepth int
 	// Cache, when non-nil, is consulted by every job: run jobs go through
-	// elect.RunCached and offer its bytes via TakeWire, chunk jobs through
-	// elect.RunRange and offer its bytes via TakeChunk, batch jobs through
-	// elect.RunMany. Jobs submitted with NoCache opt out individually.
+	// elect.RunCached, chunk jobs through elect.RunRange and batch jobs
+	// through elect.RunMany. A run's or a chunk cell's result bytes are the
+	// ones the cache stored or returned; a job encodes a result itself only
+	// where those calls hold no bytes for it. Jobs submitted with NoCache opt
+	// out individually.
 	Cache elect.Cache
 	// BatchWorkers caps the sharded RunMany executor of each batch job.
 	// Without a cap, every concurrent batch job spins up GOMAXPROCS workers
@@ -320,23 +322,19 @@ type Job struct {
 	cancelOnce sync.Once
 	doneCh     chan struct{}
 
-	mu        sync.Mutex
-	state     State
-	err       error
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	done      int
-	total     int
-	cacheHit  bool
-	result    *elect.Result
-	wire      []byte // result's wire bytes until TakeWire (KindRun)
-	taken     bool   // TakeWire or TakeChunk was called: nothing is kept from then on
-	batchRes  *elect.BatchResult
-	chunkRes  []elect.Result // until TakeChunk (KindChunk)
-	chunkWire [][]byte       // chunkRes's wire bytes, until TakeChunk
-	subs      map[int]chan Snapshot
-	nextSub   int
+	mu       sync.Mutex
+	state    State
+	err      error
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	done     int
+	total    int
+	cacheHit bool
+	result   []byte // the encoded result (see Result), until TakeResult
+	taken    bool   // TakeResult was called: nothing is kept from then on
+	subs     map[int]chan Snapshot
+	nextSub  int
 }
 
 // Snapshot is a point-in-time, data-only view of a job, safe to hold after
@@ -413,51 +411,28 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// Result returns the run outcome of a Done KindRun job.
-func (j *Job) Result() (elect.Result, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.result == nil {
-		return elect.Result{}, false
-	}
-	return *j.result, true
-}
-
-// TakeWire hands over the wire bytes of a Done KindRun job's Result, as
-// elect.RunCached produced them, to one caller: the first call returns
-// them (nil when the run yielded none) and drops the job's reference, so
-// the job table keeps only the decoded Result. Every later call returns
-// nil, and so does a call before the job is done, after which the job
-// never keeps the bytes at all. Result is unaffected. The bytes must not be
+// Result returns a Done job's result as the JSON value its reply carries:
+// a run's Result as elect.EncodeResult writes it, a batch's BatchResult as
+// elect.EncodeBatchResult writes it, and a chunk's Results as one JSON
+// array in cell order. It is nil until the job is Done, for a job that
+// failed or was canceled, and after TakeResult. The bytes must not be
 // modified.
-func (j *Job) TakeWire() []byte {
+func (j *Job) Result() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	wire := j.wire
-	j.wire, j.taken = nil, true
-	return wire
+	return j.result
 }
 
-// BatchResult returns the batch outcome of a Done KindBatch job.
-func (j *Job) BatchResult() (*elect.BatchResult, bool) {
+// TakeResult is Result for the one caller that answers the submission: the
+// first call returns the bytes and drops the job's reference, so the job
+// table keeps none. Every later call returns nil, and so does a call before
+// the job is done, after which the job never keeps its result at all.
+func (j *Job) TakeResult() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.batchRes, j.batchRes != nil
-}
-
-// TakeChunk hands over a Done KindChunk job's per-cell Results, in cell
-// order, and their wire bytes as elect.RunRange produced them (a nil
-// entry for a cell without them), to one caller: the first call returns
-// them and drops the job's references, so the job table keeps neither.
-// Every later call reports false, and so does a call before the job is
-// done, after which the job never keeps them at all. The bytes must not be
-// modified.
-func (j *Job) TakeChunk() ([]elect.Result, [][]byte, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	res, wire := j.chunkRes, j.chunkWire
-	j.chunkRes, j.chunkWire, j.taken = nil, nil, true
-	return res, wire, res != nil
+	out := j.result
+	j.result, j.taken = nil, true
+	return out
 }
 
 // Cancel requests cancellation: a queued job is canceled immediately (the
@@ -579,22 +554,18 @@ func (j *Job) execute() {
 	if j.noCache {
 		cache = nil
 	}
+	var (
+		out []byte
+		hit bool
+		err error
+	)
 	switch j.Kind {
 	case KindRun:
-		res, wire, hit, err := elect.RunCached(cache, j.spec, j.opts...)
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if err != nil {
-			j.finishLocked(Failed, err)
-			return
+		var res elect.Result
+		res, out, hit, err = elect.RunCached(cache, j.spec, j.opts...)
+		if err == nil && out == nil {
+			out, err = elect.EncodeResult(res)
 		}
-		j.result = &res
-		if !j.taken {
-			j.wire = wire
-		}
-		j.cacheHit = hit
-		j.done = 1
-		j.finishLocked(Done, nil)
 
 	case KindBatch, KindChunk:
 		b := j.batch
@@ -612,31 +583,58 @@ func (j *Job) execute() {
 			j.notifyLocked()
 			j.mu.Unlock()
 		}
-		var (
-			batchOut  *elect.BatchResult
-			chunkOut  []elect.Result
-			chunkWire [][]byte
-			err       error
-		)
 		if j.Kind == KindChunk {
-			chunkOut, chunkWire, err = elect.RunRange(j.spec, b, j.start, j.count)
+			out, err = encodeChunk(elect.RunRange(j.spec, b, j.start, j.count))
 		} else {
-			batchOut, err = elect.RunMany(j.spec, b)
-		}
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		switch {
-		case errors.Is(err, elect.ErrCanceled):
-			j.finishLocked(Canceled, nil)
-		case err != nil:
-			j.finishLocked(Failed, err)
-		default:
-			j.batchRes = batchOut
-			if !j.taken {
-				j.chunkRes, j.chunkWire = chunkOut, chunkWire
+			var res *elect.BatchResult
+			if res, err = elect.RunMany(j.spec, b); err == nil {
+				out, err = elect.EncodeBatchResult(res)
 			}
-			j.done = j.total
-			j.finishLocked(Done, nil)
 		}
 	}
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case errors.Is(err, elect.ErrCanceled):
+		j.finishLocked(Canceled, nil)
+	case err != nil:
+		j.finishLocked(Failed, err)
+	default:
+		if !j.taken {
+			j.result = out
+		}
+		j.cacheHit = hit
+		j.done = j.total
+		j.finishLocked(Done, nil)
+	}
+}
+
+// encodeChunk joins what elect.RunRange returned into one JSON array in
+// cell order: each cell's wire bytes where RunRange holds them, its
+// EncodeResult bytes where it does not. A RunRange error passes through.
+func encodeChunk(results []elect.Result, wires [][]byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	size := len(wires) + 1 // brackets and commas
+	for i, w := range wires {
+		if w == nil {
+			if w, err = elect.EncodeResult(results[i]); err != nil {
+				return nil, err
+			}
+			wires[i] = w
+		}
+		size += len(w)
+	}
+	out := make([]byte, 0, size)
+	for i, w := range wires {
+		if i == 0 {
+			out = append(out, '[')
+		} else {
+			out = append(out, ',')
+		}
+		out = append(out, w...)
+	}
+	return append(out, ']'), nil
 }

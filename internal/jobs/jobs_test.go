@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -40,9 +41,9 @@ func TestRunJobLifecycle(t *testing.T) {
 	if s.State != Done || s.Done != 1 || s.Total != 1 || s.Err != "" {
 		t.Fatalf("snapshot %+v", s)
 	}
-	res, ok := j.Result()
-	if !ok || !res.OK || res.N != 64 {
-		t.Fatalf("result %+v ok=%v", res, ok)
+	res, err := elect.DecodeResult(j.Result())
+	if err != nil || !res.OK || res.N != 64 {
+		t.Fatalf("result %+v: %v", res, err)
 	}
 	if s.Started.Before(s.Created) || s.Finished.Before(s.Started) {
 		t.Fatalf("timestamps out of order: %+v", s)
@@ -235,8 +236,8 @@ func TestBatchJobProgress(t *testing.T) {
 	if s.State != Done || s.Done != 8 || s.Total != 8 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	if b, ok := j.BatchResult(); !ok || len(b.Runs) != 8 {
-		t.Fatalf("batch result missing")
+	if b, err := elect.DecodeBatchResult(j.Result()); err != nil || len(b.Runs) != 8 {
+		t.Fatalf("batch result missing: %v", err)
 	}
 	// The subscription must deliver a terminal snapshot and then close.
 	var last Snapshot
@@ -263,18 +264,13 @@ func TestBatchWorkersCap(t *testing.T) {
 	if s := wait(t, j); s.State != Done {
 		t.Fatalf("snapshot %+v", s)
 	}
-	got, ok := j.BatchResult()
-	if !ok {
-		t.Fatal("batch result missing")
-	}
 	want, err := elect.RunMany(mustSpec(t, "tradeoff"),
 		elect.Batch{Ns: []int{16, 32}, Seeds: elect.Seeds(5, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, _ := elect.EncodeBatchResult(got)
 	wb, _ := elect.EncodeBatchResult(want)
-	if string(gb) != string(wb) {
+	if string(j.Result()) != string(wb) {
 		t.Fatal("capped batch diverged from direct RunMany")
 	}
 }
@@ -307,13 +303,8 @@ func TestCacheReadThrough(t *testing.T) {
 	if s := wait(t, third); s.CacheHit {
 		t.Fatal("NoCache job reported a cache hit")
 	}
-	r1, _ := first.Result()
-	r2, _ := second.Result()
-	r3, _ := third.Result()
-	b1, _ := elect.EncodeResult(r1)
-	b2, _ := elect.EncodeResult(r2)
-	b3, _ := elect.EncodeResult(r3)
-	if string(b1) != string(b2) || string(b2) != string(b3) {
+	b1, b2, b3 := first.Result(), second.Result(), third.Result()
+	if len(b1) == 0 || string(b1) != string(b2) || string(b2) != string(b3) {
 		t.Fatal("cached, uncached and bypassed runs disagree")
 	}
 }
@@ -441,20 +432,12 @@ func TestChunkJob(t *testing.T) {
 	if s.State != Done || s.Kind != KindChunk || s.Done != 3 || s.Total != 3 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	got, _, ok := j.TakeChunk()
-	if !ok || len(got) != 3 {
-		t.Fatalf("chunk result %d ok=%v", len(got), ok)
-	}
 	want, _, err := elect.RunRange(spec, batch, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		wb, _ := elect.EncodeResult(want[i])
-		gb, _ := elect.EncodeResult(got[i])
-		if string(wb) != string(gb) {
-			t.Fatalf("cell %d differs from direct RunRange", i)
-		}
+	if wb, _ := json.Marshal(want); string(j.TakeResult()) != string(wb) {
+		t.Fatal("chunk differs from direct RunRange")
 	}
 
 	// Out-of-grid and zero-cell chunks are rejected at submission, before
@@ -493,14 +476,8 @@ func TestChunkJobUsesCache(t *testing.T) {
 	if st.Misses != misses || st.Hits != 4 {
 		t.Fatalf("re-dispatched chunk recomputed: %+v", st)
 	}
-	a, _, _ := first.TakeChunk()
-	b, _, _ := second.TakeChunk()
-	for i := range a {
-		ab, _ := elect.EncodeResult(a[i])
-		bb, _ := elect.EncodeResult(b[i])
-		if string(ab) != string(bb) {
-			t.Fatalf("cached replay of cell %d differs", i)
-		}
+	if a, b := first.TakeResult(), second.TakeResult(); len(a) == 0 || string(a) != string(b) {
+		t.Fatal("cached replay differs")
 	}
 }
 
@@ -547,90 +524,13 @@ func TestQueueDepthGauge(t *testing.T) {
 	}
 }
 
-// TestTakeWireOnce pins the take-once contract: a finished run job hands
-// its wire bytes to the first TakeWire and to no later one, its Result
-// outlives the handover, and a TakeWire before the job finishes means the
-// job never keeps the bytes.
-func TestTakeWireOnce(t *testing.T) {
-	var release chan struct{}
-	m := NewManager(Config{
-		Workers: 1,
-		Cache:   resultcache.New(),
-		// A fenced chunk holds the only worker until release closes.
-		CheckFence: func(uint64) error { <-release; return nil },
-	})
-	defer m.Close()
-	spec := mustSpec(t, "tradeoff")
-	opts := []elect.Option{elect.WithN(64), elect.WithSeed(11)}
-
-	for _, pass := range []string{"miss", "hit"} {
-		j, err := m.SubmitRun(spec, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := wait(t, j); s.CacheHit != (pass == "hit") {
-			t.Fatalf("%s: snapshot %+v", pass, s)
-		}
-		res, ok := j.Result()
-		if !ok {
-			t.Fatalf("%s: no result", pass)
-		}
-		want, err := elect.EncodeResult(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := j.TakeWire(); string(got) != string(want) {
-			t.Fatalf("%s: TakeWire gave %q, want %q", pass, got, want)
-		}
-		if got := j.TakeWire(); got != nil {
-			t.Fatalf("%s: a second TakeWire gave %d bytes", pass, len(got))
-		}
-		if again, ok := j.Result(); !ok || again.LeaderID != res.LeaderID {
-			t.Fatalf("%s: Result after TakeWire: %+v ok=%v", pass, again, ok)
-		}
-	}
-
-	j, err := m.SubmitRun(spec, opts, NoCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait(t, j)
-	if got := j.TakeWire(); got != nil {
-		t.Fatalf("an uncached run offered %d wire bytes", len(got))
-	}
-
-	// Decline the bytes while the run is still queued behind a chunk.
-	release = make(chan struct{})
-	chunk, err := m.SubmitChunk(spec, elect.Batch{Ns: []int{8}, Seeds: []uint64{1}}, 0, 1, WithFence(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err = m.SubmitRun(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := j.TakeWire(); got != nil {
-		t.Fatalf("TakeWire on a queued job gave %d bytes", len(got))
-	}
-	close(release)
-	wait(t, chunk)
-	if s := wait(t, j); s.State != Done || !s.CacheHit {
-		t.Fatalf("snapshot %+v", s)
-	}
-	if got := j.TakeWire(); got != nil {
-		t.Fatalf("a declined job kept %d wire bytes", len(got))
-	}
-	if _, ok := j.Result(); !ok {
-		t.Fatal("a declined job lost its Result")
-	}
-}
-
-// TestTakeChunkOnce pins the chunk half of the take-once contract: a
-// finished chunk job hands its Results and their wire bytes to the first
-// TakeChunk and to no later one; the bytes are the canonical encoding of
-// each Result on a miss and on a hit, absent without a cache; and a
-// TakeChunk before the job finishes means the job never keeps either.
-func TestTakeChunkOnce(t *testing.T) {
+// TestTakeResultOnce pins the result contract for every job kind: a
+// finished job's bytes are what encoding/json writes for its result
+// computed directly, on a miss, a hit and without the cache; Result reads
+// them as often as asked; the first TakeResult hands them over and no
+// later one does, after which Result reads nil; and a TakeResult before the
+// job finishes means the job never keeps them.
+func TestTakeResultOnce(t *testing.T) {
 	var release chan struct{}
 	m := NewManager(Config{
 		Workers: 1,
@@ -646,61 +546,88 @@ func TestTakeChunkOnce(t *testing.T) {
 	})
 	defer m.Close()
 	spec := mustSpec(t, "tradeoff")
+	opts := []elect.Option{elect.WithN(64), elect.WithSeed(11)}
 	batch := elect.Batch{Ns: []int{32, 64}, Seeds: elect.Seeds(1, 3)}
-
-	for _, pass := range []string{"miss", "hit"} {
-		j, err := m.SubmitChunk(spec, batch, 1, 4)
+	chunk := elect.Batch{Ns: []int{32, 64}, Seeds: elect.Seeds(4, 3)}
+	for _, kind := range []struct {
+		kind   Kind
+		submit func(...SubmitOption) (*Job, error)
+		direct func() (any, error)
+	}{
+		{KindRun,
+			func(o ...SubmitOption) (*Job, error) { return m.SubmitRun(spec, opts, o...) },
+			func() (any, error) { return elect.Run(spec, opts...) }},
+		{KindBatch,
+			func(o ...SubmitOption) (*Job, error) { return m.SubmitBatch(spec, batch, o...) },
+			func() (any, error) { return elect.RunMany(spec, batch) }},
+		{KindChunk,
+			func(o ...SubmitOption) (*Job, error) { return m.SubmitChunk(spec, chunk, 1, 4, o...) },
+			func() (any, error) {
+				res, _, err := elect.RunRange(spec, chunk, 1, 4)
+				return res, err
+			}},
+	} {
+		res, err := kind.direct()
 		if err != nil {
 			t.Fatal(err)
 		}
-		wait(t, j)
-		res, wire, ok := j.TakeChunk()
-		if !ok || len(res) != 4 || len(wire) != 4 {
-			t.Fatalf("%s: TakeChunk gave %d results, %d wires, ok=%v", pass, len(res), len(wire), ok)
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range res {
-			want, err := elect.EncodeResult(res[i])
+		for _, pass := range []struct {
+			name string
+			opts []SubmitOption
+		}{
+			{"miss", nil},
+			{"hit", nil},
+			{"no_cache", []SubmitOption{NoCache()}},
+		} {
+			label := string(kind.kind) + "/" + pass.name
+			j, err := kind.submit(pass.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(wire[i]) != string(want) {
-				t.Fatalf("%s: cell %d wire %q, want %q", pass, i, wire[i], want)
+			s := wait(t, j)
+			if s.State != Done || s.CacheHit != (kind.kind == KindRun && pass.name == "hit") {
+				t.Fatalf("%s: snapshot %+v", label, s)
+			}
+			for range 2 {
+				if got := j.Result(); string(got) != string(want) {
+					t.Fatalf("%s: Result gave %q, want %q", label, got, want)
+				}
+			}
+			if got := j.TakeResult(); string(got) != string(want) {
+				t.Fatalf("%s: TakeResult gave %q, want %q", label, got, want)
+			}
+			if got := j.TakeResult(); got != nil {
+				t.Fatalf("%s: a second TakeResult gave %d bytes", label, len(got))
+			}
+			if got := j.Result(); got != nil {
+				t.Fatalf("%s: Result after TakeResult gave %d bytes", label, len(got))
 			}
 		}
-		if res, wire, ok := j.TakeChunk(); ok || res != nil || wire != nil {
-			t.Fatalf("%s: a second TakeChunk gave %d results, %d wires", pass, len(res), len(wire))
+
+		// Decline the result while the job is still queued behind a chunk.
+		release = make(chan struct{})
+		blocker, err := m.SubmitChunk(spec, elect.Batch{Ns: []int{8}, Seeds: []uint64{1}}, 0, 1, WithFence(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	j, err := m.SubmitChunk(spec, batch, 0, 2, NoCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait(t, j)
-	res, wire, ok := j.TakeChunk()
-	if !ok || len(res) != 2 || len(wire) != 2 || wire[0] != nil || wire[1] != nil {
-		t.Fatalf("uncached chunk: %d results, wires %q", len(res), wire)
-	}
-
-	// Decline the results while the chunk is still queued behind another.
-	release = make(chan struct{})
-	blocker, err := m.SubmitChunk(spec, elect.Batch{Ns: []int{8}, Seeds: []uint64{1}}, 0, 1, WithFence(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err = m.SubmitChunk(spec, batch, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := j.TakeChunk(); ok {
-		t.Fatal("TakeChunk on a queued job reported results")
-	}
-	close(release)
-	wait(t, blocker)
-	if s := wait(t, j); s.State != Done || s.Done != 3 {
-		t.Fatalf("snapshot %+v", s)
-	}
-	if res, wire, ok := j.TakeChunk(); ok || res != nil || wire != nil {
-		t.Fatalf("a declined job kept %d results and %d wires", len(res), len(wire))
+		j, err := kind.submit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.TakeResult(); got != nil {
+			t.Fatalf("%s: TakeResult on a queued job gave %d bytes", kind.kind, len(got))
+		}
+		close(release)
+		wait(t, blocker)
+		if s := wait(t, j); s.State != Done {
+			t.Fatalf("%s: snapshot %+v", kind.kind, s)
+		}
+		if got, again := j.Result(), j.TakeResult(); got != nil || again != nil {
+			t.Fatalf("%s: a declined job kept %d bytes", kind.kind, max(len(got), len(again)))
+		}
 	}
 }

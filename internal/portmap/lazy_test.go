@@ -133,6 +133,13 @@ func TestDenseCutoff(t *testing.T) {
 	if !denseFits(2048) || denseFits(2049) {
 		t.Fatalf("dense cutoff moved: fits(2048)=%v fits(2049)=%v", denseFits(2048), denseFits(2049))
 	}
+	// The table sizes must not wrap: 4·n·(n-1) in int wraps negative at
+	// n = 65536 on 32 bits, and to 8 at math.MaxInt on any width.
+	for _, n := range []int{65536, math.MaxInt32, math.MaxInt} {
+		if denseFits(n) {
+			t.Fatalf("an n=%d mapping fits the dense tables", n)
+		}
+	}
 	// n = 2048 and 3000 share a pool class: neither may keep the other's
 	// tables alive, in either order.
 	m := new(LazyRandom)

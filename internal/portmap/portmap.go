@@ -129,15 +129,25 @@ func link(u, v int) uint64 {
 // are hashed and memory stays O(#used links) for the million-node sweeps.
 const denseBudget = 16 << 20
 
-// denseWords returns the lengths in words of the ports and pairs bitsets of
-// an n-node mapping.
-func denseWords(n int) (ports, pairs int) {
-	return (n*(n-1) + 63) / 64, (n*n + 63) / 64
+// denseSizes returns the lengths of an n-node mapping's dense tables, the
+// far-end table in entries and the ports and pairs bitsets in words, and
+// whether the far table fits in denseBudget. The fit is tested by division
+// before anything is multiplied, so no size wraps, with a 32-bit int too:
+// past the budget it returns zeros and false.
+func denseSizes(n int) (far, ports, pairs int, fits bool) {
+	if n < 1 || n-1 > denseBudget/4/n {
+		return 0, 0, 0, false
+	}
+	far = n * (n - 1)
+	return far, (far + 63) / 64, (n*n + 63) / 64, true
 }
 
 // denseFits reports whether an n-node mapping's far-end table fits in
 // denseBudget.
-func denseFits(n int) bool { return 4*n*(n-1) <= denseBudget }
+func denseFits(n int) bool {
+	_, _, _, fits := denseSizes(n)
+	return fits
+}
 
 // lazyState is the shared machinery of LazyRandom and Adaptive: consistent
 // lazy wiring with feasibility bookkeeping. The far ends and the membership
@@ -176,12 +186,15 @@ func (s *lazyState) initRepr(n int, rng *xrand.RNG, dense bool) {
 	s.rng = rng
 	s.dense = dense
 	if dense {
-		if size := n * (n - 1); cap(s.far) < size {
+		size, ports, pairs, fits := denseSizes(n)
+		if !fits {
+			panic(fmt.Sprintf("portmap: n = %d is too large for dense tables", n))
+		}
+		if cap(s.far) < size {
 			s.far = make([]uint32, size)
 		} else {
 			s.far = s.far[:size] // stale entries stay: ports masks them
 		}
-		ports, pairs := denseWords(n)
 		s.ports = resize(s.ports, ports)
 		s.pairs = resize(s.pairs, pairs)
 		s.wired, s.links = flatmap.U64Map{}, flatmap.U64Set{}

@@ -15,17 +15,30 @@ import (
 	"cliquelect/internal/resultcache"
 )
 
-// postRun sends a raw POST /v1/run and returns the reply body, its job and
-// whether the reply was spliced. Replies here are all larger than the 2 KiB
-// net/http buffers before it picks a framing, so writeJSON's go out chunked
-// while the splice announces its Content-Length.
-func postRun(t *testing.T, url string, req client.RunRequest) ([]byte, string, bool) {
+// newCachedServer mounts a daemon with a result cache on a test server.
+func newCachedServer(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
+	cfg.Cache = resultcache.New()
+	srv := New(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return srv, ts.URL
+}
+
+// post sends req as a raw POST to route and returns the reply body, its job
+// and whether the reply was spliced. Replies here are all larger than the
+// 2 KiB net/http buffers before it picks a framing, so a writeJSON reply
+// would go out chunked while the splice announces its Content-Length.
+func post(t *testing.T, url, route string, req any) ([]byte, string, bool) {
 	t.Helper()
 	data, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/run", "application/json", bytes.NewReader(data))
+	resp, err := http.Post(url+route, "application/json", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,34 +63,24 @@ func writeJSONBody(v any) []byte {
 	return rec.Body.Bytes()
 }
 
-// wantRunBody is the reply encoding/json writes for the finished run job.
-func wantRunBody(t *testing.T, srv *Server, id string) []byte {
+// finished waits for job id and returns its wire status.
+func finished(t *testing.T, srv *Server, id string) client.JobStatus {
 	t.Helper()
 	job, ok := srv.mgr.Get(id)
 	if !ok {
 		t.Fatalf("job %q unknown", id)
 	}
-	res, ok := job.Result()
-	if !ok {
-		t.Fatalf("job %q has no result", id)
-	}
-	st := status(job)
-	return writeJSONBody(client.RunResponse{Job: st, Result: &res, CacheHit: st.CacheHit})
+	<-job.Done()
+	return status(job)
 }
 
-// TestRunReplyMatchesWriteJSON is the differential test of the spliced
-// /v1/run writer: for misses, hits and uncached runs of every serving
-// spec, and for round-traced and faulted runs, the reply is byte for byte
-// the one writeJSON writes for the same job. Every cached reply is spliced
-// except a round-traced hit, whose bytes the canonical decoder leaves to
-// the reference.
+// TestRunReplyMatchesWriteJSON is the differential test of the /v1/run
+// reply: for misses, hits and uncached runs of every serving spec, and for
+// round-traced and faulted runs, the reply is spliced and byte for byte
+// what writeJSON writes for the job's status and the Result elect.Run
+// computes for the same request.
 func TestRunReplyMatchesWriteJSON(t *testing.T) {
-	srv := New(Config{Cache: resultcache.New()})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	srv, url := newCachedServer(t, Config{})
 	reqs := map[string]client.RunRequest{
 		"tradeoff":      {Spec: "tradeoff", N: 256, Seed: 3, Options: client.Options{Params: &client.ParamSpec{K: intp(4)}}},
 		"afekgafni":     {Spec: "afekgafni", N: 256, Seed: 3},
@@ -86,34 +89,44 @@ func TestRunReplyMatchesWriteJSON(t *testing.T) {
 		"faulted":       {Spec: "asynctradeoff", N: 256, Seed: 5, Options: client.Options{Faults: "crash=0.25"}},
 	}
 	for name, req := range reqs {
+		spec, opts, err := req.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := elect.Run(spec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		nocache := req
 		nocache.NoCache = true
 		for _, pass := range []struct {
-			name         string
-			req          client.RunRequest
-			hit, spliced bool
+			name string
+			req  client.RunRequest
+			hit  bool
 		}{
-			{"miss", req, false, true},
-			{"hit", req, true, !req.RoundTrace},
-			{"no_cache", nocache, false, false},
+			{"miss", req, false},
+			{"hit", req, true},
+			{"no_cache", nocache, false},
 		} {
-			body, id, spliced := postRun(t, ts.URL, pass.req)
-			if want := wantRunBody(t, srv, id); !bytes.Equal(body, want) {
+			body, id, spliced := post(t, url, "/v1/run", pass.req)
+			st := finished(t, srv, id)
+			if want := writeJSONBody(client.RunResponse{Job: st, Result: &res, CacheHit: st.CacheHit}); !bytes.Equal(body, want) {
 				t.Fatalf("%s/%s: reply differs from writeJSON's:\n got %s\nwant %s", name, pass.name, body, want)
 			}
-			if hit := bytes.HasSuffix(body, []byte(`"cache_hit":true}`+"\n")); hit != pass.hit {
-				t.Fatalf("%s/%s: cache_hit %v, want %v", name, pass.name, hit, pass.hit)
+			if st.CacheHit != pass.hit {
+				t.Fatalf("%s/%s: cache_hit %v, want %v", name, pass.name, st.CacheHit, pass.hit)
 			}
-			if spliced != pass.spliced {
-				t.Fatalf("%s/%s: spliced %v, want %v", name, pass.name, spliced, pass.spliced)
+			if !spliced {
+				t.Fatalf("%s/%s: reply not spliced", name, pass.name)
 			}
 		}
 	}
 }
 
 // TestRunReplyPlantedBytes plants a cache entry that decodes but is not
-// canonical (2.5E+3 where EncodeResult writes 2500): the hit must not be
-// spliced, and its reply must still be writeJSON's.
+// canonical (2.5E+3 where EncodeResult writes 2500): the job re-encodes
+// the hit's Result, and the spliced reply is writeJSON's for the Result
+// the planted bytes decode to.
 func TestRunReplyPlantedBytes(t *testing.T) {
 	cache := resultcache.New()
 	srv := New(Config{Cache: cache})
@@ -144,47 +157,173 @@ func TestRunReplyPlantedBytes(t *testing.T) {
 		t.Fatalf("no time_units to plant in %s", canonical)
 	}
 	cache.Put(key, planted)
+	hit, err := elect.DecodeResult(planted)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	body, id, spliced := postRun(t, ts.URL, req)
-	if want := wantRunBody(t, srv, id); !bytes.Equal(body, want) {
+	body, id, spliced := post(t, ts.URL, "/v1/run", req)
+	st := finished(t, srv, id)
+	if want := writeJSONBody(client.RunResponse{Job: st, Result: &hit, CacheHit: st.CacheHit}); !bytes.Equal(body, want) {
 		t.Fatalf("planted hit differs from writeJSON's:\n got %s\nwant %s", body, want)
 	}
-	if spliced {
-		t.Fatal("the planted bytes were spliced")
+	if !spliced {
+		t.Fatal("the planted hit's reply was not spliced")
 	}
-	if !strings.Contains(string(body), `"time_units":2500,`) || !strings.Contains(string(body), `"cache_hit":true}`) {
+	if !strings.Contains(string(body), `"time_units":2500,`) || !st.CacheHit {
 		t.Fatalf("planted hit was not served re-encoded from the cache: %s", body)
 	}
 }
 
-// TestJobReplyAfterRun: GET /v1/jobs/{id} for a run whose reply took the
-// job's wire bytes still answers from the decoded Result, exactly as
-// writeJSON encodes the job.
-func TestJobReplyAfterRun(t *testing.T) {
-	srv := New(Config{Cache: resultcache.New()})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	req := client.RunRequest{Spec: "afekgafni", N: 256, Seed: 2}
-	for _, pass := range []string{"miss", "hit"} {
-		_, id, _ := postRun(t, ts.URL, req)
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+// TestBatchReplyMatchesWriteJSON is the differential test of the
+// /v1/batch reply: for misses, hits and uncached batches of plain,
+// topology-swept, round-traced and faulted grids, the reply is spliced and
+// byte for byte what writeJSON writes for the job's status and the
+// BatchResult elect.RunMany computes for the same request.
+func TestBatchReplyMatchesWriteJSON(t *testing.T) {
+	srv, url := newCachedServer(t, Config{})
+	reqs := map[string]client.BatchRequest{
+		"tradeoff": {Spec: "tradeoff", Ns: []int{64, 128}, SeedCount: 3,
+			Options: client.Options{Params: &client.ParamSpec{K: intp(4)}}},
+		"topology":   {Spec: "kuttenmoses", Ns: []int{16, 32}, Seeds: []uint64{4, 5}, Topos: []string{"ring", "torus"}},
+		"roundtrace": {Spec: "tradeoff", Ns: []int{64}, Seeds: []uint64{6, 7}, Options: client.Options{RoundTrace: true}},
+		"faulted":    {Spec: "asynctradeoff", Ns: []int{64}, SeedCount: 4, Options: client.Options{Faults: "crash=0.25"}},
+	}
+	for name, req := range reqs {
+		spec, batch, err := req.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		res, err := elect.RunMany(spec, batch)
 		if err != nil {
 			t.Fatal(err)
+		}
+		nocache := req
+		nocache.NoCache = true
+		for _, pass := range []struct {
+			name string
+			req  client.BatchRequest
+		}{
+			{"miss", req},
+			{"hit", req},
+			{"no_cache", nocache},
+		} {
+			body, id, spliced := post(t, url, "/v1/batch", pass.req)
+			st := finished(t, srv, id)
+			if want := writeJSONBody(client.BatchResponse{Job: st, Result: res}); !bytes.Equal(body, want) {
+				t.Fatalf("%s/%s: reply differs from writeJSON's:\n got %s\nwant %s", name, pass.name, body, want)
+			}
+			if !spliced {
+				t.Fatalf("%s/%s: reply not spliced", name, pass.name)
+			}
+		}
+	}
+}
+
+// getJob sends GET /v1/jobs/{id} and returns the reply body, failing
+// unless it is a 200 announcing its Content-Length.
+func getJob(t *testing.T, url, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) {
+		t.Fatalf("GET job: status %d, Content-Length %d for %d bytes: %s",
+			resp.StatusCode, resp.ContentLength, len(body), body)
+	}
+	return body
+}
+
+// postAsync submits req to route asynchronously and returns its job id.
+func postAsync(t *testing.T, url, route string, req any) string {
+	t.Helper()
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+route, "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async POST %s: status %d", route, resp.StatusCode)
+	}
+	return resp.Header.Get("X-Job-Id")
+}
+
+// TestJobReplyAfterRun: GET /v1/jobs/{id} of a finished async run or batch
+// is byte for byte writeJSON's JobResponse for the result elect.Run or
+// elect.RunMany computes, on a miss and on a hit, while a synchronous
+// run's reply took its result, so its GET carries the status only.
+func TestJobReplyAfterRun(t *testing.T) {
+	srv, url := newCachedServer(t, Config{})
+	run := client.RunRequest{Spec: "afekgafni", N: 256, Seed: 2}
+	spec, opts, err := run.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := elect.Run(spec, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := client.BatchRequest{Spec: "tradeoff", Ns: []int{64}, SeedCount: 3}
+	bspec, b, err := batch.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bres, err := elect.RunMany(bspec, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asyncRun, asyncBatch := run, batch
+	asyncRun.Async, asyncBatch.Async = true, true
+	for _, pass := range []string{"miss", "hit"} {
+		id := postAsync(t, url, "/v1/run", asyncRun)
+		st := finished(t, srv, id)
+		want := writeJSONBody(client.JobResponse{Job: st, Result: &res, CacheHit: st.CacheHit})
+		if got := getJob(t, url, id); !bytes.Equal(got, want) {
+			t.Fatalf("%s: GET async run:\n got %s\nwant %s", pass, got, want)
+		}
+
+		id = postAsync(t, url, "/v1/batch", asyncBatch)
+		st = finished(t, srv, id)
+		want = writeJSONBody(client.JobResponse{Job: st, Batch: bres})
+		if got := getJob(t, url, id); !bytes.Equal(got, want) {
+			t.Fatalf("%s: GET async batch:\n got %s\nwant %s", pass, got, want)
+		}
+
+		_, id, _ = post(t, url, "/v1/run", run)
+		st = finished(t, srv, id)
+		want = writeJSONBody(client.JobResponse{Job: st, CacheHit: st.CacheHit})
+		if got := getJob(t, url, id); !bytes.Equal(got, want) {
+			t.Fatalf("%s: GET sync run:\n got %s\nwant %s", pass, got, want)
+		}
+	}
+}
+
+// TestSyncReplyKeepsNothing: once a synchronous POST /v1/run, /v1/batch or
+// /v1/chunk has answered, the job table holds none of its result bytes.
+func TestSyncReplyKeepsNothing(t *testing.T) {
+	srv, url := newCachedServer(t, Config{})
+	for route, req := range map[string]any{
+		"/v1/run":   client.RunRequest{Spec: "tradeoff", N: 256, Seed: 1},
+		"/v1/batch": client.BatchRequest{Spec: "tradeoff", Ns: []int{64}, SeedCount: 3},
+		"/v1/chunk": client.ChunkRequest{Spec: "tradeoff", Ns: []int{64}, Seeds: []uint64{1, 2, 3}, Start: 0, Count: 3},
+	} {
+		_, id, _ := post(t, url, route, req)
+		if st := finished(t, srv, id); st.State != "done" {
+			t.Fatalf("%s: job %+v", route, st)
 		}
 		job, _ := srv.mgr.Get(id)
-		res, _ := job.Result()
-		st := status(job)
-		want := writeJSONBody(client.JobResponse{Job: st, Result: &res, CacheHit: st.CacheHit})
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
-			t.Fatalf("%s: GET job status %d:\n got %s\nwant %s", pass, resp.StatusCode, body, want)
+		if got := job.Result(); got != nil {
+			t.Fatalf("%s: the answered job kept %d result bytes", route, len(got))
 		}
 	}
 }
@@ -218,7 +357,7 @@ func BenchmarkRunResponseEncode(b *testing.B) {
 		b.SetBytes(int64(len(wire)))
 		b.ReportAllocs()
 		for b.Loop() {
-			writeRunWire(w, st, wire)
+			writeJobReply(w, st, "result", wire, tailHit)
 		}
 	})
 	b.Run("writeJSON", func(b *testing.B) {
@@ -230,40 +369,12 @@ func BenchmarkRunResponseEncode(b *testing.B) {
 	})
 }
 
-// postChunk sends a raw POST /v1/chunk and returns the reply body and
-// whether the reply was spliced (announced its Content-Length).
-func postChunk(t *testing.T, url string, req client.ChunkRequest) ([]byte, bool) {
-	t.Helper()
-	data, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/chunk", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-		t.Fatalf("status %d, Content-Type %q: %s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
-	}
-	if len(body) <= 2048 {
-		t.Fatalf("a %d-byte reply is too small to tell the writers apart", len(body))
-	}
-	return body, resp.ContentLength == int64(len(body))
-}
-
-// TestChunkReplyMatchesWriteJSON is the differential test of the spliced
-// /v1/chunk writer: on traced and untraced daemons, for misses, hits and
+// TestChunkReplyMatchesWriteJSON is the differential test of the
+// /v1/chunk reply: on traced and untraced daemons, for misses, hits and
 // uncached chunks of plain, topology-swept and round-traced grids, the
-// reply is byte for byte what writeJSON writes for the same results (run
-// locally with elect.RunRange) and spans (as the reply carries them).
-// Every cached reply is spliced except one holding a round-traced hit,
-// whose bytes the canonical decoder leaves to the reference; no_cache
-// replies always fall back.
+// reply is spliced and byte for byte what writeJSON writes for the same
+// results (run locally with elect.RunRange) and spans (as the reply
+// carries them).
 func TestChunkReplyMatchesWriteJSON(t *testing.T) {
 	reqs := map[string]client.ChunkRequest{
 		"tradeoff": {Spec: "tradeoff", Ns: []int{64, 128}, Seeds: []uint64{1, 2, 3}, Start: 1, Count: 4,
@@ -274,16 +385,11 @@ func TestChunkReplyMatchesWriteJSON(t *testing.T) {
 			Options: client.Options{RoundTrace: true}},
 	}
 	for _, traced := range []bool{false, true} {
-		cfg := Config{Cache: resultcache.New(), TraceSpans: -1}
+		cfg := Config{TraceSpans: -1}
 		if traced {
 			cfg.TraceSpans = 0
 		}
-		srv := New(cfg)
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(func() {
-			ts.Close()
-			srv.Close()
-		})
+		_, url := newCachedServer(t, cfg)
 		for name, req := range reqs {
 			spec, batch, err := req.Resolve()
 			if err != nil {
@@ -296,16 +402,15 @@ func TestChunkReplyMatchesWriteJSON(t *testing.T) {
 			nocache := req
 			nocache.NoCache = true
 			for _, pass := range []struct {
-				name    string
-				req     client.ChunkRequest
-				spliced bool
+				name string
+				req  client.ChunkRequest
 			}{
-				{"miss", req, true},
-				{"hit", req, !req.RoundTrace},
-				{"no_cache", nocache, false},
+				{"miss", req},
+				{"hit", req},
+				{"no_cache", nocache},
 			} {
 				label := fmt.Sprintf("traced=%v %s/%s", traced, name, pass.name)
-				body, spliced := postChunk(t, ts.URL, pass.req)
+				body, _, spliced := post(t, url, "/v1/chunk", pass.req)
 				var got client.ChunkResponse
 				if err := json.Unmarshal(body, &got); err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -317,35 +422,16 @@ func TestChunkReplyMatchesWriteJSON(t *testing.T) {
 				if !bytes.Equal(body, want) {
 					t.Fatalf("%s: reply differs from writeJSON's:\n got %s\nwant %s", label, body, want)
 				}
-				if spliced != pass.spliced {
-					t.Fatalf("%s: spliced %v, want %v", label, spliced, pass.spliced)
+				if !spliced {
+					t.Fatalf("%s: reply not spliced", label)
 				}
 			}
 		}
 	}
 }
 
-// TestChunkJobKeepsNothing: once POST /v1/chunk has answered, the job table
-// holds neither the chunk's Results nor their bytes.
-func TestChunkJobKeepsNothing(t *testing.T) {
-	srv := New(Config{Cache: resultcache.New()})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	postChunk(t, ts.URL, client.ChunkRequest{Spec: "tradeoff", Ns: []int{64}, Seeds: []uint64{1, 2, 3}, Start: 0, Count: 3})
-	jobs := srv.mgr.Jobs()
-	if len(jobs) != 1 {
-		t.Fatalf("%d jobs, want 1", len(jobs))
-	}
-	if res, wire, ok := jobs[0].TakeChunk(); ok || res != nil || wire != nil {
-		t.Fatalf("the answered chunk job kept %d results and %d wires", len(res), len(wire))
-	}
-}
-
 // BenchmarkChunkResponseEncode writes an 8-result POST /v1/chunk reply for
-// tradeoff k=4 at n=128: spliced from the cached bytes, and through
+// tradeoff k=4 at n=128: spliced from the job's result bytes, and through
 // writeJSON, which re-encodes and compacts every Result.
 func BenchmarkChunkResponseEncode(b *testing.B) {
 	spec, err := elect.Lookup("tradeoff")
@@ -359,24 +445,20 @@ func BenchmarkChunkResponseEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wire := make([][]byte, len(results))
-	size := 0
-	for i, res := range results {
-		if wire[i], err = elect.EncodeResult(res); err != nil {
-			b.Fatal(err)
-		}
-		size += len(wire[i])
+	wire, err := json.Marshal(results)
+	if err != nil {
+		b.Fatal(err)
 	}
 	w := discardWriter{h: http.Header{}}
 	b.Run("splice", func(b *testing.B) {
-		b.SetBytes(int64(size))
+		b.SetBytes(int64(len(wire)))
 		b.ReportAllocs()
 		for b.Loop() {
-			writeChunkWire(w, wire, nil)
+			writeSpliced(w, chunkHead, wire, tailEnd)
 		}
 	})
 	b.Run("writeJSON", func(b *testing.B) {
-		b.SetBytes(int64(size))
+		b.SetBytes(int64(len(wire)))
 		b.ReportAllocs()
 		for b.Loop() {
 			writeJSON(w, http.StatusOK, client.ChunkResponse{Results: results})

@@ -9,8 +9,9 @@
 //	POST /v1/chunk     — a cell range of a batch grid, synchronous; the
 //	                     worker-side call of distributed dispatch
 //	GET  /v1/jobs      — list all jobs
-//	GET  /v1/jobs/{id} — job status + result; Accept: text/event-stream
-//	                     switches to SSE progress streaming
+//	GET  /v1/jobs/{id} — job status + result (none once a synchronous reply
+//	                     took it); Accept: text/event-stream switches to SSE
+//	                     progress streaming
 //	DELETE /v1/jobs/{id} — cancel
 //	GET  /v1/specs     — the protocol registry
 //	GET  /healthz      — liveness + job/cache counters
@@ -266,14 +267,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
-	// A reply that does not splice the wire bytes declines them, so the
-	// job table keeps only the decoded Result.
-	defer job.TakeWire()
 	w.Header().Set("X-Job-Id", job.ID)
 	if req.Async {
 		writeJSON(w, http.StatusAccepted, client.RunResponse{Job: status(job)})
 		return
 	}
+	// The reply is the only reader of a synchronous job's result: whether
+	// or not one is written, the job table keeps none of it.
+	defer job.TakeResult()
 	if !s.await(w, r, job) {
 		return
 	}
@@ -282,52 +283,59 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeNotDone(w, st)
 		return
 	}
-	if wire := job.TakeWire(); wire != nil && writeRunWire(w, st, wire) {
-		return
-	}
-	resp := client.RunResponse{Job: st, CacheHit: st.CacheHit}
-	if res, ok := job.Result(); ok {
-		resp.Result = &res
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJobReply(w, st, "result", job.TakeResult(), cacheHitTail(st.CacheHit))
 }
 
-// Envelope pieces around a run's spliced job status and result bytes.
+// Envelope pieces around a job's status and its spliced result.
 var (
-	runHead    = []byte(`{"job":`)
-	runResult  = []byte(`,"result":`)
-	runTailHit = []byte(`,"cache_hit":true}` + "\n")
-	runTailMis = []byte(`,"cache_hit":false}` + "\n")
+	chunkHead = []byte(`{"results":`)
+	spansKey  = []byte(`,"spans":`)
+	tailEnd   = []byte("}\n")
+	tailHit   = []byte(`,"cache_hit":true}` + "\n")
+	tailMiss  = []byte(`,"cache_hit":false}` + "\n")
 )
 
-// writeRunWire writes the 200 reply writeJSON would write for
-// RunResponse{Job: st, Result: <wire decoded>, CacheHit: st.CacheHit},
-// with the result's wire bytes spliced in unchanged instead of decoded,
-// re-encoded and compacted again. The bytes are the same:
-// elect.RunCached yields only bytes that Result.MarshalJSON writes for
-// the Result they decode to, and those are compact JSON with HTML escaped,
-// which encoding/json copies as they are. It reports false, having written
-// nothing, when st does not encode.
-func writeRunWire(w http.ResponseWriter, st client.JobStatus, wire []byte) bool {
+// cacheHitTail closes a run or job reply with its cache_hit field.
+func cacheHitTail(hit bool) []byte {
+	if hit {
+		return tailHit
+	}
+	return tailMiss
+}
+
+// writeJobReply writes the 200 reply whose first field is the job status
+// st, followed by the field key holding result when result is not nil,
+// then tail.
+func writeJobReply(w http.ResponseWriter, st client.JobStatus, key string, result, tail []byte) {
 	job, err := json.Marshal(st)
 	if err != nil {
-		return false
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	tail := runTailMis
-	if st.CacheHit {
-		tail = runTailHit
+	head := make([]byte, 0, len(job)+len(key)+12)
+	head = append(append(head, `{"job":`...), job...)
+	if result != nil {
+		head = append(append(append(head, `,"`...), key...), `":`...)
 	}
-	head := make([]byte, 0, len(runHead)+len(job)+len(runResult))
-	head = append(append(append(head, runHead...), job...), runResult...)
+	writeSpliced(w, head, result, tail)
+}
+
+// writeSpliced writes the 200 JSON reply head + result + tail with its
+// Content-Length. It is the one writer of every reply that carries a
+// result: result is a job's result bytes (jobs.Job.Result), spliced in
+// unchanged, so the reply is byte for byte what writeJSON writes for the
+// decoded response. encoding/json copies a value's MarshalJSON output
+// compacted with HTML escaped, and that is the form elect's encoders and
+// the canonical cache bytes already have.
+func writeSpliced(w http.ResponseWriter, head, result, tail []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(wire)+len(tail)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(result)+len(tail)))
 	w.WriteHeader(http.StatusOK)
 	// As in writeJSON, a failed write means the caller is gone: there is no
 	// one left to report it to.
 	w.Write(head)
-	w.Write(wire)
+	w.Write(result)
 	w.Write(tail)
-	return true
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -368,6 +376,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, client.BatchResponse{Job: status(job)})
 		return
 	}
+	defer job.TakeResult() // as in handleRun
 	if !s.await(w, r, job) {
 		return
 	}
@@ -376,11 +385,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeNotDone(w, st)
 		return
 	}
-	resp := client.BatchResponse{Job: st}
-	if b, ok := job.BatchResult(); ok {
-		resp.Result = b
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJobReply(w, st, "result", job.TakeResult(), tailEnd)
 }
 
 // handleChunk executes a cell range of a batch grid synchronously — the
@@ -432,9 +437,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
-	// The reply is the only reader of the chunk's results: whether or not
-	// one is written, the job table keeps none of them.
-	defer job.TakeChunk()
+	defer job.TakeResult() // as in handleRun
 	w.Header().Set("X-Job-Id", job.ID)
 	if !s.await(w, r, job) {
 		return
@@ -448,61 +451,18 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeNotDone(w, st)
 		return
 	}
-	results, wire, _ := job.TakeChunk()
-	resp := client.ChunkResponse{Results: results}
+	// The reply is ChunkResponse{Results, Spans}: the spans, when traced,
+	// ride in the tail after the spliced results.
+	tail := tailEnd
 	if sc := obs.SpanFromContext(r.Context()); sc.Valid() {
-		resp.Spans = s.chunkSpans(r, sc, job.Snapshot())
-	}
-	if writeChunkWire(w, wire, resp.Spans) {
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// Envelope pieces around a chunk's spliced result bytes and spans.
-var (
-	chunkHead     = []byte(`{"results":[`)
-	chunkComma    = []byte(`,`)
-	chunkSpansKey = []byte(`],"spans":`)
-	chunkEnd      = []byte("}\n")
-	chunkTail     = []byte(`]}` + "\n")
-)
-
-// writeChunkWire writes the 200 reply writeJSON would write for
-// ChunkResponse{Results: <wire decoded>, Spans: spans}, with each result's
-// wire bytes spliced in unchanged, as writeRunWire does for one run. It
-// reports false, having written nothing, when a result has no bytes (an
-// uncached chunk, a non-canonical hit) or the spans do not encode.
-func writeChunkWire(w http.ResponseWriter, wire [][]byte, spans []obs.Span) bool {
-	if len(wire) == 0 || slices.ContainsFunc(wire, func(b []byte) bool { return b == nil }) {
-		return false
-	}
-	tail := chunkTail
-	if len(spans) > 0 {
-		data, err := json.Marshal(spans)
+		spans, err := json.Marshal(s.chunkSpans(r, sc, job.Snapshot()))
 		if err != nil {
-			return false
+			writeError(w, http.StatusInternalServerError, err)
+			return
 		}
-		tail = slices.Concat(chunkSpansKey, data, chunkEnd)
+		tail = slices.Concat(spansKey, spans, tailEnd)
 	}
-	size := len(chunkHead) + len(wire) - 1 + len(tail)
-	for _, b := range wire {
-		size += len(b)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(size))
-	w.WriteHeader(http.StatusOK)
-	// As in writeJSON, a failed write means the caller is gone: there is no
-	// one left to report it to.
-	w.Write(chunkHead)
-	for i, b := range wire {
-		if i > 0 {
-			w.Write(chunkComma)
-		}
-		w.Write(b)
-	}
-	w.Write(tail)
-	return true
+	writeSpliced(w, chunkHead, job.TakeResult(), tail)
 }
 
 // chunkSpans builds the worker-side span set a chunk response carries back
@@ -641,15 +601,20 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.streamJob(w, r, job)
 		return
 	}
+	// The status is read before the result: a job that finishes in between
+	// shows as running beside its result, never as done without it.
+	// JobResponse has no field for a chunk's results, which only the
+	// chunk's own reply carries.
 	st := status(job)
-	resp := client.JobResponse{Job: st, CacheHit: st.CacheHit}
-	if res, ok := job.Result(); ok {
-		resp.Result = &res
+	var key string
+	var result []byte
+	switch job.Kind {
+	case jobs.KindRun:
+		key, result = "result", job.Result()
+	case jobs.KindBatch:
+		key, result = "batch", job.Result()
 	}
-	if b, ok := job.BatchResult(); ok {
-		resp.Batch = b
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJobReply(w, st, key, result, cacheHitTail(st.CacheHit))
 }
 
 // streamJob serves the SSE progress feed: one "progress" event per

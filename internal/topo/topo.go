@@ -64,7 +64,7 @@ type Graph struct {
 }
 
 // maxNodes bounds explicit graphs so CSR indices fit in uint32.
-const maxNodes = 1 << 31
+const maxNodes int64 = 1 << 31 // int64: 2³¹ overflows a 32-bit int
 
 // N implements Topology.
 func (g *Graph) N() int { return g.n }
@@ -97,7 +97,7 @@ func newGraph(name string, n int, edges [][2]int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topo: n = %d", n)
 	}
-	if n > maxNodes {
+	if int64(n) > maxNodes {
 		return nil, fmt.Errorf("topo: n = %d exceeds the %d-node CSR limit", n, maxNodes)
 	}
 	g := &Graph{name: name, n: n, off: make([]uint32, n+1)}
