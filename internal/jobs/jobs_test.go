@@ -524,13 +524,26 @@ func TestQueueDepthGauge(t *testing.T) {
 	}
 }
 
-// TestTakeResultOnce pins the result contract for every job kind: a
-// finished job's bytes are what encoding/json writes for its result
-// computed directly, on a miss, a hit and without the cache; Result reads
-// them as often as asked; the first TakeResult hands them over and no
-// later one does, after which Result reads nil; and a TakeResult before the
-// job finishes means the job never keeps them.
-func TestTakeResultOnce(t *testing.T) {
+// TestTakeWireOnce pins the result contract for a run job; see
+// takeResultOnce.
+func TestTakeWireOnce(t *testing.T) { takeResultOnce(t, KindRun) }
+
+// TestTakeBatchOnce pins the result contract for a batch job; see
+// takeResultOnce.
+func TestTakeBatchOnce(t *testing.T) { takeResultOnce(t, KindBatch) }
+
+// TestTakeChunkOnce pins the result contract for a chunk job; see
+// takeResultOnce.
+func TestTakeChunkOnce(t *testing.T) { takeResultOnce(t, KindChunk) }
+
+// takeResultOnce pins the result contract for one job kind: a finished
+// job's bytes are what encoding/json writes for its result computed
+// directly, on a miss, a hit and without the cache; Result reads them as
+// often as asked; the first TakeResult hands them over and no later one
+// does, after which Result reads nil; and a TakeResult before the job
+// finishes means the job never keeps them.
+func takeResultOnce(t *testing.T, kind Kind) {
+	t.Helper()
 	var release chan struct{}
 	m := NewManager(Config{
 		Workers: 1,
@@ -549,85 +562,86 @@ func TestTakeResultOnce(t *testing.T) {
 	opts := []elect.Option{elect.WithN(64), elect.WithSeed(11)}
 	batch := elect.Batch{Ns: []int{32, 64}, Seeds: elect.Seeds(1, 3)}
 	chunk := elect.Batch{Ns: []int{32, 64}, Seeds: elect.Seeds(4, 3)}
-	for _, kind := range []struct {
-		kind   Kind
+	var (
 		submit func(...SubmitOption) (*Job, error)
 		direct func() (any, error)
+	)
+	switch kind {
+	case KindRun:
+		submit = func(o ...SubmitOption) (*Job, error) { return m.SubmitRun(spec, opts, o...) }
+		direct = func() (any, error) { return elect.Run(spec, opts...) }
+	case KindBatch:
+		submit = func(o ...SubmitOption) (*Job, error) { return m.SubmitBatch(spec, batch, o...) }
+		direct = func() (any, error) { return elect.RunMany(spec, batch) }
+	case KindChunk:
+		submit = func(o ...SubmitOption) (*Job, error) { return m.SubmitChunk(spec, chunk, 1, 4, o...) }
+		direct = func() (any, error) {
+			res, _, err := elect.RunRange(spec, chunk, 1, 4)
+			return res, err
+		}
+	default:
+		t.Fatalf("no result contract for job kind %q", kind)
+	}
+	res, err := direct()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []struct {
+		name string
+		opts []SubmitOption
 	}{
-		{KindRun,
-			func(o ...SubmitOption) (*Job, error) { return m.SubmitRun(spec, opts, o...) },
-			func() (any, error) { return elect.Run(spec, opts...) }},
-		{KindBatch,
-			func(o ...SubmitOption) (*Job, error) { return m.SubmitBatch(spec, batch, o...) },
-			func() (any, error) { return elect.RunMany(spec, batch) }},
-		{KindChunk,
-			func(o ...SubmitOption) (*Job, error) { return m.SubmitChunk(spec, chunk, 1, 4, o...) },
-			func() (any, error) {
-				res, _, err := elect.RunRange(spec, chunk, 1, 4)
-				return res, err
-			}},
+		{"miss", nil},
+		{"hit", nil},
+		{"no_cache", []SubmitOption{NoCache()}},
 	} {
-		res, err := kind.direct()
+		label := string(kind) + "/" + pass.name
+		j, err := submit(pass.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
+		s := wait(t, j)
+		if s.State != Done || s.CacheHit != (kind == KindRun && pass.name == "hit") {
+			t.Fatalf("%s: snapshot %+v", label, s)
 		}
-		for _, pass := range []struct {
-			name string
-			opts []SubmitOption
-		}{
-			{"miss", nil},
-			{"hit", nil},
-			{"no_cache", []SubmitOption{NoCache()}},
-		} {
-			label := string(kind.kind) + "/" + pass.name
-			j, err := kind.submit(pass.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := wait(t, j)
-			if s.State != Done || s.CacheHit != (kind.kind == KindRun && pass.name == "hit") {
-				t.Fatalf("%s: snapshot %+v", label, s)
-			}
-			for range 2 {
-				if got := j.Result(); string(got) != string(want) {
-					t.Fatalf("%s: Result gave %q, want %q", label, got, want)
-				}
-			}
-			if got := j.TakeResult(); string(got) != string(want) {
-				t.Fatalf("%s: TakeResult gave %q, want %q", label, got, want)
-			}
-			if got := j.TakeResult(); got != nil {
-				t.Fatalf("%s: a second TakeResult gave %d bytes", label, len(got))
-			}
-			if got := j.Result(); got != nil {
-				t.Fatalf("%s: Result after TakeResult gave %d bytes", label, len(got))
+		for range 2 {
+			if got := j.Result(); string(got) != string(want) {
+				t.Fatalf("%s: Result gave %q, want %q", label, got, want)
 			}
 		}
-
-		// Decline the result while the job is still queued behind a chunk.
-		release = make(chan struct{})
-		blocker, err := m.SubmitChunk(spec, elect.Batch{Ns: []int{8}, Seeds: []uint64{1}}, 0, 1, WithFence(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := kind.submit()
-		if err != nil {
-			t.Fatal(err)
+		if got := j.TakeResult(); string(got) != string(want) {
+			t.Fatalf("%s: TakeResult gave %q, want %q", label, got, want)
 		}
 		if got := j.TakeResult(); got != nil {
-			t.Fatalf("%s: TakeResult on a queued job gave %d bytes", kind.kind, len(got))
+			t.Fatalf("%s: a second TakeResult gave %d bytes", label, len(got))
 		}
-		close(release)
-		wait(t, blocker)
-		if s := wait(t, j); s.State != Done {
-			t.Fatalf("%s: snapshot %+v", kind.kind, s)
+		if got := j.Result(); got != nil {
+			t.Fatalf("%s: Result after TakeResult gave %d bytes", label, len(got))
 		}
-		if got, again := j.Result(), j.TakeResult(); got != nil || again != nil {
-			t.Fatalf("%s: a declined job kept %d bytes", kind.kind, max(len(got), len(again)))
-		}
+	}
+
+	// Decline the result while the job is still queued behind a chunk.
+	release = make(chan struct{})
+	blocker, err := m.SubmitChunk(spec, elect.Batch{Ns: []int{8}, Seeds: []uint64{1}}, 0, 1, WithFence(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := submit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.TakeResult(); got != nil {
+		t.Fatalf("%s: TakeResult on a queued job gave %d bytes", kind, len(got))
+	}
+	close(release)
+	wait(t, blocker)
+	if s := wait(t, j); s.State != Done {
+		t.Fatalf("%s: snapshot %+v", kind, s)
+	}
+	if got, again := j.Result(), j.TakeResult(); got != nil || again != nil {
+		t.Fatalf("%s: a declined job kept %d bytes", kind, max(len(got), len(again)))
 	}
 }
