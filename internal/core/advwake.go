@@ -107,11 +107,7 @@ func (a *AdvWake2Round) Send(round int) []proto.Send {
 			return nil
 		}
 		ports := a.env.RNG.Sample(a.env.Ports(), RootFanout(a.env.N))
-		out := make([]proto.Send, len(ports))
-		for i, p := range ports {
-			out[i] = proto.Send{Port: p, Msg: proto.Message{Kind: KindWakeup}}
-		}
-		return out
+		return a.env.Out.To(ports, proto.Message{Kind: KindWakeup})
 	case 2:
 		if !a.eligible {
 			return nil
@@ -119,11 +115,7 @@ func (a *AdvWake2Round) Send(round int) []proto.Send {
 		if a.env.RNG.Bernoulli(CandidateProb(a.env.N, a.eps)) {
 			a.candidate = true
 			a.rank = drawRank(a.env.N, a.env.RNG)
-			out := make([]proto.Send, a.env.Ports())
-			for p := range out {
-				out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: KindRank, A: a.rank}}
-			}
-			return out
+			return a.env.Out.First(a.env.Ports(), proto.Message{Kind: KindRank, A: a.rank})
 		}
 	}
 	return nil

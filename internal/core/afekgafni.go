@@ -41,8 +41,6 @@ type AfekGafni struct {
 	// n = 2, where each node is the other's only referee.
 	finalMaxBid int64
 
-	sbuf proto.SendBuf // reused across rounds; consumed by the engine per call
-
 	dec      proto.Decision
 	halted   bool
 	deadline int // wake-relative halt round
@@ -88,19 +86,13 @@ func (a *AfekGafni) Send(round int) []proto.Send {
 		}
 		a.expected = Fanout(a.env.N, it, a.k)
 		a.acks = 0
-		out := a.sbuf.Take(a.expected)
-		for p := range out {
-			out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: KindCompete, A: a.env.ID}}
-		}
-		return out
+		return a.env.Out.First(a.expected, proto.Message{Kind: KindCompete, A: a.env.ID})
 	}
 	if !a.haveBid {
 		return nil
 	}
 	a.haveBid = false
-	out := a.sbuf.Take(1)
-	out[0] = proto.Send{Port: a.bestBidPort, Msg: proto.Message{Kind: KindAck}}
-	return out
+	return a.env.Out.One(a.bestBidPort, proto.Message{Kind: KindAck})
 }
 
 // Deliver implements simsync.Protocol.

@@ -61,7 +61,6 @@ type AsyncAfekGafni struct {
 	queue     []reqEntry
 
 	dec proto.Decision
-	out []proto.Send
 }
 
 type reqEntry struct {
@@ -84,8 +83,9 @@ func (g *AsyncAfekGafni) Wake(env proto.Env) []proto.Send {
 	g.live = true
 	g.ownerSelf = true
 	g.ownerID = env.ID
+	env.Out.Take(0)
 	g.climb()
-	return g.flush()
+	return env.Out.Sends()
 }
 
 // climb advances the candidacy as far as its current acks allow: it either
@@ -127,6 +127,7 @@ func (g *AsyncAfekGafni) win() {
 
 // Receive implements simasync.Protocol.
 func (g *AsyncAfekGafni) Receive(d proto.Delivery) []proto.Send {
+	g.env.Out.Take(0)
 	switch d.Msg.Kind {
 	case KindRequest:
 		req := reqEntry{port: d.Port, id: d.Msg.A, level: d.Msg.B}
@@ -150,7 +151,7 @@ func (g *AsyncAfekGafni) Receive(d proto.Delivery) []proto.Send {
 			g.dec = proto.NonLeader
 		}
 	}
-	return g.flush()
+	return g.env.Out.Sends()
 }
 
 // handleRequest processes one support request outside of any in-flight
@@ -257,14 +258,7 @@ func (g *AsyncAfekGafni) die() {
 // Decision implements simasync.Protocol.
 func (g *AsyncAfekGafni) Decision() proto.Decision { return g.dec }
 
-func (g *AsyncAfekGafni) send(port int, m proto.Message) {
-	g.out = append(g.out, proto.Send{Port: port, Msg: m})
-}
-
-func (g *AsyncAfekGafni) flush() []proto.Send {
-	out := g.out
-	g.out = nil
-	return out
-}
+// send adds one send to what the current callback returns.
+func (g *AsyncAfekGafni) send(port int, m proto.Message) { g.env.Out.Add(port, m) }
 
 var _ simasync.Protocol = (*AsyncAfekGafni)(nil)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"cliquelect/internal/proto"
 	"cliquelect/internal/simasync"
@@ -56,11 +55,6 @@ type AsyncTradeoff struct {
 	consulting bool
 
 	dec proto.Decision
-
-	// Per-callback send accumulator. The engine consumes the slice flush
-	// returns before the next callback on this instance, so the backing
-	// array is reused across calls.
-	out []proto.Send
 }
 
 type pendingCompete struct {
@@ -136,27 +130,24 @@ func (a *AsyncTradeoff) Wake(env proto.Env) []proto.Send {
 		a.dec = proto.Leader
 		return nil
 	}
-	fan := WakeFanout(env.N, a.k)
-	a.out = slices.Grow(a.out, fan)
-	for _, p := range env.RNG.Sample(env.Ports(), fan) {
-		a.send(p, proto.Message{Kind: KindWakeup})
-	}
+	// The wake-ups start this callback's sends; the competes follow them.
+	env.Out.To(env.RNG.Sample(env.Ports(), WakeFanout(env.N, a.k)), proto.Message{Kind: KindWakeup})
 	if env.RNG.Bernoulli(AsyncCandidateProb(env.N)) {
 		a.candidate = true
 		a.rank = drawRank(env.N, env.RNG)
 		a.winnerRank = a.rank // line 7: store own rank in rho_winner
 		a.winnerSelf = true
 		a.refPorts = env.RNG.Sample(env.Ports(), AsyncRefCount(env.N))
-		a.out = slices.Grow(a.out, len(a.refPorts))
 		for _, p := range a.refPorts {
 			a.send(p, proto.Message{Kind: KindCompeteAsync, A: a.rank})
 		}
 	}
-	return a.flush()
+	return env.Out.Sends()
 }
 
 // Receive implements simasync.Protocol.
 func (a *AsyncTradeoff) Receive(d proto.Delivery) []proto.Send {
+	a.env.Out.Take(0)
 	switch d.Msg.Kind {
 	case KindWakeup:
 		// Wake-up handled by the engine's Wake callback; nothing more.
@@ -182,7 +173,7 @@ func (a *AsyncTradeoff) Receive(d proto.Delivery) []proto.Send {
 			a.dec = proto.NonLeader
 		}
 	}
-	return a.flush()
+	return a.env.Out.Sends()
 }
 
 // onCompete handles <rank, compete> (lines 15-29).
@@ -332,14 +323,7 @@ func (a *AsyncTradeoff) dropOut() {
 // Decision implements simasync.Protocol.
 func (a *AsyncTradeoff) Decision() proto.Decision { return a.dec }
 
-func (a *AsyncTradeoff) send(port int, m proto.Message) {
-	a.out = append(a.out, proto.Send{Port: port, Msg: m})
-}
-
-func (a *AsyncTradeoff) flush() []proto.Send {
-	out := a.out
-	a.out = a.out[:0]
-	return out
-}
+// send adds one send to what the current callback returns.
+func (a *AsyncTradeoff) send(port int, m proto.Message) { a.env.Out.Add(port, m) }
 
 var _ simasync.Protocol = (*AsyncTradeoff)(nil)

@@ -62,11 +62,7 @@ func (e *Explicit) Send(round int) []proto.Send {
 	if e.inner.Decision() == proto.Leader && !e.announced {
 		e.announced = true
 		e.output = e.env.ID
-		out := make([]proto.Send, e.env.Ports())
-		for p := range out {
-			out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: KindExplicitAnnounce, A: e.env.ID}}
-		}
-		return out
+		return e.env.Out.First(e.env.Ports(), proto.Message{Kind: KindExplicitAnnounce, A: e.env.ID})
 	}
 	return nil
 }

@@ -63,7 +63,6 @@ type KPPRT struct {
 	relay   bool // an improvement arrived; forward next Send
 	relayEx int  // ...on every port except this one (-1 = all, candidacy bid)
 
-	buf    proto.SendBuf
 	dec    proto.Decision
 	halted bool
 }
@@ -125,18 +124,14 @@ func (k *KPPRT) Send(round int) []proto.Send {
 			if !k.cand {
 				return nil
 			}
-			out := k.buf.Take(len(k.referees))[:0]
-			for _, p := range k.referees {
-				out = append(out, proto.Send{Port: p, Msg: proto.Message{Kind: KindProbe, A: k.rank}})
-			}
-			return out
+			return k.env.Out.To(k.referees, proto.Message{Kind: KindProbe, A: k.rank})
 		case 2:
 			// Referee ack for the best bid; a candidate referee backs its own
 			// rank first (cf. Sublinear: mutual referees must not both win).
 			if !k.haveBid || (k.cand && k.bestBidRank <= k.rank) {
 				return nil
 			}
-			return []proto.Send{{Port: k.bestBidPort, Msg: proto.Message{Kind: KindWin}}}
+			return k.env.Out.One(k.bestBidPort, proto.Message{Kind: KindWin})
 		}
 		return nil
 	}
@@ -145,13 +140,13 @@ func (k *KPPRT) Send(round int) []proto.Send {
 		return nil
 	}
 	k.relay = false
-	out := k.buf.Take(k.deg)[:0]
+	k.env.Out.Take(0)
 	for p := 0; p < k.deg; p++ {
 		if p != k.relayEx {
-			out = append(out, proto.Send{Port: p, Msg: proto.Message{Kind: KindProbe, A: k.best}})
+			k.env.Out.Add(p, proto.Message{Kind: KindProbe, A: k.best})
 		}
 	}
-	return out
+	return k.env.Out.Sends()
 }
 
 // Deliver implements simsync.Protocol.

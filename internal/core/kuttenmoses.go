@@ -55,7 +55,6 @@ type KuttenMoses struct {
 
 	outMsg []proto.Message // per-port queued message for the next Send
 	outSet []bool
-	buf    proto.SendBuf
 
 	haltAfterSend bool // queued messages are the node's last (Halt flood)
 	dec           proto.Decision
@@ -103,17 +102,17 @@ func (k *KuttenMoses) Send(round int) []proto.Send {
 		}
 		k.pend = k.deg
 	}
-	out := k.buf.Take(k.deg)[:0]
+	k.env.Out.Take(0)
 	for p := 0; p < k.deg; p++ {
 		if k.outSet[p] {
-			out = append(out, proto.Send{Port: p, Msg: k.outMsg[p]})
+			k.env.Out.Add(p, k.outMsg[p])
 			k.outSet[p] = false
 		}
 	}
 	if k.haltAfterSend {
 		k.halted = true
 	}
-	return out
+	return k.env.Out.Sends()
 }
 
 // adopt switches the node to a better wave arriving on port from.

@@ -88,11 +88,7 @@ func (l *LasVegas) Send(round int) []proto.Send {
 		if !l.candidate {
 			return nil
 		}
-		out := make([]proto.Send, len(l.referees))
-		for i, p := range l.referees {
-			out[i] = proto.Send{Port: p, Msg: proto.Message{Kind: KindRank, A: l.rank}}
-		}
-		return out
+		return l.env.Out.To(l.referees, proto.Message{Kind: KindRank, A: l.rank})
 	case 2:
 		// As in Sublinear: a candidate referee acks only bids beating its
 		// own rank, which breaks the n=2 mutual-ack cycle (and its infinite
@@ -100,16 +96,12 @@ func (l *LasVegas) Send(round int) []proto.Send {
 		if !l.haveBid || (l.candidate && l.bestBidRank <= l.rank) {
 			return nil
 		}
-		return []proto.Send{{Port: l.bestBidPort, Msg: proto.Message{Kind: KindAck}}}
+		return l.env.Out.One(l.bestBidPort, proto.Message{Kind: KindAck})
 	default:
 		if !l.announcer {
 			return nil
 		}
-		out := make([]proto.Send, l.env.Ports())
-		for p := range out {
-			out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: KindAnnounce, A: l.env.ID}}
-		}
-		return out
+		return l.env.Out.First(l.env.Ports(), proto.Message{Kind: KindAnnounce, A: l.env.ID})
 	}
 }
 

@@ -73,11 +73,7 @@ func (s *SmallID) Send(round int) []proto.Send {
 		return nil
 	}
 	s.sent = true
-	out := make([]proto.Send, s.env.Ports())
-	for p := range out {
-		out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: KindIDClaim, A: s.env.ID}}
-	}
-	return out
+	return s.env.Out.First(s.env.Ports(), proto.Message{Kind: KindIDClaim, A: s.env.ID})
 }
 
 // Deliver implements simsync.Protocol.

@@ -103,11 +103,7 @@ func (s *SpreadElect) Send(round int) []proto.Send {
 	case s.spreadAt == round && round <= s.k+2:
 		s.spreadAt = 0
 		ports := s.env.RNG.Sample(s.env.Ports(), SpreadFanout(s.env.N, s.k))
-		out := make([]proto.Send, len(ports))
-		for i, p := range ports {
-			out[i] = proto.Send{Port: p, Msg: proto.Message{Kind: KindWakeup}}
-		}
-		return out
+		return s.env.Out.To(ports, proto.Message{Kind: KindWakeup})
 	case round == s.k+3:
 		if !s.env.RNG.Bernoulli(SublinearCandidateProb(s.env.N)) {
 			return nil
@@ -115,25 +111,17 @@ func (s *SpreadElect) Send(round int) []proto.Send {
 		s.candidate = true
 		s.rank = drawRank(s.env.N, s.env.RNG)
 		s.referees = s.env.RNG.Sample(s.env.Ports(), SublinearRefCount(s.env.N))
-		out := make([]proto.Send, len(s.referees))
-		for i, p := range s.referees {
-			out[i] = proto.Send{Port: p, Msg: proto.Message{Kind: KindRank, A: s.rank}}
-		}
-		return out
+		return s.env.Out.To(s.referees, proto.Message{Kind: KindRank, A: s.rank})
 	case round == s.k+4:
 		if !s.haveBid || (s.candidate && s.bestBidRank <= s.rank) {
 			return nil
 		}
-		return []proto.Send{{Port: s.bestBidPort, Msg: proto.Message{Kind: KindAck}}}
+		return s.env.Out.One(s.bestBidPort, proto.Message{Kind: KindAck})
 	case round == s.k+5:
 		if !s.candidate || s.acks < len(s.referees) {
 			return nil
 		}
-		out := make([]proto.Send, s.env.Ports())
-		for p := range out {
-			out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: KindAnnounce, A: s.rank}}
-		}
-		return out
+		return s.env.Out.First(s.env.Ports(), proto.Message{Kind: KindAnnounce, A: s.rank})
 	}
 	return nil
 }

@@ -99,11 +99,7 @@ func (s *Sublinear) Send(round int) []proto.Send {
 		if !s.candidate {
 			return nil
 		}
-		out := make([]proto.Send, len(s.referees))
-		for i, p := range s.referees {
-			out[i] = proto.Send{Port: p, Msg: proto.Message{Kind: KindRank, A: s.rank}}
-		}
-		return out
+		return s.env.Out.To(s.referees, proto.Message{Kind: KindRank, A: s.rank})
 	case 2:
 		// Ack the best received bid — but a candidate referee backs its own
 		// bid first: it acks only bids that beat its own rank. (Without
@@ -112,7 +108,7 @@ func (s *Sublinear) Send(round int) []proto.Send {
 		if !s.haveBid || (s.candidate && s.bestBidRank <= s.rank) {
 			return nil
 		}
-		return []proto.Send{{Port: s.bestBidPort, Msg: proto.Message{Kind: KindAck}}}
+		return s.env.Out.One(s.bestBidPort, proto.Message{Kind: KindAck})
 	}
 	return nil
 }

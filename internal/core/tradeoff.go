@@ -44,8 +44,6 @@ type Tradeoff struct {
 
 	finalBest int64 // max ID seen in the final broadcast round
 
-	sbuf proto.SendBuf // reused across rounds; consumed by the engine per call
-
 	dec    proto.Decision
 	halted bool
 }
@@ -92,11 +90,7 @@ func (t *Tradeoff) Send(round int) []proto.Send {
 		if !t.survivor {
 			return nil
 		}
-		out := t.sbuf.Take(t.env.Ports())
-		for p := range out {
-			out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: KindCompete, A: t.env.ID}}
-		}
-		return out
+		return t.env.Out.First(t.env.Ports(), proto.Message{Kind: KindCompete, A: t.env.ID})
 	case phase == 1:
 		// Bid round of iteration it: survivors contact their referees.
 		if !t.survivor {
@@ -104,20 +98,14 @@ func (t *Tradeoff) Send(round int) []proto.Send {
 		}
 		t.expected = Fanout(t.env.N, it, t.k-1)
 		t.acks = 0
-		out := t.sbuf.Take(t.expected)
-		for p := range out {
-			out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: KindCompete, A: t.env.ID}}
-		}
-		return out
+		return t.env.Out.First(t.expected, proto.Message{Kind: KindCompete, A: t.env.ID})
 	default:
 		// Response round: referees answer their best bidder.
 		if !t.haveBid {
 			return nil
 		}
 		t.haveBid = false
-		out := t.sbuf.Take(1)
-		out[0] = proto.Send{Port: t.bestBidPort, Msg: proto.Message{Kind: KindAck}}
-		return out
+		return t.env.Out.One(t.bestBidPort, proto.Message{Kind: KindAck})
 	}
 }
 

@@ -187,3 +187,32 @@ func TestCeilHelpers(t *testing.T) {
 		t.Fatal("CeilDiv wrong")
 	}
 }
+
+// TestSyncFanoutAllocBudget bounds a warm-pool run of the two synchronous
+// fan-out tradeoffs, Theorem 3.10's algorithm and the Afek-Gafni baseline
+// at k = 4 under simultaneous wake-up, to 1.5 allocations per node. Each
+// node costs its protocol instance and its share of the engine's per-run
+// slices; its sends are built in the run's one engine-owned send buffer. A
+// send buffer per node, grown once per run, costs one more allocation per
+// node and trips the budget.
+func TestSyncFanoutAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budget is enforced in the non-race build")
+	}
+	for _, algo := range []struct {
+		name    string
+		factory simsync.Factory
+	}{
+		{"tradeoff", NewTradeoff(4)},
+		{"afekgafni", NewAfekGafni(4)},
+	} {
+		for _, n := range []int{256, 2048} {
+			cfg := simsync.Config{N: n, IDs: ids.Random(ids.LogUniverse(n), n, xrand.New(7)), Seed: 3}
+			runSync(t, cfg, algo.factory) // warm the engine's pools
+			allocs := testing.AllocsPerRun(3, func() { runSync(t, cfg, algo.factory) })
+			if perNode := allocs / float64(n); perNode > 1.5 {
+				t.Fatalf("%s n=%d: a warm run allocated %.2f times per node, budget 1.5", algo.name, n, perNode)
+			}
+		}
+	}
+}

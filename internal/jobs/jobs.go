@@ -331,8 +331,9 @@ type Job struct {
 	done     int
 	total    int
 	cacheHit bool
-	result   []byte // the encoded result (see Result), until TakeResult
-	taken    bool   // TakeResult was called: nothing is kept from then on
+	result   []byte   // a run's or batch's encoded result (see Result), until taken
+	cells    [][]byte // a chunk's encoded cells in order (see TakeCells), until taken
+	taken    bool     // TakeResult or TakeCells was called: nothing is kept from then on
 	subs     map[int]chan Snapshot
 	nextSub  int
 }
@@ -414,12 +415,15 @@ func (j *Job) Err() error {
 // Result returns a Done job's result as the JSON value its reply carries:
 // a run's Result as elect.EncodeResult writes it, a batch's BatchResult as
 // elect.EncodeBatchResult writes it, and a chunk's Results as one JSON
-// array in cell order. It is nil until the job is Done, for a job that
-// failed or was canceled, and after TakeResult. The bytes must not be
-// modified.
+// array in cell order (joined from its cells on every call). It is nil
+// until the job is Done, for a job that failed or was canceled, and after
+// TakeResult or TakeCells. The bytes must not be modified.
 func (j *Job) Result() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.Kind == KindChunk {
+		return joinCells(j.cells)
+	}
 	return j.result
 }
 
@@ -430,9 +434,24 @@ func (j *Job) Result() []byte {
 func (j *Job) TakeResult() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := j.result
-	j.result, j.taken = nil, true
+	out, cells := j.result, j.cells
+	j.result, j.cells, j.taken = nil, nil, true
+	if j.Kind == KindChunk {
+		return joinCells(cells)
+	}
 	return out
+}
+
+// TakeCells is TakeResult for a chunk whose reply writes the array itself:
+// each cell's bytes in order, as elect.RunRange's cache or EncodeResult
+// produced them, without the copy that joins them. The cells must not be
+// modified.
+func (j *Job) TakeCells() [][]byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	cells := j.cells
+	j.result, j.cells, j.taken = nil, nil, true
+	return cells
 }
 
 // Cancel requests cancellation: a queued job is canceled immediately (the
@@ -555,9 +574,10 @@ func (j *Job) execute() {
 		cache = nil
 	}
 	var (
-		out []byte
-		hit bool
-		err error
+		out   []byte
+		cells [][]byte
+		hit   bool
+		err   error
 	)
 	switch j.Kind {
 	case KindRun:
@@ -584,7 +604,7 @@ func (j *Job) execute() {
 			j.mu.Unlock()
 		}
 		if j.Kind == KindChunk {
-			out, err = encodeChunk(elect.RunRange(j.spec, b, j.start, j.count))
+			cells, err = encodeCells(elect.RunRange(j.spec, b, j.start, j.count))
 		} else {
 			var res *elect.BatchResult
 			if res, err = elect.RunMany(j.spec, b); err == nil {
@@ -602,7 +622,7 @@ func (j *Job) execute() {
 		j.finishLocked(Failed, err)
 	default:
 		if !j.taken {
-			j.result = out
+			j.result, j.cells = out, cells
 		}
 		j.cacheHit = hit
 		j.done = j.total
@@ -610,31 +630,38 @@ func (j *Job) execute() {
 	}
 }
 
-// encodeChunk joins what elect.RunRange returned into one JSON array in
-// cell order: each cell's wire bytes where RunRange holds them, its
-// EncodeResult bytes where it does not. A RunRange error passes through.
-func encodeChunk(results []elect.Result, wires [][]byte, err error) ([]byte, error) {
+// encodeCells completes what elect.RunRange returned into one encoded
+// value per cell, in cell order: the wire bytes where RunRange holds them,
+// EncodeResult's bytes where it does not. A RunRange error passes through.
+func encodeCells(results []elect.Result, wires [][]byte, err error) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := len(wires) + 1 // brackets and commas
 	for i, w := range wires {
 		if w == nil {
-			if w, err = elect.EncodeResult(results[i]); err != nil {
+			if wires[i], err = elect.EncodeResult(results[i]); err != nil {
 				return nil, err
 			}
-			wires[i] = w
 		}
-		size += len(w)
 	}
-	out := make([]byte, 0, size)
-	for i, w := range wires {
-		if i == 0 {
-			out = append(out, '[')
-		} else {
+	return wires, nil
+}
+
+// joinCells writes cells as one JSON array, or returns nil for no cells.
+func joinCells(cells [][]byte) []byte {
+	if cells == nil {
+		return nil
+	}
+	size := len(cells) + 2 // brackets and commas
+	for _, c := range cells {
+		size += len(c)
+	}
+	out := append(make([]byte, 0, size), '[')
+	for i, c := range cells {
+		if i > 0 {
 			out = append(out, ',')
 		}
-		out = append(out, w...)
+		out = append(out, c...)
 	}
-	return append(out, ']'), nil
+	return append(out, ']')
 }

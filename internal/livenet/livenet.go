@@ -153,9 +153,12 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 	nodes := make([]simasync.Protocol, n)
 	envs := make([]proto.Env, n)
 	boxes := make([]*mailbox, n)
+	// The nodes run concurrently, so each gets its own send buffer; its
+	// goroutine consumes every callback's sends before the next callback.
+	outs := make([]proto.SendBuf, n)
 	for u := 0; u < n; u++ {
 		nodes[u] = factory(u)
-		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: master.Split()}
+		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: master.Split(), Out: &outs[u]}
 		boxes[u] = newMailbox()
 	}
 

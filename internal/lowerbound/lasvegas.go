@@ -63,12 +63,7 @@ func (c *CheatingLasVegas) Send(round int) []proto.Send {
 	if fan > c.env.Ports() {
 		fan = c.env.Ports()
 	}
-	ports := c.env.RNG.Sample(c.env.Ports(), fan)
-	out := make([]proto.Send, len(ports))
-	for i, p := range ports {
-		out[i] = proto.Send{Port: p, Msg: proto.Message{Kind: 1, A: c.rank}}
-	}
-	return out
+	return c.env.Out.To(c.env.RNG.Sample(c.env.Ports(), fan), proto.Message{Kind: 1, A: c.rank})
 }
 
 // Deliver implements simsync.Protocol.

@@ -108,11 +108,7 @@ func (b *broadcastAll) Send(round int) []proto.Send {
 	if round != 1 {
 		return nil
 	}
-	out := make([]proto.Send, b.env.Ports())
-	for p := range out {
-		out[p] = proto.Send{Port: p, Msg: proto.Message{Kind: 1, A: b.env.ID}}
-	}
-	return out
+	return b.env.Out.First(b.env.Ports(), proto.Message{Kind: 1, A: b.env.ID})
 }
 
 func (b *broadcastAll) Deliver(round int, inbox []proto.Delivery) {

@@ -18,7 +18,7 @@ import (
 // the port-opening census of Lemma 3.13/3.14 is defined for single-send
 // algorithms.
 type SingleSend struct {
-	n     int
+	env   proto.Env
 	inner simsync.Protocol
 
 	queue  []proto.Send     // inner sends awaiting release
@@ -35,25 +35,26 @@ func NewSingleSend(inner simsync.Factory) simsync.Factory {
 
 // Init implements simsync.Protocol.
 func (s *SingleSend) Init(env proto.Env) {
-	s.n = env.N
+	s.env = env
 	s.inner.Init(env)
 }
 
 // innerRound maps an engine round to the simulated round of A.
 func (s *SingleSend) innerRound(engineRound int) (r, offset int) {
-	r = (engineRound-1)/s.n + 1
-	offset = (engineRound-1)%s.n + 1
+	r = (engineRound-1)/s.env.N + 1
+	offset = (engineRound-1)%s.env.N + 1
 	return r, offset
 }
 
 // Send implements simsync.Protocol.
 func (s *SingleSend) Send(engineRound int) []proto.Send {
-	if s.n == 1 {
+	if s.env.N == 1 {
 		return s.inner.Send(engineRound)
 	}
 	r, offset := s.innerRound(engineRound)
 	if offset == 1 && !s.inner.Halted() {
-		// Block start: collect A's round-r multicast.
+		// Block start: collect A's round-r multicast out of the shared
+		// send buffer before the release below reuses it.
 		s.queue = append(s.queue, s.inner.Send(r)...)
 	}
 	if len(s.queue) == 0 {
@@ -61,18 +62,18 @@ func (s *SingleSend) Send(engineRound int) []proto.Send {
 	}
 	head := s.queue[0]
 	s.queue = s.queue[1:]
-	return []proto.Send{head}
+	return s.env.Out.One(head.Port, head.Msg)
 }
 
 // Deliver implements simsync.Protocol.
 func (s *SingleSend) Deliver(engineRound int, inbox []proto.Delivery) {
-	if s.n == 1 {
+	if s.env.N == 1 {
 		s.inner.Deliver(engineRound, inbox)
 		return
 	}
 	s.buffer = append(s.buffer, inbox...)
 	r, offset := s.innerRound(engineRound)
-	if offset == s.n {
+	if offset == s.env.N {
 		// Block end: A processes the entire block's inbox as its round-r
 		// receive phase.
 		buf := s.buffer

@@ -121,12 +121,7 @@ func (s *spread2) Send(round int) []proto.Send {
 	if fan > s.env.Ports() {
 		fan = s.env.Ports()
 	}
-	ports := s.env.RNG.Sample(s.env.Ports(), fan)
-	out := make([]proto.Send, len(ports))
-	for i, p := range ports {
-		out[i] = proto.Send{Port: p, Msg: proto.Message{Kind: 1}}
-	}
-	return out
+	return s.env.Out.To(s.env.RNG.Sample(s.env.Ports(), fan), proto.Message{Kind: 1})
 }
 
 func (s *spread2) Deliver(round int, inbox []proto.Delivery) {

@@ -100,11 +100,17 @@ type Delivery struct {
 // default clique wiring a node has n-1 ports numbered 0..n-2; when the
 // engine runs over an explicit topology, Deg and Diam describe the node's
 // local wiring and the graph's diameter estimate (both 0 on the clique,
-// where the values are implied by N).
+// where the values are implied by N). Out is where the node builds the
+// sends each callback returns.
 type Env struct {
 	ID  int64
 	N   int
 	RNG *xrand.RNG
+	// Out is the engine-owned send buffer (see SendBuf). It may be shared
+	// with the run's other nodes: a protocol builds each callback's sends
+	// there and returns them, and keeps neither the slice nor its contents
+	// past the callback.
+	Out *SendBuf
 	// Deg is the node's port count on an explicit topology; 0 means the
 	// clique wiring, where every node has n-1 ports.
 	Deg int

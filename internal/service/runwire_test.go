@@ -431,7 +431,7 @@ func TestChunkReplyMatchesWriteJSON(t *testing.T) {
 }
 
 // BenchmarkChunkResponseEncode writes an 8-result POST /v1/chunk reply for
-// tradeoff k=4 at n=128: spliced from the job's result bytes, and through
+// tradeoff k=4 at n=128: spliced from the job's cells, and through
 // writeJSON, which re-encodes and compacts every Result.
 func BenchmarkChunkResponseEncode(b *testing.B) {
 	spec, err := elect.Lookup("tradeoff")
@@ -449,12 +449,18 @@ func BenchmarkChunkResponseEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cells := make([][]byte, len(results))
+	for i, res := range results {
+		if cells[i], err = elect.EncodeResult(res); err != nil {
+			b.Fatal(err)
+		}
+	}
 	w := discardWriter{h: http.Header{}}
 	b.Run("splice", func(b *testing.B) {
 		b.SetBytes(int64(len(wire)))
 		b.ReportAllocs()
 		for b.Loop() {
-			writeSpliced(w, chunkHead, wire, tailEnd)
+			writeSpliced(w, chunkHead, nil, tailEnd, cells...)
 		}
 	})
 	b.Run("writeJSON", func(b *testing.B) {

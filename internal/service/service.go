@@ -293,6 +293,10 @@ var (
 	tailEnd   = []byte("}\n")
 	tailHit   = []byte(`,"cache_hit":true}` + "\n")
 	tailMiss  = []byte(`,"cache_hit":false}` + "\n")
+
+	openArray  = []byte("[")
+	comma      = []byte(",")
+	closeArray = []byte("]")
 )
 
 // cacheHitTail closes a run or job reply with its cache_hit field.
@@ -326,15 +330,34 @@ func writeJobReply(w http.ResponseWriter, st client.JobStatus, key string, resul
 // unchanged, so the reply is byte for byte what writeJSON writes for the
 // decoded response. encoding/json copies a value's MarshalJSON output
 // compacted with HTML escaped, and that is the form elect's encoders and
-// the canonical cache bytes already have.
-func writeSpliced(w http.ResponseWriter, head, result, tail []byte) {
+// the canonical cache bytes already have. A chunk passes its cells
+// (jobs.Job.TakeCells) instead of result, and the array they form is
+// written in place of result: `[`, the cells separated by `,`, and `]`.
+func writeSpliced(w http.ResponseWriter, head, result, tail []byte, cells ...[]byte) {
+	size := len(head) + len(result) + len(tail)
+	if cells != nil {
+		size += max(len(cells)+1, 2) // brackets and commas
+		for _, c := range cells {
+			size += len(c)
+		}
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(result)+len(tail)))
+	w.Header().Set("Content-Length", strconv.Itoa(size))
 	w.WriteHeader(http.StatusOK)
 	// As in writeJSON, a failed write means the caller is gone: there is no
 	// one left to report it to.
 	w.Write(head)
 	w.Write(result)
+	if cells != nil {
+		w.Write(openArray)
+		for i, c := range cells {
+			if i > 0 {
+				w.Write(comma)
+			}
+			w.Write(c)
+		}
+		w.Write(closeArray)
+	}
 	w.Write(tail)
 }
 
@@ -437,7 +460,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
-	defer job.TakeResult() // as in handleRun
+	defer job.TakeCells() // as in handleRun
 	w.Header().Set("X-Job-Id", job.ID)
 	if !s.await(w, r, job) {
 		return
@@ -462,7 +485,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		}
 		tail = slices.Concat(spansKey, spans, tailEnd)
 	}
-	writeSpliced(w, chunkHead, job.TakeResult(), tail)
+	writeSpliced(w, chunkHead, nil, tail, job.TakeCells()...)
 }
 
 // chunkSpans builds the worker-side span set a chunk response carries back

@@ -9,19 +9,19 @@ import (
 
 // relay is a message-heavy stress protocol for the event loop: a waking
 // node sends fan tokens over random ports, and every token hops on over a
-// random port until it has made hops hops. It draws its sends from a
-// proto.SendBuf, the hot-path idiom the engine contract permits, so the
-// only allocations left in a run are the engine's own.
+// random port until it has made hops hops. It builds its sends in env.Out,
+// the run's one engine-owned send buffer, as every protocol in
+// internal/core does, so the only allocations left in a run are the
+// engine's own.
 type relay struct {
 	env  proto.Env
 	fan  int
 	hops int64
-	sbuf proto.SendBuf
 }
 
 func (r *relay) Wake(env proto.Env) []proto.Send {
 	r.env = env
-	out := r.sbuf.Take(min(r.fan, env.Ports()))
+	out := env.Out.Take(min(r.fan, env.Ports()))
 	for i := range out {
 		out[i] = proto.Send{Port: env.RNG.Intn(env.Ports()), Msg: proto.Message{Kind: 1, A: env.ID}}
 	}
@@ -32,9 +32,7 @@ func (r *relay) Receive(d proto.Delivery) []proto.Send {
 	if d.Msg.B >= r.hops {
 		return nil
 	}
-	out := r.sbuf.Take(1)
-	out[0] = proto.Send{Port: r.env.RNG.Intn(r.env.Ports()), Msg: proto.Message{Kind: 2, A: d.Msg.A, B: d.Msg.B + 1}}
-	return out
+	return r.env.Out.One(r.env.RNG.Intn(r.env.Ports()), proto.Message{Kind: 2, A: d.Msg.A, B: d.Msg.B + 1})
 }
 
 func (r *relay) Decision() proto.Decision { return proto.NonLeader }
@@ -72,11 +70,13 @@ func TestEventLoopAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Setup costs ~2n+20 allocations (n protocol instances, each growing
-		// its SendBuf once, plus Result and engine slices); the ~17k events
-		// of a run must add none. 2.5*n leaves headroom for pool misses
-		// under GC pressure while still catching any per-event regression.
-		if budget := 2.5 * n; allocs > budget {
+		// Setup costs ~n+10 allocations (n protocol instances plus Result
+		// and engine slices; every node sends from the pooled scratch's one
+		// send buffer); the ~17k events of a run must add none. 1.5*n
+		// leaves headroom for pool misses under GC pressure while still
+		// catching a send buffer per node (n more) or any per-event
+		// regression.
+		if budget := 1.5 * n; allocs > budget {
 			t.Fatalf("%s: Run allocated %.0f times per run, budget %.0f", tc.name, allocs, budget)
 		}
 	}

@@ -47,9 +47,11 @@ import (
 // deciding (Algorithm 2 requires referees to answer compete-messages even
 // when decided), so there is no halt signal: a run ends at quiescence.
 //
-// The engine consumes the returned slice before calling the same instance
-// again, so a protocol may return one reused backing buffer from every
-// Wake/Receive call (see proto.SendBuf).
+// A protocol builds the sends it returns in env.Out, the run's one
+// engine-owned proto.SendBuf: the engine turns a callback's slice into
+// events before it calls any node again, so every node of a run shares the
+// buffer. A protocol must not keep the returned slice, nor rely on the
+// buffer's contents, past the callback.
 type Protocol interface {
 	Wake(env proto.Env) []proto.Send
 	Receive(d proto.Delivery) []proto.Send
@@ -373,11 +375,13 @@ func (q *eventQueue) pop() event {
 
 // scratch is the pooled per-run state of the event loop: the event queue's
 // lane and heap and the FIFO clamp table, each of which reaches O(messages)
-// size and is reused across the runs of a sweep. Under UnitDelay the clamp
-// table stays unused, and with wake-ups in time order so does the heap.
+// size and is reused across the runs of a sweep, and the send buffer every
+// node of a run shares. Under UnitDelay the clamp table stays unused, and
+// with wake-ups in time order so does the heap.
 type scratch struct {
 	q     eventQueue
 	sched flatmap.U64Map // directed link -> last delivery time bits (FIFO clamp)
+	out   proto.SendBuf
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -428,6 +432,8 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		maxEvents = 64*int64(n)*int64(n) + 1<<16
 	}
 
+	sc := getScratch()
+	defer scratchPool.Put(sc)
 	nodes := make([]Protocol, n)
 	envs := make([]proto.Env, n)
 	// All node generators live in one flat slice; rngs must outlive the
@@ -441,7 +447,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	for u := 0; u < n; u++ {
 		nodes[u] = factory(u)
 		master.SplitInto(&rngs[u])
-		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u]}
+		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u], Out: &sc.out}
 		if cfg.Topo != nil {
 			envs[u].Deg = cfg.Topo.Degree(u)
 			envs[u].Diam = diam
@@ -456,8 +462,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		res.WakeTime[u] = -1
 	}
 
-	sc := getScratch()
-	defer scratchPool.Put(sc)
 	var seq int64
 	push := func(e event) {
 		e.seq = seq

@@ -12,12 +12,11 @@ import (
 
 // chatty is a multi-round stress protocol for the reuse machinery: every
 // node fans out to a window of ports each round for several rounds, so each
-// round refills every inbox. It draws its sends from a proto.SendBuf, the
-// hot-path idiom the engine contract permits.
+// round refills every inbox. It builds its sends in env.Out, the run's one
+// engine-owned send buffer, as every protocol in internal/core does.
 type chatty struct {
 	env    proto.Env
 	rounds int
-	sbuf   proto.SendBuf
 	dec    proto.Decision
 	halted bool
 }
@@ -29,7 +28,7 @@ func (p *chatty) Send(round int) []proto.Send {
 		return nil
 	}
 	fan := min(8, p.env.Ports())
-	out := p.sbuf.Take(fan)
+	out := p.env.Out.Take(fan)
 	for i := range out {
 		out[i] = proto.Send{Port: (round + i) % p.env.Ports(), Msg: proto.Message{Kind: uint8(round), A: p.env.ID}}
 	}
@@ -85,12 +84,13 @@ func TestRoundLoopAllocBudget(t *testing.T) {
 			disabled.Add(obs.Span{Name: "round"})
 		}
 	})
-	// Setup costs ~2n+20 allocations (n protocol instances, each growing
-	// its SendBuf once, plus Result and engine slices); the round loop
-	// itself must add none. 2.5*n leaves headroom for pool misses under GC
-	// pressure while still catching any per-round regression (12 rounds ×
-	// 256 inboxes ≈ 3000+ extra allocations).
-	if budget := 2.5 * n; allocs > budget {
+	// Setup costs ~n+10 allocations (n protocol instances plus Result and
+	// engine slices; every node sends from the arena's one send buffer);
+	// the round loop itself must add none. 1.5*n leaves headroom for pool
+	// misses under GC pressure while still catching a send buffer per node
+	// (n more) or any per-round regression (12 rounds × 256 inboxes ≈
+	// 3000+ extra allocations).
+	if budget := 1.5 * n; allocs > budget {
 		t.Fatalf("Run allocated %.0f times per run, budget %.0f", allocs, budget)
 	}
 }

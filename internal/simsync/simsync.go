@@ -42,11 +42,13 @@ import (
 // receives Init followed by Deliver(r, inbox) and makes its first sends in
 // round r+1, matching the paper's wake-at-end-of-round semantics.
 //
-// The engine consumes the slice returned by Send before calling the same
-// instance again, so a protocol may return one reused backing buffer from
-// every Send call (see proto.SendBuf) — the hot-path idiom that keeps the
-// round loop allocation-free. Symmetrically, the inbox passed to Deliver is
-// engine-owned scratch, valid only during the call.
+// A protocol builds the sends it returns from Send in env.Out, the run's
+// one engine-owned proto.SendBuf: the engine consumes each node's slice
+// before it calls the next node's Send, so every node of a run shares the
+// buffer and the round loop allocates no sends. A protocol must not keep
+// the returned slice, nor rely on the buffer's contents, past its Send
+// call. Symmetrically, the inbox passed to Deliver is engine-owned scratch,
+// valid only during the call.
 //
 // Once Halted returns true the engine stops invoking the node; messages
 // addressed to it are still counted but dropped. Decision must be
@@ -205,6 +207,14 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		WakeRound: make([]int, n),
 	}
 
+	// The per-node inboxes and the shared send buffer come from the pooled
+	// arena: their capacity survives both the per-round reset and the run
+	// itself, so a steady sweep of same-shape runs sends and delivers every
+	// message without allocating.
+	arena := proto.GetArena(n)
+	defer arena.Release()
+	inbox := arena.Inboxes()
+
 	awake := make([]bool, n)
 	envs := make([]proto.Env, n)
 	// All node generators live in one flat slice; rngs must outlive the
@@ -217,7 +227,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	}
 	for u := 0; u < n; u++ {
 		master.SplitInto(&rngs[u])
-		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u]}
+		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u], Out: arena.Out()}
 		if cfg.Topo != nil {
 			envs[u].Deg = cfg.Topo.Degree(u)
 			envs[u].Diam = diam
@@ -252,12 +262,6 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		dest = cfg.Topo.Dest
 	}
 
-	// The per-node inboxes come from the pooled arena: their capacity
-	// survives both the per-round reset and the run itself, so a steady
-	// sweep of same-shape runs delivers every message without allocating.
-	arena := proto.GetArena(n)
-	defer arena.Release()
-	inbox := arena.Inboxes()
 	var seenPort map[uint64]int // Strict only: port -> last round sent
 	if cfg.Strict {
 		seenPort = make(map[uint64]int)

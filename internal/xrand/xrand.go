@@ -10,7 +10,10 @@
 // byte-for-byte reproducible from a single uint64 seed.
 package xrand
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // RNG is a deterministic pseudo-random number generator. The zero value is a
 // valid generator seeded with 0; prefer New to make seeding explicit.
@@ -129,9 +132,12 @@ func (r *RNG) Sample(n, k int) []int {
 	// least 2k slots, keyed by virtual index of the implicitly shuffled
 	// array 0..n-1. Step i reads indices i and j >= i and leaves index i
 	// behind for good, so only the value moved to j is stored: at most k
-	// keys, under half load.
+	// keys, under half load. The table is pooled scratch, handed back
+	// cleared.
 	shift := 64 - bits.Len(uint(2*k-1))
-	table := make([]sampleSlot, 1<<(64-shift))
+	st := getSampleTable(1 << (64 - shift))
+	defer putSampleTable(st)
+	table := st.slots
 	mask := len(table) - 1
 	find := func(i int) *sampleSlot {
 		h := int(uint64(i) * 0x9e3779b97f4a7c15 >> shift)
@@ -166,6 +172,35 @@ func (r *RNG) Sample(n, k int) []int {
 // sampleSlot is one entry of Sample's table: key is a virtual index plus
 // one (0 marks an empty slot), val the value now at that index.
 type sampleSlot struct{ key, val int }
+
+// sampleTable is a pooled Sample table; slots is all empty while pooled.
+type sampleTable struct{ slots []sampleSlot }
+
+// maxPooledSlots bounds the tables the pool keeps (1 MiB on 64-bit):
+// protocol samples take a few thousand slots at most, and a rare huge draw
+// should not pin its table in memory.
+const maxPooledSlots = 1 << 16
+
+var sampleTables = sync.Pool{New: func() any { return new(sampleTable) }}
+
+// getSampleTable returns a pooled table resized to size empty slots.
+func getSampleTable(size int) *sampleTable {
+	st := sampleTables.Get().(*sampleTable)
+	if cap(st.slots) < size {
+		st.slots = make([]sampleSlot, size)
+	}
+	st.slots = st.slots[:size]
+	return st
+}
+
+// putSampleTable empties st and returns it to the pool.
+func putSampleTable(st *sampleTable) {
+	if len(st.slots) > maxPooledSlots {
+		return
+	}
+	clear(st.slots)
+	sampleTables.Put(st)
+}
 
 // mul64 returns the 128-bit product of x and y as (hi, lo).
 func mul64(x, y uint64) (hi, lo uint64) {

@@ -283,3 +283,17 @@ func checkSampleAgainstReference(t *testing.T, seed uint64, n, k int) {
 		t.Fatalf("Sample(%d,%d) seed %d: generator state diverged from the reference", n, k, seed)
 	}
 }
+
+// TestSampleAllocatesOnlyResult pins Sample's pooled table: a warm draw of
+// 51 ports out of 2047 (a 128-slot table) allocates its result and nothing
+// else.
+func TestSampleAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation drops pooled tables; enforced in the non-race build")
+	}
+	r := New(3)
+	r.Sample(2047, 51) // warm the table pool
+	if allocs := testing.AllocsPerRun(100, func() { r.Sample(2047, 51) }); allocs != 1 {
+		t.Fatalf("a warm Sample(2047, 51) allocated %v times, want 1 (its result)", allocs)
+	}
+}
