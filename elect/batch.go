@@ -255,16 +255,16 @@ func CheckRange(spec Spec, b *Batch, ns []int, seeds []uint64, start int, result
 // RunRange executes the contiguous cell range [start, start+count) of the
 // batch's canonical grid — the same topo-major, size-major, seed-minor
 // order RunMany uses — and returns the per-cell Results in range order,
-// with each cell's wire bytes as RunCached yields them through b.Cache: the
-// bytes a miss stored or a canonical hit read, and nil for a cell without
-// them. The bytes must not be modified. It is the worker-side half of
-// distributed dispatch: a fleet scheduler partitions the grid into ranges,
-// each electd worker executes its ranges with RunRange, and the merged
-// grid is byte-identical to one local RunMany because every cell is a pure
-// function of its own (topo, n, seed). Workers, Cache, OnResult and Cancel
-// are honored as in RunMany (OnResult's done/total are relative to the
-// range); Remote is ignored — ranges always execute locally. A range that
-// fails ValidRange is an error.
+// with each cell's wire bytes as RunCached returns them through b.Cache:
+// exactly what EncodeResult writes for the cell's Result, for every cell,
+// cached or not. The bytes must not be modified. It is the worker-side
+// half of distributed dispatch: a fleet scheduler partitions the grid into
+// ranges, each electd worker executes its ranges with RunRange, and the
+// merged grid is byte-identical to one local RunMany because every cell is
+// a pure function of its own (topo, n, seed). Workers, Cache, OnResult and
+// Cancel are honored as in RunMany (OnResult's done/total are relative to
+// the range); Remote is ignored — ranges always execute locally. A range
+// that fails ValidRange is an error.
 func RunRange(spec Spec, b Batch, start, count int) ([]Result, [][]byte, error) {
 	if err := ValidRange(&b, start, count); err != nil {
 		return nil, nil, err

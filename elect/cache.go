@@ -136,38 +136,35 @@ func fingerprint(spec Spec, c *runConfig) (string, error) {
 // what the original run produced — and reports hit=true. On a miss it runs,
 // stores the encoded Result, and reports hit=false.
 //
-// It also returns the Result's wire bytes when it holds them anyway: on a
-// miss, the EncodeResult bytes it stored; on a hit, the stored bytes when
-// they are canonical, that is exactly what EncodeResult writes for the
-// Result they decode to. Otherwise — an uncacheable run, or a hit on bytes
-// in any other layout — the bytes are nil. A hit is always decoded: a
-// Cache's bytes need not have been written by this process, and the decode
-// is what checks them. Callers must not modify the bytes.
+// Whenever it returns no error it also returns the Result's wire bytes,
+// exactly what EncodeResult writes for it: on a miss, the bytes it stored;
+// on a hit, the stored bytes when they are canonical, else the decoded
+// Result encoded afresh; on an uncacheable run, the Result encoded afresh.
+// A hit is always decoded: a Cache's bytes need not have been written by
+// this process, and the decode is what checks them. Callers must not
+// modify the bytes.
 //
 // Uncacheable configurations (nil cache, EngineLive, adaptive adversaries)
 // fall through to a plain Run with hit=false; configuration errors surface
 // from that Run exactly as they would without a cache. A corrupted cache
-// entry is treated as a miss and overwritten.
+// entry is treated as a miss and overwritten. A Result that EncodeResult
+// rejects (non-finite TimeUnits) is an error.
 func RunCached(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool, error) {
 	cfg, err := resolve(spec, opts)
 	if err != nil {
 		return rejected(spec, cfg), nil, false, err
 	}
-	if cache == nil {
-		res, err := run(spec, cfg)
-		return res, nil, false, err
-	}
-	key, err := fingerprint(spec, &cfg)
-	if err != nil {
-		res, err := run(spec, cfg)
-		return res, nil, false, err
-	}
-	if data, ok := cache.Get(key); ok {
-		if res, canonical, err := DecodeCanonical(data); err == nil {
-			if !canonical {
-				data = nil
+	var key string
+	if cache != nil {
+		if key, err = fingerprint(spec, &cfg); err != nil {
+			cache = nil // uncacheable: run as without a cache
+		} else if data, ok := cache.Get(key); ok {
+			if res, canonical, err := DecodeCanonical(data); err == nil {
+				if !canonical {
+					data, err = EncodeResult(res)
+				}
+				return res, data, true, err
 			}
-			return res, data, true, nil
 		}
 	}
 	res, err := run(spec, cfg)
@@ -176,8 +173,10 @@ func RunCached(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool, er
 	}
 	data, err := EncodeResult(res)
 	if err != nil {
-		return res, nil, false, nil
+		return res, nil, false, err
 	}
-	cache.Put(key, data)
+	if cache != nil {
+		cache.Put(key, data)
+	}
 	return res, data, false, nil
 }

@@ -211,10 +211,11 @@ func TestRunCachedCorruptEntryRecovers(t *testing.T) {
 	}
 }
 
-// TestRunCachedBytes: RunCached returns the bytes it stored on a
-// miss and the canonical bytes it read on a hit, no bytes for an uncached
-// run, and on a hit whose bytes decode but are not canonical (2.5E+3
-// where EncodeResult writes 2500) the decoded Result with no bytes.
+// TestRunCachedBytes: RunCached returns the bytes it stored on a miss, the
+// canonical bytes it read on a hit, EncodeResult's bytes for an uncached
+// or uncacheable run (stored nowhere), and on a hit whose bytes decode but
+// are not canonical (2.5E+3 where EncodeResult writes 2500) the decoded
+// Result with EncodeResult's bytes for it.
 func TestRunCachedBytes(t *testing.T) {
 	cache := newMemCache()
 	spec := mustSpec(t, "tradeoff")
@@ -234,18 +235,28 @@ func TestRunCachedBytes(t *testing.T) {
 	if _, wire, hit, err := RunCached(cache, spec, opts...); err != nil || !hit || !bytes.Equal(wire, want) {
 		t.Fatalf("hit: hit=%v err=%v bytes %s, want %s", hit, err, wire, want)
 	}
-	if _, wire, _, err := RunCached(nil, spec, opts...); err != nil || wire != nil {
-		t.Fatalf("uncached run: bytes %s err=%v", wire, err)
+	if _, wire, _, err := RunCached(nil, spec, opts...); err != nil || !bytes.Equal(wire, want) {
+		t.Fatalf("uncached run: bytes %s err=%v, want %s", wire, err, want)
+	}
+	adaptive := append([]Option{WithFaults(FaultPlan{NewAdversary: CrashLowestSender(1)})}, opts...)
+	crashed, wire, hit, err := RunCached(cache, spec, adaptive...)
+	if fresh, _ := EncodeResult(crashed); err != nil || hit || !bytes.Equal(wire, fresh) || len(cache.m) != 1 {
+		t.Fatalf("uncacheable run: hit=%v err=%v bytes %s, want %s and 1 stored entry, have %d",
+			hit, err, wire, fresh, len(cache.m))
 	}
 
 	planted := bytes.Replace(want, []byte(`"time_units":0,`), []byte(`"time_units":2.5E+3,`), 1)
 	cache.Put(key, planted)
 	got, wire, hit, err := RunCached(cache, spec, opts...)
-	if err != nil || !hit || wire != nil {
-		t.Fatalf("planted hit: hit=%v err=%v bytes %s, want a hit with no bytes", hit, err, wire)
+	if err != nil || !hit {
+		t.Fatalf("planted hit: hit=%v err=%v", hit, err)
 	}
 	if got.TimeUnits != 2500 {
 		t.Fatalf("planted hit decoded time_units %v, want 2500", got.TimeUnits)
+	}
+	fresh, _ := EncodeResult(got)
+	if !bytes.Equal(wire, fresh) || !bytes.Contains(wire, []byte(`"time_units":2500,`)) {
+		t.Fatalf("planted hit bytes %s, want %s", wire, fresh)
 	}
 }
 

@@ -51,7 +51,10 @@ type AsyncTradeoff struct {
 	winnerSelf bool
 
 	// Consult serialization: head of pending is in flight iff consulting.
+	// Wake points pending at pendingBuf, so a referee queues its first four
+	// competes without allocating.
 	pending    []pendingCompete
+	pendingBuf [4]pendingCompete
 	consulting bool
 
 	dec proto.Decision
@@ -125,6 +128,7 @@ func AsyncRefCount(n int) int {
 // Wake implements simasync.Protocol (lines 3-9 of Algorithm 2).
 func (a *AsyncTradeoff) Wake(env proto.Env) []proto.Send {
 	a.env = env
+	a.pending = a.pendingBuf[:0]
 	if env.N == 1 {
 		a.leader = true
 		a.dec = proto.Leader

@@ -179,10 +179,3 @@ func Blocks(u Universe, blockSize, blockCount int, rng *xrand.RNG) Assignment {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

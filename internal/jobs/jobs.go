@@ -68,9 +68,8 @@ type Config struct {
 	// Cache, when non-nil, is consulted by every job: run jobs go through
 	// elect.RunCached, chunk jobs through elect.RunRange and batch jobs
 	// through elect.RunMany. A run's or a chunk cell's result bytes are the
-	// ones the cache stored or returned; a job encodes a result itself only
-	// where those calls hold no bytes for it. Jobs submitted with NoCache opt
-	// out individually.
+	// ones elect.RunCached returns, cached or not. Jobs submitted with
+	// NoCache opt out individually.
 	Cache elect.Cache
 	// BatchWorkers caps the sharded RunMany executor of each batch job.
 	// Without a cap, every concurrent batch job spins up GOMAXPROCS workers
@@ -412,40 +411,34 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// Result returns a Done job's result as the JSON value its reply carries:
-// a run's Result as elect.EncodeResult writes it, a batch's BatchResult as
-// elect.EncodeBatchResult writes it, and a chunk's Results as one JSON
-// array in cell order (joined from its cells on every call). It is nil
-// until the job is Done, for a job that failed or was canceled, and after
-// TakeResult or TakeCells. The bytes must not be modified.
+// Result returns a Done run or batch job's result as the JSON value its
+// reply carries: a run's Result as elect.RunCached returns it, a batch's
+// BatchResult as elect.EncodeBatchResult writes it. It is nil until the job
+// is Done, for a job that failed or was canceled, after TakeResult, and for
+// a chunk, whose cells only TakeCells hands out. The bytes must not be
+// modified.
 func (j *Job) Result() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.Kind == KindChunk {
-		return joinCells(j.cells)
-	}
 	return j.result
 }
 
 // TakeResult is Result for the one caller that answers the submission: the
 // first call returns the bytes and drops the job's reference, so the job
 // table keeps none. Every later call returns nil, and so does a call before
-// the job is done, after which the job never keeps its result at all.
+// the job is done, after which the job never keeps its result at all. On a
+// chunk it drops the cells and returns nil: TakeCells is a chunk's accessor.
 func (j *Job) TakeResult() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out, cells := j.result, j.cells
+	out := j.result
 	j.result, j.cells, j.taken = nil, nil, true
-	if j.Kind == KindChunk {
-		return joinCells(cells)
-	}
 	return out
 }
 
-// TakeCells is TakeResult for a chunk whose reply writes the array itself:
-// each cell's bytes in order, as elect.RunRange's cache or EncodeResult
-// produced them, without the copy that joins them. The cells must not be
-// modified.
+// TakeCells is TakeResult for a chunk, and a chunk's only result accessor:
+// each cell's bytes in cell order, as elect.RunRange returned them, for a
+// reply that writes the array itself. The cells must not be modified.
 func (j *Job) TakeCells() [][]byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -581,11 +574,7 @@ func (j *Job) execute() {
 	)
 	switch j.Kind {
 	case KindRun:
-		var res elect.Result
-		res, out, hit, err = elect.RunCached(cache, j.spec, j.opts...)
-		if err == nil && out == nil {
-			out, err = elect.EncodeResult(res)
-		}
+		_, out, hit, err = elect.RunCached(cache, j.spec, j.opts...)
 
 	case KindBatch, KindChunk:
 		b := j.batch
@@ -604,7 +593,7 @@ func (j *Job) execute() {
 			j.mu.Unlock()
 		}
 		if j.Kind == KindChunk {
-			cells, err = encodeCells(elect.RunRange(j.spec, b, j.start, j.count))
+			_, cells, err = elect.RunRange(j.spec, b, j.start, j.count)
 		} else {
 			var res *elect.BatchResult
 			if res, err = elect.RunMany(j.spec, b); err == nil {
@@ -628,40 +617,4 @@ func (j *Job) execute() {
 		j.done = j.total
 		j.finishLocked(Done, nil)
 	}
-}
-
-// encodeCells completes what elect.RunRange returned into one encoded
-// value per cell, in cell order: the wire bytes where RunRange holds them,
-// EncodeResult's bytes where it does not. A RunRange error passes through.
-func encodeCells(results []elect.Result, wires [][]byte, err error) ([][]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	for i, w := range wires {
-		if w == nil {
-			if wires[i], err = elect.EncodeResult(results[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return wires, nil
-}
-
-// joinCells writes cells as one JSON array, or returns nil for no cells.
-func joinCells(cells [][]byte) []byte {
-	if cells == nil {
-		return nil
-	}
-	size := len(cells) + 2 // brackets and commas
-	for _, c := range cells {
-		size += len(c)
-	}
-	out := append(make([]byte, 0, size), '[')
-	for i, c := range cells {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = append(out, c...)
-	}
-	return append(out, ']')
 }

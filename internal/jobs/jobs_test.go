@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -432,12 +434,12 @@ func TestChunkJob(t *testing.T) {
 	if s.State != Done || s.Kind != KindChunk || s.Done != 3 || s.Total != 3 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	want, _, err := elect.RunRange(spec, batch, 2, 3)
+	_, want, err := elect.RunRange(spec, batch, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wb, _ := json.Marshal(want); string(j.TakeResult()) != string(wb) {
-		t.Fatal("chunk differs from direct RunRange")
+	if got := j.TakeCells(); !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("chunk cells %q differ from direct RunRange's %q", got, want)
 	}
 
 	// Out-of-grid and zero-cell chunks are rejected at submission, before
@@ -476,8 +478,14 @@ func TestChunkJobUsesCache(t *testing.T) {
 	if st.Misses != misses || st.Hits != 4 {
 		t.Fatalf("re-dispatched chunk recomputed: %+v", st)
 	}
-	if a, b := first.TakeResult(), second.TakeResult(); len(a) == 0 || string(a) != string(b) {
-		t.Fatal("cached replay differs")
+	_, want, err := elect.RunRange(spec, batch, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{first, second} {
+		if got := j.TakeCells(); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("%s: chunk cells %q differ from direct RunRange's %q", j.ID, got, want)
+		}
 	}
 }
 
@@ -537,10 +545,12 @@ func TestTakeBatchOnce(t *testing.T) { takeResultOnce(t, KindBatch) }
 func TestTakeChunkOnce(t *testing.T) { takeResultOnce(t, KindChunk) }
 
 // takeResultOnce pins the result contract for one job kind: a finished
-// job's bytes are what encoding/json writes for its result computed
-// directly, on a miss, a hit and without the cache; Result reads them as
-// often as asked; the first TakeResult hands them over and no later one
-// does, after which Result reads nil; and a TakeResult before the job
+// job's bytes are what its result computed directly encodes to (a run's or
+// batch's as encoding/json writes it, a chunk's cells as elect.RunRange
+// returns them), on a miss, a hit and without the cache; Result reads a
+// run's or batch's bytes as often as asked, and never a chunk's; the first
+// take (TakeResult, or TakeCells for a chunk) hands them over and no later
+// one does, after which Result reads nil; and a take before the job
 // finishes means the job never keeps them.
 func takeResultOnce(t *testing.T, kind Kind) {
 	t.Helper()
@@ -564,31 +574,36 @@ func takeResultOnce(t *testing.T, kind Kind) {
 	chunk := elect.Batch{Ns: []int{32, 64}, Seeds: elect.Seeds(4, 3)}
 	var (
 		submit func(...SubmitOption) (*Job, error)
-		direct func() (any, error)
+		res    any
+		want   [][]byte // the bytes the take hands over
+		err    error
 	)
+	take := func(j *Job) [][]byte { return oneCell(j.TakeResult()) }
 	switch kind {
 	case KindRun:
 		submit = func(o ...SubmitOption) (*Job, error) { return m.SubmitRun(spec, opts, o...) }
-		direct = func() (any, error) { return elect.Run(spec, opts...) }
+		res, err = elect.Run(spec, opts...)
 	case KindBatch:
 		submit = func(o ...SubmitOption) (*Job, error) { return m.SubmitBatch(spec, batch, o...) }
-		direct = func() (any, error) { return elect.RunMany(spec, batch) }
+		res, err = elect.RunMany(spec, batch)
 	case KindChunk:
 		submit = func(o ...SubmitOption) (*Job, error) { return m.SubmitChunk(spec, chunk, 1, 4, o...) }
-		direct = func() (any, error) {
-			res, _, err := elect.RunRange(spec, chunk, 1, 4)
-			return res, err
-		}
+		_, want, err = elect.RunRange(spec, chunk, 1, 4)
+		take = (*Job).TakeCells
 	default:
 		t.Fatalf("no result contract for job kind %q", kind)
 	}
-	res, err := direct()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
+	var read [][]byte // what Result reads before the take
+	if kind != KindChunk {
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = oneCell(b)
+		read = want
 	}
 	for _, pass := range []struct {
 		name string
@@ -608,18 +623,18 @@ func takeResultOnce(t *testing.T, kind Kind) {
 			t.Fatalf("%s: snapshot %+v", label, s)
 		}
 		for range 2 {
-			if got := j.Result(); string(got) != string(want) {
-				t.Fatalf("%s: Result gave %q, want %q", label, got, want)
+			if got := oneCell(j.Result()); !slices.EqualFunc(got, read, bytes.Equal) {
+				t.Fatalf("%s: Result gave %q, want %q", label, got, read)
 			}
 		}
-		if got := j.TakeResult(); string(got) != string(want) {
-			t.Fatalf("%s: TakeResult gave %q, want %q", label, got, want)
+		if got := take(j); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("%s: the take gave %q, want %q", label, got, want)
 		}
-		if got := j.TakeResult(); got != nil {
-			t.Fatalf("%s: a second TakeResult gave %d bytes", label, len(got))
+		if got := take(j); got != nil {
+			t.Fatalf("%s: a second take gave %q", label, got)
 		}
 		if got := j.Result(); got != nil {
-			t.Fatalf("%s: Result after TakeResult gave %d bytes", label, len(got))
+			t.Fatalf("%s: Result after the take gave %d bytes", label, len(got))
 		}
 	}
 
@@ -633,15 +648,24 @@ func takeResultOnce(t *testing.T, kind Kind) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j.TakeResult(); got != nil {
-		t.Fatalf("%s: TakeResult on a queued job gave %d bytes", kind, len(got))
+	if got := take(j); got != nil {
+		t.Fatalf("%s: the take on a queued job gave %q", kind, got)
 	}
 	close(release)
 	wait(t, blocker)
 	if s := wait(t, j); s.State != Done {
 		t.Fatalf("%s: snapshot %+v", kind, s)
 	}
-	if got, again := j.Result(), j.TakeResult(); got != nil || again != nil {
-		t.Fatalf("%s: a declined job kept %d bytes", kind, max(len(got), len(again)))
+	if got, again := j.Result(), take(j); got != nil || again != nil {
+		t.Fatalf("%s: a declined job kept %d bytes and %q", kind, len(got), again)
 	}
+}
+
+// oneCell lists a run's or batch's result bytes as one cell, and no bytes
+// as no cells, so they compare like a chunk's.
+func oneCell(b []byte) [][]byte {
+	if b == nil {
+		return nil
+	}
+	return [][]byte{b}
 }

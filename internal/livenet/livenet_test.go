@@ -137,13 +137,6 @@ func TestLiveInvalidWakeNoLeak(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TestLiveStressLargerClique runs the async tradeoff at a larger scale on
 // the concurrent runtime, checking wake-up coverage and uniqueness.
 func TestLiveStressLargerClique(t *testing.T) {

@@ -76,9 +76,9 @@ func finished(t *testing.T, srv *Server, id string) client.JobStatus {
 
 // TestRunReplyMatchesWriteJSON is the differential test of the /v1/run
 // reply: for misses, hits and uncached runs of every serving spec, and for
-// round-traced and faulted runs, the reply is spliced and byte for byte
-// what writeJSON writes for the job's status and the Result elect.Run
-// computes for the same request.
+// round-traced, faulted and uncacheable (adaptive-adversary) runs, the
+// reply is spliced and byte for byte what writeJSON writes for the job's
+// status and the Result elect.Run computes for the same request.
 func TestRunReplyMatchesWriteJSON(t *testing.T) {
 	srv, url := newCachedServer(t, Config{})
 	reqs := map[string]client.RunRequest{
@@ -87,7 +87,10 @@ func TestRunReplyMatchesWriteJSON(t *testing.T) {
 		"asynctradeoff": {Spec: "asynctradeoff", N: 256, Seed: 3},
 		"roundtrace":    {Spec: "tradeoff", N: 256, Seed: 4, Options: client.Options{RoundTrace: true}},
 		"faulted":       {Spec: "asynctradeoff", N: 256, Seed: 5, Options: client.Options{Faults: "crash=0.25"}},
+		"adaptive":      {Spec: "asynctradeoff", N: 256, Seed: 5, Options: client.Options{Faults: "adaptive=1"}},
 	}
+	// An adaptive adversary makes a run uncacheable: its repeat misses too.
+	uncacheable := map[string]bool{"adaptive": true}
 	for name, req := range reqs {
 		spec, opts, err := req.Resolve()
 		if err != nil {
@@ -105,7 +108,7 @@ func TestRunReplyMatchesWriteJSON(t *testing.T) {
 			hit  bool
 		}{
 			{"miss", req, false},
-			{"hit", req, true},
+			{"hit", req, !uncacheable[name]},
 			{"no_cache", nocache, false},
 		} {
 			body, id, spliced := post(t, url, "/v1/run", pass.req)
@@ -371,10 +374,10 @@ func BenchmarkRunResponseEncode(b *testing.B) {
 
 // TestChunkReplyMatchesWriteJSON is the differential test of the
 // /v1/chunk reply: on traced and untraced daemons, for misses, hits and
-// uncached chunks of plain, topology-swept and round-traced grids, the
-// reply is spliced and byte for byte what writeJSON writes for the same
-// results (run locally with elect.RunRange) and spans (as the reply
-// carries them).
+// uncached chunks of plain, topology-swept, round-traced and uncacheable
+// (adaptive-adversary) grids, the reply is spliced and byte for byte what
+// writeJSON writes for the same results (run locally with elect.RunRange)
+// and spans (as the reply carries them).
 func TestChunkReplyMatchesWriteJSON(t *testing.T) {
 	reqs := map[string]client.ChunkRequest{
 		"tradeoff": {Spec: "tradeoff", Ns: []int{64, 128}, Seeds: []uint64{1, 2, 3}, Start: 1, Count: 4,
@@ -383,6 +386,8 @@ func TestChunkReplyMatchesWriteJSON(t *testing.T) {
 			Start: 2, Count: 5},
 		"roundtrace": {Spec: "tradeoff", Ns: []int{64}, Seeds: []uint64{6, 7}, Start: 0, Count: 2,
 			Options: client.Options{RoundTrace: true}},
+		"adaptive": {Spec: "asynctradeoff", Ns: []int{64, 128}, Seeds: []uint64{1, 2}, Start: 1, Count: 3,
+			Options: client.Options{Faults: "adaptive=1"}},
 	}
 	for _, traced := range []bool{false, true} {
 		cfg := Config{TraceSpans: -1}

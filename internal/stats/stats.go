@@ -241,10 +241,3 @@ func trimFloat(v float64) string {
 	}
 	return fmt.Sprintf("%.4g", v)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
