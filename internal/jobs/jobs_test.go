@@ -418,8 +418,8 @@ func TestManagerClose(t *testing.T) {
 }
 
 // TestChunkJob: a KindChunk job executes exactly its cell range, its
-// results match a direct elect.RunRange of the same range byte-for-byte,
-// and progress counts the range (not the whole grid).
+// cells match a direct elect.RunRange of the same range byte-for-byte
+// (and encoding/json's encoding of its Results), and progress counts the range (not the whole grid).
 func TestChunkJob(t *testing.T) {
 	m := NewManager(Config{Workers: 2})
 	defer m.Close()
@@ -434,10 +434,7 @@ func TestChunkJob(t *testing.T) {
 	if s.State != Done || s.Kind != KindChunk || s.Done != 3 || s.Total != 3 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	_, want, err := elect.RunRange(spec, batch, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directCells(t, spec, batch, 2, 3)
 	if got := j.TakeCells(); !slices.EqualFunc(got, want, bytes.Equal) {
 		t.Fatalf("chunk cells %q differ from direct RunRange's %q", got, want)
 	}
@@ -478,15 +475,36 @@ func TestChunkJobUsesCache(t *testing.T) {
 	if st.Misses != misses || st.Hits != 4 {
 		t.Fatalf("re-dispatched chunk recomputed: %+v", st)
 	}
-	_, want, err := elect.RunRange(spec, batch, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directCells(t, spec, batch, 0, 4)
 	for _, j := range []*Job{first, second} {
 		if got := j.TakeCells(); !slices.EqualFunc(got, want, bytes.Equal) {
 			t.Fatalf("%s: chunk cells %q differ from direct RunRange's %q", j.ID, got, want)
 		}
 	}
+}
+
+// directCells returns the cells [start, start+count) of b as elect.RunRange
+// returns their bytes, after checking each against encoding/json's encoding
+// of the Result RunRange computed beside it.
+func directCells(t *testing.T, spec elect.Spec, b elect.Batch, start, count int) [][]byte {
+	t.Helper()
+	results, cells, err := elect.RunRange(spec, b, start, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != len(results) {
+		t.Fatalf("RunRange gave %d cells for %d results", len(cells), len(results))
+	}
+	for i, res := range results {
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cells[i], want) {
+			t.Fatalf("cell %d: RunRange's bytes %s, encoding/json's %s", start+i, cells[i], want)
+		}
+	}
+	return cells
 }
 
 func TestQueueDepthGauge(t *testing.T) {
@@ -547,7 +565,7 @@ func TestTakeChunkOnce(t *testing.T) { takeResultOnce(t, KindChunk) }
 // takeResultOnce pins the result contract for one job kind: a finished
 // job's bytes are what its result computed directly encodes to (a run's or
 // batch's as encoding/json writes it, a chunk's cells as elect.RunRange
-// returns them), on a miss, a hit and without the cache; Result reads a
+// returns them, each checked against encoding/json), on a miss, a hit and without the cache; Result reads a
 // run's or batch's bytes as often as asked, and never a chunk's; the first
 // take (TakeResult, or TakeCells for a chunk) hands them over and no later
 // one does, after which Result reads nil; and a take before the job
@@ -588,7 +606,7 @@ func takeResultOnce(t *testing.T, kind Kind) {
 		res, err = elect.RunMany(spec, batch)
 	case KindChunk:
 		submit = func(o ...SubmitOption) (*Job, error) { return m.SubmitChunk(spec, chunk, 1, 4, o...) }
-		_, want, err = elect.RunRange(spec, chunk, 1, 4)
+		want = directCells(t, spec, chunk, 1, 4)
 		take = (*Job).TakeCells
 	default:
 		t.Fatalf("no result contract for job kind %q", kind)

@@ -331,6 +331,49 @@ func TestSyncReplyKeepsNothing(t *testing.T) {
 	}
 }
 
+// TestSyncChunkReplyKeepsNoCells: once a synchronous POST /v1/chunk has
+// answered with its cells, on a traced or untraced daemon and on a miss, a
+// hit or without the cache, the job table holds none of them. Result never
+// reads a chunk's cells, so this takes them: a take after the reply must
+// find nothing.
+func TestSyncChunkReplyKeepsNoCells(t *testing.T) {
+	req := client.ChunkRequest{Spec: "tradeoff", Ns: []int{64}, Seeds: []uint64{1, 2, 3}, Start: 0, Count: 3}
+	nocache := req
+	nocache.NoCache = true
+	for _, traced := range []bool{false, true} {
+		cfg := Config{TraceSpans: -1}
+		if traced {
+			cfg.TraceSpans = 0
+		}
+		srv, url := newCachedServer(t, cfg)
+		for _, pass := range []struct {
+			name string
+			req  client.ChunkRequest
+		}{
+			{"miss", req},
+			{"hit", req},
+			{"no_cache", nocache},
+		} {
+			label := fmt.Sprintf("traced=%v %s", traced, pass.name)
+			body, id, _ := post(t, url, "/v1/chunk", pass.req)
+			var got client.ChunkResponse
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(got.Results) != req.Count {
+				t.Fatalf("%s: reply carried %d cells, want %d", label, len(got.Results), req.Count)
+			}
+			job, ok := srv.mgr.Get(id)
+			if !ok {
+				t.Fatalf("%s: job %q not in the table", label, id)
+			}
+			if cells := job.TakeCells(); cells != nil {
+				t.Fatalf("%s: the answered job kept %d cells", label, len(cells))
+			}
+		}
+	}
+}
+
 // discardWriter is a ResponseWriter that drops the body.
 type discardWriter struct{ h http.Header }
 
