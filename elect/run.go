@@ -236,16 +236,12 @@ func run(spec Spec, cfg runConfig) (Result, error) {
 
 	switch cfg.engine {
 	case EngineSync:
-		var wake simsync.WakePolicy = simsync.Simultaneous{}
-		if wset != nil {
-			wake = simsync.AdversarialSet{Nodes: wset}
-		}
 		var rec *trace.Recorder
 		if cfg.trace {
 			rec = trace.NewRecorder(cfg.n)
 		}
 		out, err := simsync.Run(simsync.Config{
-			N: cfg.n, IDs: assign, Seed: seed, Wake: wake, Topo: graph,
+			N: cfg.n, IDs: assign, Seed: seed, Wake: wset, Topo: graph,
 			MaxMessages: cfg.budget, Trace: rec, Faults: inj, Rounds: rt,
 		}, syncFactory)
 		if err != nil {
@@ -263,12 +259,8 @@ func run(spec Spec, cfg runConfig) (Result, error) {
 			}
 		}
 	case EngineAsync:
-		wake := simasync.AllAtZero(cfg.n)
-		if wset != nil {
-			wake = simasync.SubsetAtZero(wset)
-		}
 		out, err := simasync.Run(simasync.Config{
-			N: cfg.n, IDs: assign, Seed: seed, Delays: delays, Wake: wake, Topo: graph,
+			N: cfg.n, IDs: assign, Seed: seed, Delays: delays, Wake: simasync.SubsetAtZero(wset),
 			MaxMessages: cfg.budget, Faults: inj, Rounds: rt,
 		}, asyncFactory)
 		if err != nil {
@@ -277,12 +269,6 @@ func run(spec Spec, cfg runConfig) (Result, error) {
 		res.setOutcome(&out.Outcome, out.AllAwake(), out.Validate())
 		res.TimeUnits = out.TimeUnits
 	case EngineLive:
-		if wset == nil {
-			wset = make([]int, cfg.n)
-			for i := range wset {
-				wset[i] = i
-			}
-		}
 		out, err := livenet.Run(livenet.Config{
 			N: cfg.n, IDs: assign, Seed: seed, Wake: wset, MaxMessages: cfg.budget,
 		}, asyncFactory)
@@ -324,7 +310,7 @@ func makeIDs(spec Spec, cfg runConfig, rng *xrand.RNG) (ids.Assignment, error) {
 // records its shape on the result. Seeded generators draw their graph seed
 // from rng — after the wake set, before the engine seed — so clique runs
 // consume no extra randomness and stay byte-identical to pre-topology runs.
-func buildTopo(cfg runConfig, rng *xrand.RNG, res *Result) (topo.Topology, error) {
+func buildTopo(cfg runConfig, rng *xrand.RNG, res *Result) (*topo.Graph, error) {
 	if cfg.topo == "" {
 		return nil, nil
 	}

@@ -63,7 +63,7 @@ func TestAfekGafniAdversarialWake(t *testing.T) {
 	for _, wake := range [][]int{{0}, {5, 17}, {0, 1, 2, 3, 4, 5, 6, 7}} {
 		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: 2, Strict: true,
-			Wake: simsync.AdversarialSet{Nodes: wake},
+			Wake: wake,
 		}, NewAfekGafni(k))
 		leader := res.UniqueLeader()
 		if leader < 0 {
@@ -97,7 +97,7 @@ func TestAfekGafniSingleRootWins(t *testing.T) {
 	assign := ids.Sequential(ids.LinearUniverse(n, 1), n)
 	res := runSync(t, simsync.Config{
 		N: n, IDs: assign, Seed: 5, Strict: true,
-		Wake: simsync.AdversarialSet{Nodes: []int{3}},
+		Wake: []int{3},
 	}, NewAfekGafni(k))
 	if got := res.UniqueLeader(); got != 3 {
 		t.Fatalf("leader = %d, want 3", got)

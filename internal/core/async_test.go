@@ -189,7 +189,6 @@ func TestAsyncTradeoffAllocBudget(t *testing.T) {
 	for _, n := range []int{256, 2048} {
 		cfg := simasync.Config{
 			N: n, IDs: ids.Random(ids.LogUniverse(n), n, xrand.New(7)), Seed: 3,
-			Wake: simasync.AllAtZero(n),
 		}
 		runAsync(t, cfg, NewAsyncTradeoff(3)) // warm the engine's pools
 		allocs := testing.AllocsPerRun(3, func() { runAsync(t, cfg, NewAsyncTradeoff(3)) })
@@ -219,7 +218,6 @@ func TestAsyncAfekGafniDeterministicUniqueLeader(t *testing.T) {
 				assign := ids.Random(ids.LogUniverse(max(n, 2)), n, xrand.New(seed+uint64(n)))
 				res := runAsync(t, simasync.Config{
 					N: n, IDs: assign, Seed: seed, Delays: policy,
-					Wake: simasync.AllAtZero(n),
 				}, NewAsyncAfekGafni())
 				if err := res.Validate(); err != nil {
 					t.Fatalf("n=%d %s seed=%d: %v", n, name, seed, err)
@@ -238,7 +236,6 @@ func TestAsyncAfekGafniMessageBound(t *testing.T) {
 			res := runAsync(t, simasync.Config{
 				N: n, IDs: assign, Seed: seed,
 				Delays: simasync.UniformDelay{Lo: 0.1},
-				Wake:   simasync.AllAtZero(n),
 			}, NewAsyncAfekGafni())
 			if res.Messages > worst {
 				worst = res.Messages
@@ -256,7 +253,6 @@ func TestAsyncAfekGafniTimeBound(t *testing.T) {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(n)))
 		res := runAsync(t, simasync.Config{
 			N: n, IDs: assign, Seed: 3, Delays: simasync.UnitDelay{},
-			Wake: simasync.AllAtZero(n),
 		}, NewAsyncAfekGafni())
 		if _, bound := lookup(t, "asyncafekgafni").Bound(n, elect.Params{}, 0, 0); res.TimeUnits > bound {
 			t.Fatalf("n=%d: time %.1f not O(log n)", n, res.TimeUnits)
@@ -340,7 +336,6 @@ func TestAsyncAfekGafniUnderTargetedScheduler(t *testing.T) {
 		res := runAsync(t, simasync.Config{
 			N: n, IDs: assign, Seed: seed,
 			Delays: simasync.KindDelay{Slow: []uint8{KindCancel, KindCancelGrant, KindCancelRefuse}},
-			Wake:   simasync.AllAtZero(n),
 		}, NewAsyncAfekGafni())
 		if err := res.Validate(); err != nil {
 			t.Fatalf("seed %d: %v (deterministic algorithm must not fail)", seed, err)

@@ -70,8 +70,8 @@ type reqEntry struct {
 }
 
 // NewAsyncAfekGafni returns a simasync factory for Theorem 5.14's
-// deterministic algorithm. Run it under simultaneous wake-up
-// (simasync.AllAtZero); under adversarial wake-up its time complexity is
+// deterministic algorithm. Run it under simultaneous wake-up (a nil
+// simasync.Config.Wake); under adversarial wake-up its time complexity is
 // counted from the last spontaneous wake-up, per the theorem statement.
 func NewAsyncAfekGafni() simasync.Factory {
 	return func(int) simasync.Protocol { return &AsyncAfekGafni{} }

@@ -47,7 +47,6 @@ func ExampleNewAsyncAfekGafni() {
 	res, err := simasync.Run(simasync.Config{
 		N: n, IDs: assign, Seed: 2,
 		Delays: simasync.SkewDelay{Fast: 0.1, Mod: 2},
-		Wake:   simasync.AllAtZero(n),
 	}, core.NewAsyncAfekGafni())
 	if err != nil {
 		panic(err)

@@ -83,7 +83,7 @@ func TestExplicitAdversarialWake(t *testing.T) {
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(8))
 	leaderID, res, err := runExplicit(simsync.Config{
 		N: n, IDs: assign, Seed: 2, Strict: true,
-		Wake: simsync.AdversarialSet{Nodes: []int{4, 9}},
+		Wake: []int{4, 9},
 	}, NewAfekGafni(2))
 	if err != nil {
 		t.Fatal(err)

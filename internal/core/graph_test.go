@@ -12,7 +12,7 @@ import (
 )
 
 // buildTopo constructs a test topology, failing the test on error.
-func buildTopo(t *testing.T, spec string, n int, seed uint64) topo.Topology {
+func buildTopo(t *testing.T, spec string, n int, seed uint64) *topo.Graph {
 	t.Helper()
 	g, err := topo.Build(spec, n, seed)
 	if err != nil {
@@ -27,7 +27,7 @@ func TestKuttenMosesElectsMaxIDOnEveryTopology(t *testing.T) {
 			if spec == "rreg:d=4" && n < 8 {
 				continue
 			}
-			var g topo.Topology // nil: the clique, on the engine's own wiring
+			var g *topo.Graph // nil: the clique, on the engine's own wiring
 			if spec != "clique" {
 				g = buildTopo(t, spec, n, uint64(n))
 			}
@@ -64,7 +64,7 @@ func TestKuttenMosesSubsetWake(t *testing.T) {
 		wake := xrand.New(seed+100).Sample(n, 3)
 		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: seed, Topo: g, Strict: true,
-			Wake: simsync.AdversarialSet{Nodes: wake},
+			Wake: wake,
 		}, NewKuttenMoses())
 		if err := res.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -167,7 +167,7 @@ func TestKPPRTCliqueModeMatchesSublinearShape(t *testing.T) {
 }
 
 func TestKPPRTSingleNode(t *testing.T) {
-	for _, g := range []topo.Topology{nil, buildTopo(t, "ring", 1, 1)} {
+	for _, g := range []*topo.Graph{nil, buildTopo(t, "ring", 1, 1)} {
 		res := runSync(t, simsync.Config{
 			N: 1, IDs: ids.Assignment{3}, Seed: 1, Topo: g, Strict: true,
 		}, NewKPPRT())

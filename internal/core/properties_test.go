@@ -59,7 +59,7 @@ func TestPropertyAfekGafniMaxRootWins(t *testing.T) {
 		rng := xrand.New(seed)
 		assign := ids.Random(ids.LogUniverse(n), n, rng)
 		wakeCount := int(wsel)%n + 1
-		wake := simsync.RandomWakeSet(n, wakeCount, rng)
+		wake := rng.Sample(n, wakeCount)
 		res, err := simsync.Run(simsync.Config{
 			N: n, IDs: assign, Seed: rng.Uint64(), Wake: wake, Strict: true,
 		}, NewAfekGafni(k))
@@ -71,7 +71,7 @@ func TestPropertyAfekGafniMaxRootWins(t *testing.T) {
 			return false
 		}
 		var maxRoot ids.ID
-		for _, u := range wake.Nodes {
+		for _, u := range wake {
 			if assign[u] > maxRoot {
 				maxRoot = assign[u]
 			}
@@ -145,7 +145,6 @@ func TestPropertyAsyncAfekGafniDeterministic(t *testing.T) {
 		}
 		res, err := simasync.Run(simasync.Config{
 			N: n, IDs: assign, Seed: rng.Uint64(), Delays: policy,
-			Wake: simasync.AllAtZero(n),
 		}, NewAsyncAfekGafni())
 		return err == nil && res.Validate() == nil
 	}

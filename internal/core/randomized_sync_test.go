@@ -127,7 +127,7 @@ func TestAdvWakeSuccessAcrossWakeSets(t *testing.T) {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+7777))
 			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed, Strict: true,
-				Wake: simsync.RandomWakeSet(n, w, rng),
+				Wake: rng.Sample(n, w),
 			}, NewAdvWake2Round(1.0/16))
 			if float64(res.Rounds) > rounds {
 				t.Fatalf("w=%d seed=%d: rounds = %d > %.0f", w, seed, res.Rounds, rounds)
@@ -152,7 +152,7 @@ func TestAdvWakeMessageBound(t *testing.T) {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
 			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed,
-				Wake: simsync.Simultaneous{}, // worst case: everyone is a root
+				// A nil Wake wakes every node: the worst case, everyone is a root.
 			}, NewAdvWake2Round(eps))
 			if res.Messages > worst {
 				worst = res.Messages
@@ -174,7 +174,7 @@ func TestAdvWakeSingleRootWakesEveryone(t *testing.T) {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+31))
 		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: seed,
-			Wake: simsync.AdversarialSet{Nodes: []int{0}},
+			Wake: []int{0},
 		}, NewAdvWake2Round(1.0/16))
 		if res.AllAwake() {
 			ok++
@@ -208,7 +208,7 @@ func TestSpreadElectCorrectness(t *testing.T) {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+101))
 			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed, Strict: true,
-				Wake: simsync.RandomWakeSet(n, 1+int(rng.Uint64n(4)), rng),
+				Wake: rng.Sample(n, 1+int(rng.Uint64n(4))),
 			}, NewSpreadElect(k))
 			if _, rounds := lookup(t, "spreadelect").Bound(n, elect.Params{K: k}, 0, 0); float64(res.Rounds) > rounds {
 				t.Fatalf("k=%d: rounds %d > %.0f", k, res.Rounds, rounds)
@@ -231,7 +231,7 @@ func TestSpreadElectNearLinearMessages(t *testing.T) {
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(3))
 	res := runSync(t, simsync.Config{
 		N: n, IDs: assign, Seed: 4,
-		Wake: simsync.AdversarialSet{Nodes: []int{0}},
+		Wake: []int{0},
 	}, NewSpreadElect(k))
 	if bound, _ := lookup(t, "spreadelect").Bound(n, elect.Params{K: k}, 0, 0); float64(res.Messages) > bound {
 		t.Fatalf("messages %d not near-linear", res.Messages)
@@ -246,7 +246,7 @@ func TestSpreadElectAwakeNodesDecide(t *testing.T) {
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(21))
 	res := runSync(t, simsync.Config{
 		N: n, IDs: assign, Seed: 9, Strict: true,
-		Wake: simsync.AdversarialSet{Nodes: []int{7}},
+		Wake: []int{7},
 	}, NewSpreadElect(k))
 	for u, d := range res.Decisions {
 		if res.WakeRound[u] != 0 && d == proto.Undecided {

@@ -179,7 +179,7 @@ func E12AsyncAfekGafni(cfg Config) (*Report, error) {
 	for _, n := range ns {
 		for _, pol := range policies {
 			pt, err := measureAsync(n, cfg.seeds(), cfg.Seed+uint64(n),
-				core.NewAsyncAfekGafni(), pol.policy, simasync.AllAtZero(n))
+				core.NewAsyncAfekGafni(), pol.policy, nil)
 			if err != nil {
 				return nil, err
 			}

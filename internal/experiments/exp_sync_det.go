@@ -17,13 +17,13 @@ import (
 // meanMessages runs a sync factory `seeds` times and returns mean messages,
 // mean rounds, and the success (unique-leader) count.
 func meanMessages(n, seeds int, seed uint64, factory simsync.Factory,
-	mkIDs func(*xrand.RNG) ids.Assignment, wake simsync.WakePolicy) (msgs, rounds float64, successes int, err error) {
+	mkIDs func(*xrand.RNG) ids.Assignment) (msgs, rounds float64, successes int, err error) {
 	rng := xrand.New(seed)
 	var totalMsgs, totalRounds float64
 	for s := 0; s < seeds; s++ {
 		assign := mkIDs(rng)
 		res, rerr := simsync.Run(simsync.Config{
-			N: n, IDs: assign, Seed: rng.Uint64(), Wake: wake,
+			N: n, IDs: assign, Seed: rng.Uint64(),
 		}, factory)
 		if rerr != nil {
 			return 0, 0, 0, rerr
@@ -59,7 +59,7 @@ func E3Tradeoff(cfg Config) (*Report, error) {
 		var xs, ys []float64
 		roundsOK := true
 		for _, n := range ns {
-			msgs, rounds, succ, err := meanMessages(n, cfg.seeds(), cfg.Seed+uint64(l), core.NewTradeoff(k), logIDs(n), nil)
+			msgs, rounds, succ, err := meanMessages(n, cfg.seeds(), cfg.Seed+uint64(l), core.NewTradeoff(k), logIDs(n))
 			if err != nil {
 				return nil, err
 			}
@@ -103,7 +103,7 @@ func E13AfekGafni(cfg Config) (*Report, error) {
 		var most float64
 		roundsOK := true
 		for _, n := range ns {
-			msgs, rounds, succ, err := meanMessages(n, cfg.seeds(), cfg.Seed+uint64(k), core.NewAfekGafni(k), logIDs(n), nil)
+			msgs, rounds, succ, err := meanMessages(n, cfg.seeds(), cfg.Seed+uint64(k), core.NewAfekGafni(k), logIDs(n))
 			if err != nil {
 				return nil, err
 			}
@@ -130,11 +130,11 @@ func E13AfekGafni(cfg Config) (*Report, error) {
 	// iterations (2k-2 rounds, one MORE than ours).
 	nBig := ns[len(ns)-1]
 	for _, k := range []int{3, 4} {
-		ours, _, _, err := meanMessages(nBig, cfg.seeds(), cfg.Seed, core.NewTradeoff(k), logIDs(nBig), nil)
+		ours, _, _, err := meanMessages(nBig, cfg.seeds(), cfg.Seed, core.NewTradeoff(k), logIDs(nBig))
 		if err != nil {
 			return nil, err
 		}
-		ag, _, _, err := meanMessages(nBig, cfg.seeds(), cfg.Seed, core.NewAfekGafni(k-1), logIDs(nBig), nil)
+		ag, _, _, err := meanMessages(nBig, cfg.seeds(), cfg.Seed, core.NewAfekGafni(k-1), logIDs(nBig))
 		if err != nil {
 			return nil, err
 		}

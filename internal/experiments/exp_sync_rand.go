@@ -179,13 +179,10 @@ func E8AdvWake(cfg Config) (*Report, error) {
 			}
 			for s := 0; s < trials; s++ {
 				assign := ids.Random(ids.LogUniverse(n), n, rng)
-				var wake simsync.WakePolicy = simsync.Simultaneous{}
-				label := "all"
+				var wake []int // nil: every node
 				if !wakeAll {
-					wake = simsync.AdversarialSet{Nodes: []int{int(rng.Uint64n(uint64(n)))}}
-					label = "single"
+					wake = []int{int(rng.Uint64n(uint64(n)))}
 				}
-				_ = label
 				res, err := simsync.Run(simsync.Config{
 					N: n, IDs: assign, Seed: rng.Uint64(), Wake: wake,
 				}, core.NewAdvWake2Round(eps))

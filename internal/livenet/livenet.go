@@ -39,7 +39,8 @@ type Config struct {
 	// Ports is the port mapping (shared; livenet serializes access). nil
 	// defaults to a SharedPerm mapping seeded from Seed.
 	Ports portmap.Map
-	// Wake lists the externally woken nodes; required, nonempty.
+	// Wake lists the externally woken nodes. nil wakes every node; a
+	// non-nil set must be nonempty.
 	Wake []int
 	// Seed drives node RNGs and the default port map.
 	Seed uint64
@@ -131,7 +132,7 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 	if len(cfg.IDs) != n {
 		return nil, fmt.Errorf("livenet: %d IDs for %d nodes", len(cfg.IDs), n)
 	}
-	if len(cfg.Wake) == 0 {
+	if cfg.Wake != nil && len(cfg.Wake) == 0 {
 		return nil, fmt.Errorf("livenet: empty wake set")
 	}
 	for _, u := range cfg.Wake {
@@ -167,14 +168,21 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 		workers   sync.WaitGroup // node goroutines
 		msgCount  atomic.Int64
 		truncated atomic.Bool
+		badOnce   sync.Once // the first send on an invalid port fails the run
+		bad       error
 	)
 	awake := make([]bool, n) // owned by each node's goroutine; read after join
 
-	// dispatch resolves and enqueues a node's outgoing messages.
+	// dispatch resolves and enqueues a node's outgoing messages. A send on
+	// an invalid port is recorded and not delivered; the run still drains
+	// to quiescence so every goroutine is joined before Run returns it.
 	dispatch := func(u int, outs []proto.Send) {
 		for _, s := range outs {
 			if s.Port < 0 || s.Port >= n-1 {
-				continue // livenet drops invalid sends; Strict lives in simsync
+				badOnce.Do(func() {
+					bad = fmt.Errorf("livenet: node %d sent on invalid port %d (degree %d)", u, s.Port, n-1)
+				})
+				continue
 			}
 			if msgCount.Add(1) > maxMessages {
 				truncated.Store(true)
@@ -214,15 +222,26 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 		}()
 	}
 
-	for _, u := range cfg.Wake {
+	wake := func(u int) {
 		pending.Add(1)
 		boxes[u].put(item{kind: itemWake})
+	}
+	if cfg.Wake == nil {
+		for u := 0; u < n; u++ {
+			wake(u)
+		}
+	}
+	for _, u := range cfg.Wake {
+		wake(u)
 	}
 	pending.Wait()
 	for u := 0; u < n; u++ {
 		boxes[u].put(item{kind: itemStop})
 	}
 	workers.Wait()
+	if bad != nil {
+		return nil, bad
+	}
 
 	res := &Result{
 		Outcome: proto.Outcome{

@@ -107,7 +107,7 @@ func TestLiveConfigErrors(t *testing.T) {
 	if _, err := Run(Config{N: 0, Wake: []int{0}}, mk); err == nil {
 		t.Fatal("N=0 accepted")
 	}
-	if _, err := Run(Config{N: 2, IDs: ids.Assignment{1, 2}}, mk); err == nil {
+	if _, err := Run(Config{N: 2, IDs: ids.Assignment{1, 2}, Wake: []int{}}, mk); err == nil {
 		t.Fatal("empty wake accepted")
 	}
 	if _, err := Run(Config{N: 2, IDs: ids.Assignment{1}, Wake: []int{0}}, mk); err == nil {

@@ -66,7 +66,7 @@ func WakeupGame(n, trials int, betas []float64, seed uint64) (*WakeupGameResult,
 			assign := ids.Sequential(ids.LinearUniverse(n, 1), n)
 			res, err := simsync.Run(simsync.Config{
 				N: n, IDs: assign, Seed: rng.Uint64(),
-				Wake:      simsync.AdversarialSet{Nodes: []int{int(rng.Uint64n(uint64(n)))}},
+				Wake:      []int{int(rng.Uint64n(uint64(n)))},
 				MaxRounds: 8,
 			}, func(int) simsync.Protocol { return &spread2{fan: fan} })
 			if err != nil {

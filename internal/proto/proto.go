@@ -98,10 +98,11 @@ type Delivery struct {
 // Env is everything a node knows when it wakes up, per the KT0 model: its
 // own ID, the network size n, and a private random-bit stream. On the
 // default clique wiring a node has n-1 ports numbered 0..n-2; when the
-// engine runs over an explicit topology, Deg and Diam describe the node's
-// local wiring and the graph's diameter estimate (both 0 on the clique,
-// where the values are implied by N). Out is where the node builds the
-// sends each callback returns.
+// sync engine runs over an explicit topology (simsync.Config.Topo, the only
+// engine with one), Deg and Diam describe the node's local wiring and the
+// graph's diameter estimate (both 0 on the clique, where the values are
+// implied by N). Out is where the node builds the sends each callback
+// returns.
 type Env struct {
 	ID  int64
 	N   int
@@ -111,10 +112,10 @@ type Env struct {
 	// there and returns them, and keeps neither the slice nor its contents
 	// past the callback.
 	Out *SendBuf
-	// Deg is the node's port count on an explicit topology; 0 means the
+	// Deg is the node's port count on a simsync topology; 0 means the
 	// clique wiring, where every node has n-1 ports.
 	Deg int
-	// Diam is the engine's diameter estimate for the topology the node is
+	// Diam is simsync's diameter estimate for the topology the node is
 	// wired into; 0 means the clique (diameter 1 for n > 1). Protocols use
 	// it as a safe hop-count horizon.
 	Diam int

@@ -430,6 +430,20 @@ func TestHealthLoadGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The single worker takes the blocker asynchronously: wait until it
+	// runs (or already drained), so the next job is sure to queue behind it.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		b, err := c.Job(ctx(t), blocker.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Job.State == "running" || b.Job.Terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blocker never started: %+v", b.Job)
+		}
+	}
 	if _, err := c.Submit(ctx(t), client.RunRequest{Spec: "tradeoff"}); err != nil {
 		t.Fatal(err)
 	}

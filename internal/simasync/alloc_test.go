@@ -38,7 +38,7 @@ func (r *relay) Receive(d proto.Delivery) []proto.Send {
 func (r *relay) Decision() proto.Decision { return proto.NonLeader }
 
 func relayConfig(n int, delays DelayPolicy) Config {
-	return Config{N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n), Wake: AllAtZero(n), Delays: delays, Seed: 9}
+	return Config{N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n), Delays: delays, Seed: 9}
 }
 
 // TestEventLoopAllocBudget is the async engine's counterpart of simsync's

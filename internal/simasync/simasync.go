@@ -17,9 +17,9 @@
 // seeds reproduce identical executions. The queue keeps that order in two
 // parts: a FIFO lane that takes every event not earlier than the last one
 // it took, and a binary heap for the rest; a pop takes the earlier of the
-// two heads. Under UnitDelay with wake-ups in time order (as AllAtZero and
-// SubsetAtZero schedule them), times never decrease, so every event rides
-// the lane and the heap stays empty.
+// two heads. Under UnitDelay with wake-ups in time order (as a nil wake
+// schedule and SubsetAtZero give them), times never decrease, so every event
+// rides the lane and the heap stays empty.
 package simasync
 
 import (
@@ -34,7 +34,6 @@ import (
 	"cliquelect/internal/obs"
 	"cliquelect/internal/portmap"
 	"cliquelect/internal/proto"
-	"cliquelect/internal/topo"
 	"cliquelect/internal/xrand"
 )
 
@@ -154,19 +153,13 @@ type WakeAt struct {
 	Time float64
 }
 
-// AllAtZero wakes every node at time zero (the simultaneous wake-up used by
-// Section 5.4's deterministic algorithm).
-func AllAtZero(n int) WakeSchedule {
-	ws := make(WakeSchedule, n)
-	for i := range ws {
-		ws[i] = WakeAt{Node: i}
-	}
-	return ws
-}
-
 // SubsetAtZero wakes the given nodes at time zero (Section 5's adversarial
-// wake-up, paper's simplifying assumption of round-1-only wake-ups).
+// wake-up, paper's simplifying assumption of round-1-only wake-ups). A nil
+// set gives a nil schedule, which wakes every node.
 func SubsetAtZero(nodes []int) WakeSchedule {
+	if nodes == nil {
+		return nil
+	}
 	ws := make(WakeSchedule, len(nodes))
 	for i, u := range nodes {
 		ws[i] = WakeAt{Node: u}
@@ -181,17 +174,13 @@ type Config struct {
 	// IDs assigns an ID per node; required, length N.
 	IDs ids.Assignment
 	// Ports is the oblivious port mapping; nil defaults to LazyRandom seeded
-	// from Seed. Ignored when Topo is set.
+	// from Seed.
 	Ports portmap.Map
-	// Topo, when non-nil, wires the nodes as an explicit general graph
-	// instead of the default clique: node u owns Degree(u) ports and
-	// messages travel only along edges (per-link FIFO still holds). The
-	// topology's degree and diameter estimate are exposed to protocols
-	// through proto.Env.
-	Topo topo.Topology
 	// Delays is the adversary's scheduler; nil defaults to UnitDelay.
 	Delays DelayPolicy
-	// Wake is the adversary's wake schedule; required, nonempty.
+	// Wake is the adversary's wake schedule. nil wakes every node at time
+	// 0, the simultaneous wake-up of Section 5.4; a non-nil schedule must be
+	// nonempty.
 	Wake WakeSchedule
 	// Seed drives engine randomness (port map, node RNGs, delay draws).
 	Seed uint64
@@ -402,22 +391,12 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	if len(cfg.IDs) != n {
 		return nil, fmt.Errorf("simasync: %d IDs for %d nodes", len(cfg.IDs), n)
 	}
-	if len(cfg.Wake) == 0 {
+	if cfg.Wake != nil && len(cfg.Wake) == 0 {
 		return nil, errors.New("simasync: empty wake schedule")
-	}
-	if cfg.Topo != nil && cfg.Topo.N() != n {
-		return nil, fmt.Errorf("simasync: topology has %d nodes, config has %d", cfg.Topo.N(), n)
 	}
 	master := xrand.New(cfg.Seed)
 	pm := cfg.Ports
-	if cfg.Topo != nil {
-		// Consume the wiring split even though the topology replaces the port
-		// map, so node and delay RNG streams stay aligned with the default
-		// path and topology-vs-clique comparisons differ only in the wiring.
-		if n >= 2 {
-			master.Split()
-		}
-	} else if pm == nil && n >= 2 {
+	if pm == nil && n >= 2 {
 		lr := portmap.NewLazyRandom(n, master.Split())
 		defer lr.Release() // engine-owned: nothing retains the wiring
 		pm = lr
@@ -440,18 +419,10 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	// event loop (protocols hold pointers into it), so it is per-run, not
 	// pooled scratch.
 	rngs := make([]xrand.RNG, n)
-	diam := 0
-	if cfg.Topo != nil {
-		diam = cfg.Topo.Diameter()
-	}
 	for u := 0; u < n; u++ {
 		nodes[u] = factory(u)
 		master.SplitInto(&rngs[u])
 		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u], Out: &sc.out}
-		if cfg.Topo != nil {
-			envs[u].Deg = cfg.Topo.Degree(u)
-			envs[u].Diam = diam
-		}
 	}
 
 	res := &Result{
@@ -468,7 +439,14 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		seq++
 		sc.q.push(e)
 	}
-	firstWake := cfg.Wake[0].Time
+	firstWake := 0.0
+	if cfg.Wake == nil {
+		for u := 0; u < n; u++ {
+			push(event{kind: evWake, node: u})
+		}
+	} else {
+		firstWake = cfg.Wake[0].Time
+	}
 	for _, w := range cfg.Wake {
 		if w.Node < 0 || w.Node >= n {
 			return nil, fmt.Errorf("simasync: wake schedule names invalid node %d", w.Node)
@@ -497,24 +475,16 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	// decreases, so no message can overtake an earlier one on its link and
 	// the FIFO clamp below could never move an event.
 	_, unit := delays.(UnitDelay)
-	// degOf and dest abstract over the two wirings: the implicit clique
-	// (portmap) and an explicit topology.
-	degOf := func(int) int { return n - 1 }
-	dest := func(u, p int) (int, int) { return pm.Dest(u, p) }
-	if cfg.Topo != nil {
-		degOf = cfg.Topo.Degree
-		dest = cfg.Topo.Dest
-	}
 	dispatch := func(u int, now float64, outs []proto.Send) error {
 		for _, s := range outs {
-			if s.Port < 0 || s.Port >= degOf(u) {
-				return fmt.Errorf("simasync: node %d sent on invalid port %d (degree %d)", u, s.Port, degOf(u))
+			if s.Port < 0 || s.Port >= n-1 {
+				return fmt.Errorf("simasync: node %d sent on invalid port %d (degree %d)", u, s.Port, n-1)
 			}
 			if cfg.MaxMessages > 0 && res.Messages >= cfg.MaxMessages {
 				res.Truncated = true
 				continue
 			}
-			v, q := dest(u, s.Port)
+			v, q := pm.Dest(u, s.Port)
 			res.Messages++
 			res.Words += int64(s.Msg.Words())
 			if rt != nil {

@@ -319,7 +319,7 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := Run(Config{N: 0, Wake: SubsetAtZero([]int{0})}, mk); err == nil {
 		t.Fatal("N=0 accepted")
 	}
-	if _, err := Run(Config{N: 2, IDs: ids.Assignment{1, 2}}, mk); err == nil {
+	if _, err := Run(Config{N: 2, IDs: ids.Assignment{1, 2}, Wake: WakeSchedule{}}, mk); err == nil {
 		t.Fatal("empty wake schedule accepted")
 	}
 	if _, err := Run(Config{N: 2, IDs: ids.Assignment{1}, Wake: SubsetAtZero([]int{0})}, mk); err == nil {

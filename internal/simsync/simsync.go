@@ -65,39 +65,6 @@ type Protocol interface {
 // node, in node order, before the run starts.
 type Factory func(node int) Protocol
 
-// WakePolicy chooses the set of nodes the adversary wakes at the start of
-// round 1 (the paper's simplifying assumption: all adversarial wake-ups
-// happen in round 1).
-type WakePolicy interface {
-	AwakeAtStart(n int) []int
-}
-
-// Simultaneous wakes every node in round 1 (Section 3's model).
-type Simultaneous struct{}
-
-// AwakeAtStart implements WakePolicy.
-func (Simultaneous) AwakeAtStart(n int) []int {
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// AdversarialSet wakes exactly the given nodes in round 1 (Section 4's
-// model). The set must be nonempty.
-type AdversarialSet struct {
-	Nodes []int
-}
-
-// AwakeAtStart implements WakePolicy.
-func (a AdversarialSet) AwakeAtStart(int) []int { return a.Nodes }
-
-// RandomWakeSet returns an AdversarialSet of k distinct random nodes.
-func RandomWakeSet(n, k int, rng *xrand.RNG) AdversarialSet {
-	return AdversarialSet{Nodes: rng.Sample(n, k)}
-}
-
 // Config describes one synchronous execution.
 type Config struct {
 	// N is the number of nodes.
@@ -111,9 +78,12 @@ type Config struct {
 	// instead of the default clique: node u owns Degree(u) ports and
 	// messages travel only along edges. The topology's degree and diameter
 	// estimate are exposed to protocols through proto.Env.
-	Topo topo.Topology
-	// Wake is the wake-up policy; nil defaults to Simultaneous.
-	Wake WakePolicy
+	Topo *topo.Graph
+	// Wake lists the nodes the adversary wakes at the start of round 1 (the
+	// paper's simplifying assumption: all adversarial wake-ups happen in
+	// round 1). nil wakes every node, Section 3's simultaneous model; a
+	// non-nil set must be nonempty.
+	Wake []int
 	// Seed drives all engine-owned randomness (default port map, node RNGs).
 	Seed uint64
 	// MaxRounds aborts runaway executions; 0 defaults to 4*N+64.
@@ -188,9 +158,13 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		defer lr.Release() // engine-owned: nothing retains the wiring
 		pm = lr
 	}
-	wake := cfg.Wake
-	if wake == nil {
-		wake = Simultaneous{}
+	if cfg.Wake != nil && len(cfg.Wake) == 0 {
+		return nil, errors.New("simsync: empty wake set")
+	}
+	for _, u := range cfg.Wake {
+		if u < 0 || u >= n {
+			return nil, fmt.Errorf("simsync: wake set names invalid node %d", u)
+		}
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
@@ -234,14 +208,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		}
 	}
 	rt := cfg.Rounds
-	initial := wake.AwakeAtStart(n)
-	if len(initial) == 0 {
-		return nil, errors.New("simsync: wake policy woke no nodes")
-	}
-	for _, u := range initial {
-		if u < 0 || u >= n {
-			return nil, fmt.Errorf("simsync: wake policy woke invalid node %d", u)
-		}
+	wake := func(u int) {
 		if !awake[u] {
 			awake[u] = true
 			res.WakeRound[u] = 1
@@ -250,6 +217,14 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 				rt.Woke(1)
 			}
 		}
+	}
+	if cfg.Wake == nil {
+		for u := 0; u < n; u++ {
+			wake(u)
+		}
+	}
+	for _, u := range cfg.Wake {
+		wake(u)
 	}
 
 	// degOf and dest abstract over the two wirings: the implicit clique
@@ -394,9 +369,3 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	inj.Record(&res.Outcome)
 	return res, nil
 }
-
-// Interface compliance checks.
-var (
-	_ WakePolicy = Simultaneous{}
-	_ WakePolicy = AdversarialSet{}
-)

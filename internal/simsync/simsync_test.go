@@ -240,7 +240,7 @@ func TestAdversarialWakeSemantics(t *testing.T) {
 	assign := ids.Sequential(ids.LinearUniverse(n, 1), n)
 	res, err := Run(Config{
 		N: n, IDs: assign, Seed: 5, Strict: true,
-		Wake: AdversarialSet{Nodes: []int{3}},
+		Wake: []int{3},
 	}, func(int) Protocol { return &wakeChain{} })
 	if err != nil {
 		t.Fatal(err)
@@ -474,12 +474,12 @@ func TestConfigErrors(t *testing.T) {
 		t.Fatal("ID length mismatch accepted")
 	}
 	if _, err := Run(Config{
-		N: 3, IDs: ids.Assignment{1, 2, 3}, Wake: AdversarialSet{},
+		N: 3, IDs: ids.Assignment{1, 2, 3}, Wake: []int{},
 	}, func(int) Protocol { return &maxBroadcast{} }); err == nil {
 		t.Fatal("empty wake set accepted")
 	}
 	if _, err := Run(Config{
-		N: 3, IDs: ids.Assignment{1, 2, 3}, Wake: AdversarialSet{Nodes: []int{9}},
+		N: 3, IDs: ids.Assignment{1, 2, 3}, Wake: []int{9},
 	}, func(int) Protocol { return &maxBroadcast{} }); err == nil {
 		t.Fatal("invalid wake node accepted")
 	}

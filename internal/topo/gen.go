@@ -11,7 +11,7 @@ import (
 // trivial graph). Every node has degree 2 (1 at n = 2) and the diameter is
 // floor(n/2) — the high-diameter extreme of the generator family.
 func Ring(n int) (*Graph, error) {
-	return newGraph("ring", n, cycleEdges(nil, n, 0, 1))
+	return newGraph(n, cycleEdges(nil, n, 0, 1))
 }
 
 // Torus returns the 2-dimensional r x c wraparound grid with r·c = n, where
@@ -38,7 +38,7 @@ func Torus(n int) (*Graph, error) {
 		// Column cycle: nodes j, j+c, j+2c, ...
 		edges = cycleEdges(edges, r, j, c)
 	}
-	return newGraph("torus", n, edges)
+	return newGraph(n, edges)
 }
 
 // cycleEdges appends the edges of a cycle over the L nodes base, base+step,
@@ -71,9 +71,8 @@ const regularAttempts = 200
 // and, unlike pairing-model rejection, never stalls at larger d. n·d must be
 // even and 1 <= d < n.
 func RandomRegular(n, d int, rng *xrand.RNG) (*Graph, error) {
-	name := fmt.Sprintf("rreg:d=%d", d)
 	if n == 1 && d == 0 {
-		return newGraph(name, 1, nil)
+		return newGraph(1, nil)
 	}
 	if d < 1 || d >= n {
 		return nil, fmt.Errorf("topo: random-regular degree d = %d with n = %d, need 1 <= d < n", d, n)
@@ -117,7 +116,7 @@ func RandomRegular(n, d int, rng *xrand.RNG) (*Graph, error) {
 			present[n2] = struct{}{}
 			edges[i], edges[j] = n1, n2
 		}
-		g, err := newGraph(name, n, edges)
+		g, err := newGraph(n, edges)
 		if err != nil {
 			continue // randomization disconnected the graph: rethrow
 		}
@@ -162,7 +161,6 @@ func normEdge(u, v int) [2]int {
 // tail — the low-diameter, hub-heavy counterpoint to Ring. n <= m+1 returns
 // the complete graph on n nodes.
 func PowerLaw(n, m int, rng *xrand.RNG) (*Graph, error) {
-	name := fmt.Sprintf("power:m=%d", m)
 	if m < 1 {
 		return nil, fmt.Errorf("topo: power-law attachment m = %d, need m >= 1", m)
 	}
@@ -197,38 +195,11 @@ func PowerLaw(n, m int, rng *xrand.RNG) (*Graph, error) {
 			addEdge(u, v)
 		}
 	}
-	return newGraph(name, n, edges)
+	return newGraph(n, edges)
 }
 
 // FromEdges returns the explicit graph over the given undirected edge list.
 // The list must describe a simple connected graph on [0, n).
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
-	return newGraph(edgesName(edges), n, edges)
-}
-
-// edgesName renders the canonical "edges:u-v,..." spec of an explicit edge
-// list: endpoints normalized to u < v, pairs sorted lexicographically.
-func edgesName(edges [][2]int) string {
-	norm := make([][2]int, len(edges))
-	for i, e := range edges {
-		u, v := e[0], e[1]
-		if u > v {
-			u, v = v, u
-		}
-		norm[i] = [2]int{u, v}
-	}
-	slices.SortFunc(norm, func(a, b [2]int) int {
-		if a[0] != b[0] {
-			return a[0] - b[0]
-		}
-		return a[1] - b[1]
-	})
-	out := []byte("edges:")
-	for i, e := range norm {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = fmt.Appendf(out, "%d-%d", e[0], e[1])
-	}
-	return string(out)
+	return newGraph(n, edges)
 }

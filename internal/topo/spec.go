@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -128,6 +129,33 @@ func parseEdges(arg string) ([][2]int, error) {
 	return edges, nil
 }
 
+// edgesName renders the canonical "edges:u-v,..." spec of an explicit edge
+// list: endpoints normalized to u < v, pairs sorted lexicographically.
+func edgesName(edges [][2]int) string {
+	norm := make([][2]int, len(edges))
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		if u > v {
+			u, v = v, u
+		}
+		norm[i] = [2]int{u, v}
+	}
+	slices.SortFunc(norm, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return a[0] - b[0]
+		}
+		return a[1] - b[1]
+	})
+	out := []byte("edges:")
+	for i, e := range norm {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = fmt.Appendf(out, "%d-%d", e[0], e[1])
+	}
+	return string(out)
+}
+
 // Canonical validates a spec string and returns its canonical form. The
 // clique canonicalizes to "" — the form under which a run carries no
 // topology at all, which is what keeps clique fingerprints byte-identical
@@ -153,7 +181,7 @@ func Family(spec string) (string, error) {
 // (rreg, power) draw from an xrand stream seeded with seed; the fixed
 // topologies ignore it. ""/"clique" is an error: the clique is the engines'
 // own port wiring (internal/portmap), not an explicit topology.
-func Build(spec string, n int, seed uint64) (Topology, error) {
+func Build(spec string, n int, seed uint64) (*Graph, error) {
 	p, err := parse(spec)
 	if err != nil {
 		return nil, err
@@ -170,11 +198,7 @@ func Build(spec string, n int, seed uint64) (Topology, error) {
 	case "power":
 		return PowerLaw(n, p.m, xrand.New(seed))
 	case "edges":
-		g, err := FromEdges(n, p.edges)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
+		return FromEdges(n, p.edges)
 	}
 	return nil, fmt.Errorf("topo: unknown family %q", p.family)
 }

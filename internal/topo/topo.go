@@ -1,5 +1,5 @@
-// Package topo provides the general-graph topology layer under the network
-// engines: a Topology is the wiring of a simulated network — node count,
+// Package topo provides the general-graph topology layer under the sync
+// engine: a Graph is the wiring of a simulated network — node count,
 // per-node degrees, and the port-to-port involution messages travel over.
 //
 // The paper's clique model (internal/portmap) is the degenerate case where
@@ -11,8 +11,8 @@
 // Explicit graphs are stored in compact CSR adjacency — flat []uint32 offset
 // and edge tables in the arena/flatmap style of the engine hot paths — so
 // million-node sparse graphs cost a few machine words per edge and zero
-// per-node allocations. The clique has no Topology here: the engines wire
-// it themselves (internal/portmap), and it is never materialized.
+// per-node allocations. The clique has no Graph here: the engines wire it
+// themselves (internal/portmap), and it is never materialized.
 //
 // Determinism: every generator is a pure function of (n, parameters, seed).
 // The same spec string and seed produce the identical graph — edge order,
@@ -26,36 +26,14 @@ import (
 	"slices"
 )
 
-// Topology is a fixed wiring of n nodes. Ports are 0-based and per-node:
-// node u owns ports 0..Degree(u)-1. Dest must behave as a bijective
-// involution, exactly like portmap.Map: if Dest(u,p) = (v,q) then
-// Dest(v,q) = (u,p) and v != u. Implementations are immutable after
-// construction and safe for concurrent readers.
-type Topology interface {
-	// N returns the number of nodes.
-	N() int
-	// M returns the number of undirected edges.
-	M() int64
-	// Degree returns the number of ports of node u.
-	Degree(u int) int
-	// Neighbor returns the node on the far end of port p of u.
-	Neighbor(u, p int) int
-	// Dest returns the node and arrival port on the far end of (u, p).
-	Dest(u, p int) (v, q int)
-	// Diameter returns the graph's diameter estimate: the double-sweep BFS
-	// lower bound, which is exact on the symmetric generators here (ring,
-	// torus, clique) and within a factor 2 of the truth on any graph.
-	// Protocols use it as a safe hop-count horizon.
-	Diameter() int
-	// Name returns the canonical spec string of the topology (see Parse).
-	Name() string
-}
-
-// Graph is a CSR-encoded explicit topology: off[u]..off[u+1] indexes u's row
-// in adj (neighbors, ascending) and back (the arrival port on each
-// neighbor). Two flat []uint32 tables per direction, nothing per node.
+// Graph is a CSR-encoded explicit topology: a fixed wiring of n nodes.
+// Ports are 0-based and per-node: node u owns ports 0..Degree(u)-1, and
+// Dest is a bijective involution exactly like portmap.Map's. off[u]..off[u+1]
+// indexes u's row in adj (neighbors, ascending) and back (the arrival port
+// on each neighbor). Two flat []uint32 tables per direction, nothing per
+// node. A Graph is immutable after construction and safe for concurrent
+// readers.
 type Graph struct {
-	name string
 	n    int
 	off  []uint32
 	adj  []uint32
@@ -66,41 +44,39 @@ type Graph struct {
 // maxNodes bounds explicit graphs so CSR indices fit in uint32.
 const maxNodes int64 = 1 << 31 // int64: 2³¹ overflows a 32-bit int
 
-// N implements Topology.
+// N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// M implements Topology.
+// M returns the number of undirected edges.
 func (g *Graph) M() int64 { return int64(len(g.adj)) / 2 }
 
-// Degree implements Topology.
+// Degree returns the number of ports of node u.
 func (g *Graph) Degree(u int) int { return int(g.off[u+1] - g.off[u]) }
 
-// Neighbor implements Topology.
-func (g *Graph) Neighbor(u, p int) int { return int(g.adj[g.off[u]+uint32(p)]) }
-
-// Dest implements Topology.
+// Dest returns the node and arrival port on the far end of (u, p): if
+// Dest(u, p) = (v, q) then Dest(v, q) = (u, p) and v != u.
 func (g *Graph) Dest(u, p int) (int, int) {
 	k := g.off[u] + uint32(p)
 	return int(g.adj[k]), int(g.back[k])
 }
 
-// Diameter implements Topology.
+// Diameter returns the graph's diameter estimate: the double-sweep BFS
+// lower bound, which is exact on the symmetric generators here (ring,
+// torus) and within a factor 2 of the truth on any graph. Protocols use it
+// as a safe hop-count horizon.
 func (g *Graph) Diameter() int { return g.diam }
-
-// Name implements Topology.
-func (g *Graph) Name() string { return g.name }
 
 // newGraph builds the CSR tables from an undirected edge list. It rejects
 // self-loops, duplicate edges, out-of-range endpoints and disconnected
-// graphs — every Topology handed to an engine is a simple connected graph.
-func newGraph(name string, n int, edges [][2]int) (*Graph, error) {
+// graphs — every Graph handed to an engine is a simple connected graph.
+func newGraph(n int, edges [][2]int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topo: n = %d", n)
 	}
 	if int64(n) > maxNodes {
 		return nil, fmt.Errorf("topo: n = %d exceeds the %d-node CSR limit", n, maxNodes)
 	}
-	g := &Graph{name: name, n: n, off: make([]uint32, n+1)}
+	g := &Graph{n: n, off: make([]uint32, n+1)}
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
@@ -197,6 +173,3 @@ func (g *Graph) bfs(src uint32, dist []int32, queue []uint32) (far uint32, seen 
 	}
 	return far, seen
 }
-
-// Interface compliance checks.
-var _ Topology = (*Graph)(nil)
