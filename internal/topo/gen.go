@@ -203,3 +203,30 @@ func PowerLaw(n, m int, rng *xrand.RNG) (*Graph, error) {
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
 	return newGraph(n, edges)
 }
+
+// edgesName renders the canonical "edges:u-v,..." spec of an explicit edge
+// list: endpoints normalized to u < v, pairs sorted lexicographically.
+func edgesName(edges [][2]int) string {
+	norm := make([][2]int, len(edges))
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		if u > v {
+			u, v = v, u
+		}
+		norm[i] = [2]int{u, v}
+	}
+	slices.SortFunc(norm, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return a[0] - b[0]
+		}
+		return a[1] - b[1]
+	})
+	out := []byte("edges:")
+	for i, e := range norm {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = fmt.Appendf(out, "%d-%d", e[0], e[1])
+	}
+	return string(out)
+}

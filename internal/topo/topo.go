@@ -4,7 +4,7 @@
 //
 // The paper's clique model (internal/portmap) is the degenerate case where
 // every node has n-1 ports; this package generalizes the wiring to arbitrary
-// connected graphs so the engines can execute the general-graph protocols in
+// connected graphs so the sync engine can execute the general-graph protocols in
 // the paper's lineage (Kutten–Moses Jr. et al., arXiv 2008.02782; KPPRT,
 // arXiv 1210.4822) on rings, tori, random-regular and power-law graphs.
 //
