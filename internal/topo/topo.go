@@ -4,9 +4,10 @@
 //
 // The paper's clique model (internal/portmap) is the degenerate case where
 // every node has n-1 ports; this package generalizes the wiring to arbitrary
-// connected graphs so the sync engine can execute the general-graph protocols in
-// the paper's lineage (Kutten–Moses Jr. et al., arXiv 2008.02782; KPPRT,
-// arXiv 1210.4822) on rings, tori, random-regular and power-law graphs.
+// connected graphs so the sync engine can execute the general-graph
+// protocols in the paper's lineage (Kutten–Moses Jr. et al., arXiv
+// 2008.02782; KPPRT, arXiv 1210.4822) on rings, tori, random-regular and
+// power-law graphs.
 //
 // Explicit graphs are stored in compact CSR adjacency — flat []uint32 offset
 // and edge tables in the arena/flatmap style of the engine hot paths — so
