@@ -275,14 +275,13 @@ func BenchmarkCachedRun(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		cache := resultcache.New()
-		if _, _, hit, err := elect.RunCached(cache, spec, opts...); err != nil || hit {
+		if _, hit, err := elect.RunCached(cache, spec, opts...); err != nil || hit {
 			b.Fatalf("warmup: err=%v hit=%v", err, hit)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, _, hit, err := elect.RunCached(cache, spec, opts...)
-			if err != nil || !hit || !res.OK {
-				b.Fatalf("err=%v hit=%v ok=%v", err, hit, res.OK)
+			if _, hit, err := elect.RunCached(cache, spec, opts...); err != nil || !hit {
+				b.Fatalf("err=%v hit=%v", err, hit)
 			}
 		}
 	})

@@ -275,7 +275,8 @@ func RunRange(spec Spec, b Batch, start, count int) ([]Result, [][]byte, error) 
 
 // runCells is the local executor shared by RunMany and RunRange: it runs
 // cells [start, start+count) of the ns × seeds grid through runSharded and
-// returns their Results and RunCached bytes in cell order.
+// returns their Results and wire bytes in cell order, both from runCached,
+// the cell function behind RunCached.
 func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int) ([]Result, [][]byte, error) {
 	workers := b.Workers
 	if workers <= 0 {
@@ -287,7 +288,7 @@ func runCells(spec Spec, b Batch, ns []int, seeds []uint64, start, count int) ([
 	wires := make([][]byte, count)
 	errs := make([]error, count)
 	runCell := func(i int) {
-		runs[i], wires[i], _, errs[i] = RunCached(b.Cache, spec, CellOptions(&b, ns, seeds, start+i)...)
+		wires[i], _, errs[i] = runCached(b.Cache, spec, CellOptions(&b, ns, seeds, start+i), &runs[i])
 	}
 	canceled := func() bool {
 		select {

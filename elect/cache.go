@@ -14,6 +14,11 @@ import (
 // on-disk implementation. Put may drop entries (bounded caches evict), and
 // Get may miss spuriously — the contract is only that a hit returns exactly
 // the bytes that were Put under that key.
+//
+// A hit's bytes are read-only: Get may return the stored value itself,
+// shared by every caller, and RunCached hands it on without a copy. Put
+// copies what it keeps: callers Put slices of larger buffers (a fleet
+// chunk reply's cells), which a cached entry must not pin.
 type Cache interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, value []byte)
@@ -131,52 +136,67 @@ func fingerprint(spec Spec, c *runConfig) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// RunCached is Run with a read-through result cache. On a hit it decodes
-// and returns the stored Result without executing anything — byte-for-byte
-// what the original run produced — and reports hit=true. On a miss it runs,
-// stores the encoded Result, and reports hit=false.
+// RunCached is Run with a read-through result cache, for callers that need
+// only the Result's wire bytes: exactly what EncodeResult writes for the
+// Result Run would return. On a hit it executes nothing and reports
+// hit=true; on a miss it runs, stores the bytes, and reports hit=false.
 //
-// Whenever it returns no error it also returns the Result's wire bytes,
-// exactly what EncodeResult writes for it: on a miss, the bytes it stored;
-// on a hit, the stored bytes when they are canonical, else the decoded
-// Result encoded afresh; on an uncacheable run, the Result encoded afresh.
-// A hit is always decoded: a Cache's bytes need not have been written by
-// this process, and the decode is what checks them. Callers must not
-// modify the bytes.
+// A hit returns the stored bytes when they are canonical, else the Result
+// they decode to encoded afresh. The stored bytes are checked on every hit
+// (a Cache's bytes need not have been written by this process) by decoding
+// them into pooled scratch, so a canonical hit builds no Result and
+// allocates nothing that grows with the Result. Callers must not modify
+// the returned bytes: a hit's are the cache's own, shared by every hit.
 //
 // Uncacheable configurations (nil cache, EngineLive, adaptive adversaries)
-// fall through to a plain Run with hit=false; configuration errors surface
-// from that Run exactly as they would without a cache. A corrupted cache
-// entry is treated as a miss and overwritten. A Result that EncodeResult
-// rejects (non-finite TimeUnits) is an error.
-func RunCached(cache Cache, spec Spec, opts ...Option) (Result, []byte, bool, error) {
+// fall through to a plain run with hit=false; configuration errors surface
+// from it exactly as they would from Run. A corrupted cache entry is
+// treated as a miss and overwritten. A Result that EncodeResult rejects
+// (non-finite TimeUnits) is an error.
+func RunCached(cache Cache, spec Spec, opts ...Option) ([]byte, bool, error) {
+	return runCached(cache, spec, opts, nil)
+}
+
+// runCached is RunCached that also stores the run's Result in *res when res
+// is non-nil: decoded from the hit's bytes, or as the run returned it. With
+// a nil res, a canonical hit is only checked, never decoded into a Result.
+func runCached(cache Cache, spec Spec, opts []Option, res *Result) ([]byte, bool, error) {
 	cfg, err := resolve(spec, opts)
 	if err != nil {
-		return rejected(spec, cfg), nil, false, err
+		return nil, false, err
 	}
 	var key string
 	if cache != nil {
 		if key, err = fingerprint(spec, &cfg); err != nil {
 			cache = nil // uncacheable: run as without a cache
 		} else if data, ok := cache.Get(key); ok {
-			if res, canonical, err := DecodeCanonical(data); err == nil {
-				if !canonical {
-					data, err = EncodeResult(res)
+			if res == nil && isCanonical(data) {
+				return data, true, nil
+			}
+			if hit, canonical, err := DecodeCanonical(data); err == nil {
+				if res != nil {
+					*res = hit
 				}
-				return res, data, true, err
+				if !canonical {
+					data, err = EncodeResult(hit)
+				}
+				return data, true, err
 			}
 		}
 	}
-	res, err := run(spec, cfg)
+	ran, err := run(spec, cfg)
 	if err != nil {
-		return res, nil, false, err
+		return nil, false, err
 	}
-	data, err := EncodeResult(res)
+	data, err := EncodeResult(ran)
 	if err != nil {
-		return res, nil, false, err
+		return nil, false, err
 	}
 	if cache != nil {
 		cache.Put(key, data)
 	}
-	return res, data, false, nil
+	if res != nil {
+		*res = ran
+	}
+	return data, false, nil
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cliquelect/internal/resultcache"
 )
 
 // memCache is a minimal Cache for tests, with hit/miss accounting.
@@ -159,22 +161,20 @@ func TestRunCachedHitIsByteIdentical(t *testing.T) {
 	spec := mustSpec(t, "tradeoff")
 	opts := []Option{WithN(64), WithSeed(11), WithParams(Params{K: 4})}
 
-	cold, _, hit, err := RunCached(cache, spec, opts...)
+	coldBytes, hit, err := RunCached(cache, spec, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("cold run reported a cache hit")
 	}
-	warm, _, hit, err := RunCached(cache, spec, opts...)
+	warmBytes, hit, err := RunCached(cache, spec, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
 		t.Fatal("warm run missed the cache")
 	}
-	coldBytes, _ := EncodeResult(cold)
-	warmBytes, _ := EncodeResult(warm)
 	if !bytes.Equal(coldBytes, warmBytes) {
 		t.Errorf("cached replay not byte-identical:\n %s\n %s", coldBytes, warmBytes)
 	}
@@ -182,10 +182,10 @@ func TestRunCachedHitIsByteIdentical(t *testing.T) {
 	// The live engine bypasses the cache entirely.
 	async := mustSpec(t, "asynctradeoff")
 	liveOpts := []Option{WithN(16), WithSeed(1), WithParams(Params{K: 2}), WithEngine(EngineLive)}
-	if _, _, hit, err := RunCached(cache, async, liveOpts...); err != nil || hit {
+	if _, hit, err := RunCached(cache, async, liveOpts...); err != nil || hit {
 		t.Fatalf("live run: hit=%v err=%v", hit, err)
 	}
-	if _, _, hit, err := RunCached(cache, async, liveOpts...); err != nil || hit {
+	if _, hit, err := RunCached(cache, async, liveOpts...); err != nil || hit {
 		t.Fatalf("repeated live run: hit=%v err=%v, want bypass", hit, err)
 	}
 }
@@ -199,14 +199,14 @@ func TestRunCachedCorruptEntryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.Put(key, []byte("not json"))
-	res, _, hit, err := RunCached(cache, spec, opts...)
+	wire, hit, err := RunCached(cache, spec, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit || !res.OK {
-		t.Fatalf("corrupt entry: hit=%v ok=%v, want recompute", hit, res.OK)
+	if res, err := DecodeResult(wire); err != nil || hit || !res.OK {
+		t.Fatalf("corrupt entry: hit=%v ok=%v err=%v, want recompute", hit, res.OK, err)
 	}
-	if _, _, hit, _ := RunCached(cache, spec, opts...); !hit {
+	if _, hit, _ := RunCached(cache, spec, opts...); !hit {
 		t.Error("recomputed entry was not stored back")
 	}
 }
@@ -214,8 +214,8 @@ func TestRunCachedCorruptEntryRecovers(t *testing.T) {
 // TestRunCachedBytes: RunCached returns the bytes it stored on a miss, the
 // canonical bytes it read on a hit, EncodeResult's bytes for an uncached
 // or uncacheable run (stored nowhere), and on a hit whose bytes decode but
-// are not canonical (2.5E+3 where EncodeResult writes 2500) the decoded
-// Result with EncodeResult's bytes for it.
+// are not canonical (2.5E+3 where EncodeResult writes 2500) EncodeResult's
+// bytes for the decoded Result, which runCached also hands its caller.
 func TestRunCachedBytes(t *testing.T) {
 	cache := newMemCache()
 	spec := mustSpec(t, "tradeoff")
@@ -224,22 +224,34 @@ func TestRunCachedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, wire, hit, err := RunCached(cache, spec, opts...)
+	wire, hit, err := RunCached(cache, spec, opts...)
 	if err != nil || hit {
 		t.Fatalf("miss: hit=%v err=%v", hit, err)
+	}
+	res, err := Run(spec, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want, _ := EncodeResult(res)
 	if !bytes.Equal(wire, want) || !bytes.Equal(cache.m[key], want) {
 		t.Fatalf("miss bytes %s, stored %s, want %s", wire, cache.m[key], want)
 	}
-	if _, wire, hit, err := RunCached(cache, spec, opts...); err != nil || !hit || !bytes.Equal(wire, want) {
+	if wire, hit, err := RunCached(cache, spec, opts...); err != nil || !hit || !bytes.Equal(wire, want) {
 		t.Fatalf("hit: hit=%v err=%v bytes %s, want %s", hit, err, wire, want)
 	}
-	if _, wire, _, err := RunCached(nil, spec, opts...); err != nil || !bytes.Equal(wire, want) {
+	var got Result
+	if wire, hit, err := runCached(cache, spec, opts, &got); err != nil || !hit || !bytes.Equal(wire, want) || !reflect.DeepEqual(got, res) {
+		t.Fatalf("hit with a Result: hit=%v err=%v bytes %s, want %s", hit, err, wire, want)
+	}
+	if wire, _, err := RunCached(nil, spec, opts...); err != nil || !bytes.Equal(wire, want) {
 		t.Fatalf("uncached run: bytes %s err=%v, want %s", wire, err, want)
 	}
 	adaptive := append([]Option{WithFaults(FaultPlan{NewAdversary: CrashLowestSender(1)})}, opts...)
-	crashed, wire, hit, err := RunCached(cache, spec, adaptive...)
+	crashed, err := Run(spec, adaptive...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, hit, err = RunCached(cache, spec, adaptive...)
 	if fresh, _ := EncodeResult(crashed); err != nil || hit || !bytes.Equal(wire, fresh) || len(cache.m) != 1 {
 		t.Fatalf("uncacheable run: hit=%v err=%v bytes %s, want %s and 1 stored entry, have %d",
 			hit, err, wire, fresh, len(cache.m))
@@ -247,16 +259,47 @@ func TestRunCachedBytes(t *testing.T) {
 
 	planted := bytes.Replace(want, []byte(`"time_units":0,`), []byte(`"time_units":2.5E+3,`), 1)
 	cache.Put(key, planted)
-	got, wire, hit, err := RunCached(cache, spec, opts...)
+	wire, hit, err = RunCached(cache, spec, opts...)
 	if err != nil || !hit {
 		t.Fatalf("planted hit: hit=%v err=%v", hit, err)
 	}
-	if got.TimeUnits != 2500 {
-		t.Fatalf("planted hit decoded time_units %v, want 2500", got.TimeUnits)
+	if wire, hit, err := runCached(cache, spec, opts, &got); err != nil || !hit || got.TimeUnits != 2500 {
+		t.Fatalf("planted hit with a Result: hit=%v err=%v time_units %v, want 2500 (bytes %s)", hit, err, got.TimeUnits, wire)
 	}
 	fresh, _ := EncodeResult(got)
 	if !bytes.Equal(wire, fresh) || !bytes.Contains(wire, []byte(`"time_units":2500,`)) {
 		t.Fatalf("planted hit bytes %s, want %s", wire, fresh)
+	}
+}
+
+// TestRunCachedHitAllocs pins the hit path through resultcache: a warm
+// canonical hit is checked in pooled scratch and returned as the cache's
+// own bytes, so it allocates no more at n = 2048 than at n = 256, and only
+// a small constant for the fingerprint key.
+func TestRunCachedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the budget is enforced in the non-race build")
+	}
+	spec := mustSpec(t, "tradeoff")
+	cache := resultcache.New()
+	allocs := func(n int) float64 {
+		opts := []Option{WithN(n), WithSeed(1), WithParams(Params{K: 4})}
+		for _, want := range []bool{false, true} { // fill, then warm the scratch
+			if _, hit, err := RunCached(cache, spec, opts...); err != nil || hit != want {
+				t.Fatalf("n=%d: hit=%v err=%v, want hit=%v", n, hit, err, want)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, hit, err := RunCached(cache, spec, opts...); err != nil || !hit {
+				t.Fatalf("n=%d: hit=%v err=%v", n, hit, err)
+			}
+		})
+	}
+	small, large := allocs(256), allocs(2048)
+	const budget = 5 // resolving the options and building the key
+	if large > small || large > budget {
+		t.Fatalf("a canonical hit allocated %.1f times at n=2048 and %.1f at n=256, want no growth and at most %d",
+			large, small, budget)
 	}
 }
 
@@ -289,14 +332,14 @@ func TestFingerprintRunVsRunMany(t *testing.T) {
 			if _, ok := cache.m[key]; !ok {
 				t.Fatalf("single-run key for n=%d seed=%d not in batch-populated cache", n, seed)
 			}
-			res, _, hit, err := RunCached(cache, spec, opts...)
+			wire, hit, err := RunCached(cache, spec, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !hit {
 				t.Errorf("n=%d seed=%d: Run missed the RunMany-populated cache", n, seed)
 			}
-			if !reflect.DeepEqual(res, batch.Runs[i*2+j]) {
+			if want, _ := EncodeResult(batch.Runs[i*2+j]); !bytes.Equal(wire, want) {
 				t.Errorf("n=%d seed=%d: cached Run diverged from batch result", n, seed)
 			}
 		}

@@ -125,6 +125,22 @@ func DecodeCanonical(data []byte) (r Result, canonical bool, err error) {
 	return Result(ref), false, nil
 }
 
+// isCanonical reports whether data is canonical wire bytes, as
+// DecodeCanonical's canonical flag does, by decoding them into a pooled
+// scratch Result: a warm check allocates nothing, whatever the Result's
+// size. The bytes are checked by the one canonical grammar; no Result
+// escapes.
+func isCanonical(data []byte) bool {
+	r := scratchResults.Get().(*Result)
+	ok := decodeCanonical(data, r)
+	scratchResults.Put(r)
+	return ok
+}
+
+// scratchResults holds isCanonical's scratch Results. Their slices keep
+// the capacity of the largest Result each has decoded.
+var scratchResults = sync.Pool{New: func() any { return new(Result) }}
+
 // EncodeBatchResult renders b in the stable v1 wire form (canonical bytes,
 // like EncodeResult).
 func EncodeBatchResult(b *BatchResult) ([]byte, error) {
@@ -277,11 +293,14 @@ func appendFloat(b []byte, f float64) []byte {
 // garbage. Every value it accepts decodes to what the reference decoder
 // produces for the same bytes, and re-encodes to exactly those bytes: an
 // optional field present with its zero value, a non-shortest number or a
-// string the reference would escape is left to the reference.
+// string the reference would escape is left to the reference. Like the
+// reference, it refills r's slices in place when they have room, and it
+// keeps r's strings when they already hold the decoded text, so decoding
+// into a reused Result allocates nothing (see isCanonical).
 func decodeCanonical(data []byte, r *Result) bool {
 	d := wireReader{data: data, ok: true}
 	d.lit(`{"algorithm":`)
-	r.Algorithm = string(d.str())
+	r.Algorithm = d.text(r.Algorithm)
 	d.lit(`,"model":`)
 	switch string(d.str()) {
 	case "sync":
@@ -309,7 +328,7 @@ func decodeCanonical(data []byte, r *Result) bool {
 	d.lit(`,"seed":`)
 	r.Seed = d.uint64()
 	d.lit(`,"ids":`)
-	r.IDs = array(&d, d.int64)
+	r.IDs = array(&d, r.IDs, d.int64)
 	d.lit(`,"leader":`)
 	r.Leader = d.int()
 	d.lit(`,"leader_id":`)
@@ -321,13 +340,13 @@ func decodeCanonical(data []byte, r *Result) bool {
 	d.lit(`,"rounds":`)
 	r.Rounds = d.int()
 	if d.key(`,"per_round":`) {
-		r.PerRound = array(&d, d.int64)
+		r.PerRound = array(&d, r.PerRound, d.int64)
 		d.need(len(r.PerRound) > 0)
 	}
 	d.lit(`,"time_units":`)
 	r.TimeUnits = d.float64()
 	d.lit(`,"decisions":`)
-	r.Decisions = array(&d, d.decision)
+	r.Decisions = array(&d, r.Decisions, d.decision)
 	d.lit(`,"all_awake":`)
 	r.AllAwake = d.bool()
 	d.lit(`,"truncated":`)
@@ -335,7 +354,7 @@ func decodeCanonical(data []byte, r *Result) bool {
 	d.lit(`,"timed_out":`)
 	r.TimedOut = d.bool()
 	if d.key(`,"crashed":`) {
-		r.Crashed = array(&d, d.int)
+		r.Crashed = array(&d, r.Crashed, d.int)
 		d.need(len(r.Crashed) > 0)
 	}
 	d.lit(`,"dropped":`)
@@ -345,7 +364,7 @@ func decodeCanonical(data []byte, r *Result) bool {
 	d.lit(`,"ok":`)
 	r.OK = d.bool()
 	if d.key(`,"topo":`) {
-		r.Topo = string(d.str())
+		r.Topo = d.text(r.Topo)
 		d.need(r.Topo != "")
 	}
 	if d.key(`,"diameter":`) {
@@ -396,6 +415,15 @@ func (d *wireReader) need(cond bool) {
 	if !cond {
 		d.ok = false
 	}
+}
+
+// text reads a string as str does and returns it, or old when old already
+// holds the same text.
+func (d *wireReader) text(old string) string {
+	if s := d.str(); string(s) != old {
+		return string(s)
+	}
+	return old
 }
 
 // str reads a quoted string that encoding/json writes verbatim (see
@@ -540,8 +568,9 @@ func (d *wireReader) count() int {
 }
 
 // array reads "null" (nil), "[]" (empty) or a non-empty array whose
-// elements elem reads, into a slice of exact capacity.
-func array[T any](d *wireReader, elem func() T) []T {
+// elements elem reads. The elements refill dst's backing array when it has
+// room for them, and otherwise go to a new slice of exact capacity.
+func array[T any](d *wireReader, dst []T, elem func() T) []T {
 	if d.key("null") {
 		return nil
 	}
@@ -550,9 +579,15 @@ func array[T any](d *wireReader, elem func() T) []T {
 		return nil
 	}
 	if d.char(']') {
-		return []T{}
+		if dst == nil {
+			return []T{}
+		}
+		return dst[:0]
 	}
-	out := make([]T, 0, d.count())
+	out := dst[:0]
+	if n := d.count(); cap(out) < n {
+		out = make([]T, 0, n)
+	}
 	for d.ok {
 		out = append(out, elem())
 		if !d.char(',') {

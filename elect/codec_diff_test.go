@@ -195,9 +195,34 @@ func TestUnmarshalJSONMerges(t *testing.T) {
 // and on the decoded value, and re-encoding agrees too. Input the fast path
 // accepts is canonical: it re-encodes to itself, which is what lets a
 // server splice cached bytes into a reply in place of their re-encoding.
+// The pooled check RunCached runs on a hit gives the same verdict, also
+// in scratch that a larger Result, with per_round and crashed, left dirty.
 func FuzzDecodeResult(f *testing.F) {
+	large := Result{
+		Algorithm: "spreadelect", Model: Sync, Engine: EngineSync, N: 64, Rounds: 5,
+		PerRound: []int64{64, 32, 16, 8, 4}, Crashed: []int{1, 2, 3},
+		Topo: "ring", Diameter: 32, GraphEdges: 64,
+	}
+	for i := range large.N {
+		large.IDs = append(large.IDs, int64(1000+i))
+		large.Decisions = append(large.Decisions, NonLeader)
+	}
+	largeWire, err := EncodeResult(large)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, canonical, err := DecodeCanonical(data)
+		dirty, derr := DecodeResult(largeWire)
+		if derr != nil || !isCanonical(largeWire) {
+			t.Fatalf("the dirtying Result does not decode canonically: %v", derr)
+		}
+		if verdict := isCanonical(data); verdict != canonical {
+			t.Fatalf("pooled check says canonical=%v, DecodeCanonical %v", verdict, canonical)
+		}
+		if verdict := decodeCanonical(data, &dirty); verdict != canonical {
+			t.Fatalf("check in dirty scratch says canonical=%v, DecodeCanonical %v", verdict, canonical)
+		}
 		var ref resultJSON
 		refErr := json.Unmarshal(data, &ref)
 		if (err == nil) != (refErr == nil) {

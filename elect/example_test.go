@@ -1,6 +1,7 @@
 package elect_test
 
 import (
+	"bytes"
 	"fmt"
 
 	"cliquelect/elect"
@@ -66,18 +67,22 @@ func ExampleRunCached() {
 	cache := resultcache.New() // in-memory; WithDir adds a disk tier
 	opts := []elect.Option{elect.WithN(128), elect.WithSeed(3)}
 
-	first, _, hit1, err := elect.RunCached(cache, spec, opts...)
+	first, hit1, err := elect.RunCached(cache, spec, opts...)
 	if err != nil {
 		panic(err)
 	}
-	again, _, hit2, err := elect.RunCached(cache, spec, opts...)
+	again, hit2, err := elect.RunCached(cache, spec, opts...)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("first: hit=%v leader=%d\n", hit1, first.Leader)
-	fmt.Printf("again: hit=%v leader=%d same=%v\n", hit2, again.Leader, first.Leader == again.Leader)
+	res, err := elect.DecodeResult(again)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("first: hit=%v\n", hit1)
+	fmt.Printf("again: hit=%v leader=%d same=%v\n", hit2, res.Leader, bytes.Equal(first, again))
 	// Output:
-	// first: hit=false leader=108
+	// first: hit=false
 	// again: hit=true leader=108 same=true
 }
 

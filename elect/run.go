@@ -207,10 +207,7 @@ func run(spec Spec, cfg runConfig) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	wset, err := wakeNodes(cfg, rng)
-	if err != nil {
-		return res, err
-	}
+	wset := wakeNodes(cfg, rng)
 	// The live engine takes no injector: resolve rejects a non-zero plan
 	// there, and a zero plan is not validated for it. Nor does it take a
 	// topology or round trace, which resolve also rejects.
@@ -324,23 +321,17 @@ func buildTopo(cfg runConfig, rng *xrand.RNG, res *Result) (*topo.Graph, error) 
 }
 
 // wakeNodes resolves the adversarial wake set, or nil for simultaneous
-// wake-up. It consumes rng only when sampling is needed.
-func wakeNodes(cfg runConfig, rng *xrand.RNG) ([]int, error) {
+// wake-up. It consumes rng only when sampling is needed. An explicit set is
+// passed on as given: every engine rejects an empty set or an out-of-range
+// node before any node starts.
+func wakeNodes(cfg runConfig, rng *xrand.RNG) []int {
 	if cfg.wakeSet != nil {
-		if len(cfg.wakeSet) == 0 {
-			return nil, fmt.Errorf("elect: empty wake set")
-		}
-		for _, u := range cfg.wakeSet {
-			if u < 0 || u >= cfg.n {
-				return nil, fmt.Errorf("elect: wake set names invalid node %d", u)
-			}
-		}
-		return cfg.wakeSet, nil
+		return cfg.wakeSet
 	}
 	if cfg.wakeCount > 0 {
-		return rng.Sample(cfg.n, min(cfg.wakeCount, cfg.n)), nil
+		return rng.Sample(nil, cfg.n, min(cfg.wakeCount, cfg.n))
 	}
-	return nil, nil
+	return nil
 }
 
 // setOutcome copies the engine-independent part of a run's result: the

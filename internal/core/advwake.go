@@ -106,8 +106,7 @@ func (a *AdvWake2Round) Send(round int) []proto.Send {
 		if !a.root {
 			return nil
 		}
-		ports := a.env.RNG.Sample(a.env.Ports(), RootFanout(a.env.N))
-		return a.env.Out.To(ports, proto.Message{Kind: KindWakeup})
+		return a.env.Out.ToSample(a.env.RNG, a.env.Ports(), RootFanout(a.env.N), proto.Message{Kind: KindWakeup})
 	case 2:
 		if !a.eligible {
 			return nil

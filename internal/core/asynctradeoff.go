@@ -135,13 +135,13 @@ func (a *AsyncTradeoff) Wake(env proto.Env) []proto.Send {
 		return nil
 	}
 	// The wake-ups start this callback's sends; the competes follow them.
-	env.Out.To(env.RNG.Sample(env.Ports(), WakeFanout(env.N, a.k)), proto.Message{Kind: KindWakeup})
+	env.Out.ToSample(env.RNG, env.Ports(), WakeFanout(env.N, a.k), proto.Message{Kind: KindWakeup})
 	if env.RNG.Bernoulli(AsyncCandidateProb(env.N)) {
 		a.candidate = true
 		a.rank = drawRank(env.N, env.RNG)
 		a.winnerRank = a.rank // line 7: store own rank in rho_winner
 		a.winnerSelf = true
-		a.refPorts = env.RNG.Sample(env.Ports(), AsyncRefCount(env.N))
+		a.refPorts = env.RNG.Sample(nil, env.Ports(), AsyncRefCount(env.N))
 		for _, p := range a.refPorts {
 			a.send(p, proto.Message{Kind: KindCompeteAsync, A: a.rank})
 		}

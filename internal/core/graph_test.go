@@ -61,7 +61,7 @@ func TestKuttenMosesSubsetWake(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		g := buildTopo(t, "ring", n, seed)
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed))
-		wake := xrand.New(seed+100).Sample(n, 3)
+		wake := xrand.New(seed+100).Sample(nil, n, 3)
 		res := runSync(t, simsync.Config{
 			N: n, IDs: assign, Seed: seed, Topo: g, Strict: true,
 			Wake: wake,

@@ -110,7 +110,7 @@ func (k *KPPRT) Send(round int) []proto.Send {
 			k.cand = true
 			k.rank = drawRank(k.env.N, k.env.RNG)
 			if k.clique() {
-				k.referees = k.env.RNG.Sample(k.deg, SublinearRefCount(k.env.N))
+				k.referees = k.env.RNG.Sample(nil, k.deg, SublinearRefCount(k.env.N))
 			} else {
 				k.best = k.rank
 				k.relay = true

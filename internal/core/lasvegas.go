@@ -74,7 +74,7 @@ func (l *LasVegas) reset() {
 	if l.env.RNG.Bernoulli(SublinearCandidateProb(l.env.N)) {
 		l.candidate = true
 		l.rank = drawRank(l.env.N, l.env.RNG)
-		l.referees = l.env.RNG.Sample(l.env.Ports(), SublinearRefCount(l.env.N))
+		l.referees = l.env.RNG.Sample(nil, l.env.Ports(), SublinearRefCount(l.env.N))
 	}
 }
 

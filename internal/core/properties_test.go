@@ -59,7 +59,7 @@ func TestPropertyAfekGafniMaxRootWins(t *testing.T) {
 		rng := xrand.New(seed)
 		assign := ids.Random(ids.LogUniverse(n), n, rng)
 		wakeCount := int(wsel)%n + 1
-		wake := rng.Sample(n, wakeCount)
+		wake := rng.Sample(nil, n, wakeCount)
 		res, err := simsync.Run(simsync.Config{
 			N: n, IDs: assign, Seed: rng.Uint64(), Wake: wake, Strict: true,
 		}, NewAfekGafni(k))

@@ -127,7 +127,7 @@ func TestAdvWakeSuccessAcrossWakeSets(t *testing.T) {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+7777))
 			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed, Strict: true,
-				Wake: rng.Sample(n, w),
+				Wake: rng.Sample(nil, n, w),
 			}, NewAdvWake2Round(1.0/16))
 			if float64(res.Rounds) > rounds {
 				t.Fatalf("w=%d seed=%d: rounds = %d > %.0f", w, seed, res.Rounds, rounds)
@@ -208,7 +208,7 @@ func TestSpreadElectCorrectness(t *testing.T) {
 			assign := ids.Random(ids.LogUniverse(n), n, xrand.New(seed+101))
 			res := runSync(t, simsync.Config{
 				N: n, IDs: assign, Seed: seed, Strict: true,
-				Wake: rng.Sample(n, 1+int(rng.Uint64n(4))),
+				Wake: rng.Sample(nil, n, 1+int(rng.Uint64n(4))),
 			}, NewSpreadElect(k))
 			if _, rounds := lookup(t, "spreadelect").Bound(n, elect.Params{K: k}, 0, 0); float64(res.Rounds) > rounds {
 				t.Fatalf("k=%d: rounds %d > %.0f", k, res.Rounds, rounds)

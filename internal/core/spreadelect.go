@@ -102,15 +102,14 @@ func (s *SpreadElect) Send(round int) []proto.Send {
 	switch {
 	case s.spreadAt == round && round <= s.k+2:
 		s.spreadAt = 0
-		ports := s.env.RNG.Sample(s.env.Ports(), SpreadFanout(s.env.N, s.k))
-		return s.env.Out.To(ports, proto.Message{Kind: KindWakeup})
+		return s.env.Out.ToSample(s.env.RNG, s.env.Ports(), SpreadFanout(s.env.N, s.k), proto.Message{Kind: KindWakeup})
 	case round == s.k+3:
 		if !s.env.RNG.Bernoulli(SublinearCandidateProb(s.env.N)) {
 			return nil
 		}
 		s.candidate = true
 		s.rank = drawRank(s.env.N, s.env.RNG)
-		s.referees = s.env.RNG.Sample(s.env.Ports(), SublinearRefCount(s.env.N))
+		s.referees = s.env.RNG.Sample(nil, s.env.Ports(), SublinearRefCount(s.env.N))
 		return s.env.Out.To(s.referees, proto.Message{Kind: KindRank, A: s.rank})
 	case round == s.k+4:
 		if !s.haveBid || (s.candidate && s.bestBidRank <= s.rank) {

@@ -85,7 +85,7 @@ func (s *Sublinear) Init(env proto.Env) {
 	if env.RNG.Bernoulli(SublinearCandidateProb(env.N)) {
 		s.candidate = true
 		s.rank = drawRank(env.N, env.RNG)
-		s.referees = env.RNG.Sample(env.Ports(), SublinearRefCount(env.N))
+		s.referees = env.RNG.Sample(nil, env.Ports(), SublinearRefCount(env.N))
 	}
 }
 

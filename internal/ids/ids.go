@@ -103,7 +103,7 @@ func Random(u Universe, n int, rng *xrand.RNG) Assignment {
 	if int64(n) > u.Size() {
 		panic(fmt.Sprintf("ids: cannot draw %d distinct IDs from universe of size %d", n, u.Size()))
 	}
-	idx := rng.Sample(int(u.Size()), n)
+	idx := rng.Sample(nil, int(u.Size()), n)
 	out := make(Assignment, n)
 	for i, j := range idx {
 		out[i] = u.Lo + ID(j)
@@ -168,7 +168,7 @@ func Blocks(u Universe, blockSize, blockCount int, rng *xrand.RNG) Assignment {
 	if int64(blockCount) > total {
 		panic(fmt.Sprintf("ids: universe %v has only %d blocks of size %d", u, total, blockSize))
 	}
-	chosen := rng.Sample(int(total), blockCount)
+	chosen := rng.Sample(nil, int(total), blockCount)
 	sort.Ints(chosen)
 	out := make(Assignment, 0, blockSize*blockCount)
 	for _, b := range chosen {

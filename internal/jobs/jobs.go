@@ -248,15 +248,22 @@ func (m *Manager) submit(j *Job, sopts []SubmitOption) (*Job, error) {
 
 // pruneLocked forgets the oldest terminal jobs once the table exceeds the
 // bound. Non-terminal jobs are kept regardless, so the table can exceed
-// maxJobs only by the number of live jobs. Caller holds m.mu.
+// maxJobs only by the number of live jobs. In steady state the oldest job
+// is terminal and is popped off the front, so a submit costs O(1); only a
+// live job at the front makes it scan the table. Caller holds m.mu.
 func (m *Manager) pruneLocked() {
+	for len(m.order) > m.maxJobs && m.jobs[m.order[0]].terminal() {
+		delete(m.jobs, m.order[0])
+		m.order[0] = "" // release the ID; append reallocates the front away
+		m.order = m.order[1:]
+	}
 	if len(m.order) <= m.maxJobs {
 		return
 	}
 	kept := m.order[:0]
 	excess := len(m.order) - m.maxJobs
 	for _, id := range m.order {
-		if excess > 0 && m.jobs[id].Snapshot().State.Terminal() {
+		if excess > 0 && m.jobs[id].terminal() {
 			delete(m.jobs, id)
 			excess--
 			continue
@@ -403,6 +410,17 @@ func (j *Job) snapshotLocked() Snapshot {
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneCh }
+
+// terminal reports whether the job has reached a terminal state, without
+// taking its lock: finishLocked closes Done as it sets that state.
+func (j *Job) terminal() bool {
+	select {
+	case <-j.doneCh:
+		return true
+	default:
+		return false
+	}
+}
 
 // Err returns the failure cause of a Failed job (nil otherwise).
 func (j *Job) Err() error {
@@ -574,7 +592,7 @@ func (j *Job) execute() {
 	)
 	switch j.Kind {
 	case KindRun:
-		_, out, hit, err = elect.RunCached(cache, j.spec, j.opts...)
+		out, hit, err = elect.RunCached(cache, j.spec, j.opts...)
 
 	case KindBatch, KindChunk:
 		b := j.batch

@@ -374,31 +374,52 @@ func TestSubscribeAfterTerminal(t *testing.T) {
 
 // TestJobRetentionBound: a long-lived manager forgets its oldest terminal
 // jobs past its retention bound instead of accumulating every result it
-// ever served. The bound is lowered from jobRetention to 4 before any
-// submission.
+// ever served, oldest first. The bound is lowered from jobRetention to 4
+// before any submission. A live job at the front of the table is kept,
+// and the terminal jobs behind it are still forgotten.
 func TestJobRetentionBound(t *testing.T) {
+	spec := mustSpec(t, "tradeoff")
+	submitRuns := func(m *Manager) []*Job {
+		var all []*Job
+		for i := 0; i < 12; i++ {
+			j, err := m.SubmitRun(spec, []elect.Option{elect.WithN(16), elect.WithSeed(uint64(i))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait(t, j)
+			all = append(all, j)
+		}
+		return all
+	}
+	// tableIs checks the job table against want, in submission order.
+	tableIs := func(label string, m *Manager, want []*Job) {
+		t.Helper()
+		if got := m.Jobs(); !slices.Equal(got, want) {
+			t.Fatalf("%s: job table holds %d jobs, want the %d newest in order", label, len(got), len(want))
+		}
+	}
+
 	m := NewManager(Config{Workers: 1})
 	defer m.Close()
 	m.maxJobs = 4
-	spec := mustSpec(t, "tradeoff")
-	var all []*Job
-	for i := 0; i < 12; i++ {
-		j, err := m.SubmitRun(spec, []elect.Option{elect.WithN(16), elect.WithSeed(uint64(i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wait(t, j)
-		all = append(all, j)
+	all := submitRuns(m)
+	tableIs("terminal front", m, all[8:])
+
+	// A chunk held in its fence check stays running at the front.
+	release := make(chan struct{})
+	m = NewManager(Config{Workers: 2, CheckFence: func(uint64) error { <-release; return nil }})
+	defer m.Close()
+	defer close(release)
+	m.maxJobs = 4
+	live, err := m.SubmitChunk(spec, elect.Batch{Ns: []int{8}, Seeds: []uint64{1}}, 0, 1, WithFence(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(m.Jobs()); got > 5 {
-		t.Fatalf("job table holds %d jobs, want <= 5 (bound 4 + in-flight slack)", got)
+	all = submitRuns(m)
+	if live.terminal() {
+		t.Fatal("the held chunk finished")
 	}
-	if _, ok := m.Get(all[0].ID); ok {
-		t.Error("oldest terminal job survived pruning")
-	}
-	if _, ok := m.Get(all[len(all)-1].ID); !ok {
-		t.Error("newest job was pruned")
-	}
+	tableIs("live front", m, append([]*Job{live}, all[9:]...))
 }
 
 func TestManagerClose(t *testing.T) {

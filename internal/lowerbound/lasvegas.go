@@ -63,7 +63,7 @@ func (c *CheatingLasVegas) Send(round int) []proto.Send {
 	if fan > c.env.Ports() {
 		fan = c.env.Ports()
 	}
-	return c.env.Out.To(c.env.RNG.Sample(c.env.Ports(), fan), proto.Message{Kind: 1, A: c.rank})
+	return c.env.Out.ToSample(c.env.RNG, c.env.Ports(), fan, proto.Message{Kind: 1, A: c.rank})
 }
 
 // Deliver implements simsync.Protocol.

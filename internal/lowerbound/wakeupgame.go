@@ -121,7 +121,7 @@ func (s *spread2) Send(round int) []proto.Send {
 	if fan > s.env.Ports() {
 		fan = s.env.Ports()
 	}
-	return s.env.Out.To(s.env.RNG.Sample(s.env.Ports(), fan), proto.Message{Kind: 1})
+	return s.env.Out.ToSample(s.env.RNG, s.env.Ports(), fan, proto.Message{Kind: 1})
 }
 
 func (s *spread2) Deliver(round int, inbox []proto.Delivery) {

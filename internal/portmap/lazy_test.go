@@ -211,7 +211,7 @@ func fanouts(n, fan int, seed uint64) [][]int {
 	rng := xrand.New(seed)
 	out := make([][]int, n)
 	for u := range out {
-		out[u] = rng.Sample(n-1, min(fan, n-1))
+		out[u] = rng.Sample(nil, n-1, min(fan, n-1))
 	}
 	return out
 }

@@ -1,6 +1,10 @@
 package proto
 
-import "sync"
+import (
+	"sync"
+
+	"cliquelect/internal/xrand"
+)
 
 // This file holds the engines' hot-path scratch machinery: a pooled arena of
 // per-node delivery buffers and the send buffer the nodes build their sends
@@ -49,15 +53,17 @@ func (a *Arena) Out() *SendBuf { return &a.out }
 func (a *Arena) Release() { arenaPool.Put(a) }
 
 // SendBuf is the engine-owned buffer a node builds its sends in, handed to
-// it as Env.Out. Take, First, To and One replace what the buffer held; Add
-// appends to it. The engines consume a callback's sends before they call
-// any other node on the same buffer, so the simulators give every node of a
-// run one SendBuf, and livenet, whose nodes run concurrently, one per node.
+// it as Env.Out. Take, First, To, ToSample and One replace what the buffer
+// held; Add appends to it. The engines consume a callback's sends before
+// they call any other node on the same buffer, so the simulators give every
+// node of a run one SendBuf, and livenet, whose nodes run concurrently, one
+// per node.
 // A protocol builds each callback's sends here, returns them and never
 // keeps the slice. Capacity survives across calls and runs, so a warm
 // buffer serves a broadcast without allocating.
 type SendBuf struct {
-	buf []Send
+	buf   []Send
+	ports []int // ToSample's drawn ports
 }
 
 // Take returns the buffer resized to length k, for a caller that fills
@@ -96,6 +102,14 @@ func (b *SendBuf) To(ports []int, m Message) []Send {
 		out[i] = Send{Port: p, Msg: m}
 	}
 	return out
+}
+
+// ToSample returns m on k distinct ports drawn from 0..ports-1 by
+// rng.Sample, in draw order. The drawn ports live in the buffer's own
+// scratch, so a one-shot fan-out allocates nothing once the buffer is warm.
+func (b *SendBuf) ToSample(rng *xrand.RNG, ports, k int, m Message) []Send {
+	b.ports = rng.Sample(b.ports[:0], ports, k)
+	return b.To(b.ports, m)
 }
 
 // One returns the single send of m on port.

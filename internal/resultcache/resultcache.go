@@ -11,6 +11,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"container/list"
 	"os"
 	"path/filepath"
@@ -83,14 +84,16 @@ func New(opts ...Option) *Cache {
 	return c
 }
 
-// Get returns a copy of the bytes stored under key, consulting memory then
-// disk. Disk finds are promoted back into the memory tier.
+// Get returns the bytes stored under key, consulting memory then disk.
+// Disk finds are promoted back into the memory tier. The returned slice is
+// the stored value itself, shared with every other Get of the key: callers
+// must treat it as read-only.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		c.stats.Hits++
-		v := clone(el.Value.(*entry).value)
+		v := el.Value.(*entry).value
 		c.mu.Unlock()
 		return v, true
 	}
@@ -102,7 +105,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 			c.mu.Lock()
 			c.stats.Hits++
 			c.stats.DiskHits++
-			c.storeLocked(key, clone(data))
+			c.storeLocked(key, data)
 			c.mu.Unlock()
 			return data, true
 		}
@@ -119,14 +122,15 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// Put stores value under key in both tiers. Keys that are not content
-// hashes (see validKey) are rejected silently — the cache is content-
-// addressed, nothing else belongs in it.
+// Put stores a copy of value under key in both tiers, so the caller keeps
+// value, and a value sliced from a larger buffer does not pin the buffer.
+// Keys that are not content hashes (see validKey) are rejected silently —
+// the cache is content-addressed, nothing else belongs in it.
 func (c *Cache) Put(key string, value []byte) {
 	if !validKey(key) {
 		return
 	}
-	v := clone(value)
+	v := bytes.Clone(value)
 	c.mu.Lock()
 	c.stats.Puts++
 	c.storeLocked(key, v)
@@ -213,5 +217,3 @@ func validKey(key string) bool {
 	}
 	return true
 }
-
-func clone(b []byte) []byte { return append([]byte(nil), b...) }

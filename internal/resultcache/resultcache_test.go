@@ -22,16 +22,18 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(key("a"), []byte("alpha"))
+	value := []byte("alpha")
+	c.Put(key("a"), value)
+	// Put copies: mutating its argument leaves the entry unchanged.
+	value[0] = 'X'
 	got, ok := c.Get(key("a"))
 	if !ok || string(got) != "alpha" {
 		t.Fatalf("got %q ok=%v", got, ok)
 	}
-	// Mutating the returned slice must not corrupt the stored value.
-	got[0] = 'X'
+	// Get hands out the stored bytes themselves, read-only, to every caller.
 	again, _ := c.Get(key("a"))
-	if string(again) != "alpha" {
-		t.Fatalf("stored value corrupted: %q", again)
+	if &again[0] != &got[0] {
+		t.Fatal("two Gets of one entry returned different copies, want the stored bytes")
 	}
 	s := c.Stats()
 	if s.Hits != 2 || s.Misses != 1 || s.Puts != 1 || s.Entries != 1 {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"cliquelect/elect"
@@ -175,6 +176,60 @@ func TestRunReplyPlantedBytes(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `"time_units":2500,`) || !st.CacheHit {
 		t.Fatalf("planted hit was not served re-encoded from the cache: %s", body)
+	}
+}
+
+// TestConcurrentRunHitsShareBytes sends concurrent /v1/run hits on one
+// fingerprint. Every hit is served from the bytes the cache holds, without
+// a copy, so every reply's result must be byte-identical to the first
+// reply's; under -race, any writer to those shared bytes is a data race.
+func TestConcurrentRunHitsShareBytes(t *testing.T) {
+	_, url := newCachedServer(t, Config{})
+	req := client.RunRequest{Spec: "tradeoff", N: 512, Seed: 9, Options: client.Options{Params: &client.ParamSpec{K: intp(4)}}}
+	type reply struct {
+		Result   json.RawMessage `json:"result"`
+		CacheHit bool            `json:"cache_hit"`
+	}
+	var first reply
+	body, _, _ := post(t, url, "/v1/run", req)
+	if err := json.Unmarshal(body, &first); err != nil || first.CacheHit {
+		t.Fatalf("first reply: cache_hit %v, err %v", first.CacheHit, err)
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, calls = 8, 16
+	var wg sync.WaitGroup
+	errs := make(chan error, callers*calls)
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range calls {
+				resp, err := http.Post(url+"/v1/run", "application/json", bytes.NewReader(data))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var got reply
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					errs <- err
+				case !got.CacheHit:
+					errs <- fmt.Errorf("a repeat of the run missed the cache")
+				case !bytes.Equal(got.Result, first.Result):
+					errs <- fmt.Errorf("hit result differs from the first reply's:\n got %s\nwant %s", got.Result, first.Result)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -12,6 +12,7 @@ package xrand
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -115,16 +116,19 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Sample returns k distinct values drawn uniformly without replacement from
-// [0, n). It panics if k > n or k < 0. The result is in selection order, not
-// sorted. It runs in O(k) time and space regardless of n, using a sparse
-// partial Fisher-Yates shuffle, so sampling a handful of ports from a clique
-// of millions of links is cheap.
-func (r *RNG) Sample(n, k int) []int {
+// Sample appends k distinct values drawn uniformly without replacement
+// from [0, n) to dst and returns the extended slice; dst may be nil. It
+// panics if k > n or k < 0. The values are in selection order, not sorted.
+// It runs in O(k) time and space regardless of n, using a sparse partial
+// Fisher-Yates shuffle, so sampling a handful of ports from a clique of
+// millions of links is cheap. A caller that drops the values after use can
+// pass the same scratch slice, cut to length zero, on every call, and
+// then a warm Sample allocates nothing.
+func (r *RNG) Sample(dst []int, n, k int) []int {
 	if k < 0 || k > n {
 		panic("xrand: Sample with k out of range")
 	}
-	out := make([]int, 0, k)
+	out := slices.Grow(dst, k)
 	if k == 0 {
 		return out
 	}
@@ -203,16 +207,4 @@ func putSampleTable(st *sampleTable) {
 }
 
 // mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return hi, lo
-}
+func mul64(x, y uint64) (hi, lo uint64) { return bits.Mul64(x, y) }

@@ -134,7 +134,7 @@ func TestSampleDistinctInRange(t *testing.T) {
 	prop := func(seed uint64, a, b uint16) bool {
 		n := int(a%1000) + 1
 		k := int(b) % (n + 1)
-		s := New(seed).Sample(n, k)
+		s := New(seed).Sample(nil, n, k)
 		if len(s) != k {
 			return false
 		}
@@ -153,7 +153,7 @@ func TestSampleDistinctInRange(t *testing.T) {
 }
 
 func TestSampleFull(t *testing.T) {
-	s := New(17).Sample(10, 10)
+	s := New(17).Sample(nil, 10, 10)
 	seen := make([]bool, 10)
 	for _, v := range s {
 		seen[v] = true
@@ -170,7 +170,7 @@ func TestSampleUniformFirstElement(t *testing.T) {
 	const n, draws = 8, 80000
 	counts := make([]int, n)
 	for i := 0; i < draws; i++ {
-		counts[r.Sample(n, 1)[0]]++
+		counts[r.Sample(nil, n, 1)[0]]++
 	}
 	want := float64(draws) / n
 	for i, c := range counts {
@@ -186,7 +186,7 @@ func TestSamplePanics(t *testing.T) {
 			t.Fatal("Sample(1,2) did not panic")
 		}
 	}()
-	New(0).Sample(1, 2)
+	New(0).Sample(nil, 1, 2)
 }
 
 func TestMul64(t *testing.T) {
@@ -207,6 +207,44 @@ func TestMul64(t *testing.T) {
 	}
 }
 
+// mul64Reference is mul64 as it was first written, by 32-bit halves: the
+// oracle the hardware multiply must match on every input.
+func mul64Reference(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += x0 * y1
+	hi = x1*y1 + w2 + w1>>32
+	lo = x * y
+	return hi, lo
+}
+
+// TestMul64MatchesReference checks mul64 against the by-halves oracle on
+// every pair of edge values (0, 1, the 32-bit boundaries, the top values)
+// and on a million random pairs.
+func TestMul64MatchesReference(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(x, y uint64) {
+		hi, lo := mul64(x, y)
+		if whi, wlo := mul64Reference(x, y); hi != whi || lo != wlo {
+			t.Fatalf("mul64(%d,%d) = (%d,%d), reference (%d,%d)", x, y, hi, lo, whi, wlo)
+		}
+	}
+	for _, x := range edges {
+		for _, y := range edges {
+			check(x, y)
+		}
+	}
+	r := New(5)
+	for i := 0; i < 1_000_000; i++ {
+		check(r.Uint64(), r.Uint64()>>(i%64))
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -217,7 +255,7 @@ func BenchmarkUint64(b *testing.B) {
 func BenchmarkSample16(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
-		_ = r.Sample(1<<20, 16)
+		_ = r.Sample(nil, 1<<20, 16)
 	}
 }
 
@@ -267,10 +305,16 @@ func TestSampleMatchesReference(t *testing.T) {
 	}
 }
 
+// checkSampleAgainstReference draws into a slice that already holds a
+// value, so it checks that Sample appends after it and leaves it alone.
 func checkSampleAgainstReference(t *testing.T, seed uint64, n, k int) {
 	t.Helper()
 	got, want := New(seed), New(seed)
-	g, w := got.Sample(n, k), sampleReference(want, n, k)
+	g, w := got.Sample([]int{-1}, n, k), sampleReference(want, n, k)
+	if g[0] != -1 {
+		t.Fatalf("Sample(%d,%d) seed %d: overwrote the slice's first value with %d", n, k, seed, g[0])
+	}
+	g = g[1:]
 	if len(g) != len(w) {
 		t.Fatalf("Sample(%d,%d) seed %d: %d values, reference %d", n, k, seed, len(g), len(w))
 	}
@@ -285,15 +329,18 @@ func checkSampleAgainstReference(t *testing.T, seed uint64, n, k int) {
 }
 
 // TestSampleAllocatesOnlyResult pins Sample's pooled table: a warm draw of
-// 51 ports out of 2047 (a 128-slot table) allocates its result and nothing
-// else.
+// 51 ports out of 2047 (a 128-slot table) allocates its result when given
+// no slice, and nothing at all when it appends into scratch with room.
 func TestSampleAllocatesOnlyResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation drops pooled tables; enforced in the non-race build")
 	}
 	r := New(3)
-	r.Sample(2047, 51) // warm the table pool
-	if allocs := testing.AllocsPerRun(100, func() { r.Sample(2047, 51) }); allocs != 1 {
-		t.Fatalf("a warm Sample(2047, 51) allocated %v times, want 1 (its result)", allocs)
+	scratch := r.Sample(nil, 2047, 51) // warm the table pool
+	if allocs := testing.AllocsPerRun(100, func() { r.Sample(nil, 2047, 51) }); allocs != 1 {
+		t.Fatalf("a warm Sample(nil, 2047, 51) allocated %v times, want 1 (its result)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { scratch = r.Sample(scratch[:0], 2047, 51) }); allocs != 0 {
+		t.Fatalf("a warm Sample into scratch allocated %v times, want 0", allocs)
 	}
 }
