@@ -177,3 +177,31 @@ func TestSeeds(t *testing.T) {
 		t.Fatal("Seeds(0,0) not empty")
 	}
 }
+
+// TestLimitsAdmit pins the admission rule: every size at most MaxN, the
+// cell count (each empty axis counting as one value) at most MaxCells, a
+// zero field no bound, and counts whose product would wrap an int refused
+// rather than multiplied.
+func TestLimitsAdmit(t *testing.T) {
+	lim := Limits{MaxN: 1024, MaxCells: 100}
+	huge := int(^uint(0) >> 1)
+	for _, tc := range []struct {
+		name         string
+		lim          Limits
+		ns           []int
+		seeds, topos int
+		ok           bool
+	}{
+		{"defaults", lim, nil, 0, 0, true},
+		{"at the limits", lim, []int{1024, 2}, 50, 1, true},
+		{"n past MaxN", lim, []int{64, 1025}, 1, 0, false},
+		{"seeds past MaxCells", lim, []int{64}, 101, 0, false},
+		{"grid past MaxCells", lim, []int{64, 128}, 10, 6, false},
+		{"wrapping counts", lim, []int{64, 128}, huge, huge, false},
+		{"no limits", Limits{}, []int{huge}, huge, huge, true},
+	} {
+		if err := tc.lim.Admit(tc.ns, tc.seeds, tc.topos); (err == nil) != tc.ok {
+			t.Errorf("%s: Admit = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}

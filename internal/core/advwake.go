@@ -57,7 +57,7 @@ func NewAdvWake2Round(eps float64) simsync.Factory {
 	if err := ValidateEps(eps); err != nil {
 		panic(err)
 	}
-	return func(int) simsync.Protocol { return &AdvWake2Round{eps: eps} }
+	return simsync.Slab(AdvWake2Round{eps: eps})
 }
 
 // ValidateEps checks Theorem 4.1's failure parameter.

@@ -53,7 +53,7 @@ func NewAfekGafni(k int) simsync.Factory {
 	if err := ValidateAfekGafniK(k); err != nil {
 		panic(err)
 	}
-	return func(int) simsync.Protocol { return &AfekGafni{k: k} }
+	return simsync.Slab(AfekGafni{k: k})
 }
 
 // Init implements simsync.Protocol.

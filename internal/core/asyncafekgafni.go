@@ -74,7 +74,7 @@ type reqEntry struct {
 // simasync.Config.Wake); under adversarial wake-up its time complexity is
 // counted from the last spontaneous wake-up, per the theorem statement.
 func NewAsyncAfekGafni() simasync.Factory {
-	return func(int) simasync.Protocol { return &AsyncAfekGafni{} }
+	return simasync.Slab(AsyncAfekGafni{})
 }
 
 // Wake implements simasync.Protocol.

@@ -72,7 +72,7 @@ func NewAsyncTradeoff(k int) simasync.Factory {
 	if err := ValidateAsyncK(k); err != nil {
 		panic(err)
 	}
-	return func(int) simasync.Protocol { return &AsyncTradeoff{k: k} }
+	return simasync.Slab(AsyncTradeoff{k: k})
 }
 
 // NewAsyncLinear returns the substituted [14]-style near-linear baseline:

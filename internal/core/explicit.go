@@ -36,10 +36,16 @@ type Explicit struct {
 // protocols halt every node in the same round, so 4 is generous.
 const explicitWaitRounds = 4
 
-// NewExplicit wraps an implicit protocol factory.
+// NewExplicit wraps an implicit protocol factory: the inner factory fills
+// the run's nodes, and one slab of wrappers takes their place.
 func NewExplicit(inner simsync.Factory) simsync.Factory {
-	return func(node int) simsync.Protocol {
-		return &Explicit{inner: inner(node)}
+	return func(nodes []simsync.Protocol) {
+		inner(nodes)
+		slab := make([]Explicit, len(nodes))
+		for u := range slab {
+			slab[u].inner = nodes[u]
+			nodes[u] = &slab[u]
+		}
 	}
 }
 

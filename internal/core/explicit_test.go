@@ -105,7 +105,7 @@ func TestExplicitGivesUpWithoutLeader(t *testing.T) {
 	// still quiesce (bounded wait), with Output 0 everywhere.
 	res, err := simsync.Run(simsync.Config{
 		N: 8, IDs: ids.Sequential(ids.LinearUniverse(8, 1), 8), Seed: 1,
-	}, NewExplicit(func(int) simsync.Protocol { return &allNonLeader{} }))
+	}, NewExplicit(simsync.Slab(allNonLeader{})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +148,11 @@ func TestExplicitPropertyUniqueAgreement(t *testing.T) {
 // leader's. It returns the agreed leader ID.
 func runExplicit(cfg simsync.Config, inner simsync.Factory) (int64, *simsync.Result, error) {
 	wrappers := make([]*Explicit, cfg.N)
-	res, err := simsync.Run(cfg, func(node int) simsync.Protocol {
-		w := NewExplicit(inner)(node).(*Explicit)
-		wrappers[node] = w
-		return w
+	res, err := simsync.Run(cfg, func(nodes []simsync.Protocol) {
+		NewExplicit(inner)(nodes)
+		for u, p := range nodes {
+			wrappers[u] = p.(*Explicit)
+		}
 	})
 	if err != nil {
 		return 0, nil, err

@@ -69,7 +69,7 @@ type KPPRT struct {
 
 // NewKPPRT returns a simsync factory for the sampled-candidacy election.
 func NewKPPRT() simsync.Factory {
-	return func(int) simsync.Protocol { return &KPPRT{} }
+	return simsync.Slab(KPPRT{})
 }
 
 // KPPRTCandidateProb returns the candidacy probability min(1, 2·ln(n+1)/n):

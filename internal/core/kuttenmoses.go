@@ -63,7 +63,7 @@ type KuttenMoses struct {
 
 // NewKuttenMoses returns a simsync factory for the extinction election.
 func NewKuttenMoses() simsync.Factory {
-	return func(int) simsync.Protocol { return &KuttenMoses{} }
+	return simsync.Slab(KuttenMoses{})
 }
 
 // Init implements simsync.Protocol.

@@ -50,7 +50,7 @@ type LasVegas struct {
 // NewLasVegas returns a simsync factory for the Theorem 3.16 Las Vegas
 // algorithm.
 func NewLasVegas() simsync.Factory {
-	return func(int) simsync.Protocol { return &LasVegas{} }
+	return simsync.Slab(LasVegas{})
 }
 
 // Init implements simsync.Protocol.

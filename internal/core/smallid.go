@@ -37,7 +37,7 @@ func NewSmallID(d, g int) simsync.Factory {
 	if err := ValidateSmallID(d, g); err != nil {
 		panic(err)
 	}
-	return func(int) simsync.Protocol { return &SmallID{d: d, g: g} }
+	return simsync.Slab(SmallID{d: d, g: g})
 }
 
 // ValidateSmallID checks Algorithm 1's parameters.

@@ -61,7 +61,7 @@ func NewSpreadElect(k int) simsync.Factory {
 	if err := ValidateSpreadK(k); err != nil {
 		panic(err)
 	}
-	return func(int) simsync.Protocol { return &SpreadElect{k: k} }
+	return simsync.Slab(SpreadElect{k: k})
 }
 
 // ValidateSpreadK checks the spreading parameter.

@@ -47,7 +47,7 @@ type Sublinear struct {
 
 // NewSublinear returns a simsync factory for the [16] baseline.
 func NewSublinear() simsync.Factory {
-	return func(int) simsync.Protocol { return &Sublinear{} }
+	return simsync.Slab(Sublinear{})
 }
 
 // SublinearCandidateProb returns the candidacy probability 2·ln(n)/n:

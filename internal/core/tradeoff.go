@@ -55,7 +55,7 @@ func NewTradeoff(k int) simsync.Factory {
 	if err := ValidateTradeoffK(k); err != nil {
 		panic(err)
 	}
-	return func(int) simsync.Protocol { return &Tradeoff{k: k} }
+	return simsync.Slab(Tradeoff{k: k})
 }
 
 // Init implements simsync.Protocol.

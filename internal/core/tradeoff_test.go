@@ -8,6 +8,7 @@ import (
 	"cliquelect/internal/ids"
 	"cliquelect/internal/portmap"
 	"cliquelect/internal/proto"
+	"cliquelect/internal/simasync"
 	"cliquelect/internal/simsync"
 	"cliquelect/internal/xrand"
 )
@@ -190,11 +191,12 @@ func TestCeilHelpers(t *testing.T) {
 
 // TestSyncFanoutAllocBudget bounds a warm-pool run of the two synchronous
 // fan-out tradeoffs, Theorem 3.10's algorithm and the Afek-Gafni baseline
-// at k = 4 under simultaneous wake-up, to 1.5 allocations per node. Each
-// node costs its protocol instance and its share of the engine's per-run
-// slices; its sends are built in the run's one engine-owned send buffer. A
-// send buffer per node, grown once per run, costs one more allocation per
-// node and trips the budget.
+// at k = 4 under simultaneous wake-up, to 16 + n/128 allocations. A run
+// costs 9 at any n: the factory's one slab of protocol instances and the
+// engine's per-run slices; its sends are built in the run's one
+// engine-owned send buffer. A protocol instance or a send buffer per node
+// costs n more and trips the budget. The count must also not grow with n:
+// a run at n = 2048 may allocate at most 2 more times than one at n = 256.
 func TestSyncFanoutAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is enforced in the non-race build")
@@ -206,13 +208,57 @@ func TestSyncFanoutAllocBudget(t *testing.T) {
 		{"tradeoff", NewTradeoff(4)},
 		{"afekgafni", NewAfekGafni(4)},
 	} {
+		var small float64
 		for _, n := range []int{256, 2048} {
 			cfg := simsync.Config{N: n, IDs: ids.Random(ids.LogUniverse(n), n, xrand.New(7)), Seed: 3}
 			runSync(t, cfg, algo.factory) // warm the engine's pools
 			allocs := testing.AllocsPerRun(3, func() { runSync(t, cfg, algo.factory) })
-			if perNode := allocs / float64(n); perNode > 1.5 {
-				t.Fatalf("%s n=%d: a warm run allocated %.2f times per node, budget 1.5", algo.name, n, perNode)
+			if budget := 16 + float64(n)/128; allocs > budget {
+				t.Fatalf("%s n=%d: a warm run allocated %.0f times, budget %.0f", algo.name, n, allocs, budget)
 			}
+			if n == 256 {
+				small = allocs
+			} else if allocs > small+2 {
+				t.Fatalf("%s: a warm run allocated %.0f times at n=%d, %.0f at n=256", algo.name, allocs, n, small)
+			}
+		}
+	}
+}
+
+// TestFactoryAllocsOneSlab holds every protocol factory to one allocation
+// per run whatever n is: the slab its nodes live in. A wrapper adds its own
+// slab around the inner factory's. A factory that allocates each node on
+// its own costs n allocations and fails.
+func TestFactoryAllocsOneSlab(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budget is enforced in the non-race build")
+	}
+	const n = 64
+	syncNodes, asyncNodes := make([]simsync.Protocol, n), make([]simasync.Protocol, n)
+	type factory struct {
+		name  string
+		fill  func()
+		slabs float64
+	}
+	var factories []factory
+	for name, f := range map[string]simsync.Factory{
+		"tradeoff": NewTradeoff(3), "afekgafni": NewAfekGafni(2), "smallid": NewSmallID(2, 1),
+		"sublinear": NewSublinear(), "lasvegas": NewLasVegas(), "advwake": NewAdvWake2Round(0.1),
+		"spreadelect": NewSpreadElect(2), "kuttenmoses": NewKuttenMoses(), "kpprt": NewKPPRT(),
+	} {
+		explicit := NewExplicit(f)
+		factories = append(factories,
+			factory{name, func() { f(syncNodes) }, 1},
+			factory{"explicit " + name, func() { explicit(syncNodes) }, 2})
+	}
+	for name, f := range map[string]simasync.Factory{
+		"asynctradeoff": NewAsyncTradeoff(3), "asyncafekgafni": NewAsyncAfekGafni(), "asynclinear": NewAsyncLinear(n),
+	} {
+		factories = append(factories, factory{name, func() { f(asyncNodes) }, 1})
+	}
+	for _, f := range factories {
+		if allocs := testing.AllocsPerRun(5, f.fill); allocs > f.slabs {
+			t.Errorf("%s: filling %d nodes allocated %.0f times, want %.0f", f.name, n, allocs, f.slabs)
 		}
 	}
 }

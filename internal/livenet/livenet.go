@@ -152,15 +152,21 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 	}
 
 	nodes := make([]simasync.Protocol, n)
-	envs := make([]proto.Env, n)
+	factory(nodes)
+	// Node generators are split in node order into one flat slice, as the
+	// simulators do; each node's goroutine touches only its own element.
+	rngs := make([]xrand.RNG, n)
 	boxes := make([]*mailbox, n)
+	for u := range n {
+		master.SplitInto(&rngs[u])
+		boxes[u] = newMailbox()
+	}
 	// The nodes run concurrently, so each gets its own send buffer; its
 	// goroutine consumes every callback's sends before the next callback.
 	outs := make([]proto.SendBuf, n)
-	for u := 0; u < n; u++ {
-		nodes[u] = factory(u)
-		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: master.Split(), Out: &outs[u]}
-		boxes[u] = newMailbox()
+	// env builds node u's environment when it wakes, on u's goroutine.
+	env := func(u int) proto.Env {
+		return proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u], Out: &outs[u]}
 	}
 
 	var (
@@ -207,13 +213,13 @@ func Run(cfg Config, factory simasync.Factory) (*Result, error) {
 				case itemWake:
 					if !awake[u] {
 						awake[u] = true
-						dispatch(u, nodes[u].Wake(envs[u]))
+						dispatch(u, nodes[u].Wake(env(u)))
 					}
 					pending.Done()
 				case itemDeliver:
 					if !awake[u] {
 						awake[u] = true
-						dispatch(u, nodes[u].Wake(envs[u]))
+						dispatch(u, nodes[u].Wake(env(u)))
 					}
 					dispatch(u, nodes[u].Receive(it.d))
 					pending.Done()

@@ -90,7 +90,7 @@ func (c *chatter) Decision() proto.Decision { return proto.Undecided }
 func TestLiveTruncation(t *testing.T) {
 	res, err := Run(Config{
 		N: 2, IDs: ids.Assignment{1, 2}, Wake: []int{0}, MaxMessages: 50,
-	}, func(int) simasync.Protocol { return &chatter{} })
+	}, simasync.Slab(chatter{}))
 	if err != nil {
 		t.Fatal(err)
 	}

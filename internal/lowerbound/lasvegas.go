@@ -31,7 +31,7 @@ type CheatingLasVegas struct {
 
 // NewCheatingLasVegas returns the broken algorithm's factory.
 func NewCheatingLasVegas() simsync.Factory {
-	return func(int) simsync.Protocol { return &CheatingLasVegas{} }
+	return simsync.Slab(CheatingLasVegas{})
 }
 
 // Init implements simsync.Protocol.
@@ -136,8 +136,13 @@ func CheckLasVegas(n, trials int, factory simsync.Factory, seed uint64) (*LasVeg
 		touched := newTouchCounter(n)
 		res, err := simsync.Run(simsync.Config{
 			N: n, IDs: assign, Seed: rng.Uint64(), Strict: true,
-		}, func(node int) simsync.Protocol {
-			return &touchTap{inner: factory(node), node: node, tc: touched}
+		}, func(nodes []simsync.Protocol) {
+			factory(nodes)
+			taps := make([]touchTap, len(nodes))
+			for u := range taps {
+				taps[u] = touchTap{inner: nodes[u], node: u, tc: touched}
+				nodes[u] = &taps[u]
+			}
 		})
 		if err != nil {
 			return nil, err

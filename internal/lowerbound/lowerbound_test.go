@@ -86,7 +86,7 @@ func TestComponentGameTheoremConsistency(t *testing.T) {
 // profligate broadcasts to everyone in round 1: the budget check must trip
 // immediately for small f.
 func TestComponentGameFlagsOverspender(t *testing.T) {
-	broadcast := func(int) simsync.Protocol { return &broadcastAll{} }
+	broadcast := simsync.Slab(broadcastAll{})
 	res, err := ComponentGame(64, 2, broadcast, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +195,11 @@ func TestSingleSendIsSingleSend(t *testing.T) {
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(3))
 	perRound := make(map[int]map[int]int) // round -> node -> sends
 	factory := core.NewTradeoff(3)
-	counting := func(node int) simsync.Protocol {
-		return &sendCounter{inner: NewSingleSend(factory)(node), node: node, perRound: perRound}
+	counting := func(nodes []simsync.Protocol) {
+		NewSingleSend(factory)(nodes)
+		for u, p := range nodes {
+			nodes[u] = &sendCounter{inner: p, node: u, perRound: perRound}
+		}
 	}
 	if _, err := simsync.Run(simsync.Config{
 		N: n, IDs: assign, Ports: portmap.NewCanonical(n), Seed: 1,
@@ -335,5 +338,24 @@ func TestComponentGameArrivalAblation(t *testing.T) {
 	}
 	if got := without.Rounds[1].MaxComponent; got <= 8 {
 		t.Fatalf("uniform arrivals unexpectedly contained round 1 (component %d)", got)
+	}
+}
+
+// TestFactoryAllocsOneSlab holds the harness factories to one slab per
+// run whatever n is, as internal/core's test holds every protocol's: the
+// single-send wrapper adds its own slab around the inner factory's.
+func TestFactoryAllocsOneSlab(t *testing.T) {
+	nodes := make([]simsync.Protocol, 64)
+	for _, f := range []struct {
+		name    string
+		factory simsync.Factory
+		slabs   float64
+	}{
+		{"singlesend", NewSingleSend(core.NewTradeoff(3)), 2},
+		{"cheatinglasvegas", NewCheatingLasVegas(), 1},
+	} {
+		if allocs := testing.AllocsPerRun(5, func() { f.factory(nodes) }); allocs > f.slabs {
+			t.Errorf("%s: filling %d nodes allocated %.0f times, want %.0f", f.name, len(nodes), allocs, f.slabs)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func WakeupGame(n, trials int, betas []float64, seed uint64) (*WakeupGameResult,
 				N: n, IDs: assign, Seed: rng.Uint64(),
 				Wake:      []int{int(rng.Uint64n(uint64(n)))},
 				MaxRounds: 8,
-			}, func(int) simsync.Protocol { return &spread2{fan: fan} })
+			}, simsync.Slab(spread2{fan: fan}))
 			if err != nil {
 				return nil, err
 			}

@@ -2,12 +2,14 @@ package proto_test
 
 import (
 	"fmt"
+	"reflect"
 	"regexp"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cliquelect/internal/core"
 	"cliquelect/internal/ids"
 	"cliquelect/internal/livenet"
 	"cliquelect/internal/proto"
@@ -64,7 +66,7 @@ type engine struct {
 var engines = []engine{
 	{"simsync", func(n int, wake []int, mk func(u int) *probe) ([]bool, error) {
 		res, err := simsync.Run(simsync.Config{N: n, IDs: probeIDs(n), Seed: 1, Wake: wake},
-			func(u int) simsync.Protocol { return mk(u) })
+			fill(func(u int) simsync.Protocol { return mk(u) }))
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +81,7 @@ var engines = []engine{
 	}},
 	{"simasync", func(n int, wake []int, mk func(u int) *probe) ([]bool, error) {
 		res, err := simasync.Run(simasync.Config{N: n, IDs: probeIDs(n), Seed: 1, Wake: simasync.SubsetAtZero(wake)},
-			func(u int) simasync.Protocol { return mk(u) })
+			fill(func(u int) simasync.Protocol { return mk(u) }))
 		if err != nil {
 			return nil, err
 		}
@@ -94,12 +96,22 @@ var engines = []engine{
 	}},
 	{"livenet", func(n int, wake []int, mk func(u int) *probe) ([]bool, error) {
 		res, err := livenet.Run(livenet.Config{N: n, IDs: probeIDs(n), Seed: 1, Wake: wake},
-			func(u int) simasync.Protocol { return mk(u) })
+			fill(func(u int) simasync.Protocol { return mk(u) }))
 		if err != nil {
 			return nil, err
 		}
 		return res.Awake, nil
 	}},
+}
+
+// fill is the Factory of a test whose nodes differ by index: it sets node
+// u to mk(u). Protocol factories read no index; these fakes do.
+func fill[P any](mk func(u int) P) func(nodes []P) {
+	return func(nodes []P) {
+		for u := range nodes {
+			nodes[u] = mk(u)
+		}
+	}
 }
 
 func probeIDs(n int) ids.Assignment { return ids.Random(ids.LogUniverse(n), n, xrand.New(3)) }
@@ -194,4 +206,104 @@ func TestInvalidPortFails(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFactoryContract holds every engine to the factory contract over
+// back-to-back runs of different sizes and specs: every node of a run is an
+// instance of its own, and each is still in the state its factory builds
+// when Init or Wake first sees it. A factory that handed out a slab kept
+// from an earlier run without resetting it, or one instance to two nodes,
+// fails here; under -race, so would two livenet nodes sharing state.
+func TestFactoryContract(t *testing.T) {
+	syncSpecs := map[string]simsync.Factory{
+		"tradeoff":    core.NewTradeoff(3),
+		"afekgafni":   core.NewAfekGafni(2),
+		"kuttenmoses": core.NewKuttenMoses(),
+		"explicit":    core.NewExplicit(core.NewTradeoff(4)),
+	}
+	asyncSpecs := map[string]simasync.Factory{
+		"asynctradeoff":  core.NewAsyncTradeoff(3),
+		"asyncafekgafni": core.NewAsyncAfekGafni(),
+	}
+	for _, n := range []int{16, 48, 8, 33} {
+		for name, f := range syncSpecs {
+			_, err := simsync.Run(simsync.Config{N: n, IDs: probeIDs(n), Seed: uint64(n)},
+				audited(t, "simsync/"+name, f, func(p simsync.Protocol, built any) simsync.Protocol {
+					return &syncAudit{p, built, t, "simsync/" + name}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, f := range asyncSpecs {
+			wrap := func(engine string) func(p simasync.Protocol, built any) simasync.Protocol {
+				return func(p simasync.Protocol, built any) simasync.Protocol {
+					return &asyncAudit{p, built, t, engine + "/" + name}
+				}
+			}
+			if _, err := simasync.Run(simasync.Config{N: n, IDs: probeIDs(n), Seed: uint64(n)},
+				audited(t, "simasync/"+name, f, wrap("simasync"))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := livenet.Run(livenet.Config{N: n, IDs: probeIDs(n), Seed: uint64(n)},
+				audited(t, "livenet/"+name, f, wrap("livenet"))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// audited wraps factory f for one run. After f fills the nodes it checks
+// that no two share an instance, and it copies the state of one more
+// instance built by f, before any node starts, as the state every node
+// must start from; wrap puts each node behind a checker that compares the
+// two when the engine first starts the node.
+func audited[P comparable](t *testing.T, name string, f func([]P), wrap func(p P, built any) P) func([]P) {
+	return func(nodes []P) {
+		f(nodes)
+		extra := make([]P, 1)
+		f(extra)
+		built := reflect.ValueOf(extra[0]).Elem().Interface()
+		owner := make(map[P]int, len(nodes))
+		for u, p := range nodes {
+			if v, shared := owner[p]; shared {
+				t.Errorf("%s n=%d: nodes %d and %d share one instance", name, len(nodes), v, u)
+			}
+			owner[p] = u
+			nodes[u] = wrap(p, built)
+		}
+	}
+}
+
+// checkBuilt reports a node whose instance p, started with env, is not in
+// the built state.
+func checkBuilt(t *testing.T, name string, env proto.Env, p, built any) {
+	if state := reflect.ValueOf(p).Elem().Interface(); !reflect.DeepEqual(state, built) {
+		t.Errorf("%s n=%d: node with ID %d started from %+v, not from its built state %+v",
+			name, env.N, env.ID, state, built)
+	}
+}
+
+type syncAudit struct {
+	simsync.Protocol
+	built any
+	t     *testing.T
+	name  string
+}
+
+func (a *syncAudit) Init(env proto.Env) {
+	checkBuilt(a.t, a.name, env, a.Protocol, a.built)
+	a.Protocol.Init(env)
+}
+
+type asyncAudit struct {
+	simasync.Protocol
+	built any
+	t     *testing.T
+	name  string
+}
+
+func (a *asyncAudit) Wake(env proto.Env) []proto.Send {
+	checkBuilt(a.t, a.name, env, a.Protocol, a.built)
+	return a.Protocol.Wake(env)
 }

@@ -104,21 +104,21 @@ func TestSharedSendBufAliasing(t *testing.T) {
 	}{
 		{"simsync", func(log *stampLog) error {
 			_, err := simsync.Run(simsync.Config{N: n, IDs: assign, Ports: pm, Seed: 1},
-				func(u int) simsync.Protocol {
+				fill(func(u int) simsync.Protocol {
 					return &syncStamper{stamper: stamper{node: u, log: log}, rounds: 6}
-				})
+				}))
 			return err
 		}},
 		{"simasync", func(log *stampLog) error {
 			_, err := simasync.Run(simasync.Config{
 				N: n, IDs: assign, Ports: pm, Seed: 1,
 				Wake: simasync.SubsetAtZero(roots), Delays: simasync.UniformDelay{Lo: 0.05},
-			}, func(u int) simasync.Protocol { return &asyncStamper{stamper{node: u, log: log}} })
+			}, fill(func(u int) simasync.Protocol { return &asyncStamper{stamper{node: u, log: log}} }))
 			return err
 		}},
 		{"livenet", func(log *stampLog) error {
 			_, err := livenet.Run(livenet.Config{N: n, IDs: assign, Ports: pm, Wake: roots, Seed: 1},
-				func(u int) simasync.Protocol { return &asyncStamper{stamper{node: u, log: log}} })
+				fill(func(u int) simasync.Protocol { return &asyncStamper{stamper{node: u, log: log}} }))
 			return err
 		}},
 	} {

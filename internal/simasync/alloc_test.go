@@ -43,10 +43,11 @@ func relayConfig(n int, delays DelayPolicy) Config {
 
 // TestEventLoopAllocBudget is the async engine's counterpart of simsync's
 // TestRoundLoopAllocBudget: a warm-pool run must allocate nothing beyond
-// its per-run setup. The event queue, the FIFO clamp table and the lazy
-// port wiring are pooled scratch, so the ~n·fan·hops events of a run must
-// add no allocation. Config.Rounds is nil here, so this also pins the
-// disabled round-trace probe at zero allocations.
+// its per-run setup, whose count does not grow with n. The event queue, the
+// FIFO clamp table and the lazy port wiring are pooled scratch, so the
+// ~n·fan·hops events of a run must add no allocation. Config.Rounds is nil
+// here, so this also pins the disabled round-trace probe at zero
+// allocations.
 func TestEventLoopAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is enforced in the non-race build")
@@ -60,7 +61,7 @@ func TestEventLoopAllocBudget(t *testing.T) {
 		{"uniform", UniformDelay{Lo: 0.05}},
 	} {
 		cfg := relayConfig(n, tc.delays)
-		factory := func(int) Protocol { return &relay{fan: 4, hops: 16} }
+		factory := Slab(relay{fan: 4, hops: 16})
 		// Warm every pool (event queue, clamp table, port-map tables).
 		if _, err := Run(cfg, factory); err != nil {
 			t.Fatal(err)
@@ -70,13 +71,13 @@ func TestEventLoopAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Setup costs ~n+10 allocations (n protocol instances plus Result
-		// and engine slices; every node sends from the pooled scratch's one
-		// send buffer); the ~17k events of a run must add none. 1.5*n
-		// leaves headroom for pool misses under GC pressure while still
-		// catching a send buffer per node (n more) or any per-event
-		// regression.
-		if budget := 1.5 * n; allocs > budget {
+		// Setup costs 9 allocations at any n (the factory's one slab, the
+		// Result and engine slices; every node sends from the pooled
+		// scratch's one send buffer); the ~17k events of a run must add
+		// none. 16 + n/128 leaves headroom for pool misses under GC
+		// pressure while still catching a protocol instance or send buffer
+		// per node (n more) or any per-event regression.
+		if budget := 16 + n/128.0; allocs > budget {
 			t.Fatalf("%s: Run allocated %.0f times per run, budget %.0f", tc.name, allocs, budget)
 		}
 	}
@@ -95,7 +96,7 @@ func BenchmarkEventLoop(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := relayConfig(n, bc.delays)
-			factory := func(int) Protocol { return &relay{fan: 4, hops: 16} }
+			factory := Slab(relay{fan: 4, hops: 16})
 			b.ReportAllocs()
 			var msgs int64
 			for i := 0; i < b.N; i++ {

@@ -57,8 +57,31 @@ type Protocol interface {
 	Decision() proto.Decision
 }
 
-// Factory constructs the protocol instance for a node.
-type Factory func(node int) Protocol
+// Factory builds the protocol instances of one run. An engine (simasync or
+// livenet) calls it once per run, before any node wakes, with a nodes slice
+// of length N whose entries are nil, and the factory points entry u, node
+// u, at an instance of its own, in the state Wake expects to find. A
+// protocol learns its ID, n and generator only from the proto.Env Wake
+// receives, so a factory draws no randomness and the run's RNG streams do
+// not depend on it. Under livenet every node runs on its own goroutine, so
+// instances must share no mutable state.
+type Factory func(nodes []Protocol)
+
+// Slab is simsync.Slab for asynchronous protocols: one fresh []T of copies
+// of v per run. Distinct elements are distinct memory, so livenet's node
+// goroutines share nothing through it.
+func Slab[T any, P interface {
+	*T
+	Protocol
+}](v T) Factory {
+	return func(nodes []Protocol) {
+		slab := make([]T, len(nodes))
+		for i := range slab {
+			slab[i] = v
+			nodes[i] = P(&slab[i])
+		}
+	}
+}
 
 // DelayPolicy is the adversary's scheduler: it assigns each message a
 // transmission delay, given its sender, port and message kind. Results are
@@ -414,15 +437,17 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	sc := getScratch()
 	defer scratchPool.Put(sc)
 	nodes := make([]Protocol, n)
-	envs := make([]proto.Env, n)
-	// All node generators live in one flat slice; rngs must outlive the
-	// event loop (protocols hold pointers into it), so it is per-run, not
-	// pooled scratch.
+	factory(nodes)
+	// All node generators live in one flat slice, split in node order; rngs
+	// must outlive the event loop (protocols hold pointers into it), so it
+	// is per-run, not pooled scratch.
 	rngs := make([]xrand.RNG, n)
-	for u := 0; u < n; u++ {
-		nodes[u] = factory(u)
+	for u := range rngs {
 		master.SplitInto(&rngs[u])
-		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u], Out: &sc.out}
+	}
+	// env builds node u's environment when it wakes.
+	env := func(u int) proto.Env {
+		return proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u], Out: &sc.out}
 	}
 
 	res := &Result{
@@ -555,11 +580,11 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 			awake[u] = true
 			res.WakeTime[u] = e.time
 			if rt == nil {
-				return dispatch(u, e.time, nodes[u].Wake(envs[u]))
+				return dispatch(u, e.time, nodes[u].Wake(env(u)))
 			}
 			rt.Woke(window(e.time))
 			before := nodes[u].Decision()
-			outs := nodes[u].Wake(envs[u])
+			outs := nodes[u].Wake(env(u))
 			if nodes[u].Decision() != before {
 				rt.Decided(window(e.time))
 			}

@@ -65,7 +65,7 @@ func TestChainMakespanUnitDelay(t *testing.T) {
 	res, err := Run(Config{
 		N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n),
 		Wake: SubsetAtZero([]int{0}), Seed: 3,
-	}, func(u int) Protocol { return &flooder{fan: 1, root: u == 0} })
+	}, perNode(func(u int) Protocol { return &flooder{fan: 1, root: u == 0} }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFloodWakesEveryone(t *testing.T) {
 	res, err := Run(Config{
 		N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n),
 		Wake: SubsetAtZero([]int{5}), Seed: 7,
-	}, func(u int) Protocol { return &flooder{fan: n - 1, root: u == 5} })
+	}, perNode(func(u int) Protocol { return &flooder{fan: n - 1, root: u == 5} }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +142,13 @@ func TestFIFOPreventsOvertaking(t *testing.T) {
 		Wake:   SubsetAtZero([]int{0}),
 		Delays: &shrinkingDelay{next: 1},
 		Seed:   1,
-	}, func(u int) Protocol {
+	}, perNode(func(u int) Protocol {
 		if u == 0 {
 			return &seqSender{}
 		}
 		recs[u] = &recorder{}
 		return recs[u]
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +172,12 @@ func TestDelayClamping(t *testing.T) {
 			Wake:   SubsetAtZero([]int{0}),
 			Delays: policy,
 			Seed:   1,
-		}, func(u int) Protocol {
+		}, perNode(func(u int) Protocol {
 			if u == 0 {
 				return &seqSender{}
 			}
 			return &recorder{}
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,11 +221,21 @@ func TestWakeBeforeReceive(t *testing.T) {
 	}
 	if _, err := Run(Config{
 		N: 2, IDs: ids.Assignment{1, 2}, Wake: SubsetAtZero([]int{0}), Seed: 1,
-	}, mk); err != nil {
+	}, perNode(mk)); err != nil {
 		t.Fatal(err)
 	}
 	if !nodes[1].wokeFirst {
 		t.Fatal("Receive ran before Wake on a message-woken node")
+	}
+}
+
+// perNode is the Factory of a test whose nodes differ by index: it sets
+// node u to mk(u). Protocol factories read no index; these fakes do.
+func perNode(mk func(u int) Protocol) Factory {
+	return func(nodes []Protocol) {
+		for u := range nodes {
+			nodes[u] = mk(u)
+		}
 	}
 }
 
@@ -258,7 +268,7 @@ func TestMaxEventsGuard(t *testing.T) {
 	res, err := Run(Config{
 		N: 2, IDs: ids.Assignment{1, 2}, Wake: SubsetAtZero([]int{0}),
 		MaxEvents: 100, Seed: 1,
-	}, func(int) Protocol { return &babbler{} })
+	}, Slab(babbler{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +287,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		res, err := Run(Config{
 			N: n, IDs: assign, Wake: SubsetAtZero([]int{0, 3, 9}),
 			Delays: UniformDelay{Lo: 0.1}, Seed: 77,
-		}, func(u int) Protocol { return &flooder{fan: 4, root: u == 0 || u == 3 || u == 9} })
+		}, perNode(func(u int) Protocol { return &flooder{fan: 4, root: u == 0 || u == 3 || u == 9} }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,12 +310,12 @@ func TestStaggeredWakeNormalization(t *testing.T) {
 		N: 2, IDs: ids.Assignment{1, 2},
 		Wake: WakeSchedule{{Node: 0, Time: 5}},
 		Seed: 1,
-	}, func(u int) Protocol {
+	}, perNode(func(u int) Protocol {
 		if u == 0 {
 			return &seqSender{}
 		}
 		return &recorder{}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +325,7 @@ func TestStaggeredWakeNormalization(t *testing.T) {
 }
 
 func TestConfigErrors(t *testing.T) {
-	mk := func(int) Protocol { return &recorder{} }
+	mk := Slab(recorder{})
 	if _, err := Run(Config{N: 0, Wake: SubsetAtZero([]int{0})}, mk); err == nil {
 		t.Fatal("N=0 accepted")
 	}
@@ -346,7 +356,7 @@ func TestDoubleWakeIgnored(t *testing.T) {
 	_, err := Run(Config{
 		N: 2, IDs: ids.Assignment{1, 2},
 		Wake: WakeSchedule{{Node: 0, Time: 0}, {Node: 0, Time: 0.5}},
-	}, func(u int) Protocol {
+	}, perNode(func(u int) Protocol {
 		return protoFuncs{
 			wake: func(proto.Env) []proto.Send {
 				if u == 0 {
@@ -356,7 +366,7 @@ func TestDoubleWakeIgnored(t *testing.T) {
 			},
 			receive: func(proto.Delivery) []proto.Send { return nil },
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +426,7 @@ func TestFaultsCrashedRootNeverWakes(t *testing.T) {
 		N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n),
 		Wake: SubsetAtZero([]int{0}), Seed: 3,
 		Faults: faultInjector(t, faults.Plan{Crashes: []faults.Crash{{Node: 0, At: 0}}}, n, 9),
-	}, func(u int) Protocol { return &flooder{fan: 1, root: u == 0} })
+	}, perNode(func(u int) Protocol { return &flooder{fan: 1, root: u == 0} }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +449,7 @@ func TestFaultsDropFirstKillsOpeningMove(t *testing.T) {
 		N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n),
 		Wake: SubsetAtZero([]int{0}), Seed: 3,
 		Faults: faultInjector(t, faults.Plan{DropFirst: 1}, n, 9),
-	}, func(u int) Protocol { return &flooder{fan: 1, root: u == 0} })
+	}, perNode(func(u int) Protocol { return &flooder{fan: 1, root: u == 0} }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +472,7 @@ func TestFaultsDuplicateCopies(t *testing.T) {
 		N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n),
 		Wake: SubsetAtZero([]int{0}), Seed: 3,
 		Faults: faultInjector(t, faults.Plan{DupRate: 1}, n, 9),
-	}, func(u int) Protocol { return &flooder{fan: 1, root: u == 0} })
+	}, perNode(func(u int) Protocol { return &flooder{fan: 1, root: u == 0} }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +486,7 @@ func TestFaultsDuplicateCopies(t *testing.T) {
 func TestFaultsZeroPlanIdentical(t *testing.T) {
 	const n = 16
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(7))
-	factory := func(u int) Protocol { return &flooder{fan: 3, root: u == 0} }
+	factory := perNode(func(u int) Protocol { return &flooder{fan: 3, root: u == 0} })
 	cfg := Config{N: n, IDs: assign, Wake: SubsetAtZero([]int{0}), Seed: 42,
 		Delays: UniformDelay{Lo: 0.05}}
 	plain, err := Run(cfg, factory)
@@ -500,7 +510,7 @@ func TestFaultsZeroPlanIdentical(t *testing.T) {
 // and 5, so only the sweep can observe node 1's crash at time 3.
 func TestFaultsQuietVictimStillRecorded(t *testing.T) {
 	const n = 3
-	silent := func(u int) Protocol { return &flooder{fan: 0, root: u == 0} }
+	silent := perNode(func(u int) Protocol { return &flooder{fan: 0, root: u == 0} })
 	cfg := Config{
 		N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n),
 		Wake: WakeSchedule{{Node: 0, Time: 0}, {Node: 2, Time: 5}}, Seed: 3,

@@ -50,10 +50,10 @@ func (p *chatty) Halted() bool             { return p.halted }
 
 // TestRoundLoopAllocBudget is the engine overhaul's regression tripwire: a
 // warm-pool synchronous run must stay within a fixed allocation budget.
-// The budget covers the per-run cost that legitimately scales with n
-// (protocol instances, Result slices) plus slack for pool misses; it is far
-// below the cost of re-growing inboxes every round (rounds × n extra
-// allocations), so reintroducing per-round allocation trips it immediately.
+// The budget covers the per-run setup (one slab of protocol instances, the
+// Result and engine slices), whose count does not grow with n, plus slack
+// for pool misses; re-growing inboxes every round (rounds × n extra
+// allocations), a per-node allocation or even one per round trips it.
 //
 // Config.Rounds is nil here, so this also pins the disabled round-trace
 // probe's cost at zero allocations: its nil guards must stay branches, never
@@ -70,7 +70,7 @@ func TestRoundLoopAllocBudget(t *testing.T) {
 	const n = 256
 	assign := ids.Sequential(ids.LinearUniverse(n, 1), n)
 	cfg := Config{N: n, IDs: assign, Seed: 9}
-	factory := func(int) Protocol { return &chatty{rounds: 12} }
+	factory := Slab(chatty{rounds: 12})
 	// Warm every pool (arena, port-map tables).
 	if _, err := Run(cfg, factory); err != nil {
 		t.Fatal(err)
@@ -84,13 +84,13 @@ func TestRoundLoopAllocBudget(t *testing.T) {
 			disabled.Add(obs.Span{Name: "round"})
 		}
 	})
-	// Setup costs ~n+10 allocations (n protocol instances plus Result and
-	// engine slices; every node sends from the arena's one send buffer);
-	// the round loop itself must add none. 1.5*n leaves headroom for pool
-	// misses under GC pressure while still catching a send buffer per node
-	// (n more) or any per-round regression (12 rounds × 256 inboxes ≈
-	// 3000+ extra allocations).
-	if budget := 1.5 * n; allocs > budget {
+	// Setup costs 9 allocations at any n (the factory's one slab, the
+	// Result and engine slices; every node sends from the arena's one send
+	// buffer); the round loop itself must add none. 16 + n/128 leaves
+	// headroom for pool misses under GC pressure while still catching a
+	// protocol instance or send buffer per node (n more) or any per-round
+	// regression (12 rounds, at least 12 more).
+	if budget := 16 + n/128.0; allocs > budget {
 		t.Fatalf("Run allocated %.0f times per run, budget %.0f", allocs, budget)
 	}
 }
@@ -104,14 +104,14 @@ func TestStatsIdenticalUnderReuse(t *testing.T) {
 	const n = 64
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(5))
 	cfg := Config{N: n, IDs: assign, Seed: 77}
-	factory := func(int) Protocol { return &chatty{rounds: 6} }
+	factory := Slab(chatty{rounds: 6})
 	cold, err := Run(cfg, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Dirty the pools with a different shape.
 	small := ids.Sequential(ids.LinearUniverse(8, 1), 8)
-	if _, err := Run(Config{N: 8, IDs: small, Seed: 1}, func(int) Protocol { return &chatty{rounds: 2} }); err != nil {
+	if _, err := Run(Config{N: 8, IDs: small, Seed: 1}, Slab(chatty{rounds: 2})); err != nil {
 		t.Fatal(err)
 	}
 	warm, err := Run(cfg, factory)

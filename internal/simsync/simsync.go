@@ -61,9 +61,29 @@ type Protocol interface {
 	Halted() bool
 }
 
-// Factory constructs the protocol instance for a node. It is called once per
-// node, in node order, before the run starts.
-type Factory func(node int) Protocol
+// Factory builds the protocol instances of one run. The engine calls it
+// once per run, before any node wakes, with a nodes slice of length N whose
+// entries are nil, and the factory points entry u, node u, at an instance
+// of its own, in the state Init expects to find. A protocol learns its ID,
+// n and generator only from the proto.Env Init receives, so a factory draws
+// no randomness and the run's RNG streams do not depend on it.
+type Factory func(nodes []Protocol)
+
+// Slab returns the Factory that builds every node of a run from one
+// allocation: a fresh []T of len(nodes) copies of v, one element per node.
+// Each run gets its own slab, so no state survives from one run to the next.
+func Slab[T any, P interface {
+	*T
+	Protocol
+}](v T) Factory {
+	return func(nodes []Protocol) {
+		slab := make([]T, len(nodes))
+		for i := range slab {
+			slab[i] = v
+			nodes[i] = P(&slab[i])
+		}
+	}
+}
 
 // Config describes one synchronous execution.
 type Config struct {
@@ -172,9 +192,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	}
 
 	nodes := make([]Protocol, n)
-	for u := 0; u < n; u++ {
-		nodes[u] = factory(u)
-	}
+	factory(nodes)
 	res := &Result{
 		Outcome:   proto.Outcome{Decisions: make([]proto.Decision, n)},
 		PerRound:  make([]int64, 1, 64),
@@ -190,29 +208,32 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	inbox := arena.Inboxes()
 
 	awake := make([]bool, n)
-	envs := make([]proto.Env, n)
-	// All node generators live in one flat slice; rngs must outlive the
-	// round loop (protocols hold pointers into it), so it is per-run, not
-	// arena scratch.
+	// All node generators live in one flat slice, split in node order; rngs
+	// must outlive the round loop (protocols hold pointers into it), so it
+	// is per-run, not arena scratch.
 	rngs := make([]xrand.RNG, n)
+	for u := range rngs {
+		master.SplitInto(&rngs[u])
+	}
 	diam := 0
 	if cfg.Topo != nil {
 		diam = cfg.Topo.Diameter()
 	}
-	for u := 0; u < n; u++ {
-		master.SplitInto(&rngs[u])
-		envs[u] = proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u], Out: arena.Out()}
+	// env builds node u's environment when it wakes.
+	env := func(u int) proto.Env {
+		e := proto.Env{ID: int64(cfg.IDs[u]), N: n, RNG: &rngs[u], Out: arena.Out()}
 		if cfg.Topo != nil {
-			envs[u].Deg = cfg.Topo.Degree(u)
-			envs[u].Diam = diam
+			e.Deg = cfg.Topo.Degree(u)
+			e.Diam = diam
 		}
+		return e
 	}
 	rt := cfg.Rounds
 	wake := func(u int) {
 		if !awake[u] {
 			awake[u] = true
 			res.WakeRound[u] = 1
-			nodes[u].Init(envs[u])
+			nodes[u].Init(env(u))
 			if rt != nil {
 				rt.Woke(1)
 			}
@@ -330,7 +351,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 			if len(box) > 0 && !awake[v] {
 				awake[v] = true
 				res.WakeRound[v] = r
-				nodes[v].Init(envs[v])
+				nodes[v].Init(env(v))
 				lastActivity = r
 				if rt != nil {
 					rt.Woke(r)

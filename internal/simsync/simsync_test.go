@@ -58,7 +58,7 @@ func TestMaxBroadcastElectsMaxID(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 16, 64} {
 		assign := ids.Random(ids.LogUniverse(n), n, xrand.New(uint64(n)))
 		res, err := Run(Config{N: n, IDs: assign, Seed: 42, Strict: true},
-			func(int) Protocol { return &maxBroadcast{} })
+			Slab(maxBroadcast{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestMaxBroadcastAllPortMaps(t *testing.T) {
 	}
 	for name, pm := range maps {
 		res, err := Run(Config{N: n, IDs: assign, Ports: pm, Strict: true},
-			func(int) Protocol { return &maxBroadcast{} })
+			Slab(maxBroadcast{}))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -159,7 +159,7 @@ func TestReplyPortRoutesBack(t *testing.T) {
 		const n = 9
 		assign := ids.Sequential(ids.LinearUniverse(n, 1), n)
 		res, err := Run(Config{N: n, IDs: assign, Seed: seed, Strict: true},
-			func(int) Protocol { return &pingPong{} })
+			Slab(pingPong{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestAdversarialWakeSemantics(t *testing.T) {
 	res, err := Run(Config{
 		N: n, IDs: assign, Seed: 5, Strict: true,
 		Wake: []int{3},
-	}, func(int) Protocol { return &wakeChain{} })
+	}, Slab(wakeChain{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func (p *silentCountdown) Deliver(round int, _ []proto.Delivery) {
 func TestSilentRoundTick(t *testing.T) {
 	const n = 4
 	res, err := Run(Config{N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n), Strict: true},
-		func(int) Protocol { return &silentCountdown{} })
+		Slab(silentCountdown{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func (p *doubleSender) Send(round int) []proto.Send {
 func TestStrictCatchesDuplicatePort(t *testing.T) {
 	const n = 4
 	_, err := Run(Config{N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n), Strict: true},
-		func(int) Protocol { return &doubleSender{} })
+		Slab(doubleSender{}))
 	if err == nil {
 		t.Fatal("duplicate port send not caught")
 	}
@@ -345,7 +345,7 @@ func (p *badPort) Send(round int) []proto.Send {
 func TestInvalidPortRejected(t *testing.T) {
 	const n = 4
 	_, err := Run(Config{N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n)},
-		func(int) Protocol { return &badPort{} })
+		Slab(badPort{}))
 	if err == nil {
 		t.Fatal("invalid port not caught")
 	}
@@ -361,7 +361,7 @@ func TestTimeout(t *testing.T) {
 	const n = 4
 	res, err := Run(Config{
 		N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n), MaxRounds: 10,
-	}, func(int) Protocol { return &neverHalts{} })
+	}, Slab(neverHalts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestSeedDeterminism(t *testing.T) {
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(7))
 	run := func() *Result {
 		res, err := Run(Config{N: n, IDs: assign, Seed: 99},
-			func(int) Protocol { return &coinBroadcast{} })
+			Slab(coinBroadcast{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +447,7 @@ func TestTraceRecordsGraph(t *testing.T) {
 	rec := trace.NewRecorder(n)
 	_, err := Run(Config{
 		N: n, IDs: ids.Sequential(ids.LinearUniverse(n, 1), n), Trace: rec, Strict: true,
-	}, func(int) Protocol { return &maxBroadcast{} })
+	}, Slab(maxBroadcast{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,20 +467,20 @@ func TestTraceRecordsGraph(t *testing.T) {
 }
 
 func TestConfigErrors(t *testing.T) {
-	if _, err := Run(Config{N: 0}, func(int) Protocol { return &maxBroadcast{} }); err == nil {
+	if _, err := Run(Config{N: 0}, Slab(maxBroadcast{})); err == nil {
 		t.Fatal("N=0 accepted")
 	}
-	if _, err := Run(Config{N: 3, IDs: ids.Assignment{1}}, func(int) Protocol { return &maxBroadcast{} }); err == nil {
+	if _, err := Run(Config{N: 3, IDs: ids.Assignment{1}}, Slab(maxBroadcast{})); err == nil {
 		t.Fatal("ID length mismatch accepted")
 	}
 	if _, err := Run(Config{
 		N: 3, IDs: ids.Assignment{1, 2, 3}, Wake: []int{},
-	}, func(int) Protocol { return &maxBroadcast{} }); err == nil {
+	}, Slab(maxBroadcast{})); err == nil {
 		t.Fatal("empty wake set accepted")
 	}
 	if _, err := Run(Config{
 		N: 3, IDs: ids.Assignment{1, 2, 3}, Wake: []int{9},
-	}, func(int) Protocol { return &maxBroadcast{} }); err == nil {
+	}, Slab(maxBroadcast{})); err == nil {
 		t.Fatal("invalid wake node accepted")
 	}
 }
@@ -506,7 +506,7 @@ func TestFaultsCrashVictimExcluded(t *testing.T) {
 	res, err := Run(Config{
 		N: n, IDs: assign, Seed: 5, Strict: true,
 		Faults: faultInjector(t, faults.Plan{Crashes: []faults.Crash{{Node: victim, At: 1}}}, n, 9),
-	}, func(int) Protocol { return &maxBroadcast{} })
+	}, Slab(maxBroadcast{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestFaultsDropAll(t *testing.T) {
 	res, err := Run(Config{
 		N: n, IDs: assign, Seed: 5,
 		Faults: faultInjector(t, faults.Plan{DropRate: 1}, n, 9),
-	}, func(int) Protocol { return &maxBroadcast{} })
+	}, Slab(maxBroadcast{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestFaultsDuplicateIdempotent(t *testing.T) {
 	res, err := Run(Config{
 		N: n, IDs: assign, Seed: 5,
 		Faults: faultInjector(t, faults.Plan{DupRate: 1}, n, 9),
-	}, func(int) Protocol { return &maxBroadcast{} })
+	}, Slab(maxBroadcast{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +573,7 @@ func TestFaultsDuplicateIdempotent(t *testing.T) {
 func TestFaultsZeroPlanIdentical(t *testing.T) {
 	const n = 16
 	assign := ids.Random(ids.LogUniverse(n), n, xrand.New(7))
-	factory := func(int) Protocol { return &maxBroadcast{} }
+	factory := Slab(maxBroadcast{})
 	plain, err := Run(Config{N: n, IDs: assign, Seed: 42}, factory)
 	if err != nil {
 		t.Fatal(err)
