@@ -210,7 +210,7 @@ func run(args []string, w io.Writer) error {
 		if spec.Model == elect.Async {
 			req.Delays = *policy
 		}
-		_, b, err := req.Resolve(elect.Limits{})
+		_, b, err := req.Resolve()
 		if err != nil {
 			return err
 		}

@@ -231,22 +231,23 @@ func ValidRange(b *Batch, start, count int) error {
 	return nil
 }
 
-// Limits bounds the grid one request may ask for, so that a server can
-// refuse it before it allocates anything of the grid's size. A zero field
-// sets no bound.
+// Limits bounds what one request may ask for, so that a server can refuse
+// it before it allocates anything of its size. A zero field sets no bound.
 type Limits struct {
 	// MaxN caps every network size.
 	MaxN int
-	// MaxCells caps the grid's cell count, as GridSize counts it.
+	// MaxCells caps the number of runs.
 	MaxCells int
 }
 
-// Admit reports whether a grid over the sizes ns, seeds seeds and topos
-// topologies is within the limits; a single run is the grid of its one
-// size. It takes the seed and topology axes as counts, so that a compact
-// seed range is checked before Seeds builds it, and counts an empty axis
-// as one value, as GridSize does. It multiplies nothing that could wrap.
-func (l Limits) Admit(ns []int, seeds, topos int) error {
+// Admit reports whether a request over the network sizes ns and the cell
+// count that is the product of axes is within the limits. A run passes no
+// axes (one cell), a batch its grid's axes as counts (so that a compact
+// seed range is checked before Seeds builds it), a chunk its range's
+// length. Each axis counts as at least one, as GridSize counts an empty
+// axis, and the product is checked without multiplying anything that
+// could wrap.
+func (l Limits) Admit(ns []int, axes ...int) error {
 	if l.MaxN > 0 {
 		for _, n := range ns {
 			if n > l.MaxN {
@@ -255,12 +256,10 @@ func (l Limits) Admit(ns []int, seeds, topos int) error {
 		}
 	}
 	if l.MaxCells > 0 {
-		axes := [...]int{max(len(ns), 1), max(seeds, 1), max(topos, 1)}
 		cells := 1
 		for _, k := range axes {
-			if k > l.MaxCells/cells {
-				return fmt.Errorf("elect: a grid of %d sizes × %d seeds × %d topologies exceeds the limit of %d cells",
-					axes[0], axes[1], axes[2], l.MaxCells)
+			if k = max(k, 1); k > l.MaxCells/cells {
+				return fmt.Errorf("elect: the request asks for more than %d cells", l.MaxCells)
 			}
 			cells *= k
 		}

@@ -179,28 +179,30 @@ func TestSeeds(t *testing.T) {
 }
 
 // TestLimitsAdmit pins the admission rule: every size at most MaxN, the
-// cell count (each empty axis counting as one value) at most MaxCells, a
-// zero field no bound, and counts whose product would wrap an int refused
+// product of the axes (each counting as at least one) at most MaxCells, a
+// zero field no bound, and axes whose product would wrap an int refused
 // rather than multiplied.
 func TestLimitsAdmit(t *testing.T) {
 	lim := Limits{MaxN: 1024, MaxCells: 100}
 	huge := int(^uint(0) >> 1)
 	for _, tc := range []struct {
-		name         string
-		lim          Limits
-		ns           []int
-		seeds, topos int
-		ok           bool
+		name string
+		lim  Limits
+		ns   []int
+		axes []int
+		ok   bool
 	}{
-		{"defaults", lim, nil, 0, 0, true},
-		{"at the limits", lim, []int{1024, 2}, 50, 1, true},
-		{"n past MaxN", lim, []int{64, 1025}, 1, 0, false},
-		{"seeds past MaxCells", lim, []int{64}, 101, 0, false},
-		{"grid past MaxCells", lim, []int{64, 128}, 10, 6, false},
-		{"wrapping counts", lim, []int{64, 128}, huge, huge, false},
-		{"no limits", Limits{}, []int{huge}, huge, huge, true},
+		{"one run", lim, []int{1024}, nil, true},
+		{"empty axes", lim, nil, []int{0, 0, 0}, true},
+		{"at the limits", lim, []int{1024, 2}, []int{2, 50, 1}, true},
+		{"n past MaxN", lim, []int{64, 1025}, []int{2, 1}, false},
+		{"seeds past MaxCells", lim, []int{64}, []int{1, 101}, false},
+		{"grid past MaxCells", lim, []int{64, 128}, []int{2, 10, 6}, false},
+		{"range past MaxCells", lim, []int{64}, []int{101}, false},
+		{"wrapping axes", lim, []int{64, 128}, []int{2, huge, huge}, false},
+		{"no limits", Limits{}, []int{huge}, []int{huge, huge}, true},
 	} {
-		if err := tc.lim.Admit(tc.ns, tc.seeds, tc.topos); (err == nil) != tc.ok {
+		if err := tc.lim.Admit(tc.ns, tc.axes...); (err == nil) != tc.ok {
 			t.Errorf("%s: Admit = %v, want ok %v", tc.name, err, tc.ok)
 		}
 	}

@@ -203,18 +203,14 @@ type BatchRequest struct {
 	Async bool `json:"async,omitempty"`
 }
 
-// Resolve converts the request into a spec and an elect.Batch. A grid
-// past lim is an error, found before a seed_count is expanded into seeds.
-func (r BatchRequest) Resolve(lim elect.Limits) (elect.Spec, elect.Batch, error) {
+// Resolve converts the request into a spec and an elect.Batch.
+func (r BatchRequest) Resolve() (elect.Spec, elect.Batch, error) {
 	spec, err := elect.Lookup(r.Spec)
 	if err != nil {
 		return elect.Spec{}, elect.Batch{}, err
 	}
 	opts, err := r.Options.resolve(spec.Model)
 	if err != nil {
-		return elect.Spec{}, elect.Batch{}, err
-	}
-	if err := lim.Admit(r.Ns, max(len(r.Seeds), r.SeedCount), len(r.Topos)); err != nil {
 		return elect.Spec{}, elect.Batch{}, err
 	}
 	seeds := r.Seeds

@@ -69,27 +69,14 @@ func TestResolveErrors(t *testing.T) {
 			t.Errorf("request %+v resolved", req)
 		}
 	}
-	if _, _, err := (BatchRequest{Spec: "tradeoff", Seeds: []uint64{1}, SeedBase: 2, SeedCount: 3}).Resolve(elect.Limits{}); err == nil {
+	if _, _, err := (BatchRequest{Spec: "tradeoff", Seeds: []uint64{1}, SeedBase: 2, SeedCount: 3}).Resolve(); err == nil {
 		t.Error("conflicting seed fields resolved")
 	}
-	if _, _, err := (BatchRequest{Spec: "tradeoff", Seeds: []uint64{1}, SeedBase: 2}).Resolve(elect.Limits{}); err == nil {
+	if _, _, err := (BatchRequest{Spec: "tradeoff", Seeds: []uint64{1}, SeedBase: 2}).Resolve(); err == nil {
 		t.Error("seeds + seed_base resolved")
 	}
-	// A seed_count past the cell limit fails before any seed is built.
-	lim := elect.Limits{MaxN: 1 << 16, MaxCells: 1 << 16}
-	big := BatchRequest{Spec: "tradeoff", SeedCount: 400_000_000}
-	if allocs := testing.AllocsPerRun(1, func() {
-		if _, _, err := big.Resolve(lim); err == nil {
-			t.Error("seed_count past the cell limit resolved")
-		}
-	}); allocs > 16 {
-		t.Errorf("rejecting seed_count %d allocated %.0f times", big.SeedCount, allocs)
-	}
-	if _, _, err := (BatchRequest{Spec: "tradeoff", Ns: []int{64, 1 << 17}}).Resolve(lim); err == nil {
-		t.Error("n past the size limit resolved")
-	}
 	// seed_base alone would silently run the default seed; it must error.
-	if _, _, err := (BatchRequest{Spec: "tradeoff", SeedBase: 5}).Resolve(elect.Limits{}); err == nil {
+	if _, _, err := (BatchRequest{Spec: "tradeoff", SeedBase: 5}).Resolve(); err == nil {
 		t.Error("seed_base without seed_count resolved")
 	}
 }
@@ -100,7 +87,7 @@ func TestBatchRequestResolve(t *testing.T) {
 		Spec: "asynctradeoff", Ns: []int{32, 64}, SeedBase: 5, SeedCount: 3,
 		Workers: 2,
 		Options: Options{Params: &ParamSpec{K: intp(2)}, Delays: "skew", Faults: "drop=0.05"},
-	}).Resolve(elect.Limits{})
+	}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,14 +39,7 @@ const explicitWaitRounds = 4
 // NewExplicit wraps an implicit protocol factory: the inner factory fills
 // the run's nodes, and one slab of wrappers takes their place.
 func NewExplicit(inner simsync.Factory) simsync.Factory {
-	return func(nodes []simsync.Protocol) {
-		inner(nodes)
-		slab := make([]Explicit, len(nodes))
-		for u := range slab {
-			slab[u].inner = nodes[u]
-			nodes[u] = &slab[u]
-		}
-	}
+	return simsync.Wrap(inner, func(e *Explicit, _ int, p simsync.Protocol) { e.inner = p })
 }
 
 // Init implements simsync.Protocol.

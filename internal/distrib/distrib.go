@@ -78,10 +78,6 @@ type Config struct {
 	// with ErrFenced — both mean this dispatcher was deposed. Nil means
 	// unfenced dispatch (the plain sweep CLI).
 	Fence func() uint64
-	// Limits bounds the grids RunGrid accepts (elect.Limits.Admit): a grid
-	// past them fails before it is partitioned. The zero value sets no
-	// bound; each worker still applies its own.
-	Limits elect.Limits
 }
 
 // ErrFenced means the dispatcher was deposed mid-grid: either a worker
@@ -297,9 +293,6 @@ type grid struct {
 // then schedule, which drives one attempt per dispatch and merges each
 // chunk as its first answer arrives.
 func (f *Fleet) runGrid(spec elect.Spec, ns []int, seeds []uint64, b *elect.Batch, wopts client.Options) (results []elect.Result, err error) {
-	if err := f.cfg.Limits.Admit(ns, len(seeds), len(b.Topos)); err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g := &grid{f: f, spec: spec, ns: ns, seeds: seeds, b: b, wopts: wopts, ctx: ctx,

@@ -845,26 +845,6 @@ func TestFleetDefiniteErrorAborts(t *testing.T) {
 	}
 }
 
-// TestFleetLimits: a grid past the fleet's limits fails before it is
-// partitioned, probed or dispatched.
-func TestFleetLimits(t *testing.T) {
-	w := newHarness(t)
-	fleet := newFleet(t, Config{Limits: elect.Limits{MaxN: 64, MaxCells: 4}}, w)
-	spec := mustSpec(t, "tradeoff")
-	for _, b := range []elect.Batch{
-		{Ns: []int{16, 128}, Seeds: elect.Seeds(1, 2)},
-		{Ns: []int{16, 32}, Seeds: elect.Seeds(1, 3)},
-	} {
-		b.Remote = fleet.Runner(client.Options{})
-		if _, err := elect.RunMany(spec, b); err == nil {
-			t.Fatalf("grid %v × %d seeds past the limits ran", b.Ns, len(b.Seeds))
-		}
-	}
-	if stats := fleet.Stats(); stats.HTTPAttempts != 0 {
-		t.Fatalf("a grid past the limits reached the workers: %+v", stats)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty worker list accepted")

@@ -100,9 +100,6 @@ type Config struct {
 	// discipline as Observe applies: fast, non-blocking, no calls back
 	// into the manager.
 	CheckFence func(fence uint64) error
-	// Limits bounds the grid a chunk may name (elect.Limits.Admit): its
-	// sizes and its cell count. The zero value sets no bound.
-	Limits elect.Limits
 }
 
 // jobRetention bounds the job table: once it grows past the bound, the
@@ -117,7 +114,6 @@ type Manager struct {
 	maxJobs      int
 	batchWorkers int
 	checkFence   func(uint64) error
-	limits       elect.Limits
 	observe      func(Snapshot)
 	queue        chan *Job
 	wg           sync.WaitGroup
@@ -143,7 +139,6 @@ func NewManager(cfg Config) *Manager {
 		maxJobs:      jobRetention,
 		batchWorkers: cfg.BatchWorkers,
 		checkFence:   cfg.CheckFence,
-		limits:       cfg.Limits,
 		observe:      cfg.Observe,
 		queue:        make(chan *Job, depth),
 		jobs:         make(map[string]*Job),
@@ -208,14 +203,10 @@ func (m *Manager) SubmitBatch(spec elect.Spec, batch elect.Batch, sopts ...Submi
 }
 
 // SubmitChunk enqueues cells [start, start+count) of the batch's canonical
-// grid (elect.RunRange). A grid past the manager's Limits, or a range that
-// fails elect.ValidRange, is rejected here, before it takes a queue slot;
-// the batch's Cache, OnResult and Cancel fields are owned by the job
-// machinery.
+// grid (elect.RunRange). A range that fails elect.ValidRange is rejected
+// here, before it takes a queue slot; the batch's Cache, OnResult and
+// Cancel fields are owned by the job machinery.
 func (m *Manager) SubmitChunk(spec elect.Spec, batch elect.Batch, start, count int, sopts ...SubmitOption) (*Job, error) {
-	if err := m.limits.Admit(batch.Ns, len(batch.Seeds), len(batch.Topos)); err != nil {
-		return nil, err
-	}
 	if err := elect.ValidRange(&batch, start, count); err != nil {
 		return nil, err
 	}

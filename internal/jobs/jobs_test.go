@@ -467,22 +467,6 @@ func TestChunkJob(t *testing.T) {
 			t.Fatalf("chunk [%d, +%d) accepted as %s", r[0], r[1], j.ID)
 		}
 	}
-
-	// So is a grid past the manager's limits, whichever cells the range
-	// names: a size on the ns axis, or the cell count.
-	lm := NewManager(Config{Workers: 1, Limits: elect.Limits{MaxN: 64, MaxCells: 6}})
-	defer lm.Close()
-	for _, b := range []elect.Batch{
-		{Ns: []int{32, 128}, Seeds: elect.Seeds(1, 3)},
-		{Ns: []int{32, 64}, Seeds: elect.Seeds(1, 4)},
-	} {
-		if j, err := lm.SubmitChunk(spec, b, 0, 1); err == nil {
-			t.Fatalf("chunk of grid %v × %d seeds accepted as %s", b.Ns, len(b.Seeds), j.ID)
-		}
-	}
-	if len(lm.Jobs()) != 0 {
-		t.Fatal("a rejected chunk took a job")
-	}
 }
 
 // TestChunkJobUsesCache: chunk cells read through the manager's cache, so a

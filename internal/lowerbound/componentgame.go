@@ -211,14 +211,9 @@ func ComponentGame(n int, f float64, factory simsync.Factory, seed uint64, opts 
 	res, err := simsync.Run(simsync.Config{
 		N: n, IDs: assign, Ports: adaptive, Seed: rng.Uint64(),
 		Trace: rec, Strict: true,
-	}, func(nodes []simsync.Protocol) {
-		factory(nodes)
-		taps := make([]roundTap, len(nodes))
-		for u := range taps {
-			taps[u] = roundTap{inner: nodes[u], onRound: onRound}
-			nodes[u] = &taps[u]
-		}
-	})
+	}, simsync.Wrap(factory, func(t *roundTap, _ int, p simsync.Protocol) {
+		*t = roundTap{inner: p, onRound: onRound}
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -136,14 +136,9 @@ func CheckLasVegas(n, trials int, factory simsync.Factory, seed uint64) (*LasVeg
 		touched := newTouchCounter(n)
 		res, err := simsync.Run(simsync.Config{
 			N: n, IDs: assign, Seed: rng.Uint64(), Strict: true,
-		}, func(nodes []simsync.Protocol) {
-			factory(nodes)
-			taps := make([]touchTap, len(nodes))
-			for u := range taps {
-				taps[u] = touchTap{inner: nodes[u], node: u, tc: touched}
-				nodes[u] = &taps[u]
-			}
-		})
+		}, simsync.Wrap(factory, func(t *touchTap, u int, p simsync.Protocol) {
+			*t = touchTap{inner: p, node: u, tc: touched}
+		}))
 		if err != nil {
 			return nil, err
 		}

@@ -28,14 +28,7 @@ type SingleSend struct {
 // NewSingleSend returns a simsync factory applying the Lemma 3.12 transform
 // to every node of the given inner factory.
 func NewSingleSend(inner simsync.Factory) simsync.Factory {
-	return func(nodes []simsync.Protocol) {
-		inner(nodes)
-		slab := make([]SingleSend, len(nodes))
-		for u := range slab {
-			slab[u].inner = nodes[u]
-			nodes[u] = &slab[u]
-		}
-	}
+	return simsync.Wrap(inner, func(s *SingleSend, _ int, p simsync.Protocol) { s.inner = p })
 }
 
 // Init implements simsync.Protocol.

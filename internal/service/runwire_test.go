@@ -248,7 +248,7 @@ func TestBatchReplyMatchesWriteJSON(t *testing.T) {
 		"faulted":    {Spec: "asynctradeoff", Ns: []int{64}, SeedCount: 4, Options: client.Options{Faults: "crash=0.25"}},
 	}
 	for name, req := range reqs {
-		spec, batch, err := req.Resolve(elect.Limits{})
+		spec, batch, err := req.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestJobReplyAfterRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := client.BatchRequest{Spec: "tradeoff", Ns: []int{64}, SeedCount: 3}
-	bspec, b, err := batch.Resolve(elect.Limits{})
+	bspec, b, err := batch.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,6 @@
 package service
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -98,29 +97,20 @@ type Config struct {
 	// live in /metrics, the spans and /v1/jobs), so a daemon without
 	// Control journals nothing.
 	Events int
-	// MaxN and MaxCells bound what one request may ask for: the largest
-	// network size of a run, batch or chunk, and the most cells of a batch
-	// or chunk grid (elect.Limits). A request past either is answered 400
-	// before anything of its size is allocated or queued; a fleet batch is
-	// checked again by the dispatcher. 0 means DefaultMaxN or
-	// DefaultMaxCells.
-	MaxN, MaxCells int
 }
 
-// DefaultMaxN and DefaultMaxCells are the admission limits a zero
-// Config.MaxN or Config.MaxCells takes. 65,536 nodes is the largest size
-// the repository's experiments run, and no committed workload, test or
-// script asks the daemon for a grid near 65,536 cells.
-const (
-	DefaultMaxN     = 1 << 16
-	DefaultMaxCells = 1 << 16
-)
+// limits bounds what one request may ask for: the largest network size of
+// a run, batch or chunk, and the most cells a batch grid or a chunk's range
+// holds. A request past either is answered 400 before anything of its size
+// is allocated or queued. 65,536 nodes is the largest size the
+// repository's experiments run, and no committed workload, test or script
+// asks the daemon for 65,536 cells at once.
+var limits = elect.Limits{MaxN: 1 << 16, MaxCells: 1 << 16}
 
 // Server is the electd HTTP service.
 type Server struct {
 	cfg    Config
 	fleet  *distrib.Fleet // fleet-batch dispatch; nil unless Control names other peers
-	limits elect.Limits   // Config.MaxN and MaxCells, defaulted
 	mgr    *jobs.Manager
 	mux    *http.ServeMux
 	met    *metrics
@@ -133,10 +123,9 @@ type Server struct {
 // New builds the service and starts its worker pool.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:    cfg,
-		limits: elect.Limits{MaxN: cmp.Or(cfg.MaxN, DefaultMaxN), MaxCells: cmp.Or(cfg.MaxCells, DefaultMaxCells)},
-		svc:    "electd",
-		start:  time.Now(),
+		cfg:   cfg,
+		svc:   "electd",
+		start: time.Now(),
 	}
 	if cfg.Instance != "" {
 		s.svc = "electd:" + cfg.Instance
@@ -165,7 +154,7 @@ func New(cfg Config) *Server {
 		// worker pool. New fails when no other peer is listed, and the
 		// fleet then stays off.
 		others := slices.DeleteFunc(cfg.Control.Peers(), func(p string) bool { return p == cfg.Control.Self() })
-		if fleet, err := distrib.New(distrib.Config{Workers: others, Fence: cfg.Control.Token, Limits: s.limits}); err == nil {
+		if fleet, err := distrib.New(distrib.Config{Workers: others, Fence: cfg.Control.Token}); err == nil {
 			fleet.SetEvents(s.events)
 			s.fleet = fleet
 		}
@@ -177,7 +166,6 @@ func New(cfg Config) *Server {
 		Cache:        cache,
 		Observe:      s.observeJob,
 		CheckFence:   checkFence,
-		Limits:       s.limits,
 	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
@@ -277,7 +265,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.limits.Admit([]int{req.N}, 1, 1); err != nil {
+	if err := limits.Admit([]int{req.N}); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -391,7 +379,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, batch, err := req.Resolve(s.limits)
+	if err := limits.Admit(req.Ns, len(req.Ns), max(len(req.Seeds), req.SeedCount), len(req.Topos)); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	spec, batch, err := req.Resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -442,6 +434,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	var req client.ChunkRequest
 	if err := decodeBody(r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// A chunk names its whole grid but runs only its range, so the range
+	// is what the cell limit bounds.
+	if err := limits.Admit(req.Ns, req.Count); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

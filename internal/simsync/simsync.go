@@ -85,6 +85,23 @@ func Slab[T any, P interface {
 	}
 }
 
+// Wrap returns the Factory that wraps every node inner builds in a W: inner
+// fills the run's nodes, then one fresh []W takes their place, set pointing
+// element u at node u's inner instance p.
+func Wrap[W any, P interface {
+	*W
+	Protocol
+}](inner Factory, set func(w *W, u int, p Protocol)) Factory {
+	return func(nodes []Protocol) {
+		inner(nodes)
+		slab := make([]W, len(nodes))
+		for u := range slab {
+			set(&slab[u], u, nodes[u])
+			nodes[u] = P(&slab[u])
+		}
+	}
+}
+
 // Config describes one synchronous execution.
 type Config struct {
 	// N is the number of nodes.
